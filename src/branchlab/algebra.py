@@ -12,12 +12,12 @@ expression language.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr as ex
+from ._stage import stage
 from .expr import DomainInterval, SafetyStatus, denominator_safety, simplify
 from .ideals import (
     Closed,
@@ -29,7 +29,7 @@ from .ideals import (
     membership,
     off_diagonality,
 )
-from .pairing import Panel, TestFunction, bump, default_panel, pair_with_estimate
+from .pairing import bump, default_panel
 from .sequences import (
     SmoothSequence,
     apply_smooth,
@@ -40,10 +40,11 @@ from .sequences import (
 from .weaklimit import (
     DEFAULT_TOL,
     Classification,
-    ConvergesTo,
     Diverges,
+    _validate_schedule,
+    _verdict_from_table,
     classify_membership,
-    weak_limit,
+    pairing_table,
 )
 
 GRID_POINTS = 256
@@ -312,32 +313,6 @@ def smooth_mult_consistency(psi, chi, domain=None, grid_points=GRID_POINTS):
 # demos
 
 
-def _limit_rows(s, panel, schedule, tol):
-    rows = []
-    for phi in panel:
-        verdict = weak_limit(s, phi, schedule, tol)
-        rows.append(
-            {
-                "center": phi.center,
-                "width": phi.width,
-                "verdict": verdict.to_dict(),
-            }
-        )
-    return rows
-
-
-def _limit_vector(rows):
-    values = []
-    uncertainties = []
-    for row in rows:
-        verdict = row["verdict"]
-        if verdict["kind"] != "converges-to":
-            return None, None
-        values.append(verdict["value"])
-        uncertainties.append(verdict["uncertainty"])
-    return values, uncertainties
-
-
 def branching_demo(
     representatives=None,
     operation="u^2",
@@ -368,97 +343,88 @@ def branching_demo(
 
     stages = []
 
-    started = time.perf_counter()
-    base_records = []
-    all_null = True
-    for s in representatives:
-        verdict = classify_membership(s, panel, schedule, tol)
-        null = verdict.classification is Classification.WEAK_NULL
-        all_null = all_null and null
-        base_records.append(
-            {
-                "sequence": s.to_dict(),
-                "classification": verdict.classification.value,
-                "weak_null": null,
-            }
-        )
-    stages.append(
-        {
-            "name": "classify-representatives",
-            "records": base_records,
-            "passed": all_null,
-            "timing_s": time.perf_counter() - started,
-        }
-    )
-
-    started = time.perf_counter()
-    squared_records = []
-    limit_vectors = []
-    all_definite = True
-    for s in representatives:
-        transformed = apply_smooth(operation, s, domain)
-        verdict = classify_membership(transformed, panel, schedule, tol)
-        rows = _limit_rows(transformed, panel, schedule, tol)
-        values, uncertainties = _limit_vector(rows)
-        limit_vectors.append((values, uncertainties))
-        definite = verdict.classification in (
-            Classification.CONVERGENT,
-            Classification.WEAK_NULL,
-        )
-        all_definite = all_definite and definite
-        squared_records.append(
-            {
-                "sequence": transformed.to_dict(),
-                "classification": verdict.classification.value,
-                "per_test_function": rows,
-            }
-        )
-    stages.append(
-        {
-            "name": "apply-operation",
-            "operation": operation if isinstance(operation, str) else ex.to_string(operation),
-            "records": squared_records,
-            "passed": all_definite,
-            "timing_s": time.perf_counter() - started,
-        }
-    )
-
-    started = time.perf_counter()
-    separations = []
-    witness_found = False
-    for i in range(len(representatives)):
-        for j in range(i + 1, len(representatives)):
-            vi, ui = limit_vectors[i]
-            vj, uj = limit_vectors[j]
-            if vi is None or vj is None:
-                separations.append(
-                    {"pair": [i, j], "separation": None, "ratio": None}
-                )
-                continue
-            gap = max(abs(a - b) for a, b in zip(vi, vj))
-            uncertainty = max(a + b for a, b in zip(ui, uj))
-            ratio = gap / max(uncertainty, 1e-15)
-            separated = ratio >= SEPARATION_FACTOR
-            witness_found = witness_found or separated
-            separations.append(
+    with stage("classify-representatives", stages) as entry:
+        base_records = []
+        all_null = True
+        for s in representatives:
+            verdict = classify_membership(s, panel, schedule, tol)
+            null = verdict.classification is Classification.WEAK_NULL
+            all_null = all_null and null
+            base_records.append(
                 {
-                    "pair": [i, j],
-                    "separation": gap,
-                    "combined_uncertainty": uncertainty,
-                    "ratio": ratio,
-                    "separated": separated,
+                    "sequence": s.to_dict(),
+                    "classification": verdict.classification.value,
+                    "weak_null": null,
                 }
             )
-    stages.append(
-        {
-            "name": "separation",
-            "records": separations,
-            "passed": witness_found,
-            "timing_s": time.perf_counter() - started,
-        }
-    )
+        entry["records"] = base_records
+        entry["passed"] = all_null
 
-    all_passed = all(stage["passed"] for stage in stages)
+    with stage("apply-operation", stages) as entry:
+        entry["operation"] = (
+            operation if isinstance(operation, str) else ex.to_string(operation)
+        )
+        squared_records = []
+        limit_vectors = []
+        all_definite = True
+        for s in representatives:
+            transformed = apply_smooth(operation, s, domain)
+            verdict = classify_membership(transformed, panel, schedule, tol)
+            # convergent and weak-null both mean every member converges
+            definite = verdict.classification in (
+                Classification.CONVERGENT,
+                Classification.WEAK_NULL,
+            )
+            all_definite = all_definite and definite
+            limits = [v for _, v in verdict.per_test_function]
+            limit_vectors.append(
+                ([v.value for v in limits], [v.uncertainty for v in limits])
+                if definite
+                else (None, None)
+            )
+            squared_records.append(
+                {
+                    "sequence": transformed.to_dict(),
+                    "classification": verdict.classification.value,
+                    "per_test_function": [
+                        {"center": phi.center, "width": phi.width, "verdict": v.to_dict()}
+                        for phi, v in verdict.per_test_function
+                    ],
+                }
+            )
+        entry["records"] = squared_records
+        entry["passed"] = all_definite
+
+    with stage("separation", stages) as entry:
+        separations = []
+        witness_found = False
+        for i in range(len(representatives)):
+            for j in range(i + 1, len(representatives)):
+                vi, ui = limit_vectors[i]
+                vj, uj = limit_vectors[j]
+                if vi is None or vj is None:
+                    separations.append(
+                        {"pair": [i, j], "separation": None, "ratio": None}
+                    )
+                    continue
+                gap = max(abs(a - b) for a, b in zip(vi, vj))
+                uncertainty = max(a + b for a, b in zip(ui, uj))
+                ratio = gap / max(uncertainty, 1e-15)
+                separated = ratio >= SEPARATION_FACTOR
+                witness_found = witness_found or separated
+                separations.append(
+                    {
+                        "pair": [i, j],
+                        "separation": gap,
+                        "combined_uncertainty": uncertainty,
+                        "ratio": ratio,
+                        "separated": separated,
+                    }
+                )
+        entry["records"] = separations
+        entry["passed"] = witness_found
+
+    all_passed = all(entry["passed"] for entry in stages)
     if all_passed:
         conclusion = (
             "all representatives converge weakly to zero, yet the operation "
@@ -508,64 +474,45 @@ def delta_square_demo(domain=None, probe=None, schedule=None, band=DELTA_SQUARE_
 
     stages = []
 
-    started = time.perf_counter()
-    probe_height = probe.value(0.0)
-    rows = []
-    within_band = True
-    for index in schedule:
-        value, estimate = pair_with_estimate(rep, index, probe)
-        expected = index * probe_height / 3.0
-        deviation = abs(value - expected) / abs(expected)
-        within_band = within_band and deviation <= band
-        rows.append(
-            {
-                "nu": index,
-                "center": probe.center,
-                "width": probe.width,
-                "value": value,
-                "error_estimate": estimate,
-                "expected": expected,
-                "relative_deviation": deviation,
-            }
+    with stage("pairing-table", stages) as entry:
+        table = pairing_table(rep, probe, schedule)
+        probe_height = probe.value(0.0)
+        rows = []
+        within_band = True
+        for index, value, estimate in table:
+            expected = index * probe_height / 3.0
+            deviation = abs(value - expected) / abs(expected)
+            within_band = within_band and deviation <= band
+            rows.append(
+                {
+                    "nu": index,
+                    "center": probe.center,
+                    "width": probe.width,
+                    "value": value,
+                    "error_estimate": estimate,
+                    "expected": expected,
+                    "relative_deviation": deviation,
+                }
+            )
+        entry["records"] = rows
+        entry["band"] = band
+        entry["passed"] = within_band
+
+    with stage("growth-exponent", stages) as entry:
+        _validate_schedule(schedule)
+        verdict = _verdict_from_table(table, DEFAULT_TOL)
+        entry["verdict"] = verdict.to_dict()
+        entry["passed"] = (
+            isinstance(verdict, Diverges) and abs(verdict.growth_exponent - 1.0) <= 0.1
         )
-    stages.append(
-        {
-            "name": "pairing-table",
-            "records": rows,
-            "band": band,
-            "passed": within_band,
-            "timing_s": time.perf_counter() - started,
-        }
-    )
 
-    started = time.perf_counter()
-    verdict = weak_limit(rep, probe, schedule)
-    exponent_ok = (
-        isinstance(verdict, Diverges) and abs(verdict.growth_exponent - 1.0) <= 0.1
-    )
-    stages.append(
-        {
-            "name": "growth-exponent",
-            "verdict": verdict.to_dict(),
-            "passed": exponent_ok,
-            "timing_s": time.perf_counter() - started,
-        }
-    )
+    with stage("panel-classification", stages) as entry:
+        panel = default_panel(domain)
+        classified = classify_membership(rep, panel, schedule)
+        entry["classification"] = classified.classification.value
+        entry["passed"] = classified.classification is Classification.DIVERGENT
 
-    started = time.perf_counter()
-    panel = default_panel(domain)
-    classified = classify_membership(rep, panel, schedule)
-    divergent = classified.classification is Classification.DIVERGENT
-    stages.append(
-        {
-            "name": "panel-classification",
-            "classification": classified.classification.value,
-            "passed": divergent,
-            "timing_s": time.perf_counter() - started,
-        }
-    )
-
-    all_passed = all(stage["passed"] for stage in stages)
+    all_passed = all(entry["passed"] for entry in stages)
     if all_passed:
         conclusion = (
             "pairings of the squared delta grow like index * probe(0) / 3 "

@@ -15,19 +15,17 @@ import json
 import math
 import os
 import sys
-import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from . import __version__
+from ._stage import stage
 from .algebra import (
     AlgebraError,
     Equal,
-    EqualityUnknown,
     NotEqual,
     branching_demo,
     delta_square_demo,
-    embed_distribution,
     eventually_zero_algebra,
     gf,
     gf_derive,
@@ -321,25 +319,19 @@ def write_csv(report, path):
 # subcommand handlers
 
 
-def _verdict_definite(verdict_dict):
-    return verdict_dict.get("kind") != "inconclusive"
-
-
 def _cmd_limit(args, argv):
     run_config, _ = resolve_config(args)
     sequence = load_sequence(args.seq)
     panel = run_config.panel()
-    stage, verdict = classify_stage(
+    entry, verdict = classify_stage(
         "weak-limit", sequence, panel, run_config.schedule, run_config.tol
     )
     definite = all(
         not isinstance(member_verdict, Inconclusive)
         for _, member_verdict in verdict.per_test_function
     )
-    stage["passed"] = definite
-    values = [
-        row["verdict"] for row in stage["per_test_function"]
-    ]
+    entry["passed"] = definite
+    values = [row["verdict"] for row in entry["per_test_function"]]
     converged = [v["value"] for v in values if v["kind"] == "converges-to"]
     if definite and len(converged) == len(values):
         spread = (min(converged), max(converged))
@@ -358,7 +350,7 @@ def _cmd_limit(args, argv):
     return (
         0 if definite else 2,
         run_config.to_dict() | {"seq": sequence.to_dict()},
-        [stage],
+        [entry],
         conclusion,
     )
 
@@ -367,16 +359,16 @@ def _cmd_classify(args, argv):
     run_config, _ = resolve_config(args)
     sequence = load_sequence(args.seq)
     panel = run_config.panel()
-    stage, verdict = classify_stage(
+    entry, verdict = classify_stage(
         "classify", sequence, panel, run_config.schedule, run_config.tol
     )
     definite = verdict.classification is not Classification.MIXED
-    stage["passed"] = definite
+    entry["passed"] = definite
     conclusion = f"classification: {verdict.classification.value}"
     return (
         0 if definite else 2,
         run_config.to_dict() | {"seq": sequence.to_dict()},
-        [stage],
+        [entry],
         conclusion,
     )
 
@@ -387,53 +379,35 @@ def _cmd_ideal_check(args, argv):
     ideal = generated_by(*generators)
     stages = []
 
-    started = time.perf_counter()
-    safety_records = []
-    all_safe = True
-    for g in generators:
-        record = denominator_safety(g.tail, domain)
-        safety_records.append(
-            {"generator": g.to_dict(), "safety": record.to_dict()}
+    with stage("generator-safety", stages) as entry:
+        safety_records = []
+        all_safe = True
+        for g in generators:
+            record = denominator_safety(g.tail, domain)
+            safety_records.append(
+                {"generator": g.to_dict(), "safety": record.to_dict()}
+            )
+            all_safe = all_safe and record.status is SafetyStatus.SAFE
+        entry["records"] = safety_records
+        entry["passed"] = all_safe
+
+    with stage("off-diagonality", stages) as entry:
+        verdict = off_diagonality(
+            ideal,
+            domain,
+            cell_width=args.cell,
+            nu_max=args.nu_max,
+            margin=args.margin,
         )
-        all_safe = all_safe and record.status is SafetyStatus.SAFE
-    stages.append(
-        {
-            "name": "generator-safety",
-            "records": safety_records,
-            "passed": all_safe,
-            "timing_s": time.perf_counter() - started,
-        }
-    )
+        off_diag_definite = isinstance(verdict, (OffDiagonal, ContainsUnit))
+        entry["outcome"] = verdict.to_dict()
+        entry["passed"] = off_diag_definite
 
-    started = time.perf_counter()
-    verdict = off_diagonality(
-        ideal,
-        domain,
-        cell_width=args.cell,
-        nu_max=args.nu_max,
-        margin=args.margin,
-    )
-    off_diag_definite = isinstance(verdict, (OffDiagonal, ContainsUnit))
-    stages.append(
-        {
-            "name": "off-diagonality",
-            "outcome": verdict.to_dict(),
-            "passed": off_diag_definite,
-            "timing_s": time.perf_counter() - started,
-        }
-    )
-
-    started = time.perf_counter()
-    closure = derivation_closure(ideal, 1, domain)
-    closure_definite = isinstance(closure, (Closed, NotClosed))
-    stages.append(
-        {
-            "name": "derivation-closure",
-            "outcome": closure.to_dict(),
-            "passed": closure_definite,
-            "timing_s": time.perf_counter() - started,
-        }
-    )
+    with stage("derivation-closure", stages) as entry:
+        closure = derivation_closure(ideal, 1, domain)
+        closure_definite = isinstance(closure, (Closed, NotClosed))
+        entry["outcome"] = closure.to_dict()
+        entry["passed"] = closure_definite
 
     definite = all_safe and off_diag_definite and closure_definite
     conclusion = (
@@ -455,19 +429,16 @@ def _cmd_span_independence(args, argv):
     first = [load_sequence(item) for item in args.first]
     second = [load_sequence(item) for item in args.second]
     grid = SampleGrid.for_domain(domain, x_count=args.x_count)
-    started = time.perf_counter()
-    certificate = independence_certificate(
-        concat_spans(span(*first), span(*second)), grid
-    )
-    trivial = certificate.status is SpanStatus.TRIVIAL_INTERSECTION
-    stage = {
-        "name": "independence",
-        "first": [s.to_dict() for s in first],
-        "second": [s.to_dict() for s in second],
-        "certificate": certificate.to_dict(),
-        "passed": trivial,
-        "timing_s": time.perf_counter() - started,
-    }
+    stages = []
+    with stage("independence", stages) as entry:
+        certificate = independence_certificate(
+            concat_spans(span(*first), span(*second)), grid
+        )
+        trivial = certificate.status is SpanStatus.TRIVIAL_INTERSECTION
+        entry["first"] = [s.to_dict() for s in first]
+        entry["second"] = [s.to_dict() for s in second]
+        entry["certificate"] = certificate.to_dict()
+        entry["passed"] = trivial
     conclusion = (
         "the sampled evaluations have full column rank, so the two spans "
         "intersect only in zero"
@@ -478,7 +449,7 @@ def _cmd_span_independence(args, argv):
         "domain": [domain.lower, domain.upper],
         "x-count": args.x_count,
     }
-    return (0 if trivial else 2, config_echo, [stage], conclusion)
+    return (0 if trivial else 2, config_echo, stages, conclusion)
 
 
 def _gf_algebra(args):
@@ -498,60 +469,35 @@ def _cmd_gf(args, argv):
         "algebra": args.algebra,
         "domain": [algebra.domain.lower, algebra.domain.upper],
     }
-    started = time.perf_counter()
-    if args.gf_action == "mul":
+    stages = []
+    with stage("gf-" + args.gf_action, stages) as entry:
         lhs = gf(load_sequence(args.lhs), algebra)
-        rhs = gf(load_sequence(args.rhs), algebra)
-        result = gf_mul(lhs, rhs)
-        stage = {
-            "name": "gf-mul",
-            "lhs": lhs.representative.to_dict(),
-            "rhs": rhs.representative.to_dict(),
-            "result": result.representative.to_dict(),
-            "passed": True,
-            "timing_s": time.perf_counter() - started,
-        }
-        return (
-            0,
-            config_echo,
-            [stage],
-            f"product representative: {result.representative.to_dict()['tail']}",
-        )
-    if args.gf_action == "derive":
-        lhs = gf(load_sequence(args.lhs), algebra)
-        result = gf_derive(lhs, args.order)
-        stage = {
-            "name": "gf-derive",
-            "lhs": lhs.representative.to_dict(),
-            "order": args.order,
-            "result": result.representative.to_dict(),
-            "passed": True,
-            "timing_s": time.perf_counter() - started,
-        }
-        return (
-            0,
-            config_echo,
-            [stage],
-            f"derivative representative: {result.representative.to_dict()['tail']}",
-        )
-    lhs = gf(load_sequence(args.lhs), algebra)
-    rhs = gf(load_sequence(args.rhs), algebra)
-    verdict = gf_equal(lhs, rhs)
-    definite = isinstance(verdict, (Equal, NotEqual))
-    stage = {
-        "name": "gf-equal",
-        "lhs": lhs.representative.to_dict(),
-        "rhs": rhs.representative.to_dict(),
-        "outcome": verdict.to_dict(),
-        "passed": definite,
-        "timing_s": time.perf_counter() - started,
-    }
-    return (
-        0 if definite else 2,
-        config_echo,
-        [stage],
-        f"equality modulo the ideal: {verdict.to_dict()['verdict']}",
-    )
+        entry["lhs"] = lhs.representative.to_dict()
+        if args.gf_action == "derive":
+            result = gf_derive(lhs, args.order)
+            entry["order"] = args.order
+            entry["result"] = result.representative.to_dict()
+            entry["passed"] = True
+            code = 0
+            conclusion = f"derivative representative: {entry['result']['tail']}"
+        else:
+            rhs = gf(load_sequence(args.rhs), algebra)
+            entry["rhs"] = rhs.representative.to_dict()
+            if args.gf_action == "mul":
+                result = gf_mul(lhs, rhs)
+                entry["result"] = result.representative.to_dict()
+                entry["passed"] = True
+                code = 0
+                conclusion = f"product representative: {entry['result']['tail']}"
+            else:
+                verdict = gf_equal(lhs, rhs)
+                entry["outcome"] = verdict.to_dict()
+                entry["passed"] = isinstance(verdict, (Equal, NotEqual))
+                code = 0 if entry["passed"] else 2
+                conclusion = (
+                    f"equality modulo the ideal: {entry['outcome']['verdict']}"
+                )
+    return (code, config_echo, stages, conclusion)
 
 
 def _cmd_demo(args, argv):

@@ -314,14 +314,24 @@ def _ev(e, nu_value, x_value, check):
             return _ev(l, nu_value, x_value, check) * _ev(r, nu_value, x_value, check)
         case Div(n, d):
             dv = _ev(d, nu_value, x_value, check)
-            if check and np.ndim(dv) == 0 and dv == 0:
-                raise EvalError("division by zero at the sample point")
+            if np.ndim(dv) == 0 and dv == 0:
+                if check:
+                    raise EvalError("division by zero at the sample point")
+                # numpy division gives inf/nan where Python's float raises
+                return np.true_divide(_ev(n, nu_value, x_value, check), dv)
             return _ev(n, nu_value, x_value, check) / dv
         case Pow(b, k):
             bv = _ev(b, nu_value, x_value, check)
-            if check and k < 0 and np.ndim(bv) == 0 and bv == 0:
-                raise EvalError("division by zero at the sample point")
-            return bv ** k
+            if k < 0 and np.ndim(bv) == 0 and bv == 0:
+                if check:
+                    raise EvalError("division by zero at the sample point")
+                return np.float64(bv) ** k
+            try:
+                return bv ** k
+            except OverflowError:  # Python's float power raises, numpy's gives inf
+                if check:
+                    raise EvalError("evaluation overflowed") from None
+                return np.float64(bv) ** k
         case Call(fn, a):
             return _NP_FUNCTIONS[fn](_ev(a, nu_value, x_value, check))
     raise TypeError(f"not an expression node: {e!r}")

@@ -22,17 +22,16 @@ from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr as ex
 from ._numutil import refine_min_abs
+from ._stage import stage
 from .expr import DomainInterval, Num, from_sum_terms, simplify, sum_terms, to_string
 from .sequences import (
     SmoothSequence,
-    diagonal,
     seq_derive,
     sequence_is_zero,
     smooth_sequence,
@@ -713,68 +712,43 @@ def no_largest_ideal_demo(
     second = generated_by(second_generator)
 
     stages = []
-    passed = []
 
     for name, ideal in (
         ("off-diagonality-first", first),
         ("off-diagonality-second", second),
     ):
-        started = time.perf_counter()
-        verdict = off_diagonality(ideal, domain, cell_width, nu_max)
-        ok = isinstance(verdict, OffDiagonal)
-        passed.append(ok)
-        payload = verdict.to_dict()
-        if isinstance(verdict, OffDiagonal) and isinstance(
-            verdict.certificate, ZeroDensityCertificate
-        ):
-            summary = dict(payload["certificate"])
-            summary["cells"] = summary["cells"][:4] + (
-                ["..."] if len(summary["cells"]) > 4 else []
-            )
-            payload = {"verdict": payload["verdict"], "certificate": summary}
-        stages.append(
-            {
-                "name": name,
-                "ideal": ideal.to_dict(),
-                "outcome": payload,
-                "passed": ok,
-                "timing_s": time.perf_counter() - started,
-            }
-        )
+        with stage(name, stages) as entry:
+            verdict = off_diagonality(ideal, domain, cell_width, nu_max)
+            payload = verdict.to_dict()
+            if isinstance(verdict, OffDiagonal) and isinstance(
+                verdict.certificate, ZeroDensityCertificate
+            ):
+                summary = dict(payload["certificate"])
+                summary["cells"] = summary["cells"][:4] + (
+                    ["..."] if len(summary["cells"]) > 4 else []
+                )
+                payload = {"verdict": payload["verdict"], "certificate": summary}
+            entry["ideal"] = ideal.to_dict()
+            entry["outcome"] = payload
+            entry["passed"] = isinstance(verdict, OffDiagonal)
 
-    started = time.perf_counter()
-    try:
-        combined = ideal_sum(first, second)
-        sum_ok = len(combined.generators) == 2
-        sum_payload = combined.to_dict()
-    except ValueError as err:
-        combined = first
-        sum_ok = False
-        sum_payload = {"error": str(err)}
-    passed.append(sum_ok)
-    stages.append(
-        {
-            "name": "ideal-sum",
-            "outcome": sum_payload,
-            "passed": sum_ok,
-            "timing_s": time.perf_counter() - started,
-        }
-    )
+    with stage("ideal-sum", stages) as entry:
+        try:
+            combined = ideal_sum(first, second)
+            entry["outcome"] = combined.to_dict()
+            entry["passed"] = len(combined.generators) == 2
+        except ValueError as err:
+            combined = first
+            entry["outcome"] = {"error": str(err)}
+            entry["passed"] = False
 
-    started = time.perf_counter()
-    unit = unit_detection(combined, domain)
-    unit_ok = unit is not None
-    passed.append(unit_ok)
-    stages.append(
-        {
-            "name": "unit-witness",
-            "outcome": unit.to_dict() if unit else {"witness": None},
-            "passed": unit_ok,
-            "timing_s": time.perf_counter() - started,
-        }
-    )
+    with stage("unit-witness", stages) as entry:
+        unit = unit_detection(combined, domain)
+        entry["outcome"] = unit.to_dict() if unit else {"witness": None}
+        entry["passed"] = unit is not None
 
-    if all(passed):
+    all_passed = all(entry["passed"] for entry in stages)
+    if all_passed:
         conclusion = (
             "both ideals admit zero-density certificates, yet their sum contains "
             f"a combination bounded below by {unit.lower_bound:.6f} > 0; the sum "
@@ -797,6 +771,6 @@ def no_largest_ideal_demo(
             "nu_max": nu_max,
         },
         "stages": stages,
-        "all_stages_passed": all(passed),
+        "all_stages_passed": all_passed,
         "conclusion": conclusion,
     }

@@ -161,14 +161,24 @@ def _union_length(intervals, lo, hi):
     return total
 
 
+def _fitted_width(center, width, domain):
+    """The width, shrunk only if rounding pushed the support past the domain."""
+    if center - width < domain.lower or center + width > domain.upper:
+        width = min(width, center - domain.lower, domain.upper - center)
+        while center - width < domain.lower or center + width > domain.upper:
+            width = math.nextafter(width, 0.0)
+    return width
+
+
 def default_panel(domain, count=8, normalized=True):
     """Equally spaced bumps; widths equal the spacing, so supports overlap."""
     spacing = domain.length / (count + 1)
-    members = tuple(
-        bump(domain.lower + spacing * (k + 1), spacing, normalized, domain)
-        for k in range(count)
-    )
-    return Panel(members, domain)
+    members = []
+    for k in range(count):
+        center = domain.lower + spacing * (k + 1)
+        width = _fitted_width(center, spacing, domain)
+        members.append(bump(center, width, normalized, domain))
+    return Panel(tuple(members), domain)
 
 
 def _simpson(f, lo, hi, panels):

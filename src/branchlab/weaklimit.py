@@ -6,16 +6,20 @@ within tolerance (and their quadrature estimates are below it), divergence
 when the magnitudes grow monotonically with a stable positive log-log slope,
 inconclusive otherwise.  Everything here is finite evidence at the schedule's
 resolution, never a proof about the limit.
+
+Each pairing is computed once: a classification keeps the per-member tables
+its verdicts came from, and a report stage's `pairings` rows are exactly
+those tables.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from ._stage import stage
 from .expr import DomainInterval
 from .pairing import default_panel, pair_with_estimate
 from .sequences import seq_mul, smooth_sequence
@@ -116,6 +120,7 @@ class Classification(str, Enum):
 class FunctionalVerdict:
     per_test_function: tuple  # (TestFunction, LimitVerdict) pairs
     classification: Classification
+    tables: tuple  # the pairing table behind each verdict, same order
 
     def to_dict(self):
         return {
@@ -136,9 +141,9 @@ def classify_membership(s, panel, schedule=None, tol=DEFAULT_TOL):
     """
     schedule = tuple(schedule or DEFAULT_SCHEDULE)
     _validate_schedule(schedule)
+    tables = tuple(pairing_table(s, phi, schedule) for phi in panel)
     verdicts = tuple(
-        (phi, _verdict_from_table(pairing_table(s, phi, schedule), tol))
-        for phi in panel
+        (phi, _verdict_from_table(table, tol)) for phi, table in zip(panel, tables)
     )
     kinds = [type(v) for _, v in verdicts]
     if any(k is Diverges for k in kinds):
@@ -152,40 +157,28 @@ def classify_membership(s, panel, schedule=None, tol=DEFAULT_TOL):
             classification = Classification.CONVERGENT
     else:
         classification = Classification.MIXED
-    return FunctionalVerdict(verdicts, classification)
+    return FunctionalVerdict(verdicts, classification, tables)
 
 
-def _pairing_rows(s, panel, schedule):
-    rows = []
-    for phi in panel:
-        for index in schedule:
-            value, estimate = pair_with_estimate(s, index, phi)
-            rows.append(
-                {
-                    "nu": index,
-                    "center": phi.center,
-                    "width": phi.width,
-                    "value": value,
-                    "error_estimate": estimate,
-                }
-            )
-    return rows
-
-
-def classify_stage(name, s, panel, schedule, tol, include_pairings=True):
-    """Timed report stage wrapping classify_membership, with raw pairing rows."""
-    started = time.perf_counter()
-    verdict = classify_membership(s, panel, schedule, tol)
-    stage = {
-        "name": name,
-        "sequence": s.to_dict(),
-        "classification": verdict.classification.value,
-        "per_test_function": verdict.to_dict()["per_test_function"],
-        "timing_s": time.perf_counter() - started,
-    }
-    if include_pairings:
-        stage["pairings"] = _pairing_rows(s, panel, schedule)
-    return stage, verdict
+def classify_stage(name, s, panel, schedule, tol):
+    """Report stage for classify_membership, with the pairing rows it used."""
+    with stage(name) as entry:
+        verdict = classify_membership(s, panel, schedule, tol)
+        entry["sequence"] = s.to_dict()
+        entry["classification"] = verdict.classification.value
+        entry["per_test_function"] = verdict.to_dict()["per_test_function"]
+        entry["pairings"] = [
+            {
+                "nu": index,
+                "center": phi.center,
+                "width": phi.width,
+                "value": value,
+                "error_estimate": estimate,
+            }
+            for (phi, _), table in zip(verdict.per_test_function, verdict.tables)
+            for index, value, estimate in table
+        ]
+    return entry, verdict
 
 
 def nosquare_demo(domain=None, panel=None, schedule=None, tol=DEFAULT_TOL, sequence=None):
@@ -206,18 +199,21 @@ def nosquare_demo(domain=None, panel=None, schedule=None, tol=DEFAULT_TOL, seque
     square_stage, square_verdict = classify_stage(
         "classify-square", square, panel, schedule, tol
     )
+    stages = [base_stage, square_stage]
 
-    half_mass = []
-    for phi, verdict in square_verdict.per_test_function:
-        expected = 0.5 * phi.integral()
-        entry = {
-            "center": phi.center,
-            "expected_half_mass": expected,
-            "verdict": verdict.to_dict(),
-        }
-        if isinstance(verdict, ConvergesTo):
-            entry["deviation"] = abs(verdict.value - expected)
-        half_mass.append(entry)
+    with stage("square-limits-vs-half-mass", stages) as half_stage:
+        half_mass = []
+        for phi, verdict in square_verdict.per_test_function:
+            expected = 0.5 * phi.integral()
+            entry = {
+                "center": phi.center,
+                "expected_half_mass": expected,
+                "verdict": verdict.to_dict(),
+            }
+            if isinstance(verdict, ConvergesTo):
+                entry["deviation"] = abs(verdict.value - expected)
+            half_mass.append(entry)
+        half_stage["entries"] = half_mass
 
     base_ok = base_verdict.classification is Classification.WEAK_NULL
     square_ok = square_verdict.classification is Classification.CONVERGENT and all(
@@ -244,15 +240,7 @@ def nosquare_demo(domain=None, panel=None, schedule=None, tol=DEFAULT_TOL, seque
             "tol": tol,
             "panel": panel.to_dict(),
         },
-        "stages": [
-            base_stage,
-            square_stage,
-            {
-                "name": "square-limits-vs-half-mass",
-                "entries": half_mass,
-                "timing_s": 0.0,
-            },
-        ],
+        "stages": stages,
         "all_stages_passed": bool(base_ok and square_ok),
         "conclusion": conclusion,
     }

@@ -4,10 +4,11 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
-from branchlab import cli
+from branchlab import algebra, cli, pairing, weaklimit
 
 TRIG_DOMAIN = "0,6.283185307179586"
 
@@ -236,3 +237,67 @@ def test_main_writes_report_to_stdout():
     payload = json.loads(completed.stdout)
     assert payload["schema"] == "branch-lab/1"
     assert payload["conclusion"] == "classification: weak-null"
+
+
+def test_index_only_pole_ends_in_an_error_report():
+    code, report = cli.run(["limit", "--seq=1/(nu-1)"])
+    assert code == 1
+    assert report["error"]["type"] == "IntegrationError"
+    code, report = cli.run(["limit", "--seq=nu^200*cos(x)", "--nu-max=4096"])
+    assert code == 1
+    assert report["error"]["type"] == "IntegrationError"
+
+
+def test_default_panel_fits_a_domain_that_rounds_badly():
+    code, report = cli.run(["limit", "--seq=cos(8*nu*x+0.19)", "--domain=-1.88,0.92"])
+    assert code in (0, 2)
+    assert "error" not in report
+    for row in report["stages"][0]["per_test_function"]:
+        assert -1.88 <= row["center"] - row["width"]
+        assert row["center"] + row["width"] <= 0.92
+
+
+def _record_pairings(monkeypatch):
+    """Start time of every pair_with_estimate call, at every module binding."""
+    original = pairing.pair_with_estimate
+    starts = []
+
+    def recorded(*args):
+        starts.append(time.perf_counter())
+        return original(*args)
+
+    for module in (pairing, weaklimit, algebra):
+        if getattr(module, "pair_with_estimate", None) is original:
+            monkeypatch.setattr(module, "pair_with_estimate", recorded)
+    return starts
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (["limit", "--seq=cos(nu*x)"], 104),
+        (["classify", "--seq=cos(nu*x)"], 104),
+        (["demo", "nosquare"], 208),
+        (["demo", "branching"], 416),
+        (["demo", "delta-square"], 99),
+    ],
+)
+def test_each_pairing_is_computed_once(monkeypatch, argv, calls):
+    starts = _record_pairings(monkeypatch)
+    code, _ = cli.run(argv)
+    assert code == 0
+    assert len(starts) == calls
+
+
+def test_stage_timing_covers_every_pairing(monkeypatch):
+    starts = _record_pairings(monkeypatch)
+    code, report = cli.run(["limit", "--seq=cos(nu*x)"])
+    assert code == 0
+    (stage,) = report["stages"]
+    assert starts[-1] - starts[0] <= stage["timing_s"]
+
+
+def test_short_delta_square_schedule_is_an_error():
+    code, report = cli.run(["demo", "delta-square", "--schedule=4,8,16"])
+    assert code == 1
+    assert report["error"]["message"] == "schedule needs at least 6 indices"

@@ -198,6 +198,26 @@ def test_evaluate_on_grid_flags_poles_without_raising():
     assert values[1] == pytest.approx(1.0)
 
 
+def test_evaluate_on_grid_passes_index_only_poles_through():
+    xs = np.array([-0.5, 0.0, 0.5])
+    for text in ("1/(nu-1)", "(nu-1)^-1", "cos(x)/(nu-1)"):
+        values = ex.evaluate_on_grid(ex.parse(text), 1, xs)
+        assert values.shape == xs.shape
+        assert not np.any(np.isfinite(values))
+    assert np.all(np.isnan(ex.evaluate_on_grid(ex.parse("0/(nu-1)"), 1, xs)))
+    with pytest.raises(ex.EvalError):
+        ex.evaluate(ex.parse("1/(nu-1)"), 1, 0.5)
+
+
+def test_power_overflow_is_an_eval_error_or_passed_through():
+    with pytest.raises(ex.EvalError):
+        ex.evaluate(ex.parse("x^2"), 1, 1e300)
+    with pytest.raises(ex.EvalError):
+        ex.evaluate(ex.parse("nu^200"), 4096, 0.0)
+    values = ex.evaluate_on_grid(ex.parse("nu^200*cos(x)"), 4096, np.array([0.0, 0.5]))
+    assert np.all(np.isposinf(values))
+
+
 def test_domain_interval_validation():
     with pytest.raises(ValueError):
         ex.DomainInterval(1.0, 1.0)

@@ -65,6 +65,18 @@ def test_support_must_stay_inside_domain():
     pairing.bump(0.0, 1.0, domain=DOM)
 
 
+def test_default_panel_stays_inside_a_domain_that_rounds_badly():
+    domain = ex.DomainInterval(-1.88, 0.92)
+    panel = pairing.default_panel(domain)
+    for member in panel:
+        lo, hi = member.support
+        assert domain.lower <= lo and hi <= domain.upper
+    spacing = domain.length / 9
+    assert panel.members[-1].width == pytest.approx(spacing, rel=1e-15)
+    assert [m.width for m in panel.members[:-1]] == [spacing] * 7
+    assert [m.width for m in pairing.default_panel(DOM)] == [2.0 / 9] * 8
+
+
 def test_panel_must_cover_domain():
     with pytest.raises(ValueError):
         pairing.Panel((pairing.bump(0.0, 0.05),), DOM)

@@ -128,12 +128,6 @@ def test_classify_stage_payload():
     for row in stage["pairings"]:
         assert set(row) == {"nu", "center", "width", "value", "error_estimate"}
 
-    bare, _ = wl.classify_stage(
-        "bare", bl.smooth_sequence("cos(nu*x)"), panel, schedule, 1e-4,
-        include_pairings=False,
-    )
-    assert "pairings" not in bare
-
 
 def test_nosquare_demo_default():
     report = wl.nosquare_demo()
