@@ -691,7 +691,7 @@ def run(argv):
         if getattr(args, "csv", None):
             write_csv(report, args.csv)
         return (code, report)
-    except (ValueError, TypeError, OSError, AlgebraError) as err:
+    except (ValueError, TypeError, OSError, AlgebraError, ArithmeticError, RecursionError) as err:
         report = {
             "schema": SCHEMA,
             "version": __version__,

@@ -13,6 +13,11 @@ tree the parser would produce on its own printout, so
 ``parse(to_string(simplify(e))) == simplify(e)`` holds node for node.
 Products are never distributed over multi-term sums and no trigonometric
 identities are applied.
+
+``evaluate`` (scalar; EvalError at a division by zero or a non-finite value)
+and ``evaluate_on_grid`` (array; inf/nan passed through) run one closure
+compiled per expression.  Scalar probes stay scalars: numpy's integer powers
+differ in the last bit between arrays and scalars.
 """
 
 from __future__ import annotations
@@ -292,49 +297,56 @@ class DomainInterval:
 # evaluation
 
 
-def _ev(e, nu_value, x_value, check):
+def _compile(e):
+    """Closure f(nu, x) for e: scalars in, scalar out; x array in, array out."""
     match e:
-        case Num(v):
-            return v
-        case Pi():
-            return math.pi
-        case Var(name):
-            if name == "x":
-                return x_value
-            if name == "nu":
-                return nu_value
+        case Num() | Pi():
+            # float64 constants keep every operation under numpy's error state
+            c = np.float64(math.pi if isinstance(e, Pi) else e.value)
+            return lambda nu, x: c
+        case Var("x"):
+            return lambda nu, x: x
+        case Var("nu"):
+            return lambda nu, x: nu
+        case Var():
             raise EvalError("operation placeholder 'u' is unbound at evaluation")
         case Neg(a):
-            return -_ev(a, nu_value, x_value, check)
+            fa = _compile(a)
+            return lambda nu, x: -fa(nu, x)
         case Add(l, r):
-            return _ev(l, nu_value, x_value, check) + _ev(r, nu_value, x_value, check)
+            fl, fr = _compile(l), _compile(r)
+            return lambda nu, x: fl(nu, x) + fr(nu, x)
         case Sub(l, r):
-            return _ev(l, nu_value, x_value, check) - _ev(r, nu_value, x_value, check)
+            fl, fr = _compile(l), _compile(r)
+            return lambda nu, x: fl(nu, x) - fr(nu, x)
         case Mul(l, r):
-            return _ev(l, nu_value, x_value, check) * _ev(r, nu_value, x_value, check)
+            fl, fr = _compile(l), _compile(r)
+            return lambda nu, x: fl(nu, x) * fr(nu, x)
         case Div(n, d):
-            dv = _ev(d, nu_value, x_value, check)
-            if np.ndim(dv) == 0 and dv == 0:
-                if check:
-                    raise EvalError("division by zero at the sample point")
-                # numpy division gives inf/nan where Python's float raises
-                return np.true_divide(_ev(n, nu_value, x_value, check), dv)
-            return _ev(n, nu_value, x_value, check) / dv
+            fn_, fd = _compile(n), _compile(d)
+            return lambda nu, x: fn_(nu, x) / fd(nu, x)
         case Pow(b, k):
-            bv = _ev(b, nu_value, x_value, check)
-            if k < 0 and np.ndim(bv) == 0 and bv == 0:
-                if check:
-                    raise EvalError("division by zero at the sample point")
-                return np.float64(bv) ** k
-            try:
-                return bv ** k
-            except OverflowError:  # Python's float power raises, numpy's gives inf
-                if check:
-                    raise EvalError("evaluation overflowed") from None
-                return np.float64(bv) ** k
+            fb = _compile(b)
+            return lambda nu, x: fb(nu, x) ** k
         case Call(fn, a):
-            return _NP_FUNCTIONS[fn](_ev(a, nu_value, x_value, check))
+            ufunc, fa = _NP_FUNCTIONS[fn], _compile(a)
+            return lambda nu, x: ufunc(fa(nu, x))
     raise TypeError(f"not an expression node: {e!r}")
+
+
+# Root closures by node identity: hashing a node walks its whole subtree.
+# Each entry keeps its node alive, so the id cannot be reused meanwhile.
+_COMPILED = {}
+_COMPILED_LIMIT = 64
+
+
+def _compiled(e):
+    hit = _COMPILED.get(id(e))
+    if hit is None or hit[0] is not e:
+        if len(_COMPILED) >= _COMPILED_LIMIT:
+            _COMPILED.clear()
+        hit = _COMPILED[id(e)] = (e, _compile(e))
+    return hit[1]
 
 
 def _check_index(nu_value):
@@ -347,9 +359,11 @@ def _check_index(nu_value):
 def evaluate(e, nu_value, x_value):
     """Value of e at integer index nu_value >= 1 and real x_value."""
     _check_index(nu_value)
-    with np.errstate(all="ignore"):
-        result = _ev(e, float(nu_value), float(x_value), check=True)
-    result = float(result)
+    try:
+        with np.errstate(all="ignore", divide="raise"):
+            result = float(_compiled(e)(np.float64(nu_value), np.float64(x_value)))
+    except FloatingPointError:
+        raise EvalError("division by zero at the sample point") from None
     if not math.isfinite(result):
         raise EvalError("evaluation produced a non-finite value")
     return result
@@ -358,17 +372,14 @@ def evaluate(e, nu_value, x_value):
 def evaluate_on_grid(e, nu_value, xs):
     """Vectorized value of e over an array of x samples.
 
-    Non-finite values are passed through for the caller to inspect; scalar
-    division-by-zero checks do not apply on this path.
+    Non-finite values, poles included, are passed through for the caller to
+    inspect.
     """
     _check_index(nu_value)
     xs = np.asarray(xs, dtype=float)
     with np.errstate(all="ignore"):
-        result = _ev(e, float(nu_value), xs, check=False)
-    arr = np.asarray(result, dtype=float)
-    if arr.shape != xs.shape:
-        arr = np.full_like(xs, float(arr))
-    return arr
+        result = _compiled(e)(np.float64(nu_value), xs)
+    return result if np.shape(result) == xs.shape else np.full_like(xs, result)
 
 
 # ---------------------------------------------------------------------------
@@ -602,6 +613,19 @@ def to_string(e):
 # appearing as factors stay atomic, so products are never distributed.
 
 
+def _monomial(factors):
+    """Canonical monomial of a factor dict: factors ordered by printed base."""
+    return tuple(sorted(factors.items(), key=lambda item: to_string(item[0])))
+
+
+def _ordered_terms(terms):
+    """Items of a term map in canonical term order."""
+    return sorted(
+        terms.items(),
+        key=lambda item: tuple((to_string(base), exponent) for base, exponent in item[0]),
+    )
+
+
 def _scale_terms(terms, factor):
     if factor == 0:
         return {}
@@ -624,10 +648,7 @@ def _atomic_sum(terms):
     # coefficient one, the rest rides on the enclosing coefficient.  Without
     # this the normal form is not idempotent: -(a + b) vs (-a - b), and
     # -2*(1 + x) vs -(2 + 2*x), depending on how the factors associated.
-    ordered = sorted(
-        terms.items(),
-        key=lambda item: tuple((to_string(base), exponent) for base, exponent in item[0]),
-    )
+    ordered = _ordered_terms(terms)
     lead = ordered[0][1] if ordered else 1.0
     if lead == 1.0:
         return 1.0, _from_terms(terms)
@@ -667,8 +688,7 @@ def _combine_factors(coefficient, *factor_maps):
             # one derivation path nests it while another flattens it; only
             # the exact +-1 scalings fold, anything else would round twice
             return _scale_terms(_terms(base), coefficient)
-    mono = tuple(sorted(factors.items(), key=lambda item: to_string(item[0])))
-    return {mono: coefficient}
+    return {_monomial(factors): coefficient}
 
 
 def _pow_factors(factors, k):
@@ -768,12 +788,8 @@ def _from_terms(terms):
     cleaned = {mono: c for mono, c in terms.items() if c != 0.0}
     if not cleaned:
         return Num(0.0)
-    ordered = sorted(
-        cleaned.items(),
-        key=lambda item: tuple((to_string(base), exponent) for base, exponent in item[0]),
-    )
     node = None
-    for mono, coefficient in ordered:
+    for mono, coefficient in _ordered_terms(cleaned):
         positive = _positive_term_expr(abs(coefficient), mono)
         if node is None:
             node = _negate_leading(positive) if coefficient < 0 else positive
@@ -794,12 +810,7 @@ def sum_terms(e):
     of (base, exponent) factors.  Multi-term sums appearing as factors stay
     atomic bases, mirroring simplify.
     """
-    decomposed = _terms(e)
-    ordered = sorted(
-        decomposed.items(),
-        key=lambda item: tuple((to_string(base), exponent) for base, exponent in item[0]),
-    )
-    return tuple((c, mono) for mono, c in ordered)
+    return tuple((c, mono) for mono, c in _ordered_terms(_terms(e)))
 
 
 def from_sum_terms(pairs):
@@ -964,6 +975,7 @@ def denominator_safety(e, domain, x_samples=512, nu_samples=64, margin=1e-6):
             lo = xs[max(k - 1, 0)]
             hi = xs[min(k + 1, len(xs) - 1)]
 
+            # probes stay 1-element arrays: witness bytes follow the grid's powers
             def f(point, _index=index, _den=den):
                 return float(evaluate_on_grid(_den, _index, np.array([point]))[0])
 

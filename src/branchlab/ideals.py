@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -179,10 +180,7 @@ def _divide_term(coefficient, mono, gen_terms):
                 factors.pop(base, None)
             else:
                 factors[base] = new
-        quotient_mono = tuple(
-            sorted(factors.items(), key=lambda item: to_string(item[0]))
-        )
-        return (coefficient / gen_coefficient, quotient_mono)
+        return (coefficient / gen_coefficient, ex._monomial(factors))
     lead, base = ex.atomic_factor(from_sum_terms(gen_terms))
     factors = dict(mono)
     have = factors.get(base, 0)
@@ -192,8 +190,7 @@ def _divide_term(coefficient, mono, gen_terms):
         factors.pop(base)
     else:
         factors[base] = have - 1
-    quotient_mono = tuple(sorted(factors.items(), key=lambda item: to_string(item[0])))
-    return (coefficient / lead, quotient_mono)
+    return (coefficient / lead, ex._monomial(factors))
 
 
 def _proportional(remainder, gen_terms):
@@ -299,17 +296,15 @@ def _scan_for_witness(s, generators, domain, nu_limit=SCAN_NU_LIMIT, grid=2048):
             continue
         worst = np.max(np.abs(stacked), axis=0)
 
-        def combined(point, _index=index):
-            return max(abs(g.term_value(_index, point)) for g in generators)
+        def combined(point):
+            return max(abs(g.term_value(index, point)) for g in generators)
 
-        signed = None
+        probe = combined
         if len(generators) == 1:
-            def signed(point, _index=index):
-                return generators[0].term_value(_index, point)
+            probe = partial(generators[0].term_value, index)
 
         for k in _local_minima(worst, 0.05)[:64]:
             lo, hi = float(xs[k - 1]), float(xs[k + 1])
-            probe = signed if signed is not None else combined
             point, _ = refine_min_abs(probe, lo, hi)
             residual = combined(point)
             if residual < VANISH_TOL:
@@ -522,9 +517,7 @@ def zero_density_certificate(
         if not np.all(np.isfinite(values)):
             continue
 
-        def scalar(point, _index=index):
-            return generator.term_value(_index, point)
-
+        scalar = partial(generator.term_value, index)
         for cell in range(cell_count):
             if cell in filled:
                 continue

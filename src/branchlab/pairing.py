@@ -221,7 +221,9 @@ def pair_with_estimate(s, index, phi):
     lo, hi = phi.support
 
     def integrand(xs):
-        return s.term_values(index, xs) * phi.values(xs)
+        # a non-finite entry times the bump's zeros is nan; _simpson rejects it
+        with np.errstate(all="ignore"):
+            return s.term_values(index, xs) * phi.values(xs)
 
     return integrate(integrand, lo, hi, oscillation_hint=index)
 

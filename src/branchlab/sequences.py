@@ -38,7 +38,7 @@ class SmoothSequence:
         names = ex.variables(self.tail)
         if not names <= {"x", "nu"}:
             raise ValueError("sequence tails may only use x and nu")
-        if not isinstance(self.start_index, int) or self.start_index < 1:
+        if type(self.start_index) is not int or self.start_index < 1:  # bool is no index
             raise ValueError("start index must be a positive integer")
         for index, entry in self.exceptional:
             if not isinstance(index, int) or index < self.start_index:
@@ -52,32 +52,24 @@ class SmoothSequence:
 
     def term(self, index):
         """Symbolic entry at the given index, as an expression in x."""
-        self._check_index(index)
-        entry = self.exceptional_map.get(index)
-        if entry is not None:
-            return simplify(entry)
-        return simplify(substitute(self.tail, "nu", Num(float(index))))
+        return simplify(substitute(self._entry(index), "nu", Num(float(index))))
 
     def term_values(self, index, xs):
         """Vectorized entry values at the given index over an x grid."""
-        self._check_index(index)
-        entry = self.exceptional_map.get(index)
-        if entry is not None:
-            return ex.evaluate_on_grid(entry, index, xs)
-        return ex.evaluate_on_grid(self.tail, index, xs)
+        return ex.evaluate_on_grid(self._entry(index), index, xs)
 
     def term_value(self, index, x_value):
-        self._check_index(index)
-        entry = self.exceptional_map.get(index)
-        return ex.evaluate(entry if entry is not None else self.tail, index, x_value)
+        return ex.evaluate(self._entry(index), index, x_value)
 
-    def _check_index(self, index):
+    def _entry(self, index):
+        """The exceptional entry at a checked index, else the tail."""
         if not isinstance(index, (int, np.integer)) or isinstance(index, bool):
             raise ValueError("sequence index must be an integer")
         if index < self.start_index:
             raise ValueError(
                 f"sequence starts at index {self.start_index}, got {index}"
             )
+        return self.exceptional_map.get(index, self.tail)
 
     def signature(self):
         """Canonical identity string, used for deduplication."""

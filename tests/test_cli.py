@@ -5,6 +5,7 @@ import math
 import subprocess
 import sys
 import time
+import warnings
 
 import pytest
 
@@ -246,6 +247,39 @@ def test_index_only_pole_ends_in_an_error_report():
     code, report = cli.run(["limit", "--seq=nu^200*cos(x)", "--nu-max=4096"])
     assert code == 1
     assert report["error"]["type"] == "IntegrationError"
+
+
+@pytest.mark.parametrize(
+    "argv, error_type, cause",
+    [
+        (["gf", "mul", "--lhs=1e200*x", "--rhs=1e200*x"], "OverflowError", "infinity"),
+        (["gf", "derive", "--lhs=1e300^2*x"], "OverflowError", "out of range"),
+        (["limit", "--seq=" + "(" * 300 + "x" + ")" * 300], "RecursionError", "recursion"),
+        (["limit", "--seq=" + "+".join(["x"] * 3000)], "RecursionError", "recursion"),
+    ],
+)
+def test_arithmetic_and_depth_failures_end_in_an_error_report(argv, error_type, cause):
+    code, report = cli.run(argv)
+    assert code == 1
+    assert report["error"]["type"] == error_type
+    assert cause in report["error"]["message"]
+    assert cli.canonical_json(report)
+
+
+@pytest.mark.parametrize("seq", ["1/(nu-1)", "exp(nu*x)"])
+def test_non_finite_pairings_raise_no_warning(seq):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, report = cli.run(["limit", "--seq=" + seq])
+    assert code == 1
+    assert report["error"]["type"] == "IntegrationError"
+
+
+def test_boolean_start_index_is_rejected():
+    code, report = cli.run(["limit", '--seq={"tail": "cos(nu*x)", "start": true}'])
+    assert code == 1
+    assert report["error"]["type"] == "ValueError"
+    assert "start index" in report["error"]["message"]
 
 
 def test_default_panel_fits_a_domain_that_rounds_badly():

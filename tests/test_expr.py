@@ -271,3 +271,75 @@ def test_random_corpus_round_trips(rng):
     for _ in range(100):
         e = random_expression(rng, depth=3, allow_nu=True)
         assert ex.parse(ex.to_string(e)) == e
+
+
+def _random_powered_expression(rng):
+    """A random tree wrapped with integer powers of x and nu and a negative power."""
+    e = random_expression(rng, depth=3, allow_nu=True)
+    k = rng.randint(1, 4)
+    roll = rng.random()
+    if roll < 0.3:
+        return e * ex.Pow(ex.x, k) + ex.Pow(ex.nu, k)
+    if roll < 0.6:
+        return e / ex.Pow(ex.x - ex.Num(0.25), k) - ex.Pow(ex.nu, -k)
+    return ex.Pow(e, -k) + ex.Pow(ex.x, k) * ex.Pow(ex.nu, k + 1)
+
+
+def test_scalar_and_grid_evaluation_agree(rng):
+    xs = np.array([-2.5, -1.0, -0.3, 0.0, 0.25, 0.7, 1.9])
+    for _ in range(200):
+        e = _random_powered_expression(rng)
+        for index in (1, 3, 7):
+            grid = ex.evaluate_on_grid(e, index, xs)
+            for point, expected in zip(xs, grid):
+                if not math.isfinite(expected):
+                    with pytest.raises(ex.EvalError):
+                        ex.evaluate(e, index, point)
+                    continue
+                try:
+                    value = ex.evaluate(e, index, point)
+                except ex.EvalError:
+                    continue  # a pole the grid smooths over, e.g. tanh(1/0) = 1
+                assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "text, index, point",
+    [
+        ("1/x", 1, 0.0),
+        ("x^-1", 1, 0.0),
+        ("tanh(1/x)", 1, 0.0),
+        ("exp(-1/x^2)", 1, 0.0),
+        ("1/(nu-1)", 1, 0.5),
+        ("(nu-1)^-1", 1, 0.5),
+    ],
+)
+def test_scalar_poles_raise(text, index, point):
+    with pytest.raises(ex.EvalError, match="division by zero"):
+        ex.evaluate(ex.parse(text), index, point)
+
+
+def test_deep_left_sum_evaluates_on_both_paths():
+    e = ex.x
+    for _ in range(899):
+        e = ex.Add(e, ex.x)
+    assert ex.evaluate(e, 1, 0.5) == 450.0
+    assert ex.evaluate_on_grid(e, 1, np.array([0.5, 1.0])).tolist() == [450.0, 900.0]
+
+
+def test_each_root_is_compiled_once(monkeypatch):
+    original = ex._compile
+    compiled = []
+
+    def counted(node):
+        compiled.append(node)
+        return original(node)
+
+    monkeypatch.setattr(ex, "_compile", counted)
+    e = ex.parse("cos(nu*x)/(2 + x^2)")
+    ex.evaluate(e, 3, 0.5)
+    first = len(compiled)
+    for _ in range(1000):
+        ex.evaluate(e, 3, 0.5)
+        ex.evaluate_on_grid(e, 3, np.array([0.5]))
+    assert len(compiled) == first

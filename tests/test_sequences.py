@@ -44,6 +44,8 @@ def test_index_validation():
         bl.smooth_sequence("x", start_index=0)
     with pytest.raises(ValueError):
         bl.smooth_sequence("x", {1: "x"}, start_index=2)
+    with pytest.raises(ValueError):
+        bl.smooth_sequence("x", start_index=True)
 
 
 def test_tail_variables_restricted():
