@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import os
@@ -672,11 +673,16 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The one parser of this process; parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def run(argv):
     """Execute one command; returns (exit code, report or None)."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as err:
         return (0 if err.code == 0 else 1, None)
     try:

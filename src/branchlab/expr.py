@@ -16,16 +16,24 @@ identities are applied.
 
 ``evaluate`` (scalar; EvalError at a division by zero or a non-finite value)
 and ``evaluate_on_grid`` (array; inf/nan passed through) run one closure
-compiled per expression.  Scalar probes stay scalars: numpy's integer powers
-differ in the last bit between arrays and scalars.
+compiled per expression.  Bracket refinement probes one expression at one
+index many times, so it holds a probe for the whole bracket: the index check,
+the closure lookup and the error state are paid once, and each call costs
+the closure plus the scalar policy of ``evaluate``.  Probes keep the type of
+the path whose numbers they reproduce, because numpy's integer powers differ
+in the last bit between arrays and scalars: certificate roots and witnesses
+are probed with float64 scalars, and ``denominator_safety`` probes with
+one-element arrays so its witnesses agree with its grid.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -356,17 +364,38 @@ def _check_index(nu_value):
         raise EvalError("sequence index must be >= 1")
 
 
-def evaluate(e, nu_value, x_value):
-    """Value of e at integer index nu_value >= 1 and real x_value."""
-    _check_index(nu_value)
+def _scalar(f, nu, x_value):
+    """f(nu, x_value) as a finite float; run under the scalar error state.
+
+    That state ignores everything but division by zero, which raises.
+    """
     try:
-        with np.errstate(all="ignore", divide="raise"):
-            result = float(_compiled(e)(np.float64(nu_value), np.float64(x_value)))
+        result = float(f(nu, np.float64(x_value)))
     except FloatingPointError:
         raise EvalError("division by zero at the sample point") from None
     if not math.isfinite(result):
         raise EvalError("evaluation produced a non-finite value")
     return result
+
+
+def evaluate(e, nu_value, x_value):
+    """Value of e at integer index nu_value >= 1 and real x_value."""
+    _check_index(nu_value)
+    with np.errstate(all="ignore", divide="raise"):
+        return _scalar(_compiled(e), np.float64(nu_value), x_value)
+
+
+@contextmanager
+def _probe(e, nu_value):
+    """Yield x -> evaluate(e, nu_value, x) with the per-call setup done once.
+
+    The index check, the closure lookup, boxing nu and the error state are
+    paid on entry; the probe must not be called after the block exits.
+    """
+    _check_index(nu_value)
+    scalar = partial(_scalar, _compiled(e), np.float64(nu_value))
+    with np.errstate(all="ignore", divide="raise"):
+        yield scalar
 
 
 def evaluate_on_grid(e, nu_value, xs):
@@ -960,6 +989,7 @@ def denominator_safety(e, domain, x_samples=512, nu_samples=64, margin=1e-6):
         return DenominatorSafety(SafetyStatus.SAFE, margin, 0)
     xs = domain.interior_grid(x_samples)
     for den in dens:
+        closure = _compiled(den)
         for index in range(1, nu_samples + 1):
             values = evaluate_on_grid(den, index, xs)
             if not np.all(np.isfinite(values)):
@@ -974,27 +1004,29 @@ def denominator_safety(e, domain, x_samples=512, nu_samples=64, margin=1e-6):
             k = int(np.argmin(np.abs(values)))
             lo = xs[max(k - 1, 0)]
             hi = xs[min(k + 1, len(xs) - 1)]
+            nu = np.float64(index)
 
             # probes stay 1-element arrays: witness bytes follow the grid's powers
-            def f(point, _index=index, _den=den):
-                return float(evaluate_on_grid(_den, _index, np.array([point]))[0])
+            def f(point):
+                return closure(nu, np.array([point])).item()
 
-            best_x, best_abs = refine_min_abs(f, float(lo), float(hi))
-            if not math.isfinite(best_abs):
-                return DenominatorSafety(
-                    SafetyStatus.INCONCLUSIVE,
-                    margin,
-                    len(dens),
-                    witness_nu=index,
-                    witness_x=best_x,
-                )
-            if best_abs < margin:
-                return DenominatorSafety(
-                    SafetyStatus.UNSAFE,
-                    margin,
-                    len(dens),
-                    witness_nu=index,
-                    witness_x=best_x,
-                    witness_value=f(best_x),
-                )
+            with np.errstate(all="ignore"):
+                best_x, best_abs = refine_min_abs(f, float(lo), float(hi))
+                if not math.isfinite(best_abs):
+                    return DenominatorSafety(
+                        SafetyStatus.INCONCLUSIVE,
+                        margin,
+                        len(dens),
+                        witness_nu=index,
+                        witness_x=best_x,
+                    )
+                if best_abs < margin:
+                    return DenominatorSafety(
+                        SafetyStatus.UNSAFE,
+                        margin,
+                        len(dens),
+                        witness_nu=index,
+                        witness_x=best_x,
+                        witness_value=f(best_x),
+                    )
     return DenominatorSafety(SafetyStatus.SAFE, margin, len(dens))

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 import random
+from contextlib import ExitStack
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -296,27 +296,27 @@ def _scan_for_witness(s, generators, domain, nu_limit=SCAN_NU_LIMIT, grid=2048):
             continue
         worst = np.max(np.abs(stacked), axis=0)
 
-        def combined(point):
-            return max(abs(g.term_value(index, point)) for g in generators)
+        with ExitStack() as held:
+            probes = [held.enter_context(g.probe(index)) for g in generators]
 
-        probe = combined
-        if len(generators) == 1:
-            probe = partial(generators[0].term_value, index)
+            def combined(point):
+                return max(abs(p(point)) for p in probes)
 
-        for k in _local_minima(worst, 0.05)[:64]:
-            lo, hi = float(xs[k - 1]), float(xs[k + 1])
-            point, _ = refine_min_abs(probe, lo, hi)
-            residual = combined(point)
-            if residual < VANISH_TOL:
-                value = s.term_value(index, point)
-                if abs(value) > NONVANISH_TOL:
-                    return MembershipWitness(
-                        index,
-                        point,
-                        value,
-                        tuple(g.term_value(index, point) for g in generators),
-                        note="all generators vanish to tolerance at this point",
-                    )
+            probe = probes[0] if len(probes) == 1 else combined
+            for k in _local_minima(worst, 0.05)[:64]:
+                lo, hi = float(xs[k - 1]), float(xs[k + 1])
+                point, _ = refine_min_abs(probe, lo, hi)
+                residual = combined(point)
+                if residual < VANISH_TOL:
+                    value = s.term_value(index, point)
+                    if abs(value) > NONVANISH_TOL:
+                        return MembershipWitness(
+                            index,
+                            point,
+                            value,
+                            tuple(p(point) for p in probes),
+                            note="all generators vanish to tolerance at this point",
+                        )
     return None
 
 
@@ -517,23 +517,23 @@ def zero_density_certificate(
         if not np.all(np.isfinite(values)):
             continue
 
-        scalar = partial(generator.term_value, index)
-        for cell in range(cell_count):
-            if cell in filled:
-                continue
-            lo, hi = edges[cell], edges[cell + 1]
-            inside = np.nonzero((xs >= lo) & (xs <= hi))[0]
-            if len(inside) < 3:
-                continue
-            segment = values[inside]
-            k = int(np.argmin(np.abs(segment)))
-            if abs(segment[k]) > 0.1:
-                continue
-            left = float(xs[inside[max(k - 1, 0)]])
-            right = float(xs[inside[min(k + 1, len(inside) - 1)]])
-            point, residual = refine_min_abs(scalar, left, right)
-            if residual < residual_tol and lo <= point <= hi:
-                filled[cell] = CertificateCell(lo, hi, index, point, abs(scalar(point)))
+        with generator.probe(index) as scalar:
+            for cell in range(cell_count):
+                if cell in filled:
+                    continue
+                lo, hi = edges[cell], edges[cell + 1]
+                inside = np.nonzero((xs >= lo) & (xs <= hi))[0]
+                if len(inside) < 3:
+                    continue
+                segment = values[inside]
+                k = int(np.argmin(np.abs(segment)))
+                if abs(segment[k]) > 0.1:
+                    continue
+                left = float(xs[inside[max(k - 1, 0)]])
+                right = float(xs[inside[min(k + 1, len(inside) - 1)]])
+                point, residual = refine_min_abs(scalar, left, right)
+                if residual < residual_tol and lo <= point <= hi:
+                    filled[cell] = CertificateCell(lo, hi, index, point, residual)
 
     if len(filled) != cell_count:
         return None

@@ -7,9 +7,10 @@ import sys
 import time
 import warnings
 
+import numpy as np
 import pytest
 
-from branchlab import algebra, cli, pairing, weaklimit
+from branchlab import algebra, cli, expr, ideals, pairing, weaklimit
 
 TRIG_DOMAIN = "0,6.283185307179586"
 
@@ -335,3 +336,86 @@ def test_short_delta_square_schedule_is_an_error():
     code, report = cli.run(["demo", "delta-square", "--schedule=4,8,16"])
     assert code == 1
     assert report["error"]["message"] == "schedule needs at least 6 indices"
+
+
+def _outcome(argv):
+    code, report = cli.run(argv)
+    return code, None if report is None else cli.comparable_bytes(report)
+
+
+@pytest.mark.parametrize(
+    "sequence",
+    [
+        [["gf", "derive", "--lhs=x^3", "--order=2"]] * 2,
+        [
+            [
+                "span", "independence",
+                "--first=cos(nu*x)", "--first=x",
+                "--second=sin(nu*x)", "--second=1",
+            ]
+        ]
+        * 2,
+        [["limit", "--bogus"], ["classify", "--seq=cos(nu*x)"]],
+    ],
+)
+def test_reused_parser_matches_a_fresh_one(sequence):
+    reused = [_outcome(argv) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(_outcome(argv))
+    assert reused == fresh
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["limit", "--seq=cos(nu*x)"],
+        ["classify", "--seq=cos(nu*x)"],
+        ["ideal", "check", "--generators=1+sin(nu*x)", "--domain=-1,1"],
+        ["span", "independence", "--first=cos(nu*x)", "--second=sin(nu*x)"],
+        ["gf", "mul", "--lhs=nu/(2*cosh(nu*x)^2)", "--rhs=nu/(2*cosh(nu*x)^2)"],
+        ["gf", "derive", "--lhs=x^3"],
+        ["gf", "equal", "--lhs=x^2", "--rhs=x^2"],
+        ["demo", "nosquare"],
+        ["demo", "no-largest-ideal"],
+        ["demo", "branching"],
+        ["demo", "delta-square"],
+        ["limit", "--seq=1/(nu-1)"],
+    ],
+)
+def test_commands_leave_the_error_state_alone(argv):
+    before = np.geterr()
+    cli.run(argv)
+    assert np.geterr() == before
+
+
+@pytest.mark.parametrize(
+    "argv, refines",
+    [
+        (["ideal", "check", "--generators=1+sin(nu*x)", "--domain=-1,1"], 295),
+        (["demo", "no-largest-ideal"], 800),
+        (["gf", "mul", "--lhs=nu/(2*cosh(nu*x)^2)", "--rhs=nu/(2*cosh(nu*x)^2)"], 128),
+    ],
+)
+def test_certificate_probes_check_the_index_once_per_bracket(monkeypatch, argv, refines):
+    checks = []
+    original_check = expr._check_index
+
+    def counted_check(nu_value):
+        checks.append(nu_value)
+        return original_check(nu_value)
+
+    refined = []
+    original_refine = ideals.refine_min_abs
+
+    def counted_refine(*args):
+        refined.append(args[1:])
+        return original_refine(*args)
+
+    monkeypatch.setattr(expr, "_check_index", counted_check)
+    for module in (expr, ideals):
+        monkeypatch.setattr(module, "refine_min_abs", counted_refine)
+    cli.run(argv)
+    assert len(checks) < 1000
+    assert len(refined) == refines

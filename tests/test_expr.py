@@ -260,6 +260,11 @@ def test_denominator_safety_unsafe_with_witness():
     )
     assert wobbly.status is ex.SafetyStatus.UNSAFE
 
+    x_free = ex.denominator_safety(ex.parse("1/(nu-3)"), dom)
+    assert x_free.status is ex.SafetyStatus.UNSAFE
+    assert x_free.witness_nu == 3
+    assert type(x_free.witness_value) is float and x_free.witness_value == 0.0
+
 
 def test_denominator_safety_overflow_is_inconclusive():
     dom = ex.DomainInterval(-1.0, 1.0)
@@ -343,3 +348,52 @@ def test_each_root_is_compiled_once(monkeypatch):
         ex.evaluate(e, 3, 0.5)
         ex.evaluate_on_grid(e, 3, np.array([0.5]))
     assert len(compiled) == first
+
+
+def test_probe_returns_what_evaluate_returns(rng):
+    compared = 0
+    for _ in range(200):
+        e = random_expression(rng, depth=3, allow_nu=True)
+        index = rng.randint(1, 40)
+        points = [rng.uniform(-3.0, 3.0) for _ in range(8)]
+        with ex._probe(e, index) as probe:
+            for point in points:
+                assert probe(point) == ex.evaluate(e, index, point)
+                compared += 1
+    assert compared == 1600
+
+
+@pytest.mark.parametrize(
+    "text, index, point",
+    [
+        ("1/x", 1, 0.0),
+        ("x^-1", 1, 0.0),
+        ("tanh(1/x)", 1, 0.0),
+        ("exp(-1/x^2)", 1, 0.0),
+        ("1/(nu-1)", 1, 0.5),
+        ("(nu-1)^-1", 1, 0.5),
+    ],
+)
+def test_probe_poles_raise_like_evaluate(text, index, point):
+    e = ex.parse(text)
+    with pytest.raises(ex.EvalError) as expected:
+        ex.evaluate(e, index, point)
+    with ex._probe(e, index) as probe:
+        with pytest.raises(ex.EvalError) as raised:
+            probe(point)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_probe_restores_the_error_state():
+    before = np.geterr()
+    with ex._probe(ex.parse("1/x"), 1) as probe:
+        assert probe(2.0) == 0.5
+    assert np.geterr() == before
+    with pytest.raises(ex.EvalError):
+        with ex._probe(ex.parse("1/x"), 1) as probe:
+            probe(0.0)
+    assert np.geterr() == before
+    with pytest.raises(ex.EvalError, match="index"):
+        with ex._probe(ex.x, 0):
+            pass
+    assert np.geterr() == before

@@ -21,6 +21,8 @@ DOM = ex.DomainInterval(-1.0, 1.0)
 def test_term_dispatch(index, exc_index, coeff):
     s = bl.smooth_sequence("nu*x", {exc_index: ex.Mul(ex.Num(coeff), ex.x)})
     got = s.term_value(index, 0.7)
+    with s.probe(index) as probe:
+        assert probe(0.7) == got
     if index == exc_index:
         assert got == pytest.approx(coeff * 0.7, abs=1e-12)
     else:
@@ -40,6 +42,8 @@ def test_index_validation():
         s.term(1)
     with pytest.raises(ValueError):
         s.term_value(True, 0.0)
+    with pytest.raises(ValueError):
+        s.probe(1)
     with pytest.raises(ValueError):
         bl.smooth_sequence("x", start_index=0)
     with pytest.raises(ValueError):
