@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from ._stage import stage
+from ._report import Record, stage
 from .expr import DomainInterval, SafetyStatus, denominator_safety, simplify
 from .ideals import (
     Closed,
@@ -59,7 +59,7 @@ class AlgebraError(ValueError):
 
 
 @dataclass(frozen=True, slots=True)
-class AlgebraConfig:
+class AlgebraConfig(Record):
     """Validated by make_algebra; construct through it, not directly.
 
     derivation_capable is only set when the ideal's derivation closure came
@@ -69,13 +69,6 @@ class AlgebraConfig:
     ideal: object
     derivation_capable: bool
     domain: DomainInterval
-
-    def to_dict(self):
-        return {
-            "ideal": self.ideal.to_dict(),
-            "derivation_capable": self.derivation_capable,
-            "domain": [self.domain.lower, self.domain.upper],
-        }
 
 
 def make_algebra(ideal, domain, **off_diag_params):
@@ -102,15 +95,9 @@ def eventually_zero_algebra(domain=None):
 
 
 @dataclass(frozen=True, slots=True)
-class GeneralizedFunction:
+class GeneralizedFunction(Record):
     representative: SmoothSequence
     algebra: AlgebraConfig
-
-    def to_dict(self):
-        return {
-            "representative": self.representative.to_dict(),
-            "algebra": self.algebra.to_dict(),
-        }
 
 
 def _check_safety(s, domain):
@@ -170,31 +157,22 @@ def gf_derive(f, order=1):
 
 
 @dataclass(frozen=True, slots=True)
-class Equal:
+class Equal(Record):
+    tag = "equal"
     evidence: InIdeal
 
-    def to_dict(self):
-        return {"verdict": "equal", "evidence": self.evidence.to_dict()}
-
 
 @dataclass(frozen=True, slots=True)
-class NotEqual:
+class NotEqual(Record):
+    tag = "not-equal"
     evidence: NotInIdeal
-
-    def to_dict(self):
-        return {"verdict": "not-equal", "evidence": self.evidence.to_dict()}
-
-
-@dataclass(frozen=True, slots=True)
-class EqualityUnknown:
-    reason: str = ""
-
-    def to_dict(self):
-        return {"verdict": "unknown", "reason": self.reason}
 
 
 def gf_equal(f, g):
-    """Equality modulo the ideal, decided by membership of the difference."""
+    """Equality modulo the ideal, decided by membership of the difference.
+
+    An open membership question comes back as it is: membership's Unknown.
+    """
     _same_algebra(f, g)
     difference = f.representative - g.representative
     verdict = membership(difference, f.algebra.ideal, f.algebra.domain)
@@ -202,7 +180,7 @@ def gf_equal(f, g):
         return Equal(verdict)
     if isinstance(verdict, NotInIdeal):
         return NotEqual(verdict)
-    return EqualityUnknown(verdict.reason)
+    return verdict
 
 
 # ---------------------------------------------------------------------------
@@ -210,31 +188,32 @@ def gf_equal(f, g):
 
 
 @dataclass(frozen=True, slots=True)
-class Delta:
-    def to_dict(self):
-        return {"tag": "delta"}
+class Delta(Record):
+    key = "tag"
+    tag = "delta"
 
 
 @dataclass(frozen=True, slots=True)
-class Heaviside:
-    def to_dict(self):
-        return {"tag": "heaviside"}
+class Heaviside(Record):
+    key = "tag"
+    tag = "heaviside"
 
 
 @dataclass(frozen=True, slots=True)
-class DeltaDerivative:
+class DeltaDerivative(Record):
+    key = "tag"
+    tag = "delta-derivative"
     order: int
 
     def __post_init__(self):
         if not isinstance(self.order, int) or self.order < 1:
             raise ValueError("delta derivative order must be a positive integer")
 
-    def to_dict(self):
-        return {"tag": "delta-derivative", "order": self.order}
-
 
 @dataclass(frozen=True, slots=True)
-class SmoothEmbed:
+class SmoothEmbed(Record):
+    key = "tag"
+    tag = "smooth-embed"
     psi: ex.Expr
 
     def __post_init__(self):
@@ -244,7 +223,7 @@ class SmoothEmbed:
             raise ValueError("smooth embeddings must not depend on the index")
 
     def to_dict(self):
-        return {"tag": "smooth-embed", "psi": ex.to_string(self.psi)}
+        return {self.key: self.tag, "psi": ex.to_string(self.psi)}
 
 
 HEAVISIDE_REPRESENTATIVE = "(1 + tanh(nu*x))/2"
@@ -445,7 +424,7 @@ def branching_demo(
     return {
         "demo": "branching",
         "parameters": {
-            "domain": [domain.lower, domain.upper],
+            "domain": domain.to_dict(),
             "operation": operation if isinstance(operation, str) else ex.to_string(operation),
             "representatives": [s.to_dict() for s in representatives],
             "panel": [phi.to_dict() for phi in panel],
@@ -526,7 +505,7 @@ def delta_square_demo(domain=None, probe=None, schedule=None, band=DELTA_SQUARE_
     return {
         "demo": "delta-square",
         "parameters": {
-            "domain": [domain.lower, domain.upper],
+            "domain": domain.to_dict(),
             "probe": probe.to_dict(),
             "schedule": list(schedule),
         },

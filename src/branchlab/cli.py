@@ -3,8 +3,9 @@
 Reports carry a versioned schema and are byte-deterministic apart from the
 timestamp and per-stage timings; strip_volatile removes exactly those fields
 so byte comparison across runs is meaningful.  Exit codes: 0 for demo success
-and definite verdicts, 1 for usage or runtime errors, 2 when the demo pattern
-does not materialize or any reported verdict is Inconclusive or Unknown.
+and definite verdicts, 1 for usage or runtime errors (with a JSON error
+report), 2 when the demo pattern does not materialize or any reported verdict
+is not definite (tagged `unknown` or `inconclusive`).
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from . import __version__
-from ._stage import stage
+from ._report import Record, stage
 from .algebra import (
     AlgebraError,
-    Equal,
-    NotEqual,
     branching_demo,
     delta_square_demo,
     eventually_zero_algebra,
@@ -36,10 +35,6 @@ from .algebra import (
 )
 from .expr import DomainInterval, SafetyStatus, denominator_safety
 from .ideals import (
-    ContainsUnit,
-    OffDiagonal,
-    Closed,
-    NotClosed,
     derivation_closure,
     generated_by,
     no_largest_ideal_demo,
@@ -58,7 +53,6 @@ from .weaklimit import (
     DEFAULT_SCHEDULE,
     DEFAULT_TOL,
     Classification,
-    Inconclusive,
     classify_stage,
     nosquare_demo,
 )
@@ -170,7 +164,7 @@ def _schedule_up_to(nu_max, start_exponent=0):
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """Resolved common settings; flags beat config-file values beat defaults."""
 
     domain: DomainInterval
@@ -179,8 +173,8 @@ class RunConfig:
     tol: float
 
     def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tolerance must be positive")
+        if not (self.tol > 0 and math.isfinite(self.tol)):
+            raise ValueError("tolerance must be finite and positive")
         if not self.schedule:
             raise ValueError("schedule must be nonempty")
         if any(b <= a for a, b in zip(self.schedule, self.schedule[1:])):
@@ -197,7 +191,7 @@ class RunConfig:
 
     def to_dict(self):
         out = {
-            "domain": [self.domain.lower, self.domain.upper],
+            "domain": self.domain.to_dict(),
             "schedule": list(self.schedule),
             "tol": self.tol,
         }
@@ -327,18 +321,15 @@ def _cmd_limit(args, argv):
     entry, verdict = classify_stage(
         "weak-limit", sequence, panel, run_config.schedule, run_config.tol
     )
-    definite = all(
-        not isinstance(member_verdict, Inconclusive)
-        for _, member_verdict in verdict.per_test_function
-    )
+    members = [member_verdict for _, member_verdict in verdict.per_test_function]
+    definite = all(member.definite for member in members)
     entry["passed"] = definite
-    values = [row["verdict"] for row in entry["per_test_function"]]
-    converged = [v["value"] for v in values if v["kind"] == "converges-to"]
-    if definite and len(converged) == len(values):
-        spread = (min(converged), max(converged))
+    # convergent and weak-null both mean every member is a ConvergesTo
+    if verdict.classification in (Classification.CONVERGENT, Classification.WEAK_NULL):
+        limits = [member.value for member in members]
         conclusion = (
             f"every panel member converges; limits lie in "
-            f"[{spread[0]:.6g}, {spread[1]:.6g}]; classification "
+            f"[{min(limits):.6g}, {max(limits):.6g}]; classification "
             f"{verdict.classification.value}"
         )
     elif definite:
@@ -363,11 +354,10 @@ def _cmd_classify(args, argv):
     entry, verdict = classify_stage(
         "classify", sequence, panel, run_config.schedule, run_config.tol
     )
-    definite = verdict.classification is not Classification.MIXED
-    entry["passed"] = definite
+    entry["passed"] = verdict.definite
     conclusion = f"classification: {verdict.classification.value}"
     return (
-        0 if definite else 2,
+        0 if verdict.definite else 2,
         run_config.to_dict() | {"seq": sequence.to_dict()},
         [entry],
         conclusion,
@@ -400,23 +390,18 @@ def _cmd_ideal_check(args, argv):
             nu_max=args.nu_max,
             margin=args.margin,
         )
-        off_diag_definite = isinstance(verdict, (OffDiagonal, ContainsUnit))
         entry["outcome"] = verdict.to_dict()
-        entry["passed"] = off_diag_definite
+        entry["passed"] = verdict.definite
 
     with stage("derivation-closure", stages) as entry:
         closure = derivation_closure(ideal, 1, domain)
-        closure_definite = isinstance(closure, (Closed, NotClosed))
         entry["outcome"] = closure.to_dict()
-        entry["passed"] = closure_definite
+        entry["passed"] = closure.definite
 
-    definite = all_safe and off_diag_definite and closure_definite
-    conclusion = (
-        f"off-diagonality: {verdict.to_dict()['verdict']}; "
-        f"derivation closure: {closure.to_dict()['verdict']}"
-    )
+    definite = all_safe and verdict.definite and closure.definite
+    conclusion = f"off-diagonality: {verdict.tag}; derivation closure: {closure.tag}"
     config_echo = {
-        "domain": [domain.lower, domain.upper],
+        "domain": domain.to_dict(),
         "generators": [g.to_dict() for g in generators],
         "cell": args.cell,
         "nu-max": args.nu_max,
@@ -447,7 +432,7 @@ def _cmd_span_independence(args, argv):
         else "rank deficiency at this grid; independence not established"
     )
     config_echo = {
-        "domain": [domain.lower, domain.upper],
+        "domain": domain.to_dict(),
         "x-count": args.x_count,
     }
     return (0 if trivial else 2, config_echo, stages, conclusion)
@@ -468,7 +453,7 @@ def _cmd_gf(args, argv):
     algebra = _gf_algebra(args)
     config_echo = {
         "algebra": args.algebra,
-        "domain": [algebra.domain.lower, algebra.domain.upper],
+        "domain": algebra.domain.to_dict(),
     }
     stages = []
     with stage("gf-" + args.gf_action, stages) as entry:
@@ -493,11 +478,9 @@ def _cmd_gf(args, argv):
             else:
                 verdict = gf_equal(lhs, rhs)
                 entry["outcome"] = verdict.to_dict()
-                entry["passed"] = isinstance(verdict, (Equal, NotEqual))
-                code = 0 if entry["passed"] else 2
-                conclusion = (
-                    f"equality modulo the ideal: {entry['outcome']['verdict']}"
-                )
+                entry["passed"] = verdict.definite
+                code = 0 if verdict.definite else 2
+                conclusion = f"equality modulo the ideal: {verdict.tag}"
     return (code, config_echo, stages, conclusion)
 
 
@@ -527,7 +510,7 @@ def _cmd_demo(args, argv):
             kwargs["second_generator"] = generators[1]
         result = no_largest_ideal_demo(**kwargs)
         config_echo = {
-            "domain": [domain.lower, domain.upper],
+            "domain": domain.to_dict(),
             "cell": args.cell,
             "nu-max": args.nu_max,
         }
@@ -573,8 +556,20 @@ def _add_sweep_flags(parser):
     parser.add_argument("--tol", type=float, help="convergence tolerance")
 
 
+class UsageError(ValueError):
+    """A command line the parser rejects."""
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises usage errors, so run() reports them like any other error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise UsageError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="branchlab",
         description="Sequence algebras, weak limits, and branching demonstrations.",
     )
@@ -680,12 +675,12 @@ def _parser():
 
 
 def run(argv):
-    """Execute one command; returns (exit code, report or None)."""
+    """Execute one command; returns (exit code, report or None).
+
+    The report is None only for --help and --version, which exit 0.
+    """
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as err:
-        return (0 if err.code == 0 else 1, None)
-    try:
         outcome = args.handler(args, argv)
         code, config_echo, stages, conclusion = outcome[:4]
         report = make_report(argv, config_echo, stages, conclusion)
@@ -697,6 +692,8 @@ def run(argv):
         if getattr(args, "csv", None):
             write_csv(report, args.csv)
         return (code, report)
+    except SystemExit as err:
+        return (0 if err.code == 0 else 1, None)
     except (ValueError, TypeError, OSError, AlgebraError, ArithmeticError, RecursionError) as err:
         report = {
             "schema": SCHEMA,

@@ -38,6 +38,7 @@ from functools import partial
 import numpy as np
 
 from ._numutil import refine_min_abs
+from ._report import Record
 
 FUNCTIONS = ("sin", "cos", "exp", "tanh", "cosh")
 
@@ -299,6 +300,10 @@ class DomainInterval:
     def interior_grid(self, count):
         """Evenly spaced sample points, endpoints excluded."""
         return np.linspace(self.lower, self.upper, count + 2)[1:-1]
+
+    def to_dict(self):
+        """Report form: the endpoints as a two-element list."""
+        return [self.lower, self.upper]
 
 
 # ---------------------------------------------------------------------------
@@ -929,23 +934,13 @@ class SafetyStatus(str, Enum):
 
 
 @dataclass(frozen=True, slots=True)
-class DenominatorSafety:
+class DenominatorSafety(Record):
     status: SafetyStatus
     margin: float
     denominator_count: int
     witness_nu: int | None = None
     witness_x: float | None = None
     witness_value: float | None = None
-
-    def to_dict(self):
-        return {
-            "status": self.status.value,
-            "margin": self.margin,
-            "denominator_count": self.denominator_count,
-            "witness_nu": self.witness_nu,
-            "witness_x": self.witness_x,
-            "witness_value": self.witness_value,
-        }
 
 
 def denominators(e):

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import expr as ex
 from ._numutil import refine_min_abs
-from ._stage import stage
+from ._report import Record, Unknown, stage
 from .expr import DomainInterval, Num, from_sum_terms, simplify, sum_terms, to_string
 from .sequences import (
     SmoothSequence,
@@ -49,20 +49,27 @@ VERIFICATION_SAMPLES = 100
 _VERIFICATION_SEED = 20260815
 
 
+def _require_positive(value, what):
+    if not (math.isfinite(value) and value > 0):
+        raise ValueError(f"{what} must be finite and positive, got {value!r}")
+
+
 # ---------------------------------------------------------------------------
 # ideal species
 
 
 @dataclass(frozen=True, slots=True)
-class EventuallyZero:
+class EventuallyZero(Record):
     """Sequences with only finitely many nonzero entries."""
 
-    def to_dict(self):
-        return {"kind": "eventually-zero"}
+    key = "kind"
+    tag = "eventually-zero"
 
 
 @dataclass(frozen=True, slots=True)
-class FinitelyGenerated:
+class FinitelyGenerated(Record):
+    key = "kind"
+    tag = "finitely-generated"
     generators: tuple
 
     def __post_init__(self):
@@ -71,12 +78,6 @@ class FinitelyGenerated:
         for g in self.generators:
             if not isinstance(g, SmoothSequence):
                 raise TypeError("generators must be smooth sequences")
-
-    def to_dict(self):
-        return {
-            "kind": "finitely-generated",
-            "generators": [g.to_dict() for g in self.generators],
-        }
 
 
 def generated_by(*tails):
@@ -112,31 +113,23 @@ def ideal_sum(first, second):
 
 
 @dataclass(frozen=True, slots=True)
-class MembershipWitness:
+class MembershipWitness(Record):
     nu: int
     x: float
     sequence_value: float
     generator_values: tuple
     note: str = ""
 
-    def to_dict(self):
-        return {
-            "nu": self.nu,
-            "x": self.x,
-            "sequence_value": self.sequence_value,
-            "generator_values": list(self.generator_values),
-            "note": self.note,
-        }
-
 
 @dataclass(frozen=True, slots=True)
-class InIdeal:
+class InIdeal(Record):
+    tag = "in-ideal"
     factorization: tuple  # (generator, cofactor sequence) pairs
     verification_residual: float = 0.0
 
     def to_dict(self):
         return {
-            "verdict": "in-ideal",
+            self.key: self.tag,
             "factorization": [
                 {"generator": g.to_dict(), "cofactor": t.to_dict()}
                 for g, t in self.factorization
@@ -146,19 +139,9 @@ class InIdeal:
 
 
 @dataclass(frozen=True, slots=True)
-class NotInIdeal:
+class NotInIdeal(Record):
+    tag = "not-in-ideal"
     witness: MembershipWitness
-
-    def to_dict(self):
-        return {"verdict": "not-in-ideal", "witness": self.witness.to_dict()}
-
-
-@dataclass(frozen=True, slots=True)
-class MembershipUnknown:
-    reason: str = ""
-
-    def to_dict(self):
-        return {"verdict": "unknown", "reason": self.reason}
 
 
 def _divide_term(coefficient, mono, gen_terms):
@@ -363,10 +346,8 @@ def membership(s, ideal, domain=None):
         witness = _scan_for_witness(s, ideal.generators, domain)
         if witness is not None:
             return NotInIdeal(witness)
-        return MembershipUnknown(
-            "no factorization matched and no vanishing-point witness found"
-        )
-    return MembershipUnknown("no factorization matched; no domain given to scan")
+        return Unknown("no factorization matched and no vanishing-point witness found")
+    return Unknown("no factorization matched; no domain given to scan")
 
 
 # ---------------------------------------------------------------------------
@@ -374,17 +355,10 @@ def membership(s, ideal, domain=None):
 
 
 @dataclass(frozen=True, slots=True)
-class UnitWitness:
+class UnitWitness(Record):
     sequence: SmoothSequence
     lower_bound: float
     combination: tuple  # (coefficient, generator position) pairs
-
-    def to_dict(self):
-        return {
-            "sequence": self.sequence.to_dict(),
-            "lower_bound": self.lower_bound,
-            "combination": [list(pair) for pair in self.combination],
-        }
 
 
 def _candidate_combinations(generator_count, bound):
@@ -414,6 +388,8 @@ def unit_detection(ideal, domain, coefficient_bound=3, margin=DEFAULT_UNIT_MARGI
     """
     if not isinstance(ideal, FinitelyGenerated):
         raise TypeError("unit detection requires a finitely generated ideal")
+    # a margin at or below zero admits combinations that touch zero as units
+    _require_positive(margin, "unit margin")
     xs = domain.interior_grid(UNIT_LATTICE_X_COUNT)
     generators = ideal.generators
     cache = {}
@@ -455,38 +431,25 @@ def unit_detection(ideal, domain, coefficient_bound=3, margin=DEFAULT_UNIT_MARGI
 
 
 @dataclass(frozen=True, slots=True)
-class CertificateCell:
+class CertificateCell(Record):
     lower: float
     upper: float
     nu: int
     root: float
     residual: float
 
-    def to_dict(self):
-        return {
-            "lower": self.lower,
-            "upper": self.upper,
-            "nu": self.nu,
-            "root": self.root,
-            "residual": self.residual,
-        }
-
 
 @dataclass(frozen=True, slots=True)
-class ZeroDensityCertificate:
+class ZeroDensityCertificate(Record):
     domain: DomainInterval
     cell_width: float
     nu_max: int
     cells: tuple
 
     def to_dict(self):
-        return {
-            "domain": [self.domain.lower, self.domain.upper],
-            "cell_width": self.cell_width,
-            "nu_max": self.nu_max,
+        return Record.to_dict(self) | {
             "cell_count": len(self.cells),
             "max_residual": max((c.residual for c in self.cells), default=0.0),
-            "cells": [c.to_dict() for c in self.cells],
         }
 
 
@@ -501,6 +464,7 @@ def zero_density_certificate(
     """
     if not isinstance(ideal, FinitelyGenerated) or len(ideal.generators) != 1:
         raise TypeError("zero-density certificates require a single generator")
+    _require_positive(cell_width, "cell width")
     generator = ideal.generators[0]
     cell_count = max(1, int(math.ceil(domain.length / cell_width)))
     actual_width = domain.length / cell_count
@@ -546,40 +510,28 @@ def zero_density_certificate(
 
 
 @dataclass(frozen=True, slots=True)
-class StructuralProof:
+class StructuralProof(Record):
+    key = "kind"
+    tag = "structural"
     statement: str
 
-    def to_dict(self):
-        return {"kind": "structural", "statement": self.statement}
-
 
 @dataclass(frozen=True, slots=True)
-class OffDiagonal:
+class OffDiagonal(Record):
+    tag = "off-diagonal"
     certificate: object
 
-    def to_dict(self):
-        return {"verdict": "off-diagonal", "certificate": self.certificate.to_dict()}
-
 
 @dataclass(frozen=True, slots=True)
-class ContainsUnit:
+class ContainsUnit(Record):
+    tag = "contains-unit"
     witness: SmoothSequence
     lower_bound: float
 
-    def to_dict(self):
-        return {
-            "verdict": "contains-unit",
-            "witness": self.witness.to_dict(),
-            "lower_bound": self.lower_bound,
-        }
 
-
-@dataclass(frozen=True, slots=True)
-class OffDiagInconclusive:
-    reason: str = ""
-
-    def to_dict(self):
-        return {"verdict": "inconclusive", "reason": self.reason}
+class OffDiagInconclusive(Unknown):
+    __slots__ = ()
+    tag = "inconclusive"
 
 
 def off_diagonality(
@@ -596,6 +548,7 @@ def off_diagonality(
     generator combination bounded away from zero has no roots to certify,
     and certified dense roots cap any combination's infimum at zero.
     """
+    _require_positive(cell_width, "cell width")
     if isinstance(ideal, EventuallyZero):
         return OffDiagonal(
             StructuralProof(
@@ -624,34 +577,17 @@ def off_diagonality(
 
 
 @dataclass(frozen=True, slots=True)
-class Closed:
+class Closed(Record):
+    tag = "closed"
     note: str = ""
-
-    def to_dict(self):
-        return {"verdict": "closed", "note": self.note}
 
 
 @dataclass(frozen=True, slots=True)
-class NotClosed:
+class NotClosed(Record):
+    tag = "not-closed"
     generator_position: int
     order: int
     witness: MembershipWitness
-
-    def to_dict(self):
-        return {
-            "verdict": "not-closed",
-            "generator_position": self.generator_position,
-            "order": self.order,
-            "witness": self.witness.to_dict(),
-        }
-
-
-@dataclass(frozen=True, slots=True)
-class ClosureUnknown:
-    reason: str = ""
-
-    def to_dict(self):
-        return {"verdict": "unknown", "reason": self.reason}
 
 
 def derivation_closure(ideal, order=1, domain=None):
@@ -671,13 +607,13 @@ def derivation_closure(ideal, order=1, domain=None):
             verdict = membership(seq_derive(generator, p), ideal, domain)
             if isinstance(verdict, NotInIdeal):
                 return NotClosed(position, p, verdict.witness)
-            if isinstance(verdict, MembershipUnknown):
+            if not verdict.definite:
                 unknown_reason = (
                     f"membership of generator {position} derivative order {p}: "
                     f"{verdict.reason}"
                 )
     if unknown_reason is not None:
-        return ClosureUnknown(unknown_reason)
+        return Unknown(unknown_reason)
     return Closed("every generator derivative factored over the generators")
 
 
@@ -716,11 +652,8 @@ def no_largest_ideal_demo(
             if isinstance(verdict, OffDiagonal) and isinstance(
                 verdict.certificate, ZeroDensityCertificate
             ):
-                summary = dict(payload["certificate"])
-                summary["cells"] = summary["cells"][:4] + (
-                    ["..."] if len(summary["cells"]) > 4 else []
-                )
-                payload = {"verdict": payload["verdict"], "certificate": summary}
+                cells = payload["certificate"]["cells"]
+                payload["certificate"]["cells"] = cells[:4] + (["..."] if len(cells) > 4 else [])
             entry["ideal"] = ideal.to_dict()
             entry["outcome"] = payload
             entry["passed"] = isinstance(verdict, OffDiagonal)
@@ -757,7 +690,7 @@ def no_largest_ideal_demo(
     return {
         "demo": "no-largest-ideal",
         "parameters": {
-            "domain": [domain.lower, domain.upper],
+            "domain": domain.to_dict(),
             "first_generator": to_string(simplify(first.generators[0].tail)),
             "second_generator": to_string(simplify(second.generators[0].tail)),
             "cell_width": cell_width,

@@ -16,6 +16,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._report import Record
+
 
 class IntegrationError(ValueError):
     """Raised when an integrand produces non-finite samples."""
@@ -59,7 +61,7 @@ def bump_shape_integral():
 
 
 @dataclass(frozen=True, slots=True)
-class TestFunction:
+class TestFunction(Record):
     """Scaled bump; integral normalized to 1 when `normalized` is set."""
 
     center: float
@@ -97,13 +99,6 @@ class TestFunction:
         u = (np.asarray(xs, dtype=float) - self.center) / self.width
         return _bump_shape_derivative(u) * (self._scale() / self.width)
 
-    def to_dict(self):
-        return {
-            "center": self.center,
-            "width": self.width,
-            "normalized": self.normalized,
-        }
-
 
 def bump(center, width, normalized=True, domain=None):
     """Bump test function; its support must stay inside the domain closure."""
@@ -119,7 +114,7 @@ def bump(center, width, normalized=True, domain=None):
 
 
 @dataclass(frozen=True, slots=True)
-class Panel:
+class Panel(Record):
     """Family of test functions jointly covering most of the domain."""
 
     members: tuple
@@ -139,12 +134,6 @@ class Panel:
 
     def __len__(self):
         return len(self.members)
-
-    def to_dict(self):
-        return {
-            "domain": [self.domain.lower, self.domain.upper],
-            "members": [m.to_dict() for m in self.members],
-        }
 
 
 def _union_length(intervals, lo, hi):

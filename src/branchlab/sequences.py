@@ -15,6 +15,7 @@ from enum import Enum
 import numpy as np
 
 from . import expr as ex
+from ._report import Record
 from .expr import Expr, Num, simplify, substitute, to_string
 
 RANK_THRESHOLD = 1e-8
@@ -27,7 +28,7 @@ def _coerce_expr(value):
 
 
 @dataclass(frozen=True, slots=True)
-class SmoothSequence:
+class SmoothSequence(Record):
     """Tail expression plus finitely many exceptional entries."""
 
     tail: Expr
@@ -265,19 +266,11 @@ class SpanStatus(str, Enum):
 
 
 @dataclass(frozen=True, slots=True)
-class IndependenceCertificate:
+class IndependenceCertificate(Record):
     status: SpanStatus
     rank: int
     basis_size: int
     singular_values: tuple
-
-    def to_dict(self):
-        return {
-            "status": self.status.value,
-            "rank": self.rank,
-            "basis_size": self.basis_size,
-            "singular_values": list(self.singular_values),
-        }
 
 
 def independence_certificate(the_span, grid):

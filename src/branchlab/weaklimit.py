@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._stage import stage
+from ._report import Record, Unknown, stage
 from .expr import DomainInterval
 from .pairing import default_panel, pair_with_estimate
 from .sequences import seq_mul, smooth_sequence
@@ -33,37 +33,25 @@ MAX_FIT_RESIDUAL = 0.2
 
 
 @dataclass(frozen=True, slots=True)
-class ConvergesTo:
+class ConvergesTo(Record):
+    key = "kind"
+    tag = "converges-to"
     value: float
     uncertainty: float
 
-    def to_dict(self):
-        return {
-            "kind": "converges-to",
-            "value": self.value,
-            "uncertainty": self.uncertainty,
-        }
-
 
 @dataclass(frozen=True, slots=True)
-class Diverges:
+class Diverges(Record):
+    key = "kind"
+    tag = "diverges"
     growth_exponent: float
     fit_residual: float
 
-    def to_dict(self):
-        return {
-            "kind": "diverges",
-            "growth_exponent": self.growth_exponent,
-            "fit_residual": self.fit_residual,
-        }
 
-
-@dataclass(frozen=True, slots=True)
-class Inconclusive:
-    reason: str = ""
-
-    def to_dict(self):
-        return {"kind": "inconclusive", "reason": self.reason}
+class Inconclusive(Unknown):
+    __slots__ = ()
+    key = "kind"
+    tag = "inconclusive"
 
 
 def _validate_schedule(schedule):
@@ -117,10 +105,15 @@ class Classification(str, Enum):
 
 
 @dataclass(frozen=True, slots=True)
-class FunctionalVerdict:
+class FunctionalVerdict(Record):
     per_test_function: tuple  # (TestFunction, LimitVerdict) pairs
     classification: Classification
     tables: tuple  # the pairing table behind each verdict, same order
+
+    @property
+    def definite(self):
+        """Mixed is the one open classification: some member is inconclusive."""
+        return self.classification is not Classification.MIXED
 
     def to_dict(self):
         return {
@@ -235,7 +228,7 @@ def nosquare_demo(domain=None, panel=None, schedule=None, tol=DEFAULT_TOL, seque
     return {
         "demo": "nosquare",
         "parameters": {
-            "domain": [domain.lower, domain.upper],
+            "domain": domain.to_dict(),
             "schedule": list(schedule),
             "tol": tol,
             "panel": panel.to_dict(),

@@ -419,3 +419,52 @@ def test_certificate_probes_check_the_index_once_per_bracket(monkeypatch, argv, 
     cli.run(argv)
     assert len(checks) < 1000
     assert len(refined) == refines
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["limit", "--seq=x", "--tol=abc"], "argument --tol: invalid float value"),
+        (["nonsense"], "invalid choice: 'nonsense'"),
+        (["limit"], "the following arguments are required: --seq"),
+    ],
+)
+def test_usage_errors_print_one_error_report(argv, message, capsys):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert captured.out == cli.canonical_json(report)
+    assert report["command"] == argv
+    assert report["error"]["type"] == "UsageError"
+    assert message in report["error"]["message"]
+    assert "stages" not in report
+    # the usage line still goes to stderr for a reader at a terminal
+    assert captured.err.startswith("usage:")
+
+
+def test_help_exits_cleanly_without_a_report(capsys):
+    assert cli.run(["limit", "--help"]) == (0, None)
+    assert capsys.readouterr().out.startswith("usage:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # a negative margin passed sin(nu*x) off as a unit with bound -0.99999
+        ["ideal", "check", "--generators=sin(nu*x)", "--domain=-1,1", "--margin=-1"],
+        ["ideal", "check", "--generators=sin(nu*x)", "--domain=-1,1", "--margin=nan"],
+        ["ideal", "check", "--generators=sin(nu*x)", "--domain=-1,1", "--margin=inf"],
+        # a negative cell width certified off-diagonality with a single cell
+        ["ideal", "check", "--generators=1+sin(nu*x)", "--domain=-1,1", "--cell=-0.05"],
+        ["ideal", "check", "--generators=1+sin(nu*x)", "--domain=-1,1", "--cell=inf"],
+        ["demo", "no-largest-ideal", "--cell=-1"],
+        # an infinite tolerance called nu^2 weak-null
+        ["classify", "--seq=nu^2", "--tol=inf"],
+        ["limit", "--seq=nu^2", "--tol=nan"],
+    ],
+)
+def test_out_of_range_parameters_are_refused(argv):
+    code, report = cli.run(argv)
+    assert code == 1
+    assert report["error"]["type"] == "ValueError"
+    assert "finite and positive" in report["error"]["message"]

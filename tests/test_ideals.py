@@ -147,7 +147,7 @@ def test_membership_unknown_reasons(domain, reason):
     first, _ = ideal_pair()
     derivative = bl.seq_derive(first.generators[0])
     verdict = idl.membership(derivative, first, domain)
-    assert isinstance(verdict, idl.MembershipUnknown)
+    assert isinstance(verdict, idl.Unknown)
     assert verdict.reason == reason
     assert verdict.to_dict() == {"verdict": "unknown", "reason": reason}
 
@@ -337,7 +337,7 @@ def test_derivation_closure_detects_escape():
 def test_derivation_closure_unknown_generator():
     first, _ = ideal_pair()
     verdict = idl.derivation_closure(first, domain=DOM)
-    assert isinstance(verdict, idl.ClosureUnknown)
+    assert isinstance(verdict, idl.Unknown)
     assert "generator 0 derivative order 1" in verdict.reason
 
 
@@ -389,3 +389,26 @@ def test_no_largest_ideal_demo_degenerate_pair():
     assert flags["ideal-sum"] is False
     assert flags["unit-witness"] is False
     assert "not applicable" in result["conclusion"]
+
+
+@pytest.mark.parametrize("margin", [-1.0, 0.0, math.nan, math.inf])
+def test_unit_detection_refuses_margin_outside_the_positive_reals(margin):
+    ideal = bl.generated_by("sin(nu*x)")
+    with pytest.raises(ValueError, match="unit margin"):
+        idl.unit_detection(ideal, DOM, margin=margin)
+    with pytest.raises(ValueError, match="unit margin"):
+        idl.off_diagonality(ideal, DOM, margin=margin)
+
+
+@pytest.mark.parametrize("cell_width", [-0.05, 0.0, math.nan, math.inf])
+def test_cell_width_outside_the_positive_reals_is_refused(monkeypatch, cell_width):
+    ideal = bl.generated_by("1 + sin(nu*x)")
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("the unit search ran before the cell width was checked")
+
+    monkeypatch.setattr(idl, "unit_detection", no_search)
+    with pytest.raises(ValueError, match="cell width"):
+        idl.off_diagonality(ideal, DOM, cell_width=cell_width)
+    with pytest.raises(ValueError, match="cell width"):
+        idl.zero_density_certificate(ideal, DOM, cell_width=cell_width)

@@ -1,0 +1,156 @@
+"""Report bytes pinned by hash: a refactor of the record classes must not move them.
+
+Each argv below reaches at least one record class of the report vocabulary;
+together they reach every class the CLI writes.  The pins are the sha256 of
+`cli.comparable_bytes` (timestamps and timings stripped), plus the sha256 of
+the `--csv` file for the four demos.  A pin changes only with an agreed
+re-baseline of the reports.
+"""
+
+import hashlib
+
+import pytest
+
+from branchlab import algebra, cli, ideals
+from branchlab.expr import DomainInterval, parse
+from branchlab.sequences import smooth_sequence
+
+TRIG_DOMAIN = "--domain=0,6.283185307179586"
+
+PINNED_REPORTS = [
+    (
+        ["limit", "--seq=cos(nu*x)"],
+        0,
+        "7dadf5c10aaf72e1eaa1b0bbc778b835f571129e1226e38dbad7f50093ba9e77",
+    ),
+    (  # weak-limit inconclusive members
+        ["classify", "--seq=nu/(2*cosh(nu*x)^2)"],
+        2,
+        "e73356737e13831aeac8f4769e6bff904027aa357b71978b3ecd9975d5b57e90",
+    ),
+    (  # closure unknown
+        ["ideal", "check", "--generators=1+sin(nu*x)", "--domain=-1,1"],
+        2,
+        "8caa37bb6157dc326cf19e9fd7b33299219df563492a7d05be8bc173df00bad9",
+    ),
+    (  # not-closed, with a membership witness
+        ["ideal", "check", "--generators=sin(nu*x)", "--domain=-1,1"],
+        0,
+        "4c97b68301fd5ac4bb90264c82262575f62a35b5ec028bdbe7bd25b109407cd7",
+    ),
+    (  # off-diagonality inconclusive, closure closed
+        ["ideal", "check", "--generators=sin(nu*x),cos(nu*x)", "--domain=-1,1"],
+        2,
+        "4578baf07ce7dd494f25c7ea49cb53cf08b0ad1632398aa558eb7a8bbf769862",
+    ),
+    (  # contains-unit
+        ["ideal", "check", "--generators=1+sin(nu*x),1+cos(nu*x)", TRIG_DOMAIN],
+        2,
+        "43f14d914cd3d6b03d57716d629ba758fde49c59b69a65606a78dae1cac81d01",
+    ),
+    (
+        ["span", "independence", "--first=sin(nu*x)", "--second=cos(nu*x)"],
+        0,
+        "504dc822b019a1d6b158ae64e3d00c849cc7af410cd5da407b729db6f9efff49",
+    ),
+    (
+        ["gf", "mul", "--lhs=nu/(2*cosh(nu*x)^2)", "--rhs=nu/(2*cosh(nu*x)^2)"],
+        0,
+        "11b4681ebdbb88d0964464be84b13ca7c4a9bb71c796dd80aae5991c6fa86506",
+    ),
+    (
+        ["gf", "derive", "--lhs=(1+tanh(nu*x))/2", "--order=2"],
+        0,
+        "3ce9d68c8746c6ce5381fc21b4f5647d03e51297631bd8e2d3f55334f511cf9c",
+    ),
+    (
+        ["gf", "equal", "--lhs=sin(x)", "--rhs=sin(x)"],
+        0,
+        "8ca87e7b2c293a480dd1d5308cdb676cd7ff33599a946acd00e3e0bd8b1f5012",
+    ),
+    (
+        ["gf", "equal", "--lhs=sin(x)", "--rhs=cos(x)"],
+        0,
+        "58d51d819bf9ab1acd3bbf39232bbde947a0994c0cf8fd9f3f81dfb1d485e47f",
+    ),
+    (  # equality unknown
+        [
+            "gf", "equal", "--lhs=nu*cos(nu*x)", "--rhs=0", "--algebra=generated",
+            "--generators=1+sin(nu*x)", TRIG_DOMAIN,
+        ],
+        2,
+        "62dc932772e0c94fd3529a4e2a6a7157c476a2eba7369f01aabaa43e088033f6",
+    ),
+]
+
+PINNED_DEMOS = [
+    (
+        "nosquare",
+        "dcc13e0b448584bfadb63f6b9cab176c136b56da7cad83efa40a5e7c912ec50d",
+        "f51a32dc0d0425a9c2fd2a8cbea68337dec074e90c255594be3ca0d10b994013",
+    ),
+    (
+        "no-largest-ideal",
+        "bf4d1a46886b241f45422c476b1434407c3cec289710093fe48583ebbdcb6334",
+        "f8b3149b47f410eb10af15d4048c2e0bd94c88e3d8bcd7d570a15f4fa5aaa2d8",
+    ),
+    (
+        "branching",
+        "56e58ca970bd28ce2ab92ed6513f4084da0ca9979151b4c41bb377f554261004",
+        "f8b3149b47f410eb10af15d4048c2e0bd94c88e3d8bcd7d570a15f4fa5aaa2d8",
+    ),
+    (
+        "delta-square",
+        "34ae11e71c608c1332056bad15d329b40b9a910d12343bcf87a49eed449f3576",
+        "b4e5f66c887e14ad7c2cb2a9edd0d24f5f8e13104e8014fc6ce39bd16f6483e3",
+    ),
+]
+
+
+def _sha256(data):
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv, code, digest", PINNED_REPORTS, ids=[" ".join(a) for a, _, _ in PINNED_REPORTS]
+)
+def test_report_bytes_pinned(argv, code, digest):
+    got_code, report = cli.run(argv)
+    assert got_code == code
+    assert _sha256(cli.comparable_bytes(report)) == digest
+
+
+@pytest.mark.parametrize("demo, digest, csv_digest", PINNED_DEMOS)
+def test_demo_report_and_csv_bytes_pinned(demo, digest, csv_digest, tmp_path, monkeypatch):
+    # a relative path keeps the argv, which the report echoes, the same in every run
+    monkeypatch.chdir(tmp_path)
+    code, report = cli.run(["demo", demo, "--csv=pairings.csv"])
+    assert code == 0
+    assert _sha256(cli.comparable_bytes(report)) == digest
+    assert _sha256((tmp_path / "pairings.csv").read_bytes()) == csv_digest
+
+
+def test_library_records_keep_their_dicts():
+    """Records the CLI never writes keep their report form too."""
+    domain = DomainInterval(-1.0, 1.0)
+    house = algebra.eventually_zero_algebra(domain)
+    assert house.to_dict() == {
+        "ideal": {"kind": "eventually-zero"},
+        "derivation_capable": True,
+        "domain": [-1.0, 1.0],
+    }
+    assert algebra.gf("x", house).to_dict() == {
+        "representative": {"tail": "x"},
+        "algebra": house.to_dict(),
+    }
+    assert algebra.Delta().to_dict() == {"tag": "delta"}
+    assert algebra.Heaviside().to_dict() == {"tag": "heaviside"}
+    assert algebra.DeltaDerivative(2).to_dict() == {"tag": "delta-derivative", "order": 2}
+    assert algebra.SmoothEmbed(parse("sin(x)")).to_dict() == {"tag": "smooth-embed", "psi": "sin(x)"}
+    proof = ideals.off_diagonality(ideals.EventuallyZero(), domain)
+    assert proof.to_dict()["certificate"]["kind"] == "structural"
+    unknown = ideals.membership(smooth_sequence("x"), ideals.generated_by("sin(nu*x)"))
+    assert unknown.to_dict() == {
+        "verdict": "unknown",
+        "reason": "no factorization matched; no domain given to scan",
+    }
