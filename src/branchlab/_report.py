@@ -26,6 +26,11 @@ def stage(name, stages=None):
         stages.append(entry)
 
 
+def all_passed(stages):
+    """The one verdict over a staged result: every stage passed."""
+    return all(entry["passed"] for entry in stages)
+
+
 def report_value(value):
     """Report form of one value: its own to_dict, an Enum's value, a list."""
     if type(value) in _PLAIN:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from ._report import Record, stage
+from ._report import Record, all_passed, stage
 from .expr import DomainInterval, SafetyStatus, denominator_safety, simplify
 from .ideals import (
     Closed,
@@ -403,8 +403,8 @@ def branching_demo(
         entry["records"] = separations
         entry["passed"] = witness_found
 
-    all_passed = all(entry["passed"] for entry in stages)
-    if all_passed:
+    passed = all_passed(stages)
+    if passed:
         conclusion = (
             "all representatives converge weakly to zero, yet the operation "
             "sends them to sequences with well-separated weak limits; the "
@@ -430,21 +430,25 @@ def branching_demo(
             "panel": [phi.to_dict() for phi in panel],
         },
         "stages": stages,
-        "all_stages_passed": all_passed,
+        "all_stages_passed": passed,
         "conclusion": conclusion,
     }
 
 
-def delta_square_demo(domain=None, probe=None, schedule=None, band=DELTA_SQUARE_BAND):
+def delta_square_demo(
+    domain=None, probe=None, schedule=None, band=DELTA_SQUARE_BAND, panel=None, tol=DEFAULT_TOL
+):
     """The squared delta: a healthy algebra element with no weak limit.
 
     Pairings of the squared representative against a probe grow linearly in
     the index, matching the closed-form first-order prediction
     index * probe(0) / 3, so the result cannot be identified with any
-    distribution; the algebra still holds it as an ordinary element.
+    distribution; the algebra still holds it as an ordinary element.  The
+    panel is classified too: it diverges wherever a member covers the origin.
     """
     domain = domain or DomainInterval(-1.0, 1.0)
     probe = probe or bump(0.0, 1.0, normalized=True, domain=domain)
+    panel = panel or default_panel(domain)
     schedule = tuple(schedule) if schedule is not None else DELTA_SQUARE_SCHEDULE
     algebra = eventually_zero_algebra(domain)
     delta = embed_distribution(Delta(), algebra)
@@ -479,20 +483,19 @@ def delta_square_demo(domain=None, probe=None, schedule=None, band=DELTA_SQUARE_
 
     with stage("growth-exponent", stages) as entry:
         _validate_schedule(schedule)
-        verdict = _verdict_from_table(table, DEFAULT_TOL)
+        verdict = _verdict_from_table(table, tol)
         entry["verdict"] = verdict.to_dict()
         entry["passed"] = (
             isinstance(verdict, Diverges) and abs(verdict.growth_exponent - 1.0) <= 0.1
         )
 
     with stage("panel-classification", stages) as entry:
-        panel = default_panel(domain)
-        classified = classify_membership(rep, panel, schedule)
+        classified = classify_membership(rep, panel, schedule, tol)
         entry["classification"] = classified.classification.value
         entry["passed"] = classified.classification is Classification.DIVERGENT
 
-    all_passed = all(entry["passed"] for entry in stages)
-    if all_passed:
+    passed = all_passed(stages)
+    if passed:
         conclusion = (
             "pairings of the squared delta grow like index * probe(0) / 3 "
             "with growth exponent 1 within 0.1; the square has no weak limit "
@@ -510,6 +513,6 @@ def delta_square_demo(domain=None, probe=None, schedule=None, band=DELTA_SQUARE_
             "schedule": list(schedule),
         },
         "stages": stages,
-        "all_stages_passed": all_passed,
+        "all_stages_passed": passed,
         "conclusion": conclusion,
     }

@@ -1,11 +1,13 @@
-"""Command-line surface: subcommands, config merge, JSON reports, CSV tables.
+"""Command-line surface: subcommands, settings, JSON reports, CSV tables.
 
-Reports carry a versioned schema and are byte-deterministic apart from the
-timestamp and per-stage timings; strip_volatile removes exactly those fields
-so byte comparison across runs is meaningful.  Exit codes: 0 for demo success
-and definite verdicts, 1 for usage or runtime errors (with a JSON error
-report), 2 when the demo pattern does not materialize or any reported verdict
-is not definite (tagged `unknown` or `inconclusive`).
+Every command reads its settings through one resolver (flag, then --config
+file, then the command's default) and returns its report stages; run()
+alone turns them into the exit code: 0 when every stage passed, 2 when one
+did not (an indefinite verdict, or a demo pattern that did not materialize),
+1 for usage or runtime errors, with a JSON error report.  Reports carry a
+versioned schema and are byte-deterministic apart from the timestamp and
+per-stage timings; strip_volatile removes exactly those fields so byte
+comparison across runs is meaningful.
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from . import __version__
-from ._report import Record, stage
+from ._report import all_passed, report_value, stage
 from .algebra import (
+    DELTA_SQUARE_SCHEDULE,
     AlgebraError,
     branching_demo,
     delta_square_demo,
@@ -35,6 +37,7 @@ from .algebra import (
 )
 from .expr import DomainInterval, SafetyStatus, denominator_safety
 from .ideals import (
+    DEFAULT_UNIT_MARGIN,
     derivation_closure,
     generated_by,
     no_largest_ideal_demo,
@@ -150,54 +153,48 @@ def _parse_schedule(value):
     return tuple(entries)
 
 
-def _schedule_up_to(nu_max, start_exponent=0):
+def _schedule_up_to(nu_max, first):
+    """Powers of two from `first`, itself a power of two, through nu_max."""
     entries = []
-    exponent = start_exponent
-    while 2**exponent <= nu_max:
-        entries.append(2**exponent)
-        exponent += 1
+    index = first
+    while index <= nu_max:
+        entries.append(index)
+        index *= 2
     return tuple(entries)
 
 
 # ---------------------------------------------------------------------------
-# run configuration
+# settings
 
 
-@dataclass(frozen=True)
-class RunConfig(Record):
-    """Resolved common settings; flags beat config-file values beat defaults."""
+_REQUIRED = object()  # a setting with no default: a flag or the config file must give it
+_SWEEP = {"domain": (-1.0, 1.0), "schedule": DEFAULT_SCHEDULE, "tol": DEFAULT_TOL, "panel": None}
+_CERTIFICATE = {"cell": 0.05, "nu-max": 200}
 
-    domain: DomainInterval
-    panel_spec: tuple | None
-    schedule: tuple
-    tol: float
+# the settings each command reads, in resolution order, with their defaults;
+# a sweep's `nu-max` is the other way to give its schedule
+COMMAND_SETTINGS = {
+    "limit": _SWEEP,
+    "classify": _SWEEP,
+    "ideal check": {"domain": _REQUIRED, **_CERTIFICATE, "margin": DEFAULT_UNIT_MARGIN},
+    "span independence": {"domain": (-1.0, 1.0), "x-count": 16},
+    "gf": {"domain": (-1.0, 1.0)},
+    "demo nosquare": _SWEEP,
+    "demo no-largest-ideal": {"domain": (0.0, 2.0 * math.pi), **_CERTIFICATE},
+    "demo branching": _SWEEP,
+    "demo delta-square": _SWEEP | {"schedule": DELTA_SQUARE_SCHEDULE},
+}
 
-    def __post_init__(self):
-        if not (self.tol > 0 and math.isfinite(self.tol)):
-            raise ValueError("tolerance must be finite and positive")
-        if not self.schedule:
-            raise ValueError("schedule must be nonempty")
-        if any(b <= a for a, b in zip(self.schedule, self.schedule[1:])):
-            raise ValueError("schedule must be strictly increasing")
-
-    def panel(self):
-        if self.panel_spec is None:
-            return default_panel(self.domain)
-        members = tuple(
-            bump(center, width, normalized, self.domain)
-            for center, width, normalized in self.panel_spec
-        )
-        return Panel(members, self.domain)
-
-    def to_dict(self):
-        out = {
-            "domain": self.domain.to_dict(),
-            "schedule": list(self.schedule),
-            "tol": self.tol,
-        }
-        if self.panel_spec is not None:
-            out["panel"] = [list(triple) for triple in self.panel_spec]
-        return out
+_PARSERS = {
+    "domain": _parse_domain,
+    "schedule": _parse_schedule,
+    "tol": float,
+    "panel": load_panel_spec,
+    "cell": float,
+    "nu-max": int,
+    "margin": float,
+    "x-count": int,
+}
 
 
 def _load_config_file(path):
@@ -210,31 +207,58 @@ def _load_config_file(path):
     return payload
 
 
-def _pick(args, config, name, default=None):
-    flag = getattr(args, name.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    return config.get(name, default)
+def resolve_settings(args):
+    """The command's settings: a flag beats the --config file beats the default.
+
+    A config key the command does not read is an error, never a silent
+    no-op.  A sweep's schedule comes from `schedule`, or else from `nu-max`
+    as powers of two starting at the default schedule's first index.
+    """
+    defaults = COMMAND_SETTINGS[args.command]
+    readable = set(defaults) | ({"nu-max"} if "schedule" in defaults else set())
+    config = _load_config_file(args.config)
+    unread = sorted(set(config) - readable)
+    if unread:
+        raise ValueError(f"{args.command} reads no config key {', '.join(map(repr, unread))}")
+    flags = {name: getattr(args, name.replace("-", "_")) for name in readable}
+    settings = {}
+    for name, default in defaults.items():
+        value = default
+        for layer in (flags, config):
+            if layer.get(name) is not None:
+                value = layer[name]
+                break
+            if name == "schedule" and layer.get("nu-max") is not None:
+                value = _schedule_up_to(int(layer["nu-max"]), default[0])
+                break
+        if value is _REQUIRED:
+            raise ValueError(f"{args.command} needs --{name} or a config {name!r}")
+        settings[name] = None if value is None else _PARSERS[name](value)
+    tol = settings.get("tol", DEFAULT_TOL)
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError("tolerance must be finite and positive")
+    schedule = settings.get("schedule", DEFAULT_SCHEDULE)
+    if not schedule:
+        raise ValueError("schedule must be nonempty")
+    if any(b <= a for a, b in zip(schedule, schedule[1:])):
+        raise ValueError("schedule must be strictly increasing")
+    return settings
 
 
-def resolve_config(args, default_domain=(-1.0, 1.0), schedule_start_exponent=0):
-    config = _load_config_file(getattr(args, "config", None))
-    domain = _parse_domain(_pick(args, config, "domain", default_domain))
-    schedule_value = _pick(args, config, "schedule")
-    if schedule_value is not None:
-        schedule = _parse_schedule(schedule_value)
-    else:
-        nu_max = _pick(args, config, "nu-max")
-        if nu_max is not None:
-            schedule = _schedule_up_to(int(nu_max), schedule_start_exponent)
-        elif schedule_start_exponent > 0:
-            schedule = _schedule_up_to(4096, schedule_start_exponent)
-        else:
-            schedule = DEFAULT_SCHEDULE
-    tol = float(_pick(args, config, "tol", DEFAULT_TOL))
-    panel_value = _pick(args, config, "panel")
-    panel_spec = load_panel_spec(panel_value) if panel_value is not None else None
-    return RunConfig(domain, panel_spec, schedule, tol), config
+def _settings_echo(settings):
+    """Report form of the resolved settings; an unset panel is left out."""
+    return {name: report_value(value) for name, value in settings.items() if value is not None}
+
+
+def _panel(settings):
+    domain = settings["domain"]
+    if settings["panel"] is None:
+        return default_panel(domain)
+    members = tuple(
+        bump(center, width, normalized, domain)
+        for center, width, normalized in settings["panel"]
+    )
+    return Panel(members, domain)
 
 
 # ---------------------------------------------------------------------------
@@ -272,16 +296,19 @@ def comparable_bytes(report):
     return canonical_json(strip_volatile(report)).encode("utf-8")
 
 
-def make_report(argv, config_echo, stages, conclusion):
+def make_report(argv, **body):
+    """A report: the schema header, the body's fields, and a timestamp."""
     return {
         "schema": SCHEMA,
         "version": __version__,
         "command": list(argv),
-        "config": config_echo,
-        "stages": stages,
-        "conclusion": conclusion,
+        **body,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
+
+
+def _error_report(argv, err):
+    return make_report(argv, error={"type": type(err).__name__, "message": str(err)})
 
 
 def collect_pairing_rows(report):
@@ -312,18 +339,25 @@ def write_csv(report, path):
 
 # ---------------------------------------------------------------------------
 # subcommand handlers
+#
+# Each handler returns (config echo, stages, conclusion); run() alone turns
+# the stages' `passed` flags into the exit code.
 
 
-def _cmd_limit(args, argv):
-    run_config, _ = resolve_config(args)
+def _classified(args, name):
+    """The config echo, stage and verdict of classifying --seq over the panel."""
+    settings = resolve_settings(args)
     sequence = load_sequence(args.seq)
-    panel = run_config.panel()
     entry, verdict = classify_stage(
-        "weak-limit", sequence, panel, run_config.schedule, run_config.tol
+        name, sequence, _panel(settings), settings["schedule"], settings["tol"]
     )
+    return _settings_echo(settings) | {"seq": sequence.to_dict()}, entry, verdict
+
+
+def _cmd_limit(args):
+    config_echo, entry, verdict = _classified(args, "weak-limit")
     members = [member_verdict for _, member_verdict in verdict.per_test_function]
-    definite = all(member.definite for member in members)
-    entry["passed"] = definite
+    entry["passed"] = all(member.definite for member in members)
     # convergent and weak-null both mean every member is a ConvergesTo
     if verdict.classification in (Classification.CONVERGENT, Classification.WEAK_NULL):
         limits = [member.value for member in members]
@@ -332,40 +366,25 @@ def _cmd_limit(args, argv):
             f"[{min(limits):.6g}, {max(limits):.6g}]; classification "
             f"{verdict.classification.value}"
         )
-    elif definite:
+    elif entry["passed"]:
         conclusion = (
             "at least one panel member diverges; classification "
             f"{verdict.classification.value}"
         )
     else:
         conclusion = "some panel members are inconclusive at this schedule"
-    return (
-        0 if definite else 2,
-        run_config.to_dict() | {"seq": sequence.to_dict()},
-        [entry],
-        conclusion,
-    )
+    return config_echo, [entry], conclusion
 
 
-def _cmd_classify(args, argv):
-    run_config, _ = resolve_config(args)
-    sequence = load_sequence(args.seq)
-    panel = run_config.panel()
-    entry, verdict = classify_stage(
-        "classify", sequence, panel, run_config.schedule, run_config.tol
-    )
+def _cmd_classify(args):
+    config_echo, entry, verdict = _classified(args, "classify")
     entry["passed"] = verdict.definite
-    conclusion = f"classification: {verdict.classification.value}"
-    return (
-        0 if verdict.definite else 2,
-        run_config.to_dict() | {"seq": sequence.to_dict()},
-        [entry],
-        conclusion,
-    )
+    return config_echo, [entry], f"classification: {verdict.classification.value}"
 
 
-def _cmd_ideal_check(args, argv):
-    domain = _parse_domain(args.domain)
+def _cmd_ideal_check(args):
+    settings = resolve_settings(args)
+    domain = settings["domain"]
     generators = load_sequence_list(args.generators)
     ideal = generated_by(*generators)
     stages = []
@@ -386,9 +405,9 @@ def _cmd_ideal_check(args, argv):
         verdict = off_diagonality(
             ideal,
             domain,
-            cell_width=args.cell,
-            nu_max=args.nu_max,
-            margin=args.margin,
+            cell_width=settings["cell"],
+            nu_max=settings["nu-max"],
+            margin=settings["margin"],
         )
         entry["outcome"] = verdict.to_dict()
         entry["passed"] = verdict.definite
@@ -398,48 +417,35 @@ def _cmd_ideal_check(args, argv):
         entry["outcome"] = closure.to_dict()
         entry["passed"] = closure.definite
 
-    definite = all_safe and verdict.definite and closure.definite
     conclusion = f"off-diagonality: {verdict.tag}; derivation closure: {closure.tag}"
-    config_echo = {
-        "domain": domain.to_dict(),
-        "generators": [g.to_dict() for g in generators],
-        "cell": args.cell,
-        "nu-max": args.nu_max,
-        "margin": args.margin,
-    }
-    return (0 if definite else 2, config_echo, stages, conclusion)
+    config_echo = _settings_echo(settings) | {"generators": [g.to_dict() for g in generators]}
+    return config_echo, stages, conclusion
 
 
-def _cmd_span_independence(args, argv):
-    domain = _parse_domain(args.domain if args.domain is not None else (-1.0, 1.0))
+def _cmd_span_independence(args):
+    settings = resolve_settings(args)
     first = [load_sequence(item) for item in args.first]
     second = [load_sequence(item) for item in args.second]
-    grid = SampleGrid.for_domain(domain, x_count=args.x_count)
+    grid = SampleGrid.for_domain(settings["domain"], x_count=settings["x-count"])
     stages = []
     with stage("independence", stages) as entry:
         certificate = independence_certificate(
             concat_spans(span(*first), span(*second)), grid
         )
-        trivial = certificate.status is SpanStatus.TRIVIAL_INTERSECTION
         entry["first"] = [s.to_dict() for s in first]
         entry["second"] = [s.to_dict() for s in second]
         entry["certificate"] = certificate.to_dict()
-        entry["passed"] = trivial
+        entry["passed"] = certificate.status is SpanStatus.TRIVIAL_INTERSECTION
     conclusion = (
         "the sampled evaluations have full column rank, so the two spans "
         "intersect only in zero"
-        if trivial
+        if entry["passed"]
         else "rank deficiency at this grid; independence not established"
     )
-    config_echo = {
-        "domain": domain.to_dict(),
-        "x-count": args.x_count,
-    }
-    return (0 if trivial else 2, config_echo, stages, conclusion)
+    return _settings_echo(settings), stages, conclusion
 
 
-def _gf_algebra(args):
-    domain = _parse_domain(args.domain if args.domain is not None else (-1.0, 1.0))
+def _gf_algebra(args, domain):
     if args.algebra == "eventually-zero":
         return eventually_zero_algebra(domain)
     if args.algebra == "generated":
@@ -449,22 +455,18 @@ def _gf_algebra(args):
     raise ValueError(f"unknown algebra {args.algebra!r}")
 
 
-def _cmd_gf(args, argv):
-    algebra = _gf_algebra(args)
-    config_echo = {
-        "algebra": args.algebra,
-        "domain": algebra.domain.to_dict(),
-    }
+def _cmd_gf(args):
+    settings = resolve_settings(args)
+    algebra = _gf_algebra(args, settings["domain"])
     stages = []
     with stage("gf-" + args.gf_action, stages) as entry:
         lhs = gf(load_sequence(args.lhs), algebra)
         entry["lhs"] = lhs.representative.to_dict()
+        entry["passed"] = True
         if args.gf_action == "derive":
             result = gf_derive(lhs, args.order)
             entry["order"] = args.order
             entry["result"] = result.representative.to_dict()
-            entry["passed"] = True
-            code = 0
             conclusion = f"derivative representative: {entry['result']['tail']}"
         else:
             rhs = gf(load_sequence(args.rhs), algebra)
@@ -472,36 +474,27 @@ def _cmd_gf(args, argv):
             if args.gf_action == "mul":
                 result = gf_mul(lhs, rhs)
                 entry["result"] = result.representative.to_dict()
-                entry["passed"] = True
-                code = 0
                 conclusion = f"product representative: {entry['result']['tail']}"
             else:
                 verdict = gf_equal(lhs, rhs)
                 entry["outcome"] = verdict.to_dict()
                 entry["passed"] = verdict.definite
-                code = 0 if verdict.definite else 2
                 conclusion = f"equality modulo the ideal: {verdict.tag}"
-    return (code, config_echo, stages, conclusion)
+    return _settings_echo(settings) | {"algebra": args.algebra}, stages, conclusion
 
 
-def _cmd_demo(args, argv):
+def _cmd_demo(args):
+    settings = resolve_settings(args)
+    config_echo = _settings_echo(settings)
+    domain = settings["domain"]
     name = args.demo_name
     if name == "nosquare":
-        run_config, _ = resolve_config(args)
         sequence = load_sequence(args.seq) if args.seq else None
         result = nosquare_demo(
-            run_config.domain,
-            run_config.panel(),
-            run_config.schedule,
-            run_config.tol,
-            sequence,
+            domain, _panel(settings), settings["schedule"], settings["tol"], sequence
         )
-        config_echo = run_config.to_dict()
     elif name == "no-largest-ideal":
-        domain = _parse_domain(
-            args.domain if args.domain is not None else (0.0, 2.0 * math.pi)
-        )
-        kwargs = {"domain": domain, "cell_width": args.cell, "nu_max": args.nu_max}
+        kwargs = {"domain": domain, "cell_width": settings["cell"], "nu_max": settings["nu-max"]}
         if args.generators:
             generators = load_sequence_list(args.generators)
             if len(generators) != 2:
@@ -509,33 +502,28 @@ def _cmd_demo(args, argv):
             kwargs["first_generator"] = generators[0]
             kwargs["second_generator"] = generators[1]
         result = no_largest_ideal_demo(**kwargs)
-        config_echo = {
-            "domain": domain.to_dict(),
-            "cell": args.cell,
-            "nu-max": args.nu_max,
-        }
     elif name == "branching":
-        run_config, _ = resolve_config(args)
         representatives = (
             load_sequence_list(args.reps) if args.reps is not None else None
         )
         result = branching_demo(
             representatives,
             args.op,
-            run_config.domain,
-            run_config.panel(),
-            run_config.schedule if args.schedule or args.nu_max else None,
-            run_config.tol,
+            domain,
+            _panel(settings),
+            settings["schedule"],
+            settings["tol"],
         )
-        config_echo = run_config.to_dict() | {"op": args.op}
+        config_echo["op"] = args.op
     else:
-        run_config, _ = resolve_config(args, schedule_start_exponent=2)
-        result = delta_square_demo(run_config.domain, schedule=run_config.schedule)
-        config_echo = run_config.to_dict()
-
+        result = delta_square_demo(
+            domain,
+            schedule=settings["schedule"],
+            panel=_panel(settings),
+            tol=settings["tol"],
+        )
     config_echo["parameters"] = result["parameters"]
-    code = 0 if result["all_stages_passed"] else 2
-    return (code, config_echo, result["stages"], result["conclusion"], result)
+    return config_echo, result["stages"], result["conclusion"]
 
 
 # ---------------------------------------------------------------------------
@@ -580,13 +568,13 @@ def build_parser():
     limit.add_argument("--seq", required=True, help="sequence literal or file")
     _add_sweep_flags(limit)
     _add_common(limit)
-    limit.set_defaults(handler=_cmd_limit)
+    limit.set_defaults(handler=_cmd_limit, command="limit")
 
     classify = subparsers.add_parser("classify", help="weak-convergence class")
     classify.add_argument("--seq", required=True, help="sequence literal or file")
     _add_sweep_flags(classify)
     _add_common(classify)
-    classify.set_defaults(handler=_cmd_classify)
+    classify.set_defaults(handler=_cmd_classify, command="classify")
 
     ideal = subparsers.add_parser("ideal", help="ideal admissibility checks")
     ideal_sub = ideal.add_subparsers(dest="ideal_action", required=True)
@@ -594,12 +582,12 @@ def build_parser():
     check.add_argument(
         "--generators", required=True, help="comma-separated expressions or files"
     )
-    check.add_argument("--domain", required=True, help='domain interval "lower,upper"')
-    check.add_argument("--cell", type=float, default=0.05, help="certificate cell width")
-    check.add_argument("--nu-max", type=int, default=200, help="certificate index cap")
-    check.add_argument("--margin", type=float, default=0.1, help="unit-search margin")
+    check.add_argument("--domain", help='domain interval "lower,upper"')
+    check.add_argument("--cell", type=float, help="certificate cell width")
+    check.add_argument("--nu-max", type=int, help="certificate index cap")
+    check.add_argument("--margin", type=float, help="unit-search margin")
     _add_common(check)
-    check.set_defaults(handler=_cmd_ideal_check)
+    check.set_defaults(handler=_cmd_ideal_check, command="ideal check")
 
     span_cmd = subparsers.add_parser("span", help="finite-span diagnostics")
     span_sub = span_cmd.add_subparsers(dest="span_action", required=True)
@@ -613,9 +601,9 @@ def build_parser():
         "--second", action="append", required=True, help="basis sequence (repeatable)"
     )
     independence.add_argument("--domain", help='domain interval "lower,upper"')
-    independence.add_argument("--x-count", type=int, default=16)
+    independence.add_argument("--x-count", type=int, help="sample points per index")
     _add_common(independence)
-    independence.set_defaults(handler=_cmd_span_independence)
+    independence.set_defaults(handler=_cmd_span_independence, command="span independence")
 
     gf_cmd = subparsers.add_parser("gf", help="generalized-function operations")
     gf_sub = gf_cmd.add_subparsers(dest="gf_action", required=True)
@@ -634,7 +622,7 @@ def build_parser():
         sub.add_argument("--generators", help="generators for --algebra generated")
         sub.add_argument("--domain", help='domain interval "lower,upper"')
         _add_common(sub)
-        sub.set_defaults(handler=_cmd_gf)
+        sub.set_defaults(handler=_cmd_gf, command="gf")
 
     demo = subparsers.add_parser("demo", help="scripted demonstrations")
     demo_sub = demo.add_subparsers(dest="demo_name", required=True)
@@ -643,27 +631,27 @@ def build_parser():
     nosquare.add_argument("--seq", help="substitute base sequence")
     _add_sweep_flags(nosquare)
     _add_common(nosquare)
-    nosquare.set_defaults(handler=_cmd_demo)
+    nosquare.set_defaults(handler=_cmd_demo, command="demo nosquare")
 
     no_largest = demo_sub.add_parser("no-largest-ideal", help="improper ideal sum")
     no_largest.add_argument("--generators", help="two comma-separated generators")
     no_largest.add_argument("--domain", help='domain interval "lower,upper"')
-    no_largest.add_argument("--cell", type=float, default=0.05)
-    no_largest.add_argument("--nu-max", type=int, default=200)
+    no_largest.add_argument("--cell", type=float, help="certificate cell width")
+    no_largest.add_argument("--nu-max", type=int, help="certificate index cap")
     _add_common(no_largest)
-    no_largest.set_defaults(handler=_cmd_demo)
+    no_largest.set_defaults(handler=_cmd_demo, command="demo no-largest-ideal")
 
     branching = demo_sub.add_parser("branching", help="representative-dependent limits")
     branching.add_argument("--reps", help="JSON array, comma list, or file")
     branching.add_argument("--op", default="u^2", help="outer expression in u")
     _add_sweep_flags(branching)
     _add_common(branching)
-    branching.set_defaults(handler=_cmd_demo)
+    branching.set_defaults(handler=_cmd_demo, command="demo branching")
 
     delta_square = demo_sub.add_parser("delta-square", help="squared delta pairings")
     _add_sweep_flags(delta_square)
     _add_common(delta_square)
-    delta_square.set_defaults(handler=_cmd_demo)
+    delta_square.set_defaults(handler=_cmd_demo, command="demo delta-square")
 
     return parser
 
@@ -677,39 +665,33 @@ def _parser():
 def run(argv):
     """Execute one command; returns (exit code, report or None).
 
-    The report is None only for --help and --version, which exit 0.
+    Exit 0 exactly when every stage passed, 2 when one did not, 1 with an
+    error report when the command failed.  The report is None only for
+    --help and --version, which exit 0.
     """
+    args = None
     try:
         args = _parser().parse_args(argv)
-        outcome = args.handler(args, argv)
-        code, config_echo, stages, conclusion = outcome[:4]
-        report = make_report(argv, config_echo, stages, conclusion)
-        if len(outcome) == 5:
-            report["all_stages_passed"] = outcome[4]["all_stages_passed"]
-        if getattr(args, "out", None):
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(canonical_json(report))
-        if getattr(args, "csv", None):
+        config_echo, stages, conclusion = args.handler(args)
+        passed = all_passed(stages)
+        code = 0 if passed else 2
+        report = make_report(argv, config=config_echo, stages=stages, conclusion=conclusion)
+        if args.subcommand == "demo":
+            report["all_stages_passed"] = passed
+        if args.csv:
             write_csv(report, args.csv)
-        return (code, report)
     except SystemExit as err:
         return (0 if err.code == 0 else 1, None)
     except (ValueError, TypeError, OSError, AlgebraError, ArithmeticError, RecursionError) as err:
-        report = {
-            "schema": SCHEMA,
-            "version": __version__,
-            "command": list(argv),
-            "error": {"type": type(err).__name__, "message": str(err)},
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-        }
-        out = getattr(args, "out", None) if "args" in locals() else None
-        if out:
-            try:
-                with open(out, "w", encoding="utf-8") as handle:
-                    handle.write(canonical_json(report))
-            except OSError:
-                pass
-        return (1, report)
+        code, report = 1, _error_report(argv, err)
+    if getattr(args, "out", None):
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(canonical_json(report))
+        except OSError as err:
+            if code != 1:  # a failed command keeps the error that ended it
+                code, report = 1, _error_report(argv, err)
+    return (code, report)
 
 
 def main(argv=None):

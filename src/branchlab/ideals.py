@@ -29,7 +29,7 @@ import numpy as np
 
 from . import expr as ex
 from ._numutil import refine_min_abs
-from ._report import Record, Unknown, stage
+from ._report import Record, Unknown, all_passed, stage
 from .expr import DomainInterval, Num, from_sum_terms, simplify, sum_terms, to_string
 from .sequences import (
     SmoothSequence,
@@ -673,8 +673,8 @@ def no_largest_ideal_demo(
         entry["outcome"] = unit.to_dict() if unit else {"witness": None}
         entry["passed"] = unit is not None
 
-    all_passed = all(entry["passed"] for entry in stages)
-    if all_passed:
+    passed = all_passed(stages)
+    if passed:
         conclusion = (
             "both ideals admit zero-density certificates, yet their sum contains "
             f"a combination bounded below by {unit.lower_bound:.6f} > 0; the sum "
@@ -697,6 +697,6 @@ def no_largest_ideal_demo(
             "nu_max": nu_max,
         },
         "stages": stages,
-        "all_stages_passed": all_passed,
+        "all_stages_passed": passed,
         "conclusion": conclusion,
     }

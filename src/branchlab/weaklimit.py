@@ -1,11 +1,11 @@
 """Weak-limit evidence for sequences paired against test-function panels.
 
 A verdict is computed per test function from the pairing values along a
-geometric index schedule: convergence when the last three pairings agree
-within tolerance (and their quadrature estimates are below it), divergence
-when the magnitudes grow monotonically with a stable positive log-log slope,
-inconclusive otherwise.  Everything here is finite evidence at the schedule's
-resolution, never a proof about the limit.
+geometric index schedule: divergence when the magnitudes grow monotonically
+with a stable positive log-log slope, else convergence when the last three
+pairings agree within tolerance (and their quadrature estimates are below
+it), inconclusive otherwise.  Everything here is finite evidence at the
+schedule's resolution, never a proof about the limit.
 
 Each pairing is computed once: a classification keeps the per-member tables
 its verdicts came from, and a report stage's `pairings` rows are exactly
@@ -19,7 +19,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._report import Record, Unknown, stage
+from ._report import Record, Unknown, all_passed, stage
 from .expr import DomainInterval
 from .pairing import default_panel, pair_with_estimate
 from .sequences import seq_mul, smooth_sequence
@@ -69,15 +69,12 @@ def pairing_table(s, phi, schedule):
 
 
 def _verdict_from_table(table, tol):
+    """Growth is tested first, so no tolerance can settle a stable power law."""
     values = [v for _, v, _ in table]
     estimates = [e for _, _, e in table]
-    last = values[-3:]
-    spread = max(last) - min(last)
-    if spread <= tol and max(estimates[-3:]) <= tol:
-        return ConvergesTo(values[-1], max(spread, max(estimates[-3:])))
-    magnitudes = [abs(v) for v in values]
-    window = magnitudes[-6:]
-    if all(b > a for a, b in zip(window, window[1:])) and all(m > 0 for m in window):
+    window = [abs(v) for v in values[-6:]]
+    growing = all(b > a for a, b in zip(window, window[1:])) and all(m > 0 for m in window)
+    if growing:
         logs_n = np.log([index for index, _, _ in table[-6:]])
         logs_p = np.log(window)
         slope, intercept = np.polyfit(logs_n, logs_p, 1)
@@ -86,6 +83,11 @@ def _verdict_from_table(table, tol):
         )
         if residual < MAX_FIT_RESIDUAL and slope > MIN_GROWTH_EXPONENT:
             return Diverges(float(slope), residual)
+    last = values[-3:]
+    spread = max(last) - min(last)
+    if spread <= tol and max(estimates[-3:]) <= tol:
+        return ConvergesTo(values[-1], max(spread, max(estimates[-3:])))
+    if growing:
         return Inconclusive("monotone growth without a stable power law")
     return Inconclusive("pairings neither settle nor grow monotonically")
 
@@ -189,9 +191,11 @@ def nosquare_demo(domain=None, panel=None, schedule=None, tol=DEFAULT_TOL, seque
     square = seq_mul(base, base)
 
     base_stage, base_verdict = classify_stage("classify-base", base, panel, schedule, tol)
+    base_stage["passed"] = base_verdict.classification is Classification.WEAK_NULL
     square_stage, square_verdict = classify_stage(
         "classify-square", square, panel, schedule, tol
     )
+    square_stage["passed"] = square_verdict.classification is Classification.CONVERGENT
     stages = [base_stage, square_stage]
 
     with stage("square-limits-vs-half-mass", stages) as half_stage:
@@ -207,12 +211,12 @@ def nosquare_demo(domain=None, panel=None, schedule=None, tol=DEFAULT_TOL, seque
                 entry["deviation"] = abs(verdict.value - expected)
             half_mass.append(entry)
         half_stage["entries"] = half_mass
+        half_stage["passed"] = all(
+            "deviation" in entry and entry["deviation"] <= 1e-3 for entry in half_mass
+        )
 
-    base_ok = base_verdict.classification is Classification.WEAK_NULL
-    square_ok = square_verdict.classification is Classification.CONVERGENT and all(
-        "deviation" in entry and entry["deviation"] <= 1e-3 for entry in half_mass
-    )
-    if base_ok and square_ok:
+    passed = all_passed(stages)
+    if passed:
         conclusion = (
             "the base sequence is weak-null but its square settles at half the "
             "test-function mass on every panel member; a multiplication that "
@@ -234,6 +238,6 @@ def nosquare_demo(domain=None, panel=None, schedule=None, tol=DEFAULT_TOL, seque
             "panel": panel.to_dict(),
         },
         "stages": stages,
-        "all_stages_passed": bool(base_ok and square_ok),
+        "all_stages_passed": passed,
         "conclusion": conclusion,
     }

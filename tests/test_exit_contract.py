@@ -3,14 +3,17 @@
 Generated expressions and junk flag values go through `cli.main`.  Whatever
 the input, the exit code is 0, 1 or 2, stdout holds exactly one canonical
 JSON report, and running the same argv again gives the same comparable
-bytes.  `--help` and `--version` are the only inputs without a report, and
+bytes.  A report that is not an error exits 0 exactly when every stage
+passed.  `--help` and `--version` are the only inputs without a report, and
 the strategies never produce them.
 """
 
 import contextlib
 import io
 import json
+import os
 import random
+import tempfile
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -31,6 +34,32 @@ SCHEDULES = (
 )
 ORDERS = (("0", "1", "2", "3"), ("-1", "x", "1.5"))
 X_COUNTS = (("2", "16"), ("1", "0", "-3", "a"))
+# certificate and demo resolutions stay small, so an example costs milliseconds
+CELLS = (("0.25", "0.5"), ("0", "-0.1", "inf", "nan", "x"))
+CERTIFICATE_NU_MAX = (("8", "16"), ("0", "-4", "x"))
+DEMO_NU_MAX = (("32", "64", "128"), ("0", "4", "x"))
+# its schedule starts at 4 and needs six indices
+DELTA_SQUARE_NU_MAX = (("128", "256"), ("0", "64", "x"))
+MARGINS = (("0.1", "0.5"), ("0", "-1", "inf", "x"))
+GENERATORS = (
+    "sin(nu*x)", "1+sin(nu*x)", "x", "nu*x", "1+sin(nu*x),1+cos(nu*x)",
+    "sin(nu*x),cos(nu*x)", "1/x", "(x", "",
+)
+GENERATOR_PAIRS = (
+    "1+sin(nu*x),1+cos(nu*x)", "sin(nu*x),cos(nu*x)", "1+sin(nu*x),1+sin(nu*x)",
+    "1+sin(nu*x+1),1+cos(nu*x+1)", "x,1", "x",
+)
+# config file values: the ones a command accepts, then ones it must refuse
+CONFIG_VALUES = {
+    "domain": (("-1,1", [-1, 1], "-1.5,2"), ("1,0", "a", [1], "", [0, "x"])),
+    "tol": ((1e-4, 0.5, "1e-3"), ("abc", 0, -1, "inf", [1])),
+    "schedule": (("1,2,4,8,16,32", [4, 8, 16, 32, 64, 128]), ("1,2,3", "a", [], {})),
+    "nu-max": ((16, 32, "64"), ("x", -1, [2])),
+    "cell": ((0.25, 0.5), (0, "nan", "x")),
+    "margin": ((0.1, 0.5), (-1, "x")),
+    "x-count": ((8, 16), (0, "a")),
+    "panel": (("[[0,1]]", [[-0.5, 0.5], [0.5, 0.5, False]]), ("[[0,0.1]]", "x", [[0]])),
+}
 
 # the alphabet holds no letters of a flag name, so junk never spells an option
 junk_text = st.text(alphabet="xnu+-*/^()0123456789.,{}[] ", min_size=1, max_size=12)
@@ -86,6 +115,61 @@ def argvs(draw):
     return argv
 
 
+@st.composite
+def config_payloads(draw, command):
+    """A config object: keys the command reads, with good or junk values, maybe one it does not."""
+    keys = set(cli.COMMAND_SETTINGS[command])
+    if "schedule" in keys:
+        keys.add("nu-max")
+    if not draw(st.integers(0, 7)):
+        keys = set(CONFIG_VALUES)
+    payload = {}
+    for key in draw(st.lists(st.sampled_from(sorted(keys)), max_size=3, unique=True)):
+        accepted, refused = CONFIG_VALUES[key]
+        pool = accepted if draw(st.integers(0, 5)) else refused
+        payload[key] = draw(st.sampled_from(pool))
+    if draw(st.integers(0, 7)) == 0:
+        payload["bogus-knob"] = 1
+    return payload
+
+
+@st.composite
+def certificate_and_demo_argvs(draw):
+    """ideal check and the four demos at a small fixed resolution, maybe with a config."""
+    command = draw(st.sampled_from(
+        ("ideal", "nosquare", "no-largest-ideal", "branching", "delta-square")
+    ))
+    if command == "ideal":
+        generators = draw(st.sampled_from(GENERATORS)) if draw(st.booleans()) else draw(expressions())
+        argv = ["ideal", "check", "--generators=" + generators, "--domain=-1,1"]
+        argv += _flag(draw, "cell", CELLS) + _flag(draw, "nu-max", CERTIFICATE_NU_MAX)
+        if draw(st.booleans()):
+            argv += _flag(draw, "margin", MARGINS)
+    elif command == "no-largest-ideal":
+        argv = ["demo", command]
+        if draw(st.booleans()):
+            argv += ["--generators=" + draw(st.sampled_from(GENERATOR_PAIRS))]
+        argv += _flag(draw, "cell", CELLS) + _flag(draw, "nu-max", CERTIFICATE_NU_MAX)
+    else:
+        argv = ["demo", command]
+        if command == "nosquare" and draw(st.booleans()):
+            argv += ["--seq=" + draw(expressions())]
+        if command == "branching" and draw(st.booleans()):
+            argv += ["--reps=" + draw(expressions()) + "," + draw(expressions())]
+        if command == "branching" and draw(st.booleans()):
+            argv += ["--op=" + draw(st.sampled_from(("u^2", "u^3", "sin(u)", "x", "(u")))]
+        if draw(st.booleans()):
+            argv += _flag(draw, "tol", TOLERANCES)
+        nu_max = DELTA_SQUARE_NU_MAX if command == "delta-square" else DEMO_NU_MAX
+        argv += _flag(draw, "nu-max", nu_max)
+    roll = draw(st.integers(0, 5))
+    if roll < 2:
+        return argv, None
+    if roll == 2:
+        return argv, "missing"
+    return argv, draw(config_payloads(" ".join(argv[:2])))
+
+
 def _main(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -109,3 +193,37 @@ def test_every_argv_ends_in_one_report_and_a_contract_code(argv):
     again_code, again = cli.run(argv)
     assert again_code == code
     assert cli.comparable_bytes(again) == cli.comparable_bytes(report)
+    if code != 1:
+        assert (code == 0) == all(stage["passed"] for stage in report["stages"])
+
+
+@settings(
+    max_examples=120,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(certificate_and_demo_argvs())
+def test_certificates_and_demos_end_in_one_report_and_a_contract_code(drawn):
+    argv, config = drawn
+    with tempfile.TemporaryDirectory() as scratch:
+        path = os.path.join(scratch, "settings.json")
+        if config is not None and config != "missing":
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(config, handle)
+        if config is not None:
+            argv = argv + ["--config=" + path]
+        code, text = _main(argv)
+        assert code in (0, 1, 2)
+        report = json.loads(text)
+        assert text == cli.canonical_json(report)
+        assert ("error" in report) == (code == 1)
+        if config == "missing" or (config and "bogus-knob" in config):
+            assert code == 1
+        if code != 1:
+            assert (code == 0) == all(stage["passed"] for stage in report["stages"])
+            if argv[0] == "demo":
+                assert report["all_stages_passed"] is (code == 0)
+        again_code, again = cli.run(argv)
+        assert again_code == code
+        assert cli.comparable_bytes(again) == cli.comparable_bytes(report)

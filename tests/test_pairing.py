@@ -117,6 +117,42 @@ def test_integrate_rejects_non_finite_samples():
         pairing.integrate(lambda xs: np.full_like(xs, np.nan), 0.0, 1.0)
 
 
+def _two_grid_simpson(f, lower, upper, hint):
+    """The rule sampled on two grids: n panels, then 2n, each read on its own."""
+    width = upper - lower
+    step = min(width / 50.0, 2.0 * math.pi / hint / 16.0)
+    panels = int(math.ceil(width / step))
+    panels += panels % 2
+
+    def simpson(n):
+        ys = f(np.linspace(lower, upper, n + 1))
+        weights = np.ones(n + 1)
+        weights[1:-1:2] = 4.0
+        weights[2:-1:2] = 2.0
+        return float(np.sum(weights * ys) * ((upper - lower) / n) / 3.0)
+
+    coarse, fine = simpson(panels), simpson(2 * panels)
+    return fine, abs(fine - coarse)
+
+
+@pytest.mark.parametrize("tail", ["cos(nu*x)", "cos(nu*x)^2", "nu/(2*cosh(nu*x)^2)", "x^3"])
+@pytest.mark.parametrize("index", [1, 3, 16, 256])
+def test_integrate_samples_its_integrand_once(tail, index):
+    s = bl.smooth_sequence(tail)
+    phi = pairing.bump(0.2, 0.7)
+    calls = []
+
+    def integrand(xs):
+        calls.append(len(xs))
+        return s.term_values(index, xs) * phi.values(xs)
+
+    got = pairing.integrate(integrand, *phi.support, oscillation_hint=index)
+    (nodes,) = calls
+    assert nodes % 2 == 1
+    # the fine grid's even nodes are the coarse grid, bit for bit
+    assert got == _two_grid_simpson(integrand, *phi.support, index)
+
+
 def test_pair_constant_sequence():
     phi = pairing.bump(0.0, 1.0)
     assert pairing.pair(bl.diagonal("1"), 1, phi) == pytest.approx(1.0, abs=1e-6)

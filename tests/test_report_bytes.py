@@ -84,9 +84,9 @@ PINNED_REPORTS = [
 ]
 
 PINNED_DEMOS = [
-    (
+    (  # re-recorded when its three stages gained "passed"; the CSV did not move
         "nosquare",
-        "dcc13e0b448584bfadb63f6b9cab176c136b56da7cad83efa40a5e7c912ec50d",
+        "482a2ef8cdf5fc17a6fe0aa4572be145fd1cf4563560ac47d6134d5bf89b4729",
         "f51a32dc0d0425a9c2fd2a8cbea68337dec074e90c255594be3ca0d10b994013",
     ),
     (

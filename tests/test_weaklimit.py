@@ -51,6 +51,39 @@ def test_x_free_oscillator_is_inconclusive():
     assert verdict.reason
 
 
+@pytest.mark.parametrize(
+    "tail, tol",
+    [
+        # a tolerance above the last spread once settled a growing table as weak-null
+        ("nu^2", 1e300),
+        # pairings that grow linearly but stay below the default tolerance
+        ("x*nu/1e9", wl.DEFAULT_TOL),
+    ],
+)
+def test_growth_is_tested_before_convergence(tail, tol):
+    panel = pairing.default_panel(DOM)
+    verdict = wl.classify_membership(bl.smooth_sequence(tail), panel, tol=tol)
+    assert verdict.classification is wl.Classification.DIVERGENT
+    for _, member in verdict.per_test_function:
+        assert isinstance(member, wl.Diverges)
+        assert member.growth_exponent > 0.9
+
+
+def _table(values):
+    return [(2**k, value, 0.0) for k, value in enumerate(values)]
+
+
+def test_slow_creep_still_settles():
+    # monotone growth too slow to be a power law falls through to convergence
+    creeping = _table([1.0 - 2.0 ** -(k + 10) for k in range(13)])
+    verdict = wl._verdict_from_table(creeping, wl.DEFAULT_TOL)
+    assert isinstance(verdict, wl.ConvergesTo)
+    assert verdict.value == pytest.approx(1.0, abs=1e-6)
+    unsettled = wl._verdict_from_table(creeping, 1e-12)
+    assert isinstance(unsettled, wl.Inconclusive)
+    assert unsettled.reason == "monotone growth without a stable power law"
+
+
 def test_schedule_validation():
     s = bl.smooth_sequence("cos(nu*x)")
     with pytest.raises(ValueError):
