@@ -5,9 +5,11 @@ from __future__ import annotations
 import math
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+BISECT_ITERATIONS = 200
+GOLDEN_ITERATIONS = 90
 
 
-def bisect_root(f, lo, hi, iterations=200):
+def bisect_root(f, lo, hi):
     """Bisection on a sign change; returns the midpoint of the final bracket."""
     flo = f(lo)
     fhi = f(hi)
@@ -17,7 +19,7 @@ def bisect_root(f, lo, hi, iterations=200):
         return hi
     if flo * fhi > 0:
         raise ValueError("no sign change on the bracket")
-    for _ in range(iterations):
+    for _ in range(BISECT_ITERATIONS):
         mid = 0.5 * (lo + hi)
         fmid = f(mid)
         if fmid == 0.0:
@@ -31,13 +33,13 @@ def bisect_root(f, lo, hi, iterations=200):
     return 0.5 * (lo + hi)
 
 
-def golden_min(g, lo, hi, iterations=90):
+def golden_min(g, lo, hi):
     """Golden-section minimum of g on [lo, hi]; assumes local unimodality."""
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
     gc, gd = g(c), g(d)
-    for _ in range(iterations):
+    for _ in range(GOLDEN_ITERATIONS):
         if gc < gd:
             b, d, gd = d, c, gc
             c = b - _GOLDEN * (b - a)
@@ -52,7 +54,7 @@ def golden_min(g, lo, hi, iterations=90):
     return mid, g(mid)
 
 
-def refine_min_abs(f, lo, hi, iterations=90):
+def refine_min_abs(f, lo, hi):
     """Point in [lo, hi] where |f| is (locally) smallest.
 
     Uses bisection when f changes sign on the bracket (exact root, tangential
@@ -67,7 +69,7 @@ def refine_min_abs(f, lo, hi, iterations=90):
     if math.isfinite(flo) and math.isfinite(fhi) and flo * fhi < 0:
         root = bisect_root(f, lo, hi)
         return root, abs(f(root))
-    point, value = golden_min(lambda t: abs(f(t)), lo, hi, iterations)
+    point, value = golden_min(lambda t: abs(f(t)), lo, hi)
     for candidate in (lo, hi):
         cv = abs(f(candidate))
         if cv < value:

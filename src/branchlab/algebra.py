@@ -18,7 +18,7 @@ import numpy as np
 
 from . import expr as ex
 from ._report import Record, all_passed, stage
-from .expr import DomainInterval, SafetyStatus, denominator_safety, simplify
+from .expr import DEFAULT_DOMAIN, DomainInterval, SafetyStatus, denominator_safety, simplify
 from .ideals import (
     Closed,
     EventuallyZero,
@@ -38,13 +38,14 @@ from .sequences import (
     smooth_sequence,
 )
 from .weaklimit import (
+    DEFAULT_SCHEDULE,
     DEFAULT_TOL,
     Classification,
     Diverges,
-    _validate_schedule,
     _verdict_from_table,
     classify_membership,
     pairing_table,
+    validate_schedule,
 )
 
 GRID_POINTS = 256
@@ -71,7 +72,7 @@ class AlgebraConfig(Record):
     domain: DomainInterval
 
 
-def make_algebra(ideal, domain, **off_diag_params):
+def make_algebra(ideal, domain):
     """Quotient algebra over an ideal that passes the admissibility gate.
 
     The ideal must certify off-diagonal (meeting the diagonal constants only
@@ -79,7 +80,7 @@ def make_algebra(ideal, domain, **off_diag_params):
     functions and the construction is refused.  Derivation capability is
     recorded from the closure check, not assumed.
     """
-    verdict = off_diagonality(ideal, domain, **off_diag_params)
+    verdict = off_diagonality(ideal, domain)
     if not isinstance(verdict, OffDiagonal):
         raise AlgebraError(
             "ideal failed the off-diagonality gate: " + str(verdict.to_dict())
@@ -88,9 +89,8 @@ def make_algebra(ideal, domain, **off_diag_params):
     return AlgebraConfig(ideal, isinstance(closure, Closed), domain)
 
 
-def eventually_zero_algebra(domain=None):
+def eventually_zero_algebra(domain=DEFAULT_DOMAIN):
     """The house algebra: decidable equality, derivation-capable."""
-    domain = domain or DomainInterval(-1.0, 1.0)
     return AlgebraConfig(EventuallyZero(), True, domain)
 
 
@@ -250,7 +250,7 @@ def embed_distribution(tag, algebra):
     return GeneralizedFunction(rep, algebra)
 
 
-def smooth_mult_consistency(psi, chi, domain=None, grid_points=GRID_POINTS):
+def smooth_mult_consistency(psi, chi, domain=DEFAULT_DOMAIN):
     """Check that embedding preserves products of smooth functions.
 
     The product of the diagonal embeddings must match the embedding of the
@@ -258,7 +258,6 @@ def smooth_mult_consistency(psi, chi, domain=None, grid_points=GRID_POINTS):
     (the grid compares the two evaluation orders, not the simplified
     difference, so it is not vacuous).
     """
-    domain = domain or DomainInterval(-1.0, 1.0)
     psi = ex.parse(psi) if isinstance(psi, str) else ex.as_expr(psi)
     chi = ex.parse(chi) if isinstance(chi, str) else ex.as_expr(chi)
     for candidate in (psi, chi):
@@ -268,7 +267,7 @@ def smooth_mult_consistency(psi, chi, domain=None, grid_points=GRID_POINTS):
     rhs = diagonal(simplify(psi * chi))
     difference = lhs - rhs
     structural = ex.is_zero(simplify(difference.tail))
-    xs = domain.interior_grid(grid_points)
+    xs = domain.interior_grid(GRID_POINTS)
     lhs_values = lhs.term_values(1, xs)
     rhs_values = rhs.term_values(1, xs)
     finite = np.isfinite(lhs_values) & np.isfinite(rhs_values)
@@ -295,9 +294,9 @@ def smooth_mult_consistency(psi, chi, domain=None, grid_points=GRID_POINTS):
 def branching_demo(
     representatives=None,
     operation="u^2",
-    domain=None,
+    domain=DEFAULT_DOMAIN,
     panel=None,
-    schedule=None,
+    schedule=DEFAULT_SCHEDULE,
     tol=DEFAULT_TOL,
 ):
     """Distinct distributional outcomes of one operation on equal inputs.
@@ -308,7 +307,6 @@ def branching_demo(
     limit the quotient algebra selects depends on which representatives the
     ideal identifies, and no choice is canonical.
     """
-    domain = domain or DomainInterval(-1.0, 1.0)
     panel = panel or default_panel(domain)
     if representatives is None:
         representatives = (smooth_sequence("cos(nu*x)"), smooth_sequence("0"))
@@ -323,20 +321,12 @@ def branching_demo(
     stages = []
 
     with stage("classify-representatives", stages) as entry:
-        base_records = []
-        all_null = True
-        for s in representatives:
-            verdict = classify_membership(s, panel, schedule, tol)
-            null = verdict.classification is Classification.WEAK_NULL
-            all_null = all_null and null
-            base_records.append(
-                {
-                    "sequence": s.to_dict(),
-                    "classification": verdict.classification.value,
-                    "weak_null": null,
-                }
-            )
-        entry["records"] = base_records
+        verdicts = [classify_membership(s, panel, schedule, tol) for s in representatives]
+        entry["records"] = [
+            {"sequence": s.to_dict(), **verdict.to_dict()}
+            for s, verdict in zip(representatives, verdicts)
+        ]
+        all_null = all(v.classification is Classification.WEAK_NULL for v in verdicts)
         entry["passed"] = all_null
 
     with stage("apply-operation", stages) as entry:
@@ -361,16 +351,7 @@ def branching_demo(
                 if definite
                 else (None, None)
             )
-            squared_records.append(
-                {
-                    "sequence": transformed.to_dict(),
-                    "classification": verdict.classification.value,
-                    "per_test_function": [
-                        {"center": phi.center, "width": phi.width, "verdict": v.to_dict()}
-                        for phi, v in verdict.per_test_function
-                    ],
-                }
-            )
+            squared_records.append({"sequence": transformed.to_dict(), **verdict.to_dict()})
         entry["records"] = squared_records
         entry["passed"] = all_definite
 
@@ -436,20 +417,21 @@ def branching_demo(
 
 
 def delta_square_demo(
-    domain=None, probe=None, schedule=None, band=DELTA_SQUARE_BAND, panel=None, tol=DEFAULT_TOL
+    domain=DEFAULT_DOMAIN, schedule=DELTA_SQUARE_SCHEDULE, panel=None, tol=DEFAULT_TOL
 ):
     """The squared delta: a healthy algebra element with no weak limit.
 
-    Pairings of the squared representative against a probe grow linearly in
-    the index, matching the closed-form first-order prediction
-    index * probe(0) / 3, so the result cannot be identified with any
-    distribution; the algebra still holds it as an ordinary element.  The
-    panel is classified too: it diverges wherever a member covers the origin.
+    Pairings of the squared representative against the normalized bump on
+    [-1, 1] grow linearly in the index, matching the closed-form first-order
+    prediction index * probe(0) / 3 within DELTA_SQUARE_BAND, so the result
+    cannot be identified with any distribution; the algebra still holds it as
+    an ordinary element.  The panel is classified too: it diverges wherever a
+    member covers the origin.
     """
-    domain = domain or DomainInterval(-1.0, 1.0)
-    probe = probe or bump(0.0, 1.0, normalized=True, domain=domain)
+    probe = bump(0.0, 1.0, normalized=True, domain=domain)
     panel = panel or default_panel(domain)
-    schedule = tuple(schedule) if schedule is not None else DELTA_SQUARE_SCHEDULE
+    schedule = tuple(schedule)
+    validate_schedule(schedule)
     algebra = eventually_zero_algebra(domain)
     delta = embed_distribution(Delta(), algebra)
     squared = gf_mul(delta, delta)
@@ -465,7 +447,7 @@ def delta_square_demo(
         for index, value, estimate in table:
             expected = index * probe_height / 3.0
             deviation = abs(value - expected) / abs(expected)
-            within_band = within_band and deviation <= band
+            within_band = within_band and deviation <= DELTA_SQUARE_BAND
             rows.append(
                 {
                     "nu": index,
@@ -478,11 +460,10 @@ def delta_square_demo(
                 }
             )
         entry["records"] = rows
-        entry["band"] = band
+        entry["band"] = DELTA_SQUARE_BAND
         entry["passed"] = within_band
 
     with stage("growth-exponent", stages) as entry:
-        _validate_schedule(schedule)
         verdict = _verdict_from_table(table, tol)
         entry["verdict"] = verdict.to_dict()
         entry["passed"] = (
@@ -491,7 +472,7 @@ def delta_square_demo(
 
     with stage("panel-classification", stages) as entry:
         classified = classify_membership(rep, panel, schedule, tol)
-        entry["classification"] = classified.classification.value
+        entry.update(classified.to_dict())
         entry["passed"] = classified.classification is Classification.DIVERGENT
 
     passed = all_passed(stages)

@@ -35,9 +35,12 @@ from .algebra import (
     gf_mul,
     make_algebra,
 )
-from .expr import DomainInterval, SafetyStatus, denominator_safety
+from .expr import DEFAULT_DOMAIN, DomainInterval, SafetyStatus, denominator_safety
 from .ideals import (
+    DEFAULT_CELL_WIDTH,
+    DEFAULT_INDEX_CAP,
     DEFAULT_UNIT_MARGIN,
+    NO_LARGEST_IDEAL_DOMAIN,
     derivation_closure,
     generated_by,
     no_largest_ideal_demo,
@@ -45,6 +48,7 @@ from .ideals import (
 )
 from .pairing import Panel, bump, default_panel
 from .sequences import (
+    DEFAULT_X_COUNT,
     SampleGrid,
     concat_spans,
     independence_certificate,
@@ -58,6 +62,7 @@ from .weaklimit import (
     Classification,
     classify_stage,
     nosquare_demo,
+    validate_schedule,
 )
 
 SCHEMA = "branch-lab/1"
@@ -168,8 +173,8 @@ def _schedule_up_to(nu_max, first):
 
 
 _REQUIRED = object()  # a setting with no default: a flag or the config file must give it
-_SWEEP = {"domain": (-1.0, 1.0), "schedule": DEFAULT_SCHEDULE, "tol": DEFAULT_TOL, "panel": None}
-_CERTIFICATE = {"cell": 0.05, "nu-max": 200}
+_SWEEP = {"domain": DEFAULT_DOMAIN, "schedule": DEFAULT_SCHEDULE, "tol": DEFAULT_TOL, "panel": None}
+_CERTIFICATE = {"cell": DEFAULT_CELL_WIDTH, "nu-max": DEFAULT_INDEX_CAP}
 
 # the settings each command reads, in resolution order, with their defaults;
 # a sweep's `nu-max` is the other way to give its schedule
@@ -177,10 +182,10 @@ COMMAND_SETTINGS = {
     "limit": _SWEEP,
     "classify": _SWEEP,
     "ideal check": {"domain": _REQUIRED, **_CERTIFICATE, "margin": DEFAULT_UNIT_MARGIN},
-    "span independence": {"domain": (-1.0, 1.0), "x-count": 16},
-    "gf": {"domain": (-1.0, 1.0)},
+    "span independence": {"domain": DEFAULT_DOMAIN, "x-count": DEFAULT_X_COUNT},
+    "gf": {"domain": DEFAULT_DOMAIN},
     "demo nosquare": _SWEEP,
-    "demo no-largest-ideal": {"domain": (0.0, 2.0 * math.pi), **_CERTIFICATE},
+    "demo no-largest-ideal": {"domain": NO_LARGEST_IDEAL_DOMAIN, **_CERTIFICATE},
     "demo branching": _SWEEP,
     "demo delta-square": _SWEEP | {"schedule": DELTA_SQUARE_SCHEDULE},
 }
@@ -237,11 +242,8 @@ def resolve_settings(args):
     tol = settings.get("tol", DEFAULT_TOL)
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("tolerance must be finite and positive")
-    schedule = settings.get("schedule", DEFAULT_SCHEDULE)
-    if not schedule:
-        raise ValueError("schedule must be nonempty")
-    if any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise ValueError("schedule must be strictly increasing")
+    if "schedule" in settings:
+        validate_schedule(settings["schedule"])
     return settings
 
 

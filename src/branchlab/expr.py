@@ -306,6 +306,9 @@ class DomainInterval:
         return [self.lower, self.upper]
 
 
+DEFAULT_DOMAIN = DomainInterval(-1.0, 1.0)
+
+
 # ---------------------------------------------------------------------------
 # evaluation
 
@@ -927,6 +930,12 @@ def diff(e, order=1):
 # denominator safety
 
 
+# the (nu, x) lattice a denominator is sampled on, and the distance from zero it must keep
+SAFETY_X_SAMPLES = 512
+SAFETY_NU_SAMPLES = 64
+SAFETY_MARGIN = 1e-6
+
+
 class SafetyStatus(str, Enum):
     SAFE = "safe"
     UNSAFE = "unsafe"
@@ -971,7 +980,7 @@ def denominators(e):
     return found
 
 
-def denominator_safety(e, domain, x_samples=512, nu_samples=64, margin=1e-6):
+def denominator_safety(e, domain):
     """Sample every denominator of e over a (nu, x) lattice on the domain.
 
     The lattice argmin per index is refined by bisection or golden-section
@@ -981,17 +990,17 @@ def denominator_safety(e, domain, x_samples=512, nu_samples=64, margin=1e-6):
     """
     dens = denominators(e)
     if not dens:
-        return DenominatorSafety(SafetyStatus.SAFE, margin, 0)
-    xs = domain.interior_grid(x_samples)
+        return DenominatorSafety(SafetyStatus.SAFE, SAFETY_MARGIN, 0)
+    xs = domain.interior_grid(SAFETY_X_SAMPLES)
     for den in dens:
         closure = _compiled(den)
-        for index in range(1, nu_samples + 1):
+        for index in range(1, SAFETY_NU_SAMPLES + 1):
             values = evaluate_on_grid(den, index, xs)
             if not np.all(np.isfinite(values)):
                 bad = int(np.argmax(~np.isfinite(values)))
                 return DenominatorSafety(
                     SafetyStatus.INCONCLUSIVE,
-                    margin,
+                    SAFETY_MARGIN,
                     len(dens),
                     witness_nu=index,
                     witness_x=float(xs[bad]),
@@ -1010,18 +1019,18 @@ def denominator_safety(e, domain, x_samples=512, nu_samples=64, margin=1e-6):
                 if not math.isfinite(best_abs):
                     return DenominatorSafety(
                         SafetyStatus.INCONCLUSIVE,
-                        margin,
+                        SAFETY_MARGIN,
                         len(dens),
                         witness_nu=index,
                         witness_x=best_x,
                     )
-                if best_abs < margin:
+                if best_abs < SAFETY_MARGIN:
                     return DenominatorSafety(
                         SafetyStatus.UNSAFE,
-                        margin,
+                        SAFETY_MARGIN,
                         len(dens),
                         witness_nu=index,
                         witness_x=best_x,
                         witness_value=f(best_x),
                     )
-    return DenominatorSafety(SafetyStatus.SAFE, margin, len(dens))
+    return DenominatorSafety(SafetyStatus.SAFE, SAFETY_MARGIN, len(dens))

@@ -42,9 +42,15 @@ VANISH_TOL = 1e-10
 NONVANISH_TOL = 1e-6
 FACTORIZATION_TOL = 1e-10
 DEFAULT_UNIT_MARGIN = 0.1
+DEFAULT_CELL_WIDTH = 0.05
+DEFAULT_INDEX_CAP = 200
+ROOT_RESIDUAL_TOL = 1e-8
+UNIT_COEFFICIENT_BOUND = 3
 UNIT_LATTICE_NUS = (1, 2, 3, 4, 6, 8, 12, 16)
 UNIT_LATTICE_X_COUNT = 8192
 SCAN_NU_LIMIT = 32
+SCAN_GRID = 2048
+NO_LARGEST_IDEAL_DOMAIN = DomainInterval(0.0, 2.0 * math.pi)
 VERIFICATION_SAMPLES = 100
 _VERIFICATION_SEED = 20260815
 
@@ -231,8 +237,7 @@ def _match_factorization(s, ideal):
 def _verify_factorization(s, factorization, domain):
     """Max |s - sum(g*t)| over random samples; exercises exceptional entries."""
     rng = random.Random(_VERIFICATION_SEED)
-    lo = domain.lower if domain is not None else -1.0
-    hi = domain.upper if domain is not None else 1.0
+    domain = domain or ex.DEFAULT_DOMAIN
     indices = [i for i, _ in s.exceptional]
     for g, _ in factorization:
         indices.extend(i for i, _ in g.exceptional)
@@ -242,7 +247,7 @@ def _verify_factorization(s, factorization, domain):
             index = indices[(k // 10) % len(indices)]
         else:
             index = rng.randint(max(s.start_index, 1), SCAN_NU_LIMIT)
-        point = rng.uniform(lo, hi)
+        point = rng.uniform(domain.lower, domain.upper)
         try:
             total = 0.0
             for g, t in factorization:
@@ -262,10 +267,10 @@ def _local_minima(values, threshold):
     return (np.nonzero(mask)[0] + 1).tolist()
 
 
-def _scan_for_witness(s, generators, domain, nu_limit=SCAN_NU_LIMIT, grid=2048):
+def _scan_for_witness(s, generators, domain):
     """Sample point where all generators nearly vanish but s does not."""
-    xs = domain.interior_grid(grid)
-    indices = list(range(1, nu_limit + 1))
+    xs = domain.interior_grid(SCAN_GRID)
+    indices = list(range(1, SCAN_NU_LIMIT + 1))
     for index, _ in s.exceptional:
         if index not in indices:
             indices.append(index)
@@ -304,8 +309,7 @@ def _scan_for_witness(s, generators, domain, nu_limit=SCAN_NU_LIMIT, grid=2048):
 
 
 def _eventually_zero_witness(s, domain):
-    dom = domain or DomainInterval(-1.0, 1.0)
-    xs = dom.interior_grid(256)
+    xs = (domain or ex.DEFAULT_DOMAIN).interior_grid(256)
     best = (1, float(xs[0]), 0.0)
     for index in range(1, 9):
         values = s.term_values(index, xs)
@@ -378,7 +382,7 @@ def _candidate_combinations(generator_count, bound):
         yield ((c1, i), (c2, j))
 
 
-def unit_detection(ideal, domain, coefficient_bound=3, margin=DEFAULT_UNIT_MARGIN):
+def unit_detection(ideal, domain, margin=DEFAULT_UNIT_MARGIN):
     """Search small integer combinations of generators for a positive floor.
 
     Returns a witness whose sampled infimum over the (nu, x) lattice is at
@@ -400,7 +404,7 @@ def unit_detection(ideal, domain, coefficient_bound=3, margin=DEFAULT_UNIT_MARGI
             cache[key] = generators[gi].term_values(index, xs)
         return cache[key]
 
-    for combination in _candidate_combinations(len(generators), coefficient_bound):
+    for combination in _candidate_combinations(len(generators), UNIT_COEFFICIENT_BOUND):
         lowest = math.inf
         feasible = True
         for index in UNIT_LATTICE_NUS:
@@ -454,7 +458,7 @@ class ZeroDensityCertificate(Record):
 
 
 def zero_density_certificate(
-    ideal, domain, cell_width=0.05, nu_max=200, residual_tol=1e-8
+    ideal, domain, cell_width=DEFAULT_CELL_WIDTH, nu_max=DEFAULT_INDEX_CAP
 ):
     """Root of some generator entry in every cell of the domain, or None.
 
@@ -496,7 +500,7 @@ def zero_density_certificate(
                 left = float(xs[inside[max(k - 1, 0)]])
                 right = float(xs[inside[min(k + 1, len(inside) - 1)]])
                 point, residual = refine_min_abs(scalar, left, right)
-                if residual < residual_tol and lo <= point <= hi:
+                if residual < ROOT_RESIDUAL_TOL and lo <= point <= hi:
                     filled[cell] = CertificateCell(lo, hi, index, point, residual)
 
     if len(filled) != cell_count:
@@ -537,9 +541,8 @@ class OffDiagInconclusive(Unknown):
 def off_diagonality(
     ideal,
     domain,
-    cell_width=0.05,
-    nu_max=200,
-    coefficient_bound=3,
+    cell_width=DEFAULT_CELL_WIDTH,
+    nu_max=DEFAULT_INDEX_CAP,
     margin=DEFAULT_UNIT_MARGIN,
 ):
     """Does the ideal meet the diagonal constant sequences only in zero?
@@ -557,7 +560,7 @@ def off_diagonality(
                 "embeds into the ideal"
             )
         )
-    unit = unit_detection(ideal, domain, coefficient_bound, margin)
+    unit = unit_detection(ideal, domain, margin)
     if unit is not None:
         return ContainsUnit(unit.sequence, unit.lower_bound)
     if len(ideal.generators) == 1:
@@ -622,11 +625,11 @@ def derivation_closure(ideal, order=1, domain=None):
 
 
 def no_largest_ideal_demo(
-    domain=None,
+    domain=NO_LARGEST_IDEAL_DOMAIN,
     first_generator="1 + sin(nu*x)",
     second_generator="1 + cos(nu*x)",
-    cell_width=0.05,
-    nu_max=200,
+    cell_width=DEFAULT_CELL_WIDTH,
+    nu_max=DEFAULT_INDEX_CAP,
 ):
     """Two separately admissible ideals whose sum is improper.
 
@@ -636,7 +639,6 @@ def no_largest_ideal_demo(
     admissible ideal can contain both, and no largest admissible ideal
     exists.
     """
-    domain = domain or DomainInterval(0.0, 2.0 * math.pi)
     first = generated_by(first_generator)
     second = generated_by(second_generator)
 

@@ -159,14 +159,14 @@ def _fitted_width(center, width, domain):
     return width
 
 
-def default_panel(domain, count=8, normalized=True):
-    """Equally spaced bumps; widths equal the spacing, so supports overlap."""
+def default_panel(domain, count=8):
+    """Equally spaced normalized bumps; widths equal the spacing, so supports overlap."""
     spacing = domain.length / (count + 1)
     members = []
     for k in range(count):
         center = domain.lower + spacing * (k + 1)
         width = _fitted_width(center, spacing, domain)
-        members.append(bump(center, width, normalized, domain))
+        members.append(bump(center, width, domain=domain))
     return Panel(tuple(members), domain)
 
 

@@ -19,6 +19,8 @@ from ._report import Record
 from .expr import Expr, Num, simplify, substitute, to_string
 
 RANK_THRESHOLD = 1e-8
+SAMPLE_NUS = (1, 2, 3, 4, 5, 6, 7, 8)
+DEFAULT_X_COUNT = 16
 
 
 def _coerce_expr(value):
@@ -255,9 +257,9 @@ class SampleGrid:
         return len(self.nus) * len(self.xs)
 
     @classmethod
-    def for_domain(cls, domain, nus=(1, 2, 3, 4, 5, 6, 7, 8), x_count=16):
+    def for_domain(cls, domain, x_count=DEFAULT_X_COUNT):
         xs = tuple(float(v) for v in domain.interior_grid(x_count))
-        return cls(tuple(nus), xs)
+        return cls(SAMPLE_NUS, xs)
 
 
 class SpanStatus(str, Enum):

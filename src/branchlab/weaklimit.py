@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from ._report import Record, Unknown, all_passed, stage
-from .expr import DomainInterval
+from .expr import DEFAULT_DOMAIN
 from .pairing import default_panel, pair_with_estimate
 from .sequences import seq_mul, smooth_sequence
 
@@ -54,11 +54,12 @@ class Inconclusive(Unknown):
     tag = "inconclusive"
 
 
-def _validate_schedule(schedule):
-    if len(schedule) < 6:
-        raise ValueError("schedule needs at least 6 indices")
+def validate_schedule(schedule):
+    """Refuse a schedule no verdict can be read from."""
     if any(b <= a for a, b in zip(schedule, schedule[1:])):
         raise ValueError("schedule must be strictly increasing")
+    if len(schedule) < 6:
+        raise ValueError("schedule needs at least 6 indices")
     if schedule[0] < 1:
         raise ValueError("schedule indices must be positive")
 
@@ -92,10 +93,10 @@ def _verdict_from_table(table, tol):
     return Inconclusive("pairings neither settle nor grow monotonically")
 
 
-def weak_limit(s, phi, schedule=None, tol=DEFAULT_TOL):
+def weak_limit(s, phi, schedule=DEFAULT_SCHEDULE, tol=DEFAULT_TOL):
     """Limit verdict for one sequence against one test function."""
-    schedule = tuple(schedule or DEFAULT_SCHEDULE)
-    _validate_schedule(schedule)
+    schedule = tuple(schedule)
+    validate_schedule(schedule)
     return _verdict_from_table(pairing_table(s, phi, schedule), tol)
 
 
@@ -127,15 +128,15 @@ class FunctionalVerdict(Record):
         }
 
 
-def classify_membership(s, panel, schedule=None, tol=DEFAULT_TOL):
+def classify_membership(s, panel, schedule=DEFAULT_SCHEDULE, tol=DEFAULT_TOL):
     """Classify a sequence by its limit behaviour across a whole panel.
 
     weak-null additionally requires every limit to sit within its
     uncertainty (floored by the tolerance) of zero; weak-null therefore
     implies convergent by construction.
     """
-    schedule = tuple(schedule or DEFAULT_SCHEDULE)
-    _validate_schedule(schedule)
+    schedule = tuple(schedule)
+    validate_schedule(schedule)
     tables = tuple(pairing_table(s, phi, schedule) for phi in panel)
     verdicts = tuple(
         (phi, _verdict_from_table(table, tol)) for phi, table in zip(panel, tables)
@@ -160,8 +161,7 @@ def classify_stage(name, s, panel, schedule, tol):
     with stage(name) as entry:
         verdict = classify_membership(s, panel, schedule, tol)
         entry["sequence"] = s.to_dict()
-        entry["classification"] = verdict.classification.value
-        entry["per_test_function"] = verdict.to_dict()["per_test_function"]
+        entry.update(verdict.to_dict())
         entry["pairings"] = [
             {
                 "nu": index,
@@ -176,7 +176,9 @@ def classify_stage(name, s, panel, schedule, tol):
     return entry, verdict
 
 
-def nosquare_demo(domain=None, panel=None, schedule=None, tol=DEFAULT_TOL, sequence=None):
+def nosquare_demo(
+    domain=DEFAULT_DOMAIN, panel=None, schedule=DEFAULT_SCHEDULE, tol=DEFAULT_TOL, sequence=None
+):
     """Why identifying all weak-null sequences with zero breaks multiplication.
 
     The base sequence is weak-null, yet its entry-wise square has weak limit
@@ -184,9 +186,8 @@ def nosquare_demo(domain=None, panel=None, schedule=None, tol=DEFAULT_TOL, seque
     every weak-null sequence to the zero class would force the square's class
     to be both zero and one-half, so no such multiplication exists.
     """
-    domain = domain or DomainInterval(-1.0, 1.0)
     panel = panel or default_panel(domain)
-    schedule = tuple(schedule or DEFAULT_SCHEDULE)
+    schedule = tuple(schedule)
     base = sequence or smooth_sequence("cos(nu*x)")
     square = seq_mul(base, base)
 

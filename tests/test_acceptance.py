@@ -193,7 +193,7 @@ def test_equal_inputs_branch_under_squaring():
     code, report = cli.run(["demo", "branching"])
     stages = {s["name"]: s for s in report["stages"]}
     classify = stages["classify-representatives"]["records"]
-    both_null = all(r["weak_null"] is True for r in classify)
+    both_null = all(r["classification"] == "weak-null" for r in classify)
     squared = stages["apply-operation"]["records"]
     half_values = [p["verdict"]["value"] for p in squared[0]["per_test_function"]]
     zero_values = [p["verdict"]["value"] for p in squared[1]["per_test_function"]]

@@ -332,8 +332,22 @@ def test_stage_timing_covers_every_pairing(monkeypatch):
     assert starts[-1] - starts[0] <= stage["timing_s"]
 
 
-def test_short_delta_square_schedule_is_an_error():
+def test_short_delta_square_schedule_is_an_error(monkeypatch):
+    starts = _record_pairings(monkeypatch)
     code, report = cli.run(["demo", "delta-square", "--schedule=4,8,16"])
+    assert code == 1
+    assert report["error"]["message"] == "schedule needs at least 6 indices"
+    # the schedule is refused before any pairing is computed
+    assert starts == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["limit", "--seq=cos(nu*x)", "--nu-max=0"], ["demo", "delta-square", "--nu-max=2"]],
+    ids=" ".join,
+)
+def test_an_empty_schedule_is_a_short_one(argv):
+    code, report = cli.run(argv)
     assert code == 1
     assert report["error"]["message"] == "schedule needs at least 6 indices"
 

@@ -15,7 +15,7 @@ import json
 
 import pytest
 
-from branchlab import cli
+from branchlab import algebra, cli, ideals, weaklimit
 from branchlab.weaklimit import DEFAULT_SCHEDULE
 
 TRIG_DOMAIN = "--domain=0,6.283185307179586"
@@ -137,6 +137,36 @@ def test_delta_square_uses_its_panel_and_tolerance(flag):
     if "--tol=0.5" in flag:
         _, strict = cli.run(base + [f"--panel={HALVES_PANEL}"])
         assert strict["stages"][2]["classification"] == "mixed"
+
+
+# a tolerance the members already meet leaves their verdicts as they were; a
+# one-member panel changes them, and the stage shows each member's verdict
+@pytest.mark.parametrize(
+    "flag, members, verdicts_move", [("--tol=0.5", 8, False), ("--panel=[[0,0.9]]", 1, True)]
+)
+def test_delta_square_panel_classification_carries_member_verdicts(flag, members, verdicts_move):
+    _, default = cli.run(["demo", "delta-square"])
+    _, changed = cli.run(["demo", "delta-square", flag])
+    assert cli.comparable_bytes(changed) != cli.comparable_bytes(default)
+    assert (_computed(changed) != _computed(default)) is verdicts_move
+    stage = changed["stages"][2]
+    assert stage["name"] == "panel-classification"
+    assert len(stage["per_test_function"]) == members
+    assert any(member["verdict"]["kind"] == "diverges" for member in stage["per_test_function"])
+
+
+DEMOS = {
+    "nosquare": weaklimit.nosquare_demo,
+    "no-largest-ideal": ideals.no_largest_ideal_demo,
+    "branching": algebra.branching_demo,
+    "delta-square": algebra.delta_square_demo,
+}
+
+
+@pytest.mark.parametrize("name", DEMOS)
+def test_a_bare_demo_call_computes_what_the_cli_default_computes(name):
+    _, report = cli.run(["demo", name])
+    assert cli.strip_volatile(DEMOS[name]()["stages"]) == cli.strip_volatile(report["stages"])
 
 
 @pytest.mark.parametrize(

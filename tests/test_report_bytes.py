@@ -94,14 +94,14 @@ PINNED_DEMOS = [
         "bf4d1a46886b241f45422c476b1434407c3cec289710093fe48583ebbdcb6334",
         "f8b3149b47f410eb10af15d4048c2e0bd94c88e3d8bcd7d570a15f4fa5aaa2d8",
     ),
-    (
+    (  # re-recorded when its records became FunctionalVerdict records; the CSV did not move
         "branching",
-        "56e58ca970bd28ce2ab92ed6513f4084da0ca9979151b4c41bb377f554261004",
+        "f9f9bd83a8508012fc2de6ab193b5e15f22e54017e37ef74cf602fc000ed9c79",
         "f8b3149b47f410eb10af15d4048c2e0bd94c88e3d8bcd7d570a15f4fa5aaa2d8",
     ),
-    (
+    (  # re-recorded when panel-classification gained its per-member verdicts; the CSV did not move
         "delta-square",
-        "34ae11e71c608c1332056bad15d329b40b9a910d12343bcf87a49eed449f3576",
+        "e2ad4d8ced2beea89e9c1396ee08ebc6a5cf5d3e0d8486174e3cf1e72af9853a",
         "b4e5f66c887e14ad7c2cb2a9edd0d24f5f8e13104e8014fc6ce39bd16f6483e3",
     ),
 ]

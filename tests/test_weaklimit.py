@@ -92,6 +92,12 @@ def test_schedule_validation():
         wl.weak_limit(s, PHI, schedule=(1, 2, 4, 4, 8, 16))
     with pytest.raises(ValueError):
         wl.weak_limit(s, PHI, schedule=(0, 1, 2, 4, 8, 16))
+    # an empty schedule is a short one, never a stand-in for the default
+    for empty in ((), []):
+        with pytest.raises(ValueError, match="at least 6"):
+            wl.weak_limit(s, PHI, schedule=empty)
+        with pytest.raises(ValueError, match="at least 6"):
+            wl.classify_membership(s, pairing.default_panel(DOM), empty)
 
 
 def test_pairing_table_shape():
