@@ -426,9 +426,16 @@ def delta_square_demo(
     prediction index * probe(0) / 3 within DELTA_SQUARE_BAND, so the result
     cannot be identified with any distribution; the algebra still holds it as
     an ordinary element.  The panel is classified too: it diverges wherever a
-    member covers the origin.
+    member covers the origin.  A domain that does not contain the probe's
+    support is refused before any pairing.
     """
-    probe = bump(0.0, 1.0, normalized=True, domain=domain)
+    probe = bump(0.0, 1.0, normalized=True)
+    lo, hi = probe.support
+    if lo < domain.lower or hi > domain.upper:
+        raise ValueError(
+            f"demo delta-square pairs against the normalized bump on [{lo}, {hi}], "
+            f"which the domain [{domain.lower}, {domain.upper}] does not contain"
+        )
     panel = panel or default_panel(domain)
     schedule = tuple(schedule)
     validate_schedule(schedule)

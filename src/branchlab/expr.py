@@ -14,9 +14,16 @@ tree the parser would produce on its own printout, so
 Products are never distributed over multi-term sums and no trigonometric
 identities are applied.
 
+Each node computes four things at most once and keeps them: its hash, its
+printed form (stored by ``to_string``), its normal-form term map and its
+compiled closure.  ``_terms`` stores the term map, so ``simplify``, ``diff``,
+``sum_terms`` and ``atomic_factor`` reuse every subtree they share, as the
+derivative rules share them.  A stored term map is handed to every later
+caller, so term maps are read-only: code that needs a changed map copies it.
+
 ``evaluate`` (scalar; EvalError at a division by zero or a non-finite value)
-and ``evaluate_on_grid`` (array; inf/nan passed through) run one closure
-compiled per expression.  Bracket refinement probes one expression at one
+and ``evaluate_on_grid`` (array; inf/nan passed through) run the one closure
+the expression's root compiles.  Bracket refinement probes one expression at one
 index many times, so it holds a probe for the whole bracket: the index check,
 the closure lookup and the error state are paid once, and each call costs
 the closure plus the scalar policy of ``evaluate``.  Probes keep the type of
@@ -31,7 +38,7 @@ from __future__ import annotations
 import math
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 
@@ -71,10 +78,31 @@ class EvalError(ValueError):
     """Raised when evaluation cannot produce a finite real."""
 
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Expr:
-    """Base class for expression nodes."""
+    """Base class for expression nodes.
 
-    __slots__ = ()
+    The four fields below are caches filled on first use and left out of
+    comparison and matching; an unfilled one is an unset slot.  A node is
+    immutable, so each cache holds for its lifetime.
+    """
+
+    _hash: int = field(init=False, compare=False)
+    _text: str = field(init=False, compare=False)
+    _term_map: dict = field(init=False, compare=False)
+    _closure: object = field(init=False, compare=False)
+
+    def __hash__(self):
+        h = getattr(self, "_hash", None)
+        if h is None:
+            # the formula of the generated dataclass hash over the node's fields
+            h = hash(tuple([getattr(self, name) for name in self.__match_args__]))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        # copies and pickles rebuild from the fields; the caches refill on use
+        return type(self), tuple([getattr(self, name) for name in self.__match_args__])
 
     def __add__(self, other):
         return Add(self, as_expr(other))
@@ -113,7 +141,14 @@ class Expr:
         return to_string(self)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+def _node(cls):
+    """Make cls a frozen slotted dataclass that keeps the cached hash of Expr."""
+    cls = dataclass(frozen=True, slots=True, repr=False)(cls)
+    cls.__hash__ = Expr.__hash__
+    return cls
+
+
+@_node
 class Num(Expr):
     value: float
 
@@ -124,12 +159,12 @@ class Num(Expr):
         object.__setattr__(self, "value", v)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Pi(Expr):
     pass
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Var(Expr):
     name: str
 
@@ -138,36 +173,36 @@ class Var(Expr):
             raise ValueError(f"unknown variable {self.name!r}")
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Neg(Expr):
     operand: Expr
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Add(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Sub(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Mul(Expr):
     left: Expr
     right: Expr
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Div(Expr):
     numerator: Expr
     denominator: Expr
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Pow(Expr):
     base: Expr
     exponent: int
@@ -178,7 +213,7 @@ class Pow(Expr):
             raise TypeError("power exponents must be plain integers")
 
 
-@dataclass(frozen=True, slots=True, repr=False)
+@_node
 class Call(Expr):
     fn: str
     arg: Expr
@@ -350,19 +385,12 @@ def _compile(e):
     raise TypeError(f"not an expression node: {e!r}")
 
 
-# Root closures by node identity: hashing a node walks its whole subtree.
-# Each entry keeps its node alive, so the id cannot be reused meanwhile.
-_COMPILED = {}
-_COMPILED_LIMIT = 64
-
-
 def _compiled(e):
-    hit = _COMPILED.get(id(e))
-    if hit is None or hit[0] is not e:
-        if len(_COMPILED) >= _COMPILED_LIMIT:
-            _COMPILED.clear()
-        hit = _COMPILED[id(e)] = (e, _compile(e))
-    return hit[1]
+    closure = getattr(e, "_closure", None)
+    if closure is None:
+        closure = _compile(e)
+        object.__setattr__(e, "_closure", closure)
+    return closure
 
 
 def _check_index(nu_value):
@@ -451,12 +479,25 @@ def _tokenize(text):
     return tokens
 
 
+# Deepest nesting of parentheses, calls and unary minus the parser accepts.
+# A parenthesised level costs the parser five frames, so text nested about
+# 200 levels deep would exhaust the interpreter's stack while parsing.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, text, variable_names):
         self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
         self.variable_names = variable_names
+        self.nesting = 0
+
+    def enter(self, position):
+        """Open one nesting level at the token offset `position`."""
+        self.nesting += 1
+        if self.nesting > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", position)
 
     def peek(self):
         return self.tokens[self.index]
@@ -498,7 +539,7 @@ class _Parser:
     def factor(self):
         negate = False
         if self.peek()[0] == "-":
-            self.advance()
+            self.enter(self.advance()[2])
             negate = True
         node = self.atom()
         has_exponent = False
@@ -507,6 +548,7 @@ class _Parser:
             node = Pow(node, self.exponent())
             has_exponent = True
         if negate:
+            self.nesting -= 1
             # a leading minus on a bare literal folds into the literal,
             # matching what the printer emits for negative coefficients
             if isinstance(node, Num) and not has_exponent:
@@ -541,22 +583,23 @@ class _Parser:
                 return Var(text)
             if text in FUNCTIONS:
                 self.expect("(", "'(' after function name")
-                arg = self.expression()
-                closing = self.peek()
-                if closing[0] != ")":
-                    raise ParseError("expected ')'", closing[2])
-                self.advance()
-                return Call(text, arg)
+                return Call(text, self.group(pos))
             raise ParseError(f"unknown identifier {text!r}", pos)
         if kind == "(":
             self.advance()
-            e = self.expression()
-            closing = self.peek()
-            if closing[0] != ")":
-                raise ParseError("expected ')'", closing[2])
-            self.advance()
-            return e
+            return self.group(pos)
         raise ParseError(f"unexpected token {text!r}" if text else "unexpected end of input", pos)
+
+    def group(self, position):
+        """The expression after an opening parenthesis, through its ')'."""
+        self.enter(position)
+        e = self.expression()
+        closing = self.peek()
+        if closing[0] != ")":
+            raise ParseError("expected ')'", closing[2])
+        self.advance()
+        self.nesting -= 1
+        return e
 
 
 def parse(text):
@@ -603,35 +646,39 @@ def format_number(v):
 
 
 def _render(e, context):
-    text = None
-    match e:
-        case Num(v):
-            text = format_number(v)
-        case Pi():
-            text = "pi"
-        case Var(name):
-            text = name
-        case Call(fn, a):
-            text = f"{fn}({_render(a, 0)})"
-        case Pow(b, k):
-            base = _render(b, _PREC_ATOM)
-            if isinstance(b, Num) and b.value < 0:
-                base = f"({base})"
-            text = f"{base}^{k}"
-        case Neg(a):
-            # parenthesize literal operands: "-2" would re-parse as a literal
-            inner = _render(a, _PREC_POW + 1 if not isinstance(a, Num) else _PREC_ATOM + 1)
-            text = f"-{inner}"
-        case Mul(l, r):
-            text = f"{_render(l, _PREC_MUL)}*{_render(r, _PREC_MUL + 1)}"
-        case Div(n, d):
-            text = f"{_render(n, _PREC_MUL)}/{_render(d, _PREC_MUL + 1)}"
-        case Add(l, r):
-            text = f"{_render(l, _PREC_ADD)} + {_render(r, _PREC_ADD + 1)}"
-        case Sub(l, r):
-            text = f"{_render(l, _PREC_ADD)} - {_render(r, _PREC_ADD + 1)}"
-        case _:
-            raise TypeError(f"not an expression node: {e!r}")
+    # a printed form that to_string cached is reused here, never stored
+    text = getattr(e, "_text", None)
+    if text is None:
+        match e:
+            case Num(v):
+                text = format_number(v)
+            case Pi():
+                text = "pi"
+            case Var(name):
+                text = name
+            case Call(fn, a):
+                text = f"{fn}({_render(a, 0)})"
+            case Pow(b, k):
+                base = _render(b, _PREC_ATOM)
+                if isinstance(b, Num) and b.value < 0:
+                    base = f"({base})"
+                text = f"{base}^{k}"
+            case Neg(a):
+                # parenthesize literal operands: "-2" would re-parse as a literal
+                inner = _render(
+                    a, _PREC_POW + 1 if not isinstance(a, Num) else _PREC_ATOM + 1
+                )
+                text = f"-{inner}"
+            case Mul(l, r):
+                text = f"{_render(l, _PREC_MUL)}*{_render(r, _PREC_MUL + 1)}"
+            case Div(n, d):
+                text = f"{_render(n, _PREC_MUL)}/{_render(d, _PREC_MUL + 1)}"
+            case Add(l, r):
+                text = f"{_render(l, _PREC_ADD)} + {_render(r, _PREC_ADD + 1)}"
+            case Sub(l, r):
+                text = f"{_render(l, _PREC_ADD)} - {_render(r, _PREC_ADD + 1)}"
+            case _:
+                raise TypeError(f"not an expression node: {e!r}")
     if _precedence(e) < context:
         return f"({text})"
     return text
@@ -639,7 +686,11 @@ def _render(e, context):
 
 def to_string(e):
     """Render e so that re-parsing reproduces the same tree shape."""
-    return _render(e, 0)
+    text = getattr(e, "_text", None)
+    if text is None:
+        text = _render(e, 0)
+        object.__setattr__(e, "_text", text)
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -733,56 +784,70 @@ def _pow_factors(factors, k):
 
 
 def _terms(e):
+    """Term map of e's normal form, computed once per node and stored on it.
+
+    The map is shared by every later caller, so it is read, never mutated.
+    The check and the store stay in this frame: one frame per tree level.
+    """
+    terms = getattr(e, "_term_map", None)
+    if terms is not None:
+        return terms
     match e:
         case Num(v):
-            return {} if v == 0.0 else {(): v}
+            terms = {} if v == 0.0 else {(): v}
         case Pi() | Var():
-            return {((e, 1),): 1.0}
+            terms = {((e, 1),): 1.0}
         case Neg(a):
-            return _scale_terms(_terms(a), -1.0)
+            terms = _scale_terms(_terms(a), -1.0)
         case Add(l, r):
-            return _merge_terms(_terms(l), _terms(r))
+            terms = _merge_terms(_terms(l), _terms(r))
         case Sub(l, r):
-            return _merge_terms(_terms(l), _scale_terms(_terms(r), -1.0))
+            terms = _merge_terms(_terms(l), _scale_terms(_terms(r), -1.0))
         case Mul(l, r):
             cl, fl = _as_single_term(_terms(l))
             cr, fr = _as_single_term(_terms(r))
-            return _combine_factors(cl * cr, fl, fr)
+            terms = _combine_factors(cl * cr, fl, fr)
         case Div(n, d):
             cn, fn_ = _as_single_term(_terms(n))
             cd, fd = _as_single_term(_terms(d))
             if cd == 0.0 and not fd:
                 # division by literal zero: keep it symbolic, evaluation raises
                 cd, fd = 1.0, {Num(0.0): 1}
-            return _combine_factors(cn / cd, fn_, _pow_factors(fd, -1))
+            terms = _combine_factors(cn / cd, fn_, _pow_factors(fd, -1))
+        case Pow(_, 0):
+            terms = {(): 1.0}
         case Pow(b, k):
-            if k == 0:
-                return {(): 1.0}
             base_terms = _terms(b)
             if not base_terms:
-                if k > 0:
-                    return {}
                 # zero denominator sentinel, always order one so reparses agree
-                return _combine_factors(1.0, {Num(0.0): -1})
-            if len(base_terms) == 1:
+                terms = {} if k > 0 else _combine_factors(1.0, {Num(0.0): -1})
+            elif len(base_terms) == 1:
                 (mono, c), = base_terms.items()
-                if not mono:
-                    if c == 0.0 and k < 0:
-                        return _combine_factors(1.0, {Num(0.0): -1})
-                    return {(): c ** k}
-                return _combine_factors(c ** k, _pow_factors(dict(mono), k))
-            lead, base = _atomic_sum(base_terms)
-            return _combine_factors(lead ** k, {base: k})
+                if mono:
+                    terms = _combine_factors(c ** k, _pow_factors(dict(mono), k))
+                elif c == 0.0 and k < 0:
+                    terms = _combine_factors(1.0, {Num(0.0): -1})
+                else:
+                    terms = {(): c ** k}
+            else:
+                lead, base = _atomic_sum(base_terms)
+                terms = _combine_factors(lead ** k, {base: k})
         case Call(fn, a):
             arg = simplify(a)
+            folded = None
             if isinstance(arg, Num):
                 try:
                     folded = _MATH_FUNCTIONS[fn](arg.value)
                 except OverflowError:
-                    return {((Call(fn, arg), 1),): 1.0}
-                return {} if folded == 0.0 else {(): folded}
-            return {((Call(fn, arg), 1),): 1.0}
-    raise TypeError(f"not an expression node: {e!r}")
+                    pass
+            if folded is None:
+                terms = {((Call(fn, arg), 1),): 1.0}
+            else:
+                terms = {} if folded == 0.0 else {(): folded}
+        case _:
+            raise TypeError(f"not an expression node: {e!r}")
+    object.__setattr__(e, "_term_map", terms)
+    return terms
 
 
 def _product_chain(parts):

@@ -255,7 +255,7 @@ def test_index_only_pole_ends_in_an_error_report():
     [
         (["gf", "mul", "--lhs=1e200*x", "--rhs=1e200*x"], "OverflowError", "infinity"),
         (["gf", "derive", "--lhs=1e300^2*x"], "OverflowError", "out of range"),
-        (["limit", "--seq=" + "(" * 300 + "x" + ")" * 300], "RecursionError", "recursion"),
+        (["limit", "--seq=" + "(" * 300 + "x" + ")" * 300], "ParseError", "nesting"),
         (["limit", "--seq=" + "+".join(["x"] * 3000)], "RecursionError", "recursion"),
     ],
 )
@@ -339,6 +339,20 @@ def test_short_delta_square_schedule_is_an_error(monkeypatch):
     assert report["error"]["message"] == "schedule needs at least 6 indices"
     # the schedule is refused before any pairing is computed
     assert starts == []
+
+
+def test_delta_square_refuses_a_domain_without_its_probe(monkeypatch):
+    starts = _record_pairings(monkeypatch)
+    code, report = cli.run(["demo", "delta-square", "--domain=-0.5,0.5"])
+    assert code == 1
+    assert report["error"]["type"] == "ValueError"
+    message = report["error"]["message"]
+    assert "normalized bump on [-1.0, 1.0]" in message
+    assert "domain [-0.5, 0.5]" in message
+    assert starts == []
+    # a domain whose closure holds the support is accepted
+    code, _ = cli.run(["demo", "delta-square", "--domain=-1,1", "--nu-max=256"])
+    assert code == 0
 
 
 @pytest.mark.parametrize(

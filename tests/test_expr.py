@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -43,6 +44,17 @@ def test_parse_errors_carry_position(text, offset):
         ex.parse(text)
     assert info.value.position == offset
     assert f"(offset {offset})" in str(info.value)
+
+
+@pytest.mark.parametrize("opening, levels", [("(", 1), ("sin(", 1), ("-(", 2)])
+def test_parse_nesting_limit(opening, levels):
+    """Nesting up to MAX_NESTING parses; one level more is a ParseError."""
+    repeats = ex.MAX_NESTING // levels
+    ex.parse(opening * repeats + "x" + ")" * repeats)
+    with pytest.raises(ex.ParseError, match="nesting deeper than") as info:
+        ex.parse(opening * (repeats + 1) + "x" + ")" * (repeats + 1))
+    # the offset is where the first level past the limit opens
+    assert info.value.position == len(opening) * repeats
 
 
 def test_pi_is_a_constant():
@@ -278,6 +290,40 @@ def test_random_corpus_round_trips(rng):
         assert ex.parse(ex.to_string(e)) == e
 
 
+def _normal_forms(e):
+    """Every cached-path result on e: normal form, derivatives, splits, text."""
+    return (
+        ex.simplify(e),
+        *(ex.diff(e, k) for k in (1, 2, 3)),
+        ex.sum_terms(e),
+        ex.atomic_factor(e),
+        ex.to_string(e),
+    )
+
+
+def test_node_caches_agree_with_fresh_nodes(rng):
+    for _ in range(100):
+        state = rng.getstate()
+        e = random_expression(rng, depth=3, allow_nu=True)
+        rng.setstate(state)
+        twin = random_expression(rng, depth=3, allow_nu=True)
+        assert twin == e and twin is not e
+        assert hash(twin) == hash(e)
+        text = ex.to_string(twin)
+        fresh = _normal_forms(ex.parse(text))
+        # twice over, interleaved with hashing: a later call must not see
+        # a term map an earlier one mutated
+        for _ in range(2):
+            for k, result in enumerate(_normal_forms(e)):
+                assert hash(e) == hash(twin)
+                assert result == fresh[k]
+        assert ex.to_string(e) == text
+        # a copy carries the fields, not the caches, and refills them equal
+        copied = pickle.loads(pickle.dumps(e))
+        assert copied == e and hash(copied) == hash(e)
+        assert _normal_forms(copied)[0] == fresh[0]
+
+
 def _random_powered_expression(rng):
     """A random tree wrapped with integer powers of x and nu and a negative power."""
     e = random_expression(rng, depth=3, allow_nu=True)
@@ -330,6 +376,10 @@ def test_deep_left_sum_evaluates_on_both_paths():
         e = ex.Add(e, ex.x)
     assert ex.evaluate(e, 1, 0.5) == 450.0
     assert ex.evaluate_on_grid(e, 1, np.array([0.5, 1.0])).tolist() == [450.0, 900.0]
+    # the normal form, the derivative and the printer recurse once per level too
+    assert ex.simplify(e) == ex.Mul(ex.Num(900.0), ex.x)
+    assert ex.diff(e) == ex.Num(900.0)
+    assert ex.to_string(e) == " + ".join(["x"] * 900)
 
 
 def test_each_root_is_compiled_once(monkeypatch):
@@ -348,6 +398,13 @@ def test_each_root_is_compiled_once(monkeypatch):
         ex.evaluate(e, 3, 0.5)
         ex.evaluate_on_grid(e, 3, np.array([0.5]))
     assert len(compiled) == first
+
+    # a node keeps its closure however many other roots compile meanwhile
+    for k in range(100):
+        ex.evaluate(ex.parse(f"x + {k}"), 1, 0.5)
+    compiled.clear()
+    ex.evaluate(e, 3, 0.5)
+    assert compiled == []
 
 
 def test_probe_returns_what_evaluate_returns(rng):
