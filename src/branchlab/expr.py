@@ -29,8 +29,15 @@ the closure lookup and the error state are paid once, and each call costs
 the closure plus the scalar policy of ``evaluate``.  Probes keep the type of
 the path whose numbers they reproduce, because numpy's integer powers differ
 in the last bit between arrays and scalars: certificate roots and witnesses
-are probed with float64 scalars, and ``denominator_safety`` probes with
-one-element arrays so its witnesses agree with its grid.
+are probed with float64 scalars.
+
+``denominator_safety`` calls a denominator's closure once on the block of
+every sampled index (a column) by every grid point (a row), then refines
+all rows' argmin brackets together with ``_numutil.refine_min_abs_lanes``,
+whose probe passes one point and one index per lane.  x is an array on both
+paths, as on the grid, so powers involving x round as the grid rounds; an
+x-free power of the index, such as ``(nu-1.738)^3``, is an array power here
+and a scalar power in ``evaluate_on_grid``, and may differ in the last bit.
 """
 
 from __future__ import annotations
@@ -44,7 +51,7 @@ from functools import partial
 
 import numpy as np
 
-from ._numutil import refine_min_abs
+from ._numutil import refine_min_abs_lanes
 from ._report import Record
 
 FUNCTIONS = ("sin", "cos", "exp", "tanh", "cosh")
@@ -850,10 +857,21 @@ def _terms(e):
     return terms
 
 
+def _hashed(node):
+    """node with its hash taken now.
+
+    A chain node built on a hashed child hashes in one level; a deep chain
+    first hashed from its root would recurse through every level, two
+    interpreter frames each.
+    """
+    hash(node)
+    return node
+
+
 def _product_chain(parts):
     node = parts[0]
     for part in parts[1:]:
-        node = Mul(node, part)
+        node = _hashed(Mul(node, part))
     return node
 
 
@@ -871,7 +889,7 @@ def _positive_term_expr(coefficient, mono):
     parts.extend(numerators)
     node = _product_chain(parts)
     for d in denominators:
-        node = Div(node, d)
+        node = _hashed(Div(node, d))
     return node
 
 
@@ -896,7 +914,7 @@ def _from_terms(terms):
         if node is None:
             node = _negate_leading(positive) if coefficient < 0 else positive
         else:
-            node = Sub(node, positive) if coefficient < 0 else Add(node, positive)
+            node = _hashed(Sub(node, positive) if coefficient < 0 else Add(node, positive))
     return node
 
 
@@ -1048,54 +1066,51 @@ def denominators(e):
 def denominator_safety(e, domain):
     """Sample every denominator of e over a (nu, x) lattice on the domain.
 
-    The lattice argmin per index is refined by bisection or golden-section
-    search before comparing against the margin; a lattice alone cannot land
-    within 1e-6 of a root.  Safe is a certificate at this lattice resolution,
-    not a proof for all indices.
+    Each denominator is evaluated once on the whole lattice, one row per
+    index.  Every row's argmin is refined by bisection or golden-section
+    search before comparing against the margin, all rows in one lane-wise
+    pass; a lattice alone cannot land within 1e-6 of a root.  The verdict is
+    the first index, in order, whose row is not finite, whose refined value
+    is not finite, or whose refined value is below the margin.  Safe is a
+    certificate at this lattice resolution, not a proof for all indices.
     """
     dens = denominators(e)
+    verdict = partial(DenominatorSafety, margin=SAFETY_MARGIN, denominator_count=len(dens))
     if not dens:
-        return DenominatorSafety(SafetyStatus.SAFE, SAFETY_MARGIN, 0)
+        return verdict(SafetyStatus.SAFE)
     xs = domain.interior_grid(SAFETY_X_SAMPLES)
+    nus = np.arange(1.0, SAFETY_NU_SAMPLES + 1.0)
     for den in dens:
         closure = _compiled(den)
-        for index in range(1, SAFETY_NU_SAMPLES + 1):
-            values = evaluate_on_grid(den, index, xs)
-            if not np.all(np.isfinite(values)):
-                bad = int(np.argmax(~np.isfinite(values)))
-                return DenominatorSafety(
-                    SafetyStatus.INCONCLUSIVE,
-                    SAFETY_MARGIN,
-                    len(dens),
-                    witness_nu=index,
-                    witness_x=float(xs[bad]),
-                )
-            k = int(np.argmin(np.abs(values)))
-            lo = xs[max(k - 1, 0)]
-            hi = xs[min(k + 1, len(xs) - 1)]
-            nu = np.float64(index)
+        with np.errstate(all="ignore"):
+            block = np.broadcast_to(closure(nus[:, None], xs), (len(nus), len(xs)))
+        # rows before the first non-finite one are refined; that row, if
+        # any, fails only after every earlier index passed
+        row_finite = np.isfinite(block).all(axis=1)
+        rows = len(nus) if row_finite.all() else int(np.argmin(row_finite))
+        k = np.argmin(np.abs(block[:rows]), axis=1)
+        lane_nus = nus[:rows]
 
-            # probes stay 1-element arrays: witness bytes follow the grid's powers
-            def f(point):
-                return closure(nu, np.array([point])).item()
+        def f(points):
+            return np.broadcast_to(closure(lane_nus, points), points.shape)
 
+        with np.errstate(all="ignore"):
+            best_x, best_abs = refine_min_abs_lanes(
+                f, xs[np.maximum(k - 1, 0)], xs[np.minimum(k + 1, len(xs) - 1)]
+            )
+        failed = ~np.isfinite(best_abs) | (best_abs < SAFETY_MARGIN)
+        if failed.any():
+            row = int(np.argmax(failed))
+            index, point = row + 1, float(best_x[row])
+            if not math.isfinite(best_abs[row]):
+                return verdict(SafetyStatus.INCONCLUSIVE, witness_nu=index, witness_x=point)
+            # the witness is probed as one grid point, x a 1-element array
             with np.errstate(all="ignore"):
-                best_x, best_abs = refine_min_abs(f, float(lo), float(hi))
-                if not math.isfinite(best_abs):
-                    return DenominatorSafety(
-                        SafetyStatus.INCONCLUSIVE,
-                        SAFETY_MARGIN,
-                        len(dens),
-                        witness_nu=index,
-                        witness_x=best_x,
-                    )
-                if best_abs < SAFETY_MARGIN:
-                    return DenominatorSafety(
-                        SafetyStatus.UNSAFE,
-                        SAFETY_MARGIN,
-                        len(dens),
-                        witness_nu=index,
-                        witness_x=best_x,
-                        witness_value=f(best_x),
-                    )
-    return DenominatorSafety(SafetyStatus.SAFE, SAFETY_MARGIN, len(dens))
+                value = closure(nus[row], np.array([point])).item()
+            return verdict(
+                SafetyStatus.UNSAFE, witness_nu=index, witness_x=point, witness_value=value
+            )
+        if rows < len(nus):
+            bad = xs[np.argmax(~np.isfinite(block[rows]))]
+            return verdict(SafetyStatus.INCONCLUSIVE, witness_nu=rows + 1, witness_x=float(bad))
+    return verdict(SafetyStatus.SAFE)

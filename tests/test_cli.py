@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from branchlab import algebra, cli, expr, ideals, pairing, weaklimit
+from branchlab import _numutil, algebra, cli, expr, ideals, pairing, weaklimit
 
 TRIG_DOMAIN = "0,6.283185307179586"
 
@@ -423,7 +423,8 @@ def test_commands_leave_the_error_state_alone(argv):
     [
         (["ideal", "check", "--generators=1+sin(nu*x)", "--domain=-1,1"], 295),
         (["demo", "no-largest-ideal"], 800),
-        (["gf", "mul", "--lhs=nu/(2*cosh(nu*x)^2)", "--rhs=nu/(2*cosh(nu*x)^2)"], 128),
+        # denominator safety refines all indices of a denominator lane-wise
+        (["gf", "mul", "--lhs=nu/(2*cosh(nu*x)^2)", "--rhs=nu/(2*cosh(nu*x)^2)"], 0),
     ],
 )
 def test_certificate_probes_check_the_index_once_per_bracket(monkeypatch, argv, refines):
@@ -442,11 +443,32 @@ def test_certificate_probes_check_the_index_once_per_bracket(monkeypatch, argv, 
         return original_refine(*args)
 
     monkeypatch.setattr(expr, "_check_index", counted_check)
-    for module in (expr, ideals):
+    for module in (_numutil, ideals):
         monkeypatch.setattr(module, "refine_min_abs", counted_refine)
     cli.run(argv)
     assert len(checks) < 1000
     assert len(refined) == refines
+
+
+def test_denominator_safety_evaluates_a_denominator_once_per_refinement_step(monkeypatch):
+    calls = []
+    original = expr._compiled
+
+    def counted(e):
+        closure = original(e)
+
+        def counting(nu, x):
+            calls.append(1)
+            return closure(nu, x)
+
+        return counting
+
+    monkeypatch.setattr(expr, "_compiled", counted)
+    code, _ = cli.run(["gf", "mul", "--lhs=nu/(2*cosh(nu*x)^2)", "--rhs=nu/(2*cosh(nu*x)^2)"])
+    assert code == 0
+    # two denominators, each one (index x point) lattice and one lane-wise
+    # refinement; a grid row and a scalar search per index take 8,960 calls
+    assert 0 < len(calls) <= 200
 
 
 @pytest.mark.parametrize(

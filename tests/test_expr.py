@@ -1,5 +1,6 @@
 import math
 import pickle
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,8 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import branchlab.expr as ex
+from branchlab._numutil import refine_min_abs
 
 from conftest import random_expression
+
+# (text, index, point): expressions with a pole at that index and point
+POLES = [
+    ("1/x", 1, 0.0),
+    ("x^-1", 1, 0.0),
+    ("tanh(1/x)", 1, 0.0),
+    ("exp(-1/x^2)", 1, 0.0),
+    ("1/(nu-1)", 1, 0.5),
+    ("(nu-1)^-1", 1, 0.5),
+]
 
 
 def test_parse_precedence_and_shape():
@@ -284,6 +296,64 @@ def test_denominator_safety_overflow_is_inconclusive():
     assert report.status is ex.SafetyStatus.INCONCLUSIVE
 
 
+def _per_index_safety(e, domain):
+    """denominator_safety as one grid row and one scalar refinement per index."""
+    dens = ex.denominators(e)
+    verdict = partial(ex.DenominatorSafety, margin=ex.SAFETY_MARGIN, denominator_count=len(dens))
+    unsafe, inconclusive = ex.SafetyStatus.UNSAFE, ex.SafetyStatus.INCONCLUSIVE
+    xs = domain.interior_grid(ex.SAFETY_X_SAMPLES)
+    last = len(xs) - 1
+    for den in dens:
+        closure = ex._compiled(den)
+        for index in range(1, ex.SAFETY_NU_SAMPLES + 1):
+            values = ex.evaluate_on_grid(den, index, xs)
+            if not np.all(np.isfinite(values)):
+                bad = int(np.argmax(~np.isfinite(values)))
+                return verdict(inconclusive, witness_nu=index, witness_x=float(xs[bad]))
+            k = int(np.argmin(np.abs(values)))
+            nu = np.float64(index)
+
+            def f(point):
+                return closure(nu, np.array([point])).item()
+
+            with np.errstate(all="ignore"):
+                point, value = refine_min_abs(f, float(xs[max(k - 1, 0)]), float(xs[min(k + 1, last)]))
+                if not math.isfinite(value):
+                    return verdict(inconclusive, witness_nu=index, witness_x=point)
+                if value < ex.SAFETY_MARGIN:
+                    return verdict(unsafe, witness_nu=index, witness_x=point, witness_value=f(point))
+    return verdict(ex.SafetyStatus.SAFE)
+
+
+def test_denominator_safety_matches_the_per_index_search(rng):
+    dom = ex.DomainInterval(-1.0, 1.0)
+    cases = [ex.Div(1.0, random_expression(rng, depth=3, allow_nu=True)) for _ in range(60)]
+    cases += [ex.parse(text) for text, _, _ in POLES]
+    cases += [ex.parse("1/(nu-3)"), ex.parse("1/exp(800*x^2)"), ex.parse("1/(2+sin(nu*x))")]
+    statuses = set()
+    for e in cases:
+        report = ex.denominator_safety(e, dom)
+        assert report == _per_index_safety(e, dom), ex.to_string(e)
+        statuses.add(report.status)
+    assert statuses == set(ex.SafetyStatus)
+
+
+def test_denominator_safety_reports_the_first_failing_index():
+    dom = ex.DomainInterval(-1.0, 1.0)
+    # touches zero at index 5 and is infinite at index 9: index 5 is unsafe
+    unsafe_first = ex.parse("1/((x^2 + (nu-5)^2)/(nu-9))")
+    report = ex.denominator_safety(unsafe_first, dom)
+    assert report.status is ex.SafetyStatus.UNSAFE and report.witness_nu == 5
+    assert report == _per_index_safety(unsafe_first, dom)
+    # the other way round the row of index 5 is not finite, before any
+    # unsafe index, and the grid point that failed is the witness
+    blind_first = ex.parse("1/((x^2 + (nu-9)^2)/(nu-5))")
+    report = ex.denominator_safety(blind_first, dom)
+    assert report.status is ex.SafetyStatus.INCONCLUSIVE and report.witness_nu == 5
+    assert report.witness_x == float(dom.interior_grid(ex.SAFETY_X_SAMPLES)[0])
+    assert report == _per_index_safety(blind_first, dom)
+
+
 def test_random_corpus_round_trips(rng):
     for _ in range(100):
         e = random_expression(rng, depth=3, allow_nu=True)
@@ -354,17 +424,7 @@ def test_scalar_and_grid_evaluation_agree(rng):
                 assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.parametrize(
-    "text, index, point",
-    [
-        ("1/x", 1, 0.0),
-        ("x^-1", 1, 0.0),
-        ("tanh(1/x)", 1, 0.0),
-        ("exp(-1/x^2)", 1, 0.0),
-        ("1/(nu-1)", 1, 0.5),
-        ("(nu-1)^-1", 1, 0.5),
-    ],
-)
+@pytest.mark.parametrize("text, index, point", POLES)
 def test_scalar_poles_raise(text, index, point):
     with pytest.raises(ex.EvalError, match="division by zero"):
         ex.evaluate(ex.parse(text), index, point)
@@ -380,6 +440,15 @@ def test_deep_left_sum_evaluates_on_both_paths():
     assert ex.simplify(e) == ex.Mul(ex.Num(900.0), ex.x)
     assert ex.diff(e) == ex.Num(900.0)
     assert ex.to_string(e) == " + ".join(["x"] * 900)
+
+
+def test_deep_atomic_base_hashes_without_recursing():
+    # the rebuilt 599-term sum becomes a factor key, and its first hash must
+    # not recurse through every term
+    text = "(" + "+".join(f"x^{k}" for k in range(1, 600)) + ")*sin(x)"
+    result = ex.simplify(ex.parse(text))
+    assert isinstance(result, ex.Mul) and result.left == ex.Call("sin", ex.x)
+    assert ex.to_string(result).endswith(" + x^598 + x^599)")
 
 
 def test_each_root_is_compiled_once(monkeypatch):
@@ -420,17 +489,7 @@ def test_probe_returns_what_evaluate_returns(rng):
     assert compared == 1600
 
 
-@pytest.mark.parametrize(
-    "text, index, point",
-    [
-        ("1/x", 1, 0.0),
-        ("x^-1", 1, 0.0),
-        ("tanh(1/x)", 1, 0.0),
-        ("exp(-1/x^2)", 1, 0.0),
-        ("1/(nu-1)", 1, 0.5),
-        ("(nu-1)^-1", 1, 0.5),
-    ],
-)
+@pytest.mark.parametrize("text, index, point", POLES)
 def test_probe_poles_raise_like_evaluate(text, index, point):
     e = ex.parse(text)
     with pytest.raises(ex.EvalError) as expected:
