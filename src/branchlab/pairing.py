@@ -6,6 +6,18 @@ composite Simpson rule converges extremely fast; the step size additionally
 resolves the oscillation of the sequence entry being paired (at least 16
 points per period of the hint frequency).  Every integral returns an error
 estimate from comparing the rule against itself at half the step.
+
+Pairings are computed a block at a time.  At each schedule index the panel
+members whose supports need the same number of Simpson panels (all of them,
+when the widths are equal) share one (member x node) block of grids, and the
+sequence entry is evaluated on the whole block in one closure call.  The
+index stays a scalar: an integer power of an array of indices can differ in
+the last bit from the same power of each index alone.  A block holds at most
+BLOCK_NODES nodes, unless one grid alone is longer, so memory stays flat
+however wide the panel.  Every value is bit for bit the value of pairing the
+member alone on `np.linspace`: the grid and the bump apply the same
+floating-point operations to each node, and each Simpson sum reduces one
+contiguous row, the same pairwise sum as over a 1-D grid.
 """
 
 from __future__ import annotations
@@ -17,6 +29,9 @@ from functools import lru_cache
 import numpy as np
 
 from ._report import Record
+
+# most nodes one closure call of pairing_tables sees, unless one grid is longer
+BLOCK_NODES = 8192
 
 
 class IntegrationError(ValueError):
@@ -170,12 +185,43 @@ def default_panel(domain, count=8):
     return Panel(tuple(members), domain)
 
 
-def _simpson(ys, step):
-    """Composite Simpson sum of samples ys (odd count) spaced `step` apart."""
-    weights = np.ones(len(ys))
+def _panel_count(lower, upper, oscillation_hint):
+    """Even Simpson panel count: at least 50, and at least 16 per period of the hint."""
+    if not upper > lower:
+        raise ValueError("integration interval must have positive length")
+    if oscillation_hint < 1:
+        raise ValueError("oscillation hint must be >= 1")
+    width = upper - lower
+    period = 2.0 * math.pi / float(oscillation_hint)
+    step = min(width / 50.0, period / 16.0)
+    panels = int(math.ceil(width / step))
+    return panels + panels % 2
+
+
+def _grids(lower, upper, count):
+    """Row i is np.linspace(lower[i], upper[i], count), bit for bit for a nonzero step."""
+    xs = np.arange(count) * ((upper - lower) / (count - 1))[:, None] + lower[:, None]
+    xs[:, -1] = upper
+    return xs
+
+
+def _simpson_rows(ys, step):
+    """Composite Simpson sum of each row of ys (odd length), samples `step` apart."""
+    weights = np.ones(ys.shape[1])
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    return float(np.sum(weights * ys) * step / 3.0)
+    return np.sum(weights * ys, axis=1) * step / 3.0
+
+
+def _two_grid_rule(ys, width, panels):
+    """Per row: Simpson on 2*panels, and its distance to Simpson on every other node.
+
+    linspace(lo, hi, 2n+1)[::2] is linspace(lo, hi, n+1) bit for bit, so the
+    coarse rule reads the fine grid's samples instead of sampling again.
+    """
+    fine = _simpson_rows(ys, width / (2 * panels))
+    coarse = _simpson_rows(ys[:, ::2], width / panels)
+    return fine, np.abs(fine - coarse)
 
 
 def integrate(f, lower, upper, oscillation_hint=1):
@@ -187,35 +233,65 @@ def integrate(f, lower, upper, oscillation_hint=1):
     """
     lower = float(lower)
     upper = float(upper)
-    if not upper > lower:
-        raise ValueError("integration interval must have positive length")
-    if oscillation_hint < 1:
-        raise ValueError("oscillation hint must be >= 1")
-    width = upper - lower
-    period = 2.0 * math.pi / float(oscillation_hint)
-    step = min(width / 50.0, period / 16.0)
-    panels = int(math.ceil(width / step))
-    if panels % 2:
-        panels += 1
-    # linspace(lo, hi, 2n+1)[::2] is linspace(lo, hi, n+1) bit for bit
-    ys = f(np.linspace(lower, upper, 2 * panels + 1))
+    panels = _panel_count(lower, upper, oscillation_hint)
+    (xs,) = _grids(np.array([lower]), np.array([upper]), 2 * panels + 1)
+    ys = np.asarray(f(xs))
     if not np.all(np.isfinite(ys)):
         raise IntegrationError("non-finite sample in the integrand")
-    coarse = _simpson(ys[::2], width / panels)
-    fine = _simpson(ys, width / (2 * panels))
-    return fine, abs(fine - coarse)
+    (fine,), (estimate,) = _two_grid_rule(ys[None, :], upper - lower, panels)
+    return float(fine), float(estimate)
+
+
+def pairing_tables(s, members, schedule):
+    """Pairing values and quadrature estimates of s against each test function.
+
+    Returns one [(index, value, estimate), ...] table per member, in schedule
+    order; see the module docstring for the blocks they are computed on.  A
+    non-finite sample raises IntegrationError naming the first index of the
+    schedule that has one and, at that index, the first member that does.
+    """
+    members = tuple(members)
+    lower = np.array([phi.support[0] for phi in members])
+    upper = np.array([phi.support[1] for phi in members])
+    centers = np.array([phi.center for phi in members])[:, None]
+    widths = np.array([phi.width for phi in members])[:, None]
+    scales = np.array([phi._scale() for phi in members])[:, None]
+    tables = [[] for _ in members]
+    for index in schedule:
+        groups = {}
+        for k, phi in enumerate(members):
+            groups.setdefault(_panel_count(*phi.support, index), []).append(k)
+        failed = []
+        for panels, rows in groups.items():
+            count = 2 * panels + 1
+            chunk_rows = max(1, BLOCK_NODES // count)
+            for first in range(0, len(rows), chunk_rows):
+                chunk = np.array(rows[first : first + chunk_rows])
+                xs = _grids(lower[chunk], upper[chunk], count)
+                # a non-finite entry times the bump's zeros is nan; it is refused below
+                with np.errstate(all="ignore"):
+                    bumps = _bump_shape((xs - centers[chunk]) / widths[chunk]) * scales[chunk]
+                    ys = s.term_values(index, xs) * bumps
+                finite = np.all(np.isfinite(ys), axis=1)
+                if not np.all(finite):
+                    failed.extend(chunk[~finite])
+                    continue
+                fine, estimate = _two_grid_rule(ys, upper[chunk] - lower[chunk], panels)
+                for k, value, error in zip(chunk, fine, estimate):
+                    tables[k].append((index, float(value), float(error)))
+        if failed:
+            phi = members[min(failed)]
+            raise IntegrationError(
+                f"non-finite sample in the integrand at index {index}, against the "
+                f"test function centered at {phi.center} with width {phi.width}"
+            )
+    return tables
 
 
 def pair_with_estimate(s, index, phi):
     """Pairing integral of sequence entry `index` against the test function."""
-    lo, hi = phi.support
-
-    def integrand(xs):
-        # a non-finite entry times the bump's zeros is nan; integrate rejects it
-        with np.errstate(all="ignore"):
-            return s.term_values(index, xs) * phi.values(xs)
-
-    return integrate(integrand, lo, hi, oscillation_hint=index)
+    ((_, value, estimate),) = pairing_tables(s, (phi,), (index,))[0]
+    return value, estimate
 
 
 def pair(s, index, phi):

@@ -9,7 +9,10 @@ schedule's resolution, never a proof about the limit.
 
 Each pairing is computed once: a classification keeps the per-member tables
 its verdicts came from, and a report stage's `pairings` rows are exactly
-those tables.
+those tables.  The tables come from `pairing.pairing_tables`, which pairs the
+whole panel at each schedule index on one (member x node) block, with one
+closure call per block, the index as a scalar, and at most
+`pairing.BLOCK_NODES` nodes per block unless a single grid is longer.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 
 from ._report import Record, Unknown, all_passed, stage
 from .expr import DEFAULT_DOMAIN
-from .pairing import default_panel, pair_with_estimate
+from .pairing import default_panel, pairing_tables
 from .sequences import seq_mul, smooth_sequence
 
 DEFAULT_SCHEDULE = tuple(2 ** k for k in range(13))
@@ -66,7 +69,7 @@ def validate_schedule(schedule):
 
 def pairing_table(s, phi, schedule):
     """Pairing values and quadrature estimates along the schedule."""
-    return [(index, *pair_with_estimate(s, index, phi)) for index in schedule]
+    return pairing_tables(s, (phi,), schedule)[0]
 
 
 def _verdict_from_table(table, tol):
@@ -137,7 +140,7 @@ def classify_membership(s, panel, schedule=DEFAULT_SCHEDULE, tol=DEFAULT_TOL):
     """
     schedule = tuple(schedule)
     validate_schedule(schedule)
-    tables = tuple(pairing_table(s, phi, schedule) for phi in panel)
+    tables = tuple(pairing_tables(s, panel, schedule))
     verdicts = tuple(
         (phi, _verdict_from_table(table, tol)) for phi, table in zip(panel, tables)
     )

@@ -251,6 +251,31 @@ def test_index_only_pole_ends_in_an_error_report():
 
 
 @pytest.mark.parametrize(
+    "argv, index, member",
+    [
+        (["limit", "--seq=1/(nu-1)"], 1, (-0.7777777777777778, 0.2222222222222222)),
+        (["limit", "--seq=exp(nu*x)"], 1024, (0.5555555555555554, 0.2222222222222222)),
+        (
+            ["limit", "--seq=nu^200*cos(x)", "--nu-max=4096"],
+            64,
+            (-0.7777777777777778, 0.2222222222222222),
+        ),
+        (["classify", "--seq=1/(nu-8)"], 8, (-0.7777777777777778, 0.2222222222222222)),
+    ],
+)
+def test_integration_error_names_its_index_and_member(argv, index, member):
+    code, report = cli.run(argv)
+    assert code == 1
+    assert report["error"] == {
+        "type": "IntegrationError",
+        "message": (
+            f"non-finite sample in the integrand at index {index}, against the "
+            f"test function centered at {member[0]} with width {member[1]}"
+        ),
+    }
+
+
+@pytest.mark.parametrize(
     "argv, error_type, cause",
     [
         (["gf", "mul", "--lhs=1e200*x", "--rhs=1e200*x"], "OverflowError", "infinity"),
@@ -293,63 +318,96 @@ def test_default_panel_fits_a_domain_that_rounds_badly():
 
 
 def _record_pairings(monkeypatch):
-    """Start time of every pair_with_estimate call, at every module binding."""
-    original = pairing.pair_with_estimate
-    starts = []
+    """Pairings and closure calls of every pairing_tables call, at every module binding.
 
-    def recorded(*args):
-        starts.append(time.perf_counter())
-        return original(*args)
+    `pairings` counts members times indices per call; `calls` holds the
+    start time and block shape of each closure call the pairings made.
+    """
+    original = pairing.pairing_tables
+    record = {"pairings": 0, "calls": []}
+
+    class Recorded:
+        def __init__(self, s):
+            self.s = s
+
+        def term_values(self, index, xs):
+            record["calls"].append((time.perf_counter(), xs.shape))
+            return self.s.term_values(index, xs)
+
+    def recorded(s, members, schedule):
+        members, schedule = tuple(members), tuple(schedule)
+        record["pairings"] += len(members) * len(schedule)
+        return original(Recorded(s), members, schedule)
 
     for module in (pairing, weaklimit, algebra):
-        if getattr(module, "pair_with_estimate", None) is original:
-            monkeypatch.setattr(module, "pair_with_estimate", recorded)
-    return starts
+        if getattr(module, "pairing_tables", None) is original:
+            monkeypatch.setattr(module, "pairing_tables", recorded)
+    return record
+
+
+PAIRING_PINS = [
+    (["limit", "--seq=cos(nu*x)"], 104, 30, 152168),
+    (["classify", "--seq=cos(nu*x)"], 104, 30, 152168),
+    (["demo", "nosquare"], 208, 60, 304336),
+    (["demo", "branching"], 416, 120, 608672),
+    (["demo", "delta-square"], 99, 39, 234055),
+]
 
 
 @pytest.mark.parametrize(
-    "argv, calls",
-    [
-        (["limit", "--seq=cos(nu*x)"], 104),
-        (["classify", "--seq=cos(nu*x)"], 104),
-        (["demo", "nosquare"], 208),
-        (["demo", "branching"], 416),
-        (["demo", "delta-square"], 99),
-    ],
+    "argv, pairings, calls, points",
+    PAIRING_PINS,
+    ids=[f"argv{k}-{pin[1]}" for k, pin in enumerate(PAIRING_PINS)],  # row and pairing count
 )
-def test_each_pairing_is_computed_once(monkeypatch, argv, calls):
-    starts = _record_pairings(monkeypatch)
+def test_each_pairing_is_computed_once(monkeypatch, argv, pairings, calls, points):
+    record = _record_pairings(monkeypatch)
     code, _ = cli.run(argv)
     assert code == 0
-    assert len(starts) == calls
+    assert record["pairings"] == pairings
+    # one closure call per block, never one per pairing; the same nodes are sampled
+    assert len(record["calls"]) == calls
+    assert sum(rows * nodes for _, (rows, nodes) in record["calls"]) == points
+
+
+def test_closure_calls_keep_to_the_node_cap(monkeypatch):
+    record = _record_pairings(monkeypatch)
+    code, _ = cli.run(["demo", "nosquare", "--domain=-2,3", "--nu-max=8192"])
+    assert code == 0
+    shapes = [shape for _, shape in record["calls"]]
+    for rows, nodes in shapes:
+        assert rows * nodes <= pairing.BLOCK_NODES or rows == 1
+    # both kinds of block occur: several rows under the cap, one row over it
+    assert any(rows > 1 for rows, _ in shapes)
+    assert any(rows == 1 and nodes > pairing.BLOCK_NODES for rows, nodes in shapes)
 
 
 def test_stage_timing_covers_every_pairing(monkeypatch):
-    starts = _record_pairings(monkeypatch)
+    record = _record_pairings(monkeypatch)
     code, report = cli.run(["limit", "--seq=cos(nu*x)"])
     assert code == 0
     (stage,) = report["stages"]
+    starts = [start for start, _ in record["calls"]]
     assert starts[-1] - starts[0] <= stage["timing_s"]
 
 
 def test_short_delta_square_schedule_is_an_error(monkeypatch):
-    starts = _record_pairings(monkeypatch)
+    record = _record_pairings(monkeypatch)
     code, report = cli.run(["demo", "delta-square", "--schedule=4,8,16"])
     assert code == 1
     assert report["error"]["message"] == "schedule needs at least 6 indices"
     # the schedule is refused before any pairing is computed
-    assert starts == []
+    assert record == {"pairings": 0, "calls": []}
 
 
 def test_delta_square_refuses_a_domain_without_its_probe(monkeypatch):
-    starts = _record_pairings(monkeypatch)
+    record = _record_pairings(monkeypatch)
     code, report = cli.run(["demo", "delta-square", "--domain=-0.5,0.5"])
     assert code == 1
     assert report["error"]["type"] == "ValueError"
     message = report["error"]["message"]
     assert "normalized bump on [-1.0, 1.0]" in message
     assert "domain [-0.5, 0.5]" in message
-    assert starts == []
+    assert record == {"pairings": 0, "calls": []}
     # a domain whose closure holds the support is accepted
     code, _ = cli.run(["demo", "delta-square", "--domain=-1,1", "--nu-max=256"])
     assert code == 0

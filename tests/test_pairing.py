@@ -6,6 +6,7 @@ import pytest
 import branchlab as bl
 import branchlab.expr as ex
 import branchlab.pairing as pairing
+from conftest import random_expression
 
 # midpoint rule at 2^20 panels, written before looking at the package value
 FROZEN_SHAPE_INTEGRAL = 0.4439938161680794
@@ -151,6 +152,106 @@ def test_integrate_samples_its_integrand_once(tail, index):
     assert nodes % 2 == 1
     # the fine grid's even nodes are the coarse grid, bit for bit
     assert got == _two_grid_simpson(integrand, *phi.support, index)
+
+
+@pytest.mark.parametrize("lower, upper", [(-1.0, 0.7), (0.3, 1.9), (-2.2, 3.1)])
+@pytest.mark.parametrize("hint", [1, 7, 64])
+def test_integrate_samples_on_linspace(lower, upper, hint):
+    grids = []
+
+    def f(xs):
+        grids.append(xs.copy())
+        return np.exp(xs)
+
+    assert pairing.integrate(f, lower, upper, hint) == _two_grid_simpson(
+        np.exp, lower, upper, hint
+    )
+    # every node, the last one included, where linspace puts it
+    (xs,) = grids
+    assert np.array_equal(xs, np.linspace(lower, upper, len(xs)))
+
+
+def _reference_tables(s, members, schedule):
+    """_two_grid_simpson per (index, member), or the IntegrationError message a
+    non-finite sample should raise."""
+    tables = []
+    failures = []
+    for k, phi in enumerate(members):
+        table = []
+        for index in schedule:
+            finite = []
+
+            def integrand(xs):
+                ys = s.term_values(index, xs) * phi.values(xs)
+                finite.append(bool(np.all(np.isfinite(ys))))
+                return ys
+
+            with np.errstate(all="ignore"):
+                table.append((index, *_two_grid_simpson(integrand, *phi.support, index)))
+            if not all(finite):
+                failures.append((schedule.index(index), k, index, phi))
+        tables.append(table)
+    if failures:
+        _, _, index, phi = min(failures, key=lambda failure: failure[:2])
+        return (
+            f"non-finite sample in the integrand at index {index}, against the "
+            f"test function centered at {phi.center} with width {phi.width}"
+        )
+    return tables
+
+
+def _mixed_members():
+    """Three interleaved widths, so an index has several groups; the narrow ones fill chunks."""
+    members = [pairing.bump(-3.2 + 0.8 * k, 0.3) for k in range(9)]
+    members += [pairing.bump(c, 0.7) for c in (-2.0, 0.3, 2.6)]
+    members += [pairing.bump(c, 1.3, normalized=False) for c in (-1.4, 1.4)]
+    return sorted(members, key=lambda phi: phi.center)
+
+
+def test_pairing_tables_match_each_pairing_alone(rng, monkeypatch):
+    members = _mixed_members()
+    schedule = (1, 3, 16, 100, 256, 1024, 4096)
+    blocks = []  # (index, rows, nodes) of each closure call
+    original = bl.SmoothSequence.term_values
+
+    def recorded(self, index, xs):
+        blocks.append((index, *np.shape(xs)))
+        return original(self, index, xs)
+
+    sequences = [bl.SmoothSequence(random_expression(rng, allow_nu=True)) for _ in range(5)]
+    sequences.append(bl.smooth_sequence("cos(nu*x)*x", {3: "x^2", 16: "tanh(x)"}))
+    sequences.append(bl.smooth_sequence("(nu-1.738)^3*cos(x)"))
+    sequences.append(bl.smooth_sequence("1/(nu-100)"))
+    outcomes = set()
+    for s in sequences:
+        expected = _reference_tables(s, members, schedule)
+        blocks.clear()
+        monkeypatch.setattr(bl.SmoothSequence, "term_values", recorded)
+        if isinstance(expected, str):
+            with pytest.raises(pairing.IntegrationError) as caught:
+                pairing.pairing_tables(s, members, schedule)
+            assert str(caught.value) == expected
+        else:
+            # bit for bit, so == and not approx
+            assert pairing.pairing_tables(s, members, schedule) == expected
+        monkeypatch.undo()
+        outcomes.add(isinstance(expected, str))
+        # several groups at one index, and a group split into chunks of several rows
+        groups = {(index, nodes) for index, _, nodes in blocks}
+        assert len({nodes for index, _, nodes in blocks if index == 16}) == 3
+        if not isinstance(expected, str):
+            assert len(groups) < len(blocks)
+            assert any(rows > 1 for _, rows, nodes in blocks if nodes * 3 > pairing.BLOCK_NODES)
+    assert outcomes == {False, True}
+
+
+def test_pairing_tables_refuse_an_index_before_the_start():
+    s = bl.smooth_sequence("cos(nu*x)", start_index=5)
+    with pytest.raises(ValueError) as reference:
+        _reference_tables(s, _mixed_members(), (4, 8))
+    with pytest.raises(ValueError) as caught:
+        pairing.pairing_tables(s, _mixed_members(), (4, 8))
+    assert str(caught.value) == str(reference.value) == "sequence starts at index 5, got 4"
 
 
 def test_pair_constant_sequence():
