@@ -6,6 +6,14 @@ powers, and the unary functions sin, cos, exp, tanh, cosh.  Every expression
 is smooth wherever its denominators stay away from zero, and the class is
 closed under differentiation (cosh' is written tanh*cosh, tanh' as cosh^-2).
 
+Sums and products are flat: ``Add`` holds (op, node) terms, op ``+`` or
+``-``, and ``Mul`` (op, node) factors, op ``*`` or ``/``; the first op is
+``+`` or ``*``.  Only a left operand of the same kind is flattened, so a flat
+node is the binary left chain with its spine collapsed (``a + (b + c)`` keeps
+its inner sum) and a chain of any length is one level deep.  Each walk folds
+a flat node left to right with the rule of one binary node, so values round,
+term maps collect, text prints and derivatives nest as on binary chains.
+
 Nodes are immutable and compare structurally.  ``simplify`` produces a
 deterministic normal form: like terms of a sum and like factors of a product
 are collected, constants are folded, and the result is rebuilt as the exact
@@ -43,6 +51,7 @@ and a scalar power in ``evaluate_on_grid``, and may differ in the last bit.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -62,6 +71,16 @@ _NP_FUNCTIONS = {
     "exp": np.exp,
     "tanh": np.tanh,
     "cosh": np.cosh,
+}
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+# a two-part node, the common case, as one closure with the operator inline
+_BINARY = {
+    "+": lambda f, g: lambda nu, x: f(nu, x) + g(nu, x),
+    "-": lambda f, g: lambda nu, x: f(nu, x) - g(nu, x),
+    "*": lambda f, g: lambda nu, x: f(nu, x) * g(nu, x),
+    "/": lambda f, g: lambda nu, x: f(nu, x) / g(nu, x),
 }
 
 _MATH_FUNCTIONS = {
@@ -112,28 +131,28 @@ class Expr:
         return type(self), tuple([getattr(self, name) for name in self.__match_args__])
 
     def __add__(self, other):
-        return Add(self, as_expr(other))
+        return _chain(self, "+", other)
 
     def __radd__(self, other):
-        return Add(as_expr(other), self)
+        return _chain(other, "+", self)
 
     def __sub__(self, other):
-        return Sub(self, as_expr(other))
+        return _chain(self, "-", other)
 
     def __rsub__(self, other):
-        return Sub(as_expr(other), self)
+        return _chain(other, "-", self)
 
     def __mul__(self, other):
-        return Mul(self, as_expr(other))
+        return _chain(self, "*", other)
 
     def __rmul__(self, other):
-        return Mul(as_expr(other), self)
+        return _chain(other, "*", self)
 
     def __truediv__(self, other):
-        return Div(self, as_expr(other))
+        return _chain(self, "/", other)
 
     def __rtruediv__(self, other):
-        return Div(as_expr(other), self)
+        return _chain(other, "/", self)
 
     def __pow__(self, exponent):
         return Pow(self, exponent)
@@ -187,26 +206,12 @@ class Neg(Expr):
 
 @_node
 class Add(Expr):
-    left: Expr
-    right: Expr
-
-
-@_node
-class Sub(Expr):
-    left: Expr
-    right: Expr
+    terms: tuple  # (op, node) pairs, op "+" or "-", the first "+"
 
 
 @_node
 class Mul(Expr):
-    left: Expr
-    right: Expr
-
-
-@_node
-class Div(Expr):
-    numerator: Expr
-    denominator: Expr
+    factors: tuple  # (op, node) pairs, op "*" or "/", the first "*"
 
 
 @_node
@@ -246,6 +251,20 @@ def as_expr(value):
     raise TypeError(f"cannot coerce {type(value).__name__} to an expression")
 
 
+def _flat(parts):
+    """One node from (op, node) parts, the first op "+" or "*"; a first node of its kind splices."""
+    op, first = parts[0]
+    if len(parts) == 1:
+        return first
+    if op == "+":
+        return Add((*first.terms, *parts[1:]) if isinstance(first, Add) else tuple(parts))
+    return Mul((*first.factors, *parts[1:]) if isinstance(first, Mul) else tuple(parts))
+
+
+def _chain(left, op, right):
+    return _flat((("+" if op in "+-" else "*", as_expr(left)), (op, as_expr(right))))
+
+
 def sin(e):
     return Call("sin", as_expr(e))
 
@@ -273,16 +292,10 @@ def variables(e):
             return frozenset((name,))
         case Num() | Pi():
             return frozenset()
-        case Neg(a):
+        case Neg(a) | Pow(a, _) | Call(_, a):
             return variables(a)
-        case Add(l, r) | Sub(l, r) | Mul(l, r):
-            return variables(l) | variables(r)
-        case Div(n, d):
-            return variables(n) | variables(d)
-        case Pow(b, _):
-            return variables(b)
-        case Call(_, a):
-            return variables(a)
+        case Add(parts) | Mul(parts):
+            return frozenset().union(*map(variables, [node for _, node in parts]))
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -296,14 +309,11 @@ def substitute(e, name, replacement):
             return e
         case Neg(a):
             return Neg(substitute(a, name, replacement))
-        case Add(l, r):
-            return Add(substitute(l, name, replacement), substitute(r, name, replacement))
-        case Sub(l, r):
-            return Sub(substitute(l, name, replacement), substitute(r, name, replacement))
-        case Mul(l, r):
-            return Mul(substitute(l, name, replacement), substitute(r, name, replacement))
-        case Div(n_, d):
-            return Div(substitute(n_, name, replacement), substitute(d, name, replacement))
+        case Add(parts) | Mul(parts):
+            replaced = []
+            for op, node in parts:
+                replaced.append((op, substitute(node, name, replacement)))
+            return _flat(replaced)
         case Pow(b, k):
             return Pow(substitute(b, name, replacement), k)
         case Call(fn, a):
@@ -371,18 +381,22 @@ def _compile(e):
         case Neg(a):
             fa = _compile(a)
             return lambda nu, x: -fa(nu, x)
-        case Add(l, r):
-            fl, fr = _compile(l), _compile(r)
-            return lambda nu, x: fl(nu, x) + fr(nu, x)
-        case Sub(l, r):
-            fl, fr = _compile(l), _compile(r)
-            return lambda nu, x: fl(nu, x) - fr(nu, x)
-        case Mul(l, r):
-            fl, fr = _compile(l), _compile(r)
-            return lambda nu, x: fl(nu, x) * fr(nu, x)
-        case Div(n, d):
-            fn_, fd = _compile(n), _compile(d)
-            return lambda nu, x: fn_(nu, x) / fd(nu, x)
+        case Add(parts) | Mul(parts):
+            (_, first), *rest = parts
+            head = _compile(first)
+            if len(rest) == 1:
+                return _BINARY[rest[0][0]](head, _compile(rest[0][1]))
+            steps = []
+            for op, node in rest:
+                steps.append((_OPERATORS[op], _compile(node)))
+
+            def fold(nu, x):
+                value = head(nu, x)
+                for step, f in steps:
+                    value = step(value, f(nu, x))
+                return value
+
+            return fold
         case Pow(b, k):
             fb = _compile(b)
             return lambda nu, x: fb(nu, x) ** k
@@ -528,20 +542,16 @@ class _Parser:
         return e
 
     def expression(self):
-        left = self.term()
+        node = self.term()
         while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            right = self.term()
-            left = Add(left, right) if op == "+" else Sub(left, right)
-        return left
+            node = _chain(node, self.advance()[0], self.term())
+        return node
 
     def term(self):
-        left = self.factor()
+        node = self.factor()
         while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            right = self.factor()
-            left = Mul(left, right) if op == "*" else Div(left, right)
-        return left
+            node = _chain(node, self.advance()[0], self.factor())
+        return node
 
     def factor(self):
         negate = False
@@ -639,9 +649,9 @@ def _precedence(e):
             return _PREC_POW
         case Neg():
             return _PREC_UNARY
-        case Mul() | Div():
+        case Mul():
             return _PREC_MUL
-        case Add() | Sub():
+        case Add():
             return _PREC_ADD
     raise TypeError(f"not an expression node: {e!r}")
 
@@ -676,14 +686,11 @@ def _render(e, context):
                     a, _PREC_POW + 1 if not isinstance(a, Num) else _PREC_ATOM + 1
                 )
                 text = f"-{inner}"
-            case Mul(l, r):
-                text = f"{_render(l, _PREC_MUL)}*{_render(r, _PREC_MUL + 1)}"
-            case Div(n, d):
-                text = f"{_render(n, _PREC_MUL)}/{_render(d, _PREC_MUL + 1)}"
-            case Add(l, r):
-                text = f"{_render(l, _PREC_ADD)} + {_render(r, _PREC_ADD + 1)}"
-            case Sub(l, r):
-                text = f"{_render(l, _PREC_ADD)} - {_render(r, _PREC_ADD + 1)}"
+            case Add(((_, first), *rest)) | Mul(((_, first), *rest)):
+                level = _precedence(e)
+                text = _render(first, level)
+                for op, node in rest:
+                    text += (f" {op} " if level == _PREC_ADD else op) + _render(node, level + 1)
             case _:
                 raise TypeError(f"not an expression node: {e!r}")
     if _precedence(e) < context:
@@ -778,7 +785,7 @@ def _combine_factors(coefficient, *factor_maps):
         factors[Num(0.0)] = -1
     if len(factors) == 1 and coefficient in (1.0, -1.0):
         (base, exponent), = factors.items()
-        if exponent == 1 and isinstance(base, (Add, Sub)):
+        if exponent == 1 and isinstance(base, Add):
             # a lone signed sum is not a product, fold it into open terms or
             # one derivation path nests it while another flattens it; only
             # the exact +-1 scalings fold, anything else would round twice
@@ -788,6 +795,22 @@ def _combine_factors(coefficient, *factor_maps):
 
 def _pow_factors(factors, k):
     return {base: exponent * k for base, exponent in factors.items()}
+
+
+def _step_terms(left, op, right):
+    """Term map of `a op b` from the maps of a and b: the rule of one binary node."""
+    if op == "+":
+        return _merge_terms(left, right)
+    if op == "-":
+        return _merge_terms(left, _scale_terms(right, -1.0))
+    cl, fl = _as_single_term(left)
+    cr, fr = _as_single_term(right)
+    if op == "*":
+        return _combine_factors(cl * cr, fl, fr)
+    if cr == 0.0 and not fr:
+        # division by literal zero: keep it symbolic, evaluation raises
+        cr, fr = 1.0, {Num(0.0): 1}
+    return _combine_factors(cl / cr, fl, _pow_factors(fr, -1))
 
 
 def _terms(e):
@@ -806,21 +829,10 @@ def _terms(e):
             terms = {((e, 1),): 1.0}
         case Neg(a):
             terms = _scale_terms(_terms(a), -1.0)
-        case Add(l, r):
-            terms = _merge_terms(_terms(l), _terms(r))
-        case Sub(l, r):
-            terms = _merge_terms(_terms(l), _scale_terms(_terms(r), -1.0))
-        case Mul(l, r):
-            cl, fl = _as_single_term(_terms(l))
-            cr, fr = _as_single_term(_terms(r))
-            terms = _combine_factors(cl * cr, fl, fr)
-        case Div(n, d):
-            cn, fn_ = _as_single_term(_terms(n))
-            cd, fd = _as_single_term(_terms(d))
-            if cd == 0.0 and not fd:
-                # division by literal zero: keep it symbolic, evaluation raises
-                cd, fd = 1.0, {Num(0.0): 1}
-            terms = _combine_factors(cn / cd, fn_, _pow_factors(fd, -1))
+        case Add(((_, first), *rest)) | Mul(((_, first), *rest)):
+            terms = _terms(first)
+            for op, node in rest:
+                terms = _step_terms(terms, op, _terms(node))
         case Pow(_, 0):
             terms = {(): 1.0}
         case Pow(b, k):
@@ -857,50 +869,25 @@ def _terms(e):
     return terms
 
 
-def _hashed(node):
-    """node with its hash taken now.
-
-    A chain node built on a hashed child hashes in one level; a deep chain
-    first hashed from its root would recurse through every level, two
-    interpreter frames each.
-    """
-    hash(node)
-    return node
-
-
-def _product_chain(parts):
-    node = parts[0]
-    for part in parts[1:]:
-        node = _hashed(Mul(node, part))
-    return node
-
-
 def _positive_term_expr(coefficient, mono):
     numerators = []
     denominators = []
     for base, exponent in mono:
         if exponent > 0:
-            numerators.append(base if exponent == 1 else Pow(base, exponent))
+            numerators.append(("*", base if exponent == 1 else Pow(base, exponent)))
         else:
-            denominators.append(base if exponent == -1 else Pow(base, -exponent))
-    parts = []
+            denominators.append(("/", base if exponent == -1 else Pow(base, -exponent)))
     if coefficient != 1.0 or not numerators:
-        parts.append(Num(coefficient))
-    parts.extend(numerators)
-    node = _product_chain(parts)
-    for d in denominators:
-        node = _hashed(Div(node, d))
-    return node
+        numerators.insert(0, ("*", Num(coefficient)))
+    return _flat(numerators + denominators)
 
 
 def _negate_leading(e):
     match e:
         case Num(v):
             return Num(-v)
-        case Mul(l, r):
-            return Mul(_negate_leading(l), r)
-        case Div(n, d):
-            return Div(_negate_leading(n), d)
+        case Mul(((_, first), *rest)):
+            return Mul((("*", _negate_leading(first)), *rest))
     return Neg(e)
 
 
@@ -908,14 +895,12 @@ def _from_terms(terms):
     cleaned = {mono: c for mono, c in terms.items() if c != 0.0}
     if not cleaned:
         return Num(0.0)
-    node = None
-    for mono, coefficient in _ordered_terms(cleaned):
-        positive = _positive_term_expr(abs(coefficient), mono)
-        if node is None:
-            node = _negate_leading(positive) if coefficient < 0 else positive
-        else:
-            node = _hashed(Sub(node, positive) if coefficient < 0 else Add(node, positive))
-    return node
+    (mono, coefficient), *rest = _ordered_terms(cleaned)
+    lead = _positive_term_expr(abs(coefficient), mono)
+    parts = [("+", _negate_leading(lead) if coefficient < 0 else lead)]
+    for mono, coefficient in rest:
+        parts.append(("-" if coefficient < 0 else "+", _positive_term_expr(abs(coefficient), mono)))
+    return _flat(parts)
 
 
 def simplify(e):
@@ -971,18 +956,29 @@ def _d(e):
             return Num(1.0) if name == "x" else Num(0.0)
         case Neg(a):
             return Neg(_d(a))
-        case Add(l, r):
-            return Add(_d(l), _d(r))
-        case Sub(l, r):
-            return Sub(_d(l), _d(r))
-        case Mul(l, r):
-            return Add(Mul(_d(l), r), Mul(l, _d(r)))
-        case Div(n, d):
-            return Div(Sub(Mul(_d(n), d), Mul(n, _d(d))), Pow(d, 2))
+        case Add(parts):
+            derivatives = []
+            for op, node in parts:
+                derivatives.append((op, _d(node)))
+            return _flat(derivatives)
+        case Mul(((_, prefix), *rest)):
+            # the binary product and quotient rules folded over the prefixes; each
+            # node built holds its term map, so none is folded again from its start
+            dprefix = _d(prefix)
+            for k, (op, node) in enumerate(rest):
+                if k:
+                    prefix = _seeded(prefix, *rest[k - 1])
+                lead = _seeded(prefix, "*", _d(node))
+                dprefix = _seeded(dprefix, "*", node)
+                if op == "*":
+                    dprefix = _seeded(dprefix, "+", lead)
+                else:
+                    dprefix = _seeded(_seeded(dprefix, "-", lead), "/", node**2)
+            return dprefix
         case Pow(b, k):
             if k == 0:
                 return Num(0.0)
-            return Mul(Mul(Num(float(k)), Pow(b, k - 1)), _d(b))
+            return Num(float(k)) * Pow(b, k - 1) * _d(b)
         case Call(fn, a):
             da = _d(a)
             if fn == "sin":
@@ -994,9 +990,16 @@ def _d(e):
             elif fn == "tanh":
                 outer = Pow(Call("cosh", a), -2)
             else:  # cosh; sinh is not in the vocabulary
-                outer = Mul(Call("tanh", a), Call("cosh", a))
-            return Mul(outer, da)
+                outer = Call("tanh", a) * Call("cosh", a)
+            return outer * da
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _seeded(left, op, right):
+    """left op right, holding the term map one fold step makes from left's."""
+    node = _chain(left, op, right)
+    object.__setattr__(node, "_term_map", _step_terms(_terms(left), op, _terms(right)))
+    return node
 
 
 def diff(e, order=1):
@@ -1041,23 +1044,18 @@ def denominators(e):
 
     def walk(node):
         match node:
-            case Num() | Pi() | Var():
-                return
-            case Neg(a):
+            case Neg(a) | Call(_, a):
                 walk(a)
-            case Add(l, r) | Sub(l, r) | Mul(l, r):
-                walk(l)
-                walk(r)
-            case Div(n, d):
-                found.append(d)
-                walk(n)
-                walk(d)
+            case Add(parts) | Mul(parts):
+                # in the order of the binary walk, which met each divisor on
+                # its way down the left chain: the last divisor first
+                found.extend([part for op, part in reversed(parts) if op == "/"])
+                for _, part in parts:
+                    walk(part)
             case Pow(b, k):
                 if k < 0:
                     found.append(b)
                 walk(b)
-            case Call(_, a):
-                walk(a)
 
     walk(e)
     return found

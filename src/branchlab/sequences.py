@@ -176,8 +176,9 @@ def seq_scale(c, s):
 
 def seq_sub(s, t):
     """Entry-wise difference."""
-    # must go through Sub, not scale-then-add: negating via Num(-1)* turns a
-    # multi-term tail into an atomic factor and equal tails stop cancelling
+    # must subtract (a "-" term of an Add), not scale-then-add: negating via
+    # Num(-1)* turns a multi-term tail into an atomic factor and equal tails
+    # stop cancelling
     return _combine(s, t, lambda a, b: a - b)
 
 

@@ -226,10 +226,10 @@ def test_calculus_and_quotient_properties(expression_corpus):
         g = expression_corpus[(i + 37) % len(expression_corpus)]
         a = round(rng.uniform(-3, 3), 3)
         b = round(rng.uniform(-3, 3), 3)
-        lin_l = ex.diff(ex.Add(ex.Mul(ex.Num(a), f), ex.Mul(ex.Num(b), g)))
-        lin_r = ex.Add(ex.Mul(ex.Num(a), ex.diff(f)), ex.Mul(ex.Num(b), ex.diff(g)))
-        prod_l = ex.diff(ex.Mul(f, g))
-        prod_r = ex.Add(ex.Mul(ex.diff(f), g), ex.Mul(f, ex.diff(g)))
+        lin_l = ex.diff(ex.Num(a) * f + ex.Num(b) * g)
+        lin_r = ex.Num(a) * ex.diff(f) + ex.Num(b) * ex.diff(g)
+        prod_l = ex.diff(f * g)
+        prod_r = ex.diff(f) * g + f * ex.diff(g)
         for _ in range(3):
             xv = rng.uniform(-1.0, 1.0)
             worst_law = max(
@@ -291,7 +291,7 @@ def test_calculus_and_quotient_properties(expression_corpus):
         index = rng.randint(1, 12)
         f = alg.gf(bl.smooth_sequence(f_tail), house)
         perturbed = alg.gf(
-            bl.smooth_sequence(f_tail, {index: ex.Add(f_tail, entry)}), house
+            bl.smooth_sequence(f_tail, {index: f_tail + entry}), house
         )
         g = alg.gf(bl.smooth_sequence(g_tail), house)
         for left, right in (

@@ -179,7 +179,7 @@ def test_quotient_well_definedness(house, expression_corpus):
         index = rng.randint(1, 12)
         f = alg.gf(bl.smooth_sequence(f_tail), house)
         perturbed = alg.gf(
-            bl.smooth_sequence(f_tail, {index: ex.Add(f_tail, entry)}), house
+            bl.smooth_sequence(f_tail, {index: f_tail + entry}), house
         )
         g = alg.gf(bl.smooth_sequence(g_tail), house)
         assert isinstance(alg.gf_equal(f, perturbed), alg.Equal)

@@ -281,7 +281,6 @@ def test_integration_error_names_its_index_and_member(argv, index, member):
         (["gf", "mul", "--lhs=1e200*x", "--rhs=1e200*x"], "OverflowError", "infinity"),
         (["gf", "derive", "--lhs=1e300^2*x"], "OverflowError", "out of range"),
         (["limit", "--seq=" + "(" * 300 + "x" + ")" * 300], "ParseError", "nesting"),
-        (["limit", "--seq=" + "+".join(["x"] * 3000)], "RecursionError", "recursion"),
     ],
 )
 def test_arithmetic_and_depth_failures_end_in_an_error_report(argv, error_type, cause):
@@ -290,6 +289,56 @@ def test_arithmetic_and_depth_failures_end_in_an_error_report(argv, error_type, 
     assert report["error"]["type"] == error_type
     assert cause in report["error"]["message"]
     assert cli.canonical_json(report)
+
+
+@pytest.mark.parametrize(
+    "seq, equivalent",
+    [("+".join(["x"] * 3000), "3000*x"), ("-".join(["x"] * 3000), "-2998*x")],
+    ids=["3000-term sum", "3000-term difference"],
+)
+def test_long_chains_have_a_weak_limit(seq, equivalent):
+    """A chain of any length is one flat node: no walk recurses down it."""
+    code, report = cli.run(["limit", "--seq=" + seq])
+    reference_code, reference = cli.run(["limit", "--seq=" + equivalent])
+    assert code == reference_code == 0
+    members = report["stages"][0]["per_test_function"]
+    reference_members = reference["stages"][0]["per_test_function"]
+    assert len(members) == len(reference_members)
+    for member, expected in zip(members, reference_members):
+        assert member["verdict"]["kind"] == expected["verdict"]["kind"] == "converges-to"
+        assert member["verdict"]["value"] == pytest.approx(expected["verdict"]["value"], rel=1e-9)
+
+
+_SUM_599 = "(" + "+".join(f"x^{k}" for k in range(1, 600)) + ")"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (
+            ["gf", "derive", "--lhs=" + "+".join(f"x^{k}" for k in range(1, 1200))],
+            " + ".join(f"{k}*x^{k - 1}" for k in range(1, 1200)),
+        ),
+        (["gf", "mul", f"--lhs={_SUM_599}*sin(x)", f"--rhs={_SUM_599}"], f"{_SUM_599}^2*sin(x)"),
+        (["gf", "mul", "--lhs=" + "*".join(["x"] * 2000), "--rhs=1"], "x^2000"),
+        (["gf", "mul", "--lhs=x" + "/2" * 500, "--rhs=1"], f"{2.0**-500!r}*x"),
+    ],
+    ids=["1199-term derivative", "599-term factor squared", "2000 factors", "500 divisors"],
+)
+def test_long_chains_have_a_normal_form(argv, expected):
+    code, report = cli.run(argv)
+    assert code == 0
+    result = expr.parse(report["stages"][0]["result"]["tail"])
+    assert result == expr.simplify(expr.parse(expected))
+
+
+def test_long_product_derivative_ends_in_a_report():
+    # the product rule nests one level per factor, so the derivative of a
+    # long enough product still outgrows the interpreter's stack
+    factors = "*".join(f"cos({k}*x)" for k in range(1, 401))
+    code, report = cli.run(["gf", "derive", "--lhs=" + factors])
+    assert cli.canonical_json(report)
+    assert code == 0 or report["error"]["type"] == "RecursionError"
 
 
 @pytest.mark.parametrize("seq", ["1/(nu-1)", "exp(nu*x)"])

@@ -25,14 +25,14 @@ POLES = [
 
 def test_parse_precedence_and_shape():
     e = ex.parse("1 + 2*x^3")
-    assert e == ex.Add(ex.Num(1.0), ex.Mul(ex.Num(2.0), ex.Pow(ex.x, 3)))
+    assert e == ex.Num(1.0) + ex.Num(2.0) * ex.Pow(ex.x, 3)
 
     e = ex.parse("cos(nu*x)^2")
-    assert e == ex.Pow(ex.Call("cos", ex.Mul(ex.nu, ex.x)), 2)
+    assert e == ex.Pow(ex.Call("cos", ex.nu * ex.x), 2)
 
     # unary minus binds tighter than +, looser than ^
     assert ex.parse("-x^2") == ex.Neg(ex.Pow(ex.x, 2))
-    assert ex.parse("2 - -x") == ex.Sub(ex.Num(2.0), ex.Neg(ex.x))
+    assert ex.parse("2 - -x") == ex.Num(2.0) - ex.Neg(ex.x)
 
 
 def test_parse_number_formats():
@@ -88,10 +88,10 @@ _leaves = st.one_of(
 def _extend(children):
     pair = st.tuples(children, children)
     return st.one_of(
-        pair.map(lambda ab: ex.Add(*ab)),
-        pair.map(lambda ab: ex.Sub(*ab)),
-        pair.map(lambda ab: ex.Mul(*ab)),
-        pair.map(lambda ab: ex.Div(*ab)),
+        pair.map(lambda ab: ab[0] + ab[1]),
+        pair.map(lambda ab: ab[0] - ab[1]),
+        pair.map(lambda ab: ab[0] * ab[1]),
+        pair.map(lambda ab: ab[0] / ab[1]),
         # the parser folds -literal into a negative literal, so mirror it
         children.map(
             lambda c: ex.Num(-c.value) if isinstance(c, ex.Num) else ex.Neg(c)
@@ -165,9 +165,9 @@ def test_diff_linearity(expression_corpus, rng):
         g = rng.choice(expression_corpus)
         a = round(rng.uniform(-3, 3), 3)
         b = round(rng.uniform(-3, 3), 3)
-        combined = ex.Add(ex.Mul(ex.Num(a), f), ex.Mul(ex.Num(b), g))
+        combined = ex.Num(a) * f + ex.Num(b) * g
         lhs = ex.diff(combined)
-        rhs = ex.Add(ex.Mul(ex.Num(a), ex.diff(f)), ex.Mul(ex.Num(b), ex.diff(g)))
+        rhs = ex.Num(a) * ex.diff(f) + ex.Num(b) * ex.diff(g)
         for _ in range(4):
             x = rng.uniform(-1.0, 1.0)
             assert abs(ex.evaluate(lhs, 1, x) - ex.evaluate(rhs, 1, x)) < 1e-10
@@ -177,8 +177,8 @@ def test_diff_leibniz(expression_corpus, rng):
     for _ in range(40):
         f = rng.choice(expression_corpus)
         g = rng.choice(expression_corpus)
-        lhs = ex.diff(ex.Mul(f, g))
-        rhs = ex.Add(ex.Mul(ex.diff(f), g), ex.Mul(f, ex.diff(g)))
+        lhs = ex.diff(f * g)
+        rhs = ex.diff(f) * g + f * ex.diff(g)
         for _ in range(4):
             x = rng.uniform(-1.0, 1.0)
             assert abs(ex.evaluate(lhs, 1, x) - ex.evaluate(rhs, 1, x)) < 1e-10
@@ -327,7 +327,7 @@ def _per_index_safety(e, domain):
 
 def test_denominator_safety_matches_the_per_index_search(rng):
     dom = ex.DomainInterval(-1.0, 1.0)
-    cases = [ex.Div(1.0, random_expression(rng, depth=3, allow_nu=True)) for _ in range(60)]
+    cases = [1.0 / random_expression(rng, depth=3, allow_nu=True) for _ in range(60)]
     cases += [ex.parse(text) for text, _, _ in POLES]
     cases += [ex.parse("1/(nu-3)"), ex.parse("1/exp(800*x^2)"), ex.parse("1/(2+sin(nu*x))")]
     statuses = set()
@@ -433,13 +433,78 @@ def test_scalar_poles_raise(text, index, point):
 def test_deep_left_sum_evaluates_on_both_paths():
     e = ex.x
     for _ in range(899):
-        e = ex.Add(e, ex.x)
+        e = e + ex.x
     assert ex.evaluate(e, 1, 0.5) == 450.0
     assert ex.evaluate_on_grid(e, 1, np.array([0.5, 1.0])).tolist() == [450.0, 900.0]
-    # the normal form, the derivative and the printer recurse once per level too
-    assert ex.simplify(e) == ex.Mul(ex.Num(900.0), ex.x)
+    # the normal form, the derivative and the printer each fold over one flat node
+    assert ex.simplify(e) == ex.Num(900.0) * ex.x
     assert ex.diff(e) == ex.Num(900.0)
     assert ex.to_string(e) == " + ".join(["x"] * 900)
+
+
+def _depth(e):
+    """Levels of e's tree, counted with a stack rather than by recursion."""
+    deepest, stack = 0, [(e, 1)]
+    while stack:
+        node, level = stack.pop()
+        deepest = max(deepest, level)
+        match node:
+            case ex.Add(parts) | ex.Mul(parts):
+                stack.extend((part, level + 1) for _, part in parts)
+            case ex.Neg(child) | ex.Pow(child, _) | ex.Call(_, child):
+                stack.append((child, level + 1))
+    return deepest
+
+
+# tree levels one nesting level of text may add: a sum, a product, and a
+# power, negation or call around the next level, with room to spare for the
+# negated leading terms and atomic sums of normal forms
+LEVELS_PER_NESTING = 6
+
+
+@st.composite
+def chained_texts(draw):
+    """(nesting, text): chains of up to 2000 operands, nested at most `nesting` deep.
+
+    One chain, at a drawn level, is long; the others have one to three
+    operands.  Each nested operand opens one level: parentheses, possibly
+    powered or negated, or a call.  `nesting` counts these wrappers; the
+    parser counts a negated group as two levels, so its count is never lower.
+    """
+    nesting = draw(st.integers(min_value=0, max_value=6))
+    long_level = draw(st.integers(min_value=0, max_value=nesting))
+    long_length = [draw(st.integers(min_value=1, max_value=2000))]
+    rng = draw(st.randoms(use_true_random=False))
+
+    def chain(level):
+        length = rng.randint(1, 3)
+        if level == long_level and long_length:
+            length = long_length.pop()
+        ops = rng.choice(("+-", "*/", "+-*/"))
+        text = operand(level)
+        for _ in range(length - 1):
+            text += rng.choice(ops) + operand(level)
+        return text
+
+    def operand(level):
+        # nest on the way to the long chain's level until it is placed
+        toward_long = level < long_level and long_length
+        if level == nesting or not (toward_long or rng.random() < 0.4):
+            return rng.choice(("x", "nu", "pi", "2", "0.5", "x^2", "nu^-1"))
+        wrapper = rng.choice(("({})", "({})^2", "({})^-1", "-({})", "cos({})", "exp({})"))
+        return wrapper.format(chain(level + 1))
+
+    return nesting, chain(0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(chained_texts())
+def test_tree_depth_follows_nesting_not_chain_length(case):
+    nesting, text = case
+    e = ex.parse(text)
+    bound = LEVELS_PER_NESTING * (nesting + 1)
+    assert _depth(e) <= bound
+    assert _depth(ex.simplify(e)) <= bound
 
 
 def test_deep_atomic_base_hashes_without_recursing():
@@ -447,7 +512,7 @@ def test_deep_atomic_base_hashes_without_recursing():
     # not recurse through every term
     text = "(" + "+".join(f"x^{k}" for k in range(1, 600)) + ")*sin(x)"
     result = ex.simplify(ex.parse(text))
-    assert isinstance(result, ex.Mul) and result.left == ex.Call("sin", ex.x)
+    assert isinstance(result, ex.Mul) and result.factors[0][1] == ex.Call("sin", ex.x)
     assert ex.to_string(result).endswith(" + x^598 + x^599)")
 
 

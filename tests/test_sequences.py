@@ -19,7 +19,7 @@ DOM = ex.DomainInterval(-1.0, 1.0)
     coeff=st.floats(min_value=-3, max_value=3, allow_nan=False),
 )
 def test_term_dispatch(index, exc_index, coeff):
-    s = bl.smooth_sequence("nu*x", {exc_index: ex.Mul(ex.Num(coeff), ex.x)})
+    s = bl.smooth_sequence("nu*x", {exc_index: ex.Num(coeff) * ex.x})
     got = s.term_value(index, 0.7)
     with s.probe(index) as probe:
         assert probe(0.7) == got
