@@ -24,22 +24,39 @@ identities are applied.
 
 Each node computes four things at most once and keeps them: its hash, its
 printed form (stored by ``to_string``), its normal-form term map and its
-compiled closure.  ``_terms`` stores the term map, so ``simplify``, ``diff``,
+compiled function.  ``_terms`` stores the term map, so ``simplify``, ``diff``,
 ``sum_terms`` and ``atomic_factor`` reuse every subtree they share, as the
 derivative rules share them.  A stored term map is handed to every later
 caller, so term maps are read-only: code that needs a changed map copies it.
 
 ``evaluate`` (scalar; EvalError at a division by zero or a non-finite value)
-and ``evaluate_on_grid`` (array; inf/nan passed through) run the one closure
-the expression's root compiles.  Bracket refinement probes one expression at one
-index many times, so it holds a probe for the whole bracket: the index check,
-the closure lookup and the error state are paid once, and each call costs
-the closure plus the scalar policy of ``evaluate``.  Probes keep the type of
+and ``evaluate_on_grid`` (array; inf/nan passed through) run one generated
+function ``f(nu, x)`` per expression, compiled once and kept on its root
+node.  ``_compile`` writes the tree as the source of one Python expression:
+a flat node is a left-associative chain ``a - b + c``, which Python folds
+left to right as the walks fold, and every inner sum, product, negation and
+power sits in parentheses.  Each constant is a float64 parameter, each
+exponent an int parameter and each call a numpy ufunc parameter, so every
+numpy operation gets the operands, of the types and in the order, that a
+node-by-node evaluation gives it, and the results are equal bit for bit.  A
+subexpression 50 levels deep, counting chain parts, goes to a local
+temporary first, so no tree is too deep or too long for Python's parser.
+The source is wrapped in a factory ``make(c0, ...)`` that returns ``f``,
+and factories are cached by source text in one bounded ``lru_cache``: trees
+of one shape with other constants share one code object and skip Python's
+compiler.  The source is built only from node types, parameter names,
+temporaries, ``nu``, ``x`` and the four operators; no text a user wrote
+enters it, so ``exec`` runs nothing a user chose.
+
+Bracket refinement probes one expression at one index many times, so it
+holds a probe for the whole bracket: the index check, the function lookup
+and the error state are paid once, and each call costs the generated
+function plus the scalar policy of ``evaluate``.  Probes keep the type of
 the path whose numbers they reproduce, because numpy's integer powers differ
 in the last bit between arrays and scalars: certificate roots and witnesses
 are probed with float64 scalars.
 
-``denominator_safety`` calls a denominator's closure once on the block of
+``denominator_safety`` calls a denominator's function once on the block of
 every sampled index (a column) by every grid point (a row), then refines
 all rows' argmin brackets together with ``_numutil.refine_min_abs_lanes``,
 whose probe passes one point and one index per lane.  x is an array on both
@@ -51,12 +68,11 @@ and a scalar power in ``evaluate_on_grid``, and may differ in the last bit.
 from __future__ import annotations
 
 import math
-import operator
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -71,16 +87,6 @@ _NP_FUNCTIONS = {
     "exp": np.exp,
     "tanh": np.tanh,
     "cosh": np.cosh,
-}
-
-_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-
-# a two-part node, the common case, as one closure with the operator inline
-_BINARY = {
-    "+": lambda f, g: lambda nu, x: f(nu, x) + g(nu, x),
-    "-": lambda f, g: lambda nu, x: f(nu, x) - g(nu, x),
-    "*": lambda f, g: lambda nu, x: f(nu, x) * g(nu, x),
-    "/": lambda f, g: lambda nu, x: f(nu, x) / g(nu, x),
 }
 
 _MATH_FUNCTIONS = {
@@ -365,45 +371,107 @@ DEFAULT_DOMAIN = DomainInterval(-1.0, 1.0)
 # evaluation
 
 
-def _compile(e):
-    """Closure f(nu, x) for e: scalars in, scalar out; x array in, array out."""
+# Distinct expression shapes whose generated factory is kept; a tree of a
+# kept shape compiles without running Python's compiler.
+_SHAPE_CACHE_SIZE = 256
+# AST depth at which a running subexpression moves to a local temporary, so
+# no line of generated source nears the parser's nesting or the compiler's
+# recursion limit however deep or long the tree is
+_SPILL_DEPTH = 50
+
+
+class _Source:
+    """Body lines and parameters of the generated function f(nu, x).
+
+    Only node types, parameter names, temporaries, nu, x and the four
+    operators enter the text; every literal value is a parameter.
+    """
+
+    def __init__(self):
+        self.lines = []
+        self.names = []
+        self.values = []
+        self.temps = 0
+
+    def param(self, kind, value):
+        name = f"{kind}{len(self.names)}"
+        self.names.append(name)
+        self.values.append(value)
+        return name
+
+    def temp(self, text, at=None):
+        name = f"t{self.temps}"
+        self.temps += 1
+        self.lines.insert(len(self.lines) if at is None else at, f"{name} = {text}")
+        return name
+
+    def spill(self, text, depth):
+        return (self.temp(text), 0) if depth >= _SPILL_DEPTH else (text, depth)
+
+
+def _operand(node, text):
+    """text as an operand: a name or a call stands bare, anything else in parentheses."""
+    return text if text.isidentifier() or isinstance(node, Call) else f"({text})"
+
+
+def _write(e, src):
+    """Python text of e and its AST depth, deep parts spilled to src's temporaries.
+
+    Every numpy operation gets the operands, of the types and in the order,
+    that folding each flat node left to right gives it: a flat node is a
+    left-associative chain, constants are float64 parameters, exponents int
+    parameters and calls numpy ufunc parameters.
+    """
     match e:
         case Num() | Pi():
             # float64 constants keep every operation under numpy's error state
-            c = np.float64(math.pi if isinstance(e, Pi) else e.value)
-            return lambda nu, x: c
-        case Var("x"):
-            return lambda nu, x: x
-        case Var("nu"):
-            return lambda nu, x: nu
+            return src.param("c", np.float64(math.pi if isinstance(e, Pi) else e.value)), 0
+        case Var("x" | "nu"):
+            return e.name, 0
         case Var():
             raise EvalError("operation placeholder 'u' is unbound at evaluation")
         case Neg(a):
-            fa = _compile(a)
-            return lambda nu, x: -fa(nu, x)
+            text, depth = _write(a, src)
+            return src.spill(f"-{_operand(a, text)}", depth + 1)
         case Add(parts) | Mul(parts):
             (_, first), *rest = parts
-            head = _compile(first)
-            if len(rest) == 1:
-                return _BINARY[rest[0][0]](head, _compile(rest[0][1]))
-            steps = []
+            text, depth = _write(first, src)
+            text = _operand(first, text)
             for op, node in rest:
-                steps.append((_OPERATORS[op], _compile(node)))
-
-            def fold(nu, x):
-                value = head(nu, x)
-                for step, f in steps:
-                    value = step(value, f(nu, x))
-                return value
-
-            return fold
+                mark = len(src.lines)
+                part, part_depth = _write(node, src)
+                if len(src.lines) > mark and not text.isidentifier():
+                    # the left operand runs before the part's temporaries, as in a fold
+                    text, depth = src.temp(text, at=mark), 0
+                text = f"{text} {op} {_operand(node, part)}"
+                depth = max(depth, part_depth) + 1
+                if depth >= _SPILL_DEPTH:
+                    text, depth = src.temp(text), 0
+            return text, depth
         case Pow(b, k):
-            fb = _compile(b)
-            return lambda nu, x: fb(nu, x) ** k
+            text, depth = _write(b, src)
+            return src.spill(f"{_operand(b, text)} ** {src.param('k', k)}", depth + 1)
         case Call(fn, a):
-            ufunc, fa = _NP_FUNCTIONS[fn], _compile(a)
-            return lambda nu, x: ufunc(fa(nu, x))
+            text, depth = _write(a, src)
+            return src.spill(f"{src.param('f', _NP_FUNCTIONS[fn])}({text})", depth + 1)
     raise TypeError(f"not an expression node: {e!r}")
+
+
+@lru_cache(maxsize=_SHAPE_CACHE_SIZE)
+def _factory(source):
+    namespace = {}
+    exec(source, namespace)
+    return namespace["make"]
+
+
+def _compile(e):
+    """One generated function f(nu, x) for e: scalars in, scalar out; x array in, array out."""
+    src = _Source()
+    text, _ = _write(e, src)
+    lines = [f"def make({', '.join(src.names)}):", "    def f(nu, x):"]
+    lines += [f"        {line}" for line in (*src.lines, f"return {text}")]
+    lines.append("    return f")
+    return _factory("\n".join(lines))(*src.values)
 
 
 def _compiled(e):
@@ -1064,13 +1132,15 @@ def denominators(e):
 def denominator_safety(e, domain):
     """Sample every denominator of e over a (nu, x) lattice on the domain.
 
-    Each denominator is evaluated once on the whole lattice, one row per
-    index.  Every row's argmin is refined by bisection or golden-section
-    search before comparing against the margin, all rows in one lane-wise
-    pass; a lattice alone cannot land within 1e-6 of a root.  The verdict is
-    the first index, in order, whose row is not finite, whose refined value
-    is not finite, or whose refined value is below the margin.  Safe is a
-    certificate at this lattice resolution, not a proof for all indices.
+    Each distinct denominator is evaluated once on the whole lattice, one
+    row per index, in the order of first occurrence; ``denominator_count``
+    counts every occurrence.  Every row's argmin is refined by bisection or
+    golden-section search before comparing against the margin, all rows in
+    one lane-wise pass; a lattice alone cannot land within 1e-6 of a root.
+    The verdict is the first index, in order, whose row is not finite, whose
+    refined value is not finite, or whose refined value is below the margin.
+    Safe is a certificate at this lattice resolution, not a proof for all
+    indices.
     """
     dens = denominators(e)
     verdict = partial(DenominatorSafety, margin=SAFETY_MARGIN, denominator_count=len(dens))
@@ -1078,7 +1148,7 @@ def denominator_safety(e, domain):
         return verdict(SafetyStatus.SAFE)
     xs = domain.interior_grid(SAFETY_X_SAMPLES)
     nus = np.arange(1.0, SAFETY_NU_SAMPLES + 1.0)
-    for den in dens:
+    for den in dict.fromkeys(dens):
         closure = _compiled(den)
         with np.errstate(all="ignore"):
             block = np.broadcast_to(closure(nus[:, None], xs), (len(nus), len(xs)))

@@ -578,6 +578,29 @@ def test_denominator_safety_evaluates_a_denominator_once_per_refinement_step(mon
     assert 0 < len(calls) <= 200
 
 
+def test_a_repeated_denominator_is_checked_once(monkeypatch):
+    lattices = []
+    original = expr._compiled
+
+    def counted(e):
+        closure = original(e)
+
+        def counting(nu, x):
+            if np.ndim(nu) == 2:
+                lattices.append(e)
+            return closure(nu, x)
+
+        return counting
+
+    monkeypatch.setattr(expr, "_compiled", counted)
+    code, _ = cli.run(["gf", "mul", "--lhs=x" + "/2" * 500, "--rhs=1"])
+    assert code == 0
+    # 500 occurrences of one denominator: one (index x point) lattice
+    assert lattices == [expr.Num(2.0)]
+    safety = expr.denominator_safety(expr.parse("x" + "/2" * 500), expr.DEFAULT_DOMAIN)
+    assert safety.denominator_count == 500
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -1,4 +1,5 @@
 import math
+import operator
 import pickle
 from functools import partial
 
@@ -578,3 +579,148 @@ def test_probe_restores_the_error_state():
         with ex._probe(ex.x, 0):
             pass
     assert np.geterr() == before
+
+
+_REFERENCE_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _reference_compile(e):
+    """Node-by-node reference compiler: one closure per node, one left fold per flat node."""
+    match e:
+        case ex.Num() | ex.Pi():
+            c = np.float64(math.pi if isinstance(e, ex.Pi) else e.value)
+            return lambda nu, x: c
+        case ex.Var("x"):
+            return lambda nu, x: x
+        case ex.Var("nu"):
+            return lambda nu, x: nu
+        case ex.Var():
+            raise ex.EvalError("operation placeholder 'u' is unbound at evaluation")
+        case ex.Neg(a):
+            fa = _reference_compile(a)
+            return lambda nu, x: -fa(nu, x)
+        case ex.Add(parts) | ex.Mul(parts):
+            (_, first), *rest = parts
+            head = _reference_compile(first)
+            steps = [(_REFERENCE_OPERATORS[op], _reference_compile(node)) for op, node in rest]
+
+            def fold(nu, x):
+                value = head(nu, x)
+                for step, f in steps:
+                    value = step(value, f(nu, x))
+                return value
+
+            return fold
+        case ex.Pow(b, k):
+            fb = _reference_compile(b)
+            return lambda nu, x: fb(nu, x) ** k
+        case ex.Call(fn, a):
+            ufunc, fa = ex._NP_FUNCTIONS[fn], _reference_compile(a)
+            return lambda nu, x: ufunc(fa(nu, x))
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+_XS = np.array([-2.5, -1.0, -0.3, 0.0, 0.25, 0.7, 1.9])
+_NUS = np.array([1.0, 2.0, 3.0, 7.0, 40.0])
+# scalar nu and x; scalar nu, x grid; nu column by x row; nu and x lanes
+_SHAPES = [
+    *[(np.float64(nu), np.float64(x)) for nu in (1.0, 3.0) for x in (-0.3, 0.0, 0.25, 1.9)],
+    (np.float64(3.0), _XS),
+    (_NUS[:, None], _XS),
+    (np.resize(_NUS, len(_XS)), _XS),
+]
+
+
+def _assert_same_bits(generated, reference):
+    assert type(generated) is type(reference)
+    generated, reference = np.asarray(generated), np.asarray(reference)
+    assert generated.dtype == reference.dtype == np.float64
+    assert generated.shape == reference.shape
+    # NaNs included: every value carries the same 64 bits
+    assert np.array_equal(generated.view(np.int64), reference.view(np.int64))
+
+
+def _assert_matches_reference(e):
+    generated, reference = ex._compile(e), _reference_compile(e)
+    with np.errstate(all="ignore"):
+        for nu_value, x_value in _SHAPES:
+            _assert_same_bits(generated(nu_value, x_value), reference(nu_value, x_value))
+
+
+def test_generated_function_matches_the_node_closures_bit_for_bit(rng):
+    trees = [random_expression(rng, depth=3, allow_nu=True) for _ in range(200)]
+    trees += [_random_powered_expression(rng) for _ in range(200)]
+    for e in trees:
+        _assert_matches_reference(e)
+
+
+@pytest.mark.parametrize("text, index, point", POLES)
+def test_generated_poles_raise_what_the_node_closures_raise(text, index, point):
+    e = ex.parse(text)
+    with pytest.raises(ex.EvalError) as expected:
+        with np.errstate(all="ignore", divide="raise"):
+            ex._scalar(_reference_compile(e), np.float64(index), point)
+    with pytest.raises(ex.EvalError) as raised:
+        ex.evaluate(e, index, point)
+    assert str(raised.value) == str(expected.value)
+
+
+def test_grid_overflow_and_x_free_trees():
+    xs = np.linspace(-3.0, 3.0, 7)
+    decay = ex.parse("1/exp(800*x^2)")
+    values = ex.evaluate_on_grid(decay, 1, xs)
+    with np.errstate(all="ignore"):
+        _assert_same_bits(values, _reference_compile(decay)(np.float64(1.0), xs))
+    assert values.tolist() == [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+
+    # an x-free tree gives one scalar, which fills the grid
+    flat = ex.parse("nu^2 + 1")
+    assert np.shape(ex._compiled(flat)(np.float64(3.0), xs)) == ()
+    _assert_same_bits(ex.evaluate_on_grid(flat, 3, xs), np.full_like(xs, 10.0))
+
+
+def test_placeholder_is_refused_at_compile_time():
+    with pytest.raises(ex.EvalError, match="placeholder 'u' is unbound"):
+        ex._compile(ex.Num(1.0) + ex.Call("sin", ex.Var("u")))
+
+
+def test_deep_tree_compiles_and_matches_the_node_closures():
+    e = ex.x
+    for level in range(300):
+        e = (
+            ex.Neg(e),
+            ex.Call("sin", e),
+            ex.Num(0.5) + ex.nu * e,
+            ex.Pow(e, 2),
+            ex.Num(1.0) - ex.Num(0.3) / (ex.Num(2.0) + e),
+        )[level % 5]
+    # deeper than the parser accepts and than Python's 200-parenthesis limit
+    assert _depth(e) > 300 > ex.MAX_NESTING
+    _assert_matches_reference(e)
+
+
+def test_long_flat_sum_compiles_and_matches_the_node_closures():
+    def term(k):
+        return (ex.x, ex.nu * ex.x, ex.Call("cos", ex.x), ex.Num(0.1 * k), ex.Pow(ex.x, 2))[k % 5]
+
+    e = ex.Add(tuple(("-" if k % 3 == 1 else "+", term(k)) for k in range(3000)))
+    _assert_matches_reference(e)
+
+
+def test_trees_of_one_shape_share_one_code_object():
+    first = ex._compiled(ex.parse("0.5+sin(2*nu*x+1.3)"))
+    second = ex._compiled(ex.parse("0.7+sin(3*nu*x+0.2)"))
+    assert first is not second
+    assert first.__code__ is second.__code__
+    assert ex.evaluate(ex.parse("0.7+sin(3*nu*x+0.2)"), 2, 0.5) == pytest.approx(0.7 + math.sin(3.2))
+
+
+def test_shape_cache_keeps_to_its_size():
+    assert ex._factory.cache_info().maxsize == ex._SHAPE_CACHE_SIZE
+    before = ex._factory.cache_info().misses
+    for i in range(ex._SHAPE_CACHE_SIZE + 20):
+        # bit j of i picks x or nu as part j: a new shape for each i
+        parts = [ex.x if i >> j & 1 else ex.nu for j in range(10)]
+        ex._compiled(ex.Add(tuple(("+", part) for part in parts)))
+        assert ex._factory.cache_info().currsize <= ex._SHAPE_CACHE_SIZE
+    assert ex._factory.cache_info().misses - before > ex._SHAPE_CACHE_SIZE
