@@ -7,7 +7,9 @@ did not (an indefinite verdict, or a demo pattern that did not materialize),
 1 for usage or runtime errors, with a JSON error report.  Reports carry a
 versioned schema and are byte-deterministic apart from the timestamp and
 per-stage timings; strip_volatile removes exactly those fields so byte
-comparison across runs is meaningful.
+comparison across runs is meaningful.  canonical_json writes a report with
+its own encoder, in exactly the bytes json.dumps(sort_keys=True, indent=2)
+writes, with non-finite floats as the strings "nan", "inf" and "-inf".
 """
 
 from __future__ import annotations
@@ -267,18 +269,99 @@ def _panel(settings):
 # reports
 
 
-def _sanitize(obj):
-    if isinstance(obj, dict):
-        return {key: _sanitize(item) for key, item in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(item) for item in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return repr(obj)
-    return obj
+def _float_text(value):
+    # a non-finite float is written as the string of its repr: "nan", "inf", "-inf"
+    if math.isfinite(value):
+        return float.__repr__(value)
+    return _encode_str(repr(value))
+
+
+def _bool_text(value):
+    return "true" if value else "false"
+
+
+def _null_text(_):
+    return "null"
+
+
+# scalar writers by exact type; subclasses take the isinstance path in _scalar_text
+_encode_str = json.encoder.encode_basestring_ascii
+_SCALAR_TEXT = {
+    str: _encode_str,
+    float: _float_text,
+    int: int.__repr__,
+    bool: _bool_text,
+    type(None): _null_text,
+}
+
+
+def _scalar_text(o):
+    """JSON text of a scalar of any type json.dumps takes, None for a container."""
+    if isinstance(o, str):
+        return _encode_str(o)
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float_text(o)
+    if isinstance(o, (list, tuple, dict)):
+        return None
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _write_json(o, parts, indent):
+    """Append the JSON text of the container o, opened at `indent` (newline and spaces)."""
+    inner = indent + "  "
+    if isinstance(o, dict):
+        if not o:
+            parts.append("{}")
+            return
+        separator = "{" + inner
+        for key, value in sorted(o.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {key.__class__.__name__}")
+            writer = _SCALAR_TEXT.get(type(value))
+            text = writer(value) if writer else _scalar_text(value)
+            if text is None:
+                parts.append(separator + _encode_str(key) + ": ")
+                _write_json(value, parts, inner)
+            else:
+                parts.append(separator + _encode_str(key) + ": " + text)
+            separator = "," + inner
+        parts.append(indent + "}")
+        return
+    if not o:
+        parts.append("[]")
+        return
+    separator = "[" + inner
+    for value in o:
+        writer = _SCALAR_TEXT.get(type(value))
+        text = writer(value) if writer else _scalar_text(value)
+        if text is None:
+            parts.append(separator)
+            _write_json(value, parts, inner)
+        else:
+            parts.append(separator + text)
+        separator = "," + inner
+    parts.append(indent + "]")
 
 
 def canonical_json(report):
-    return json.dumps(_sanitize(report), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """The report as json.dumps(sort_keys=True, indent=2) writes it, plus a newline.
+
+    Non-finite floats are written as the strings "nan", "inf" and "-inf".  A
+    value json.dumps refuses, or a dict key that is not a str, raises
+    TypeError.  The text is written in one recursive pass with the same C
+    string escaper json.dumps uses: with an indent, json.dumps itself falls
+    back to its pure-Python encoder.
+    """
+    writer = _SCALAR_TEXT.get(type(report))
+    text = writer(report) if writer else _scalar_text(report)
+    if text is not None:
+        return text + "\n"
+    parts = []
+    _write_json(report, parts, "\n")
+    parts.append("\n")
+    return "".join(parts)
 
 
 def strip_volatile(obj):

@@ -41,24 +41,24 @@ class IntegrationError(ValueError):
 def _bump_shape(u):
     """exp(-1/(1-u^2)) on |u| < 1, zero elsewhere; vectorized."""
     u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    if np.any(inside):
-        v = u[inside]
-        out[inside] = np.exp(-1.0 / (1.0 - v * v))
-    return out
+    work = np.abs(u, out=np.empty_like(u))  # an array even when u is 0-d
+    inside = work < 1.0
+    # exp(-1/(1-u*u)) at every point, one ufunc at a time in one buffer; the
+    # points outside overflow or divide by zero and are dropped by np.where
+    with np.errstate(all="ignore"):
+        np.multiply(u, u, out=work)
+        np.subtract(1.0, work, out=work)
+        np.divide(-1.0, work, out=work)
+        np.exp(work, out=work)
+    return np.where(inside, work, 0.0)
 
 
 def _bump_shape_derivative(u):
     """d/du of the bump shape: shape(u) * (-2u/(1-u^2)^2)."""
     u = np.asarray(u, dtype=float)
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    if np.any(inside):
-        v = u[inside]
-        w = 1.0 - v * v
-        out[inside] = np.exp(-1.0 / w) * (-2.0 * v / (w * w))
-    return out
+    with np.errstate(all="ignore"):
+        w = 1.0 - u * u
+        return np.where(np.abs(u) < 1.0, np.exp(-1.0 / w) * (-2.0 * u / (w * w)), 0.0)
 
 
 @lru_cache(maxsize=1)
@@ -198,29 +198,39 @@ def _panel_count(lower, upper, oscillation_hint):
     return panels + panels % 2
 
 
-def _grids(lower, upper, count):
-    """Row i is np.linspace(lower[i], upper[i], count), bit for bit for a nonzero step."""
-    xs = np.arange(count) * ((upper - lower) / (count - 1))[:, None] + lower[:, None]
+def _grids(lower, upper, nodes):
+    """Row i is np.linspace(lower[i], upper[i], count), bit for bit for a nonzero step.
+
+    `nodes` is np.arange(count).
+    """
+    xs = nodes * ((upper - lower) / (nodes.size - 1))[:, None] + lower[:, None]
     xs[:, -1] = upper
     return xs
 
 
-def _simpson_rows(ys, step):
-    """Composite Simpson sum of each row of ys (odd length), samples `step` apart."""
-    weights = np.ones(ys.shape[1])
+def _simpson_weights(count):
+    """Composite Simpson weights of `count` (odd) samples."""
+    weights = np.ones(count)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
-    return np.sum(weights * ys, axis=1) * step / 3.0
+    return weights
 
 
-def _two_grid_rule(ys, width, panels):
+def _two_grid_setup(panels):
+    """np.arange of the 2*panels+1 fine nodes, and the fine and coarse Simpson weights."""
+    count = 2 * panels + 1
+    return np.arange(count), (_simpson_weights(count), _simpson_weights(panels + 1))
+
+
+def _two_grid_rule(ys, width, panels, weights):
     """Per row: Simpson on 2*panels, and its distance to Simpson on every other node.
 
     linspace(lo, hi, 2n+1)[::2] is linspace(lo, hi, n+1) bit for bit, so the
     coarse rule reads the fine grid's samples instead of sampling again.
     """
-    fine = _simpson_rows(ys, width / (2 * panels))
-    coarse = _simpson_rows(ys[:, ::2], width / panels)
+    fine_weights, coarse_weights = weights
+    fine = np.sum(fine_weights * ys, axis=1) * (width / (2 * panels)) / 3.0
+    coarse = np.sum(coarse_weights * ys[:, ::2], axis=1) * (width / panels) / 3.0
     return fine, np.abs(fine - coarse)
 
 
@@ -234,11 +244,12 @@ def integrate(f, lower, upper, oscillation_hint=1):
     lower = float(lower)
     upper = float(upper)
     panels = _panel_count(lower, upper, oscillation_hint)
-    (xs,) = _grids(np.array([lower]), np.array([upper]), 2 * panels + 1)
+    nodes, weights = _two_grid_setup(panels)
+    (xs,) = _grids(np.array([lower]), np.array([upper]), nodes)
     ys = np.asarray(f(xs))
     if not np.all(np.isfinite(ys)):
         raise IntegrationError("non-finite sample in the integrand")
-    (fine,), (estimate,) = _two_grid_rule(ys[None, :], upper - lower, panels)
+    (fine,), (estimate,) = _two_grid_rule(ys[None, :], upper - lower, panels, weights)
     return float(fine), float(estimate)
 
 
@@ -263,11 +274,11 @@ def pairing_tables(s, members, schedule):
             groups.setdefault(_panel_count(*phi.support, index), []).append(k)
         failed = []
         for panels, rows in groups.items():
-            count = 2 * panels + 1
-            chunk_rows = max(1, BLOCK_NODES // count)
+            nodes, weights = _two_grid_setup(panels)
+            chunk_rows = max(1, BLOCK_NODES // nodes.size)
             for first in range(0, len(rows), chunk_rows):
                 chunk = np.array(rows[first : first + chunk_rows])
-                xs = _grids(lower[chunk], upper[chunk], count)
+                xs = _grids(lower[chunk], upper[chunk], nodes)
                 # a non-finite entry times the bump's zeros is nan; it is refused below
                 with np.errstate(all="ignore"):
                     bumps = _bump_shape((xs - centers[chunk]) / widths[chunk]) * scales[chunk]
@@ -276,7 +287,7 @@ def pairing_tables(s, members, schedule):
                 if not np.all(finite):
                     failed.extend(chunk[~finite])
                     continue
-                fine, estimate = _two_grid_rule(ys, upper[chunk] - lower[chunk], panels)
+                fine, estimate = _two_grid_rule(ys, upper[chunk] - lower[chunk], panels, weights)
                 for k, value, error in zip(chunk, fine, estimate):
                     tables[k].append((index, float(value), float(error)))
         if failed:

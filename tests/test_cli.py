@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from branchlab import _numutil, algebra, cli, expr, ideals, pairing, weaklimit
 
@@ -118,6 +120,70 @@ def test_out_file_holds_canonical_report(tmp_path):
     assert out.read_text(encoding="utf-8") == cli.canonical_json(report)
     parsed = json.loads(out.read_text(encoding="utf-8"))
     assert parsed["schema"] == "branch-lab/1"
+
+
+def _sanitized(obj):
+    if isinstance(obj, dict):
+        return {key: _sanitized(item) for key, item in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_sanitized(item) for item in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return repr(obj)
+    return obj
+
+
+def _reference_json(obj):
+    """canonical_json as json.dumps wrote it: non-finite floats as their repr strings."""
+    return json.dumps(_sanitized(obj), sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+class _Count(int):
+    pass
+
+
+_awkward_text = st.text(
+    st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\n\té\u2028\U0001f600'), st.characters())
+)
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**63 - 2, max_value=2**80),
+    st.integers().map(_Count),
+    st.floats(),
+    st.floats(allow_subnormal=True, min_value=-1e-300, max_value=1e-300),
+    st.floats().map(np.float64),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, np.float64(math.nan)]),
+    _awkward_text,
+    st.sampled_from(weaklimit.Classification),
+)
+_json_trees = st.recursive(
+    _json_scalars,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(_awkward_text, children, max_size=4),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_trees)
+def test_canonical_json_writes_what_json_dumps_writes(tree):
+    assert cli.canonical_json(tree) == _reference_json(tree)
+
+
+@pytest.mark.parametrize("value", [np.int64(3), set(), object()])
+def test_canonical_json_refuses_what_json_dumps_refuses(value):
+    for obj in (value, [1.5, value], {"a": {"b": value}}):
+        with pytest.raises(TypeError):
+            _reference_json(obj)
+        with pytest.raises(TypeError):
+            cli.canonical_json(obj)
+    # json.dumps would write a non-str key as a string; no report has one
+    with pytest.raises(TypeError):
+        cli.canonical_json({"a": {1: "b"}})
 
 
 def test_csv_nosquare_row_grid(tmp_path):

@@ -30,6 +30,76 @@ def test_shape_integral_against_independent_oracle():
     assert abs(pairing.bump_shape_integral() - oracle) < 1e-12
 
 
+def _masked_bump_shape(u):
+    """The bump shape by a boolean gather and scatter, as pairing._bump_shape once was."""
+    u = np.asarray(u, dtype=float)
+    out = np.zeros_like(u)
+    inside = np.abs(u) < 1.0
+    if np.any(inside):
+        v = u[inside]
+        out[inside] = np.exp(-1.0 / (1.0 - v * v))
+    return out
+
+
+def _masked_bump_shape_derivative(u):
+    u = np.asarray(u, dtype=float)
+    out = np.zeros_like(u)
+    inside = np.abs(u) < 1.0
+    if np.any(inside):
+        v = u[inside]
+        w = 1.0 - v * v
+        out[inside] = np.exp(-1.0 / w) * (-2.0 * v / (w * w))
+    return out
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+EDGE_U = np.array(
+    [
+        -np.inf,
+        np.nextafter(-1.0, -2.0),
+        -1.0,
+        np.nextafter(-1.0, 0.0),
+        -0.0,
+        0.0,
+        np.nextafter(1.0, 0.0),
+        1.0,
+        np.nextafter(1.0, 2.0),
+        np.inf,
+        np.nan,
+    ]
+)
+
+
+def test_bump_shape_matches_the_masked_form_bit_for_bit(rng):
+    pairs = (
+        (pairing._bump_shape, _masked_bump_shape),
+        (pairing._bump_shape_derivative, _masked_bump_shape_derivative),
+    )
+    for shape, reference in pairs:
+        expected = reference(EDGE_U)
+        assert _same_bits(shape(EDGE_U), expected)
+        assert _same_bits(shape(EDGE_U[:, None]), expected[:, None])
+    for _ in range(24):
+        rows = rng.choice((1, 8))
+        count = rng.randrange(101, 20002)
+        centers = np.array([rng.uniform(-5.0, 5.0) for _ in range(rows)])[:, None]
+        widths = np.array([rng.uniform(1e-3, 3.0) for _ in range(rows)])[:, None]
+        # grids on the support, as pairing_tables samples, or a little past its ends
+        reach = rng.choice((1.0, rng.uniform(0.5, 1.5)))
+        lower = (centers - reach * widths)[:, 0]
+        xs = pairing._grids(lower, (centers + reach * widths)[:, 0], np.arange(count))
+        u = (xs - centers) / widths
+        for shape, reference in pairs:
+            assert _same_bits(shape(u), reference(u))
+
+
+def test_shape_integral_is_pinned():
+    assert pairing.bump_shape_integral() == 0.4439938161680794
+
+
 def test_bump_values_and_support():
     phi = pairing.bump(0.5, 0.25, normalized=False)
     assert phi.support == (0.25, 0.75)
