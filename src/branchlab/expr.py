@@ -28,6 +28,11 @@ compiled function.  ``_terms`` stores the term map, so ``simplify``, ``diff``,
 ``sum_terms`` and ``atomic_factor`` reuse every subtree they share, as the
 derivative rules share them.  A stored term map is handed to every later
 caller, so term maps are read-only: code that needs a changed map copies it.
+These caches work by identity: a node built apart from an equal one fills its
+own.  ``diff`` also reuses the derivatives of equal subtrees within one call:
+it passes one memo, keyed by structural equality, down through ``_d`` for all
+orders, so each distinct subexpression is differentiated once and every
+occurrence gets the same (immutable) result node.  The memo dies with the call.
 
 ``evaluate`` (scalar; EvalError at a division by zero or a non-finite value)
 and ``evaluate_on_grid`` (array; inf/nan passed through) run one generated
@@ -292,17 +297,31 @@ def cosh(e):
 
 
 def variables(e):
-    """Free variable names appearing in e."""
-    match e:
-        case Var(name):
-            return frozenset((name,))
-        case Num() | Pi():
-            return frozenset()
-        case Neg(a) | Pow(a, _) | Call(_, a):
-            return variables(a)
-        case Add(parts) | Mul(parts):
-            return frozenset().union(*map(variables, [node for _, node in parts]))
-    raise TypeError(f"not an expression node: {e!r}")
+    """Free variable names appearing in e.
+
+    An explicit stack walks a tree of any depth, and a node object shared by
+    several parents, as the derivative rules share them, is walked once.
+    """
+    names = set()
+    seen = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        match node:
+            case Var(name):
+                names.add(name)
+            case Num() | Pi():
+                pass
+            case Neg(a) | Pow(a, _) | Call(_, a):
+                stack.append(a)
+            case Add(parts) | Mul(parts):
+                stack.extend([part for _, part in parts])
+            case _:
+                raise TypeError(f"not an expression node: {node!r}")
+    return frozenset(names)
 
 
 def substitute(e, name, replacement):
@@ -725,6 +744,9 @@ def _precedence(e):
 
 
 def format_number(v):
+    if math.isinf(v):
+        # the parser reads 1e999 back as the same infinity
+        return "1e999" if v > 0 else "-1e999"
     if v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
@@ -1016,39 +1038,48 @@ def is_zero(e):
 # differentiation
 
 
-def _d(e):
+def _d(e, memo):
+    """Derivative of e; memo maps each node this diff call differentiated to its result.
+
+    The lookup is by equality, not identity: the rules build their nodes
+    afresh, so equal subtrees recur as distinct objects.
+    """
+    derivative = memo.get(e)
+    if derivative is not None:
+        return derivative
     match e:
         case Num() | Pi():
-            return Num(0.0)
+            derivative = Num(0.0)
         case Var(name):
-            return Num(1.0) if name == "x" else Num(0.0)
+            derivative = Num(1.0) if name == "x" else Num(0.0)
         case Neg(a):
-            return Neg(_d(a))
+            derivative = Neg(_d(a, memo))
         case Add(parts):
             derivatives = []
             for op, node in parts:
-                derivatives.append((op, _d(node)))
-            return _flat(derivatives)
+                derivatives.append((op, _d(node, memo)))
+            derivative = _flat(derivatives)
         case Mul(((_, prefix), *rest)):
             # the binary product and quotient rules folded over the prefixes; each
             # node built holds its term map, so none is folded again from its start
-            dprefix = _d(prefix)
+            dprefix = _d(prefix, memo)
             for k, (op, node) in enumerate(rest):
                 if k:
                     prefix = _seeded(prefix, *rest[k - 1])
-                lead = _seeded(prefix, "*", _d(node))
+                lead = _seeded(prefix, "*", _d(node, memo))
                 dprefix = _seeded(dprefix, "*", node)
                 if op == "*":
                     dprefix = _seeded(dprefix, "+", lead)
                 else:
                     dprefix = _seeded(_seeded(dprefix, "-", lead), "/", node**2)
-            return dprefix
+            derivative = dprefix
         case Pow(b, k):
             if k == 0:
-                return Num(0.0)
-            return Num(float(k)) * Pow(b, k - 1) * _d(b)
+                derivative = Num(0.0)
+            else:
+                derivative = Num(float(k)) * Pow(b, k - 1) * _d(b, memo)
         case Call(fn, a):
-            da = _d(a)
+            da = _d(a, memo)
             if fn == "sin":
                 outer = Call("cos", a)
             elif fn == "cos":
@@ -1059,8 +1090,11 @@ def _d(e):
                 outer = Pow(Call("cosh", a), -2)
             else:  # cosh; sinh is not in the vocabulary
                 outer = Call("tanh", a) * Call("cosh", a)
-            return outer * da
-    raise TypeError(f"not an expression node: {e!r}")
+            derivative = outer * da
+        case _:
+            raise TypeError(f"not an expression node: {e!r}")
+    memo[e] = derivative
+    return derivative
 
 
 def _seeded(left, op, right):
@@ -1071,12 +1105,17 @@ def _seeded(left, op, right):
 
 
 def diff(e, order=1):
-    """Symbolic derivative with respect to x, simplified at each order."""
+    """Symbolic derivative with respect to x, simplified at each order.
+
+    Each distinct subexpression is differentiated once across all orders:
+    one memo, keyed by structural equality, lives for this call alone.
+    """
     if not isinstance(order, int) or isinstance(order, bool) or order < 0:
         raise ValueError("derivative order must be a non-negative integer")
     result = simplify(e) if order == 0 else e
+    memo = {}
     for _ in range(order):
-        result = simplify(_d(result))
+        result = simplify(_d(result, memo))
     return result
 
 

@@ -185,13 +185,15 @@ def default_panel(domain, count=8):
     return Panel(tuple(members), domain)
 
 
-def _panel_count(lower, upper, oscillation_hint):
-    """Even Simpson panel count: at least 50, and at least 16 per period of the hint."""
-    if not upper > lower:
+def _panel_count(width, oscillation_hint):
+    """Even Simpson panel count for an interval of that width (upper - lower).
+
+    At least 50 panels, and at least 16 per period of the hint.
+    """
+    if not width > 0:
         raise ValueError("integration interval must have positive length")
     if oscillation_hint < 1:
         raise ValueError("oscillation hint must be >= 1")
-    width = upper - lower
     period = 2.0 * math.pi / float(oscillation_hint)
     step = min(width / 50.0, period / 16.0)
     panels = int(math.ceil(width / step))
@@ -243,7 +245,7 @@ def integrate(f, lower, upper, oscillation_hint=1):
     """
     lower = float(lower)
     upper = float(upper)
-    panels = _panel_count(lower, upper, oscillation_hint)
+    panels = _panel_count(upper - lower, oscillation_hint)
     nodes, weights = _two_grid_setup(panels)
     (xs,) = _grids(np.array([lower]), np.array([upper]), nodes)
     ys = np.asarray(f(xs))
@@ -267,11 +269,14 @@ def pairing_tables(s, members, schedule):
     centers = np.array([phi.center for phi in members])[:, None]
     widths = np.array([phi.width for phi in members])[:, None]
     scales = np.array([phi._scale() for phi in members])[:, None]
+    # equal widths can differ in the last bit of upper - lower, the float a count reads
+    lengths = (upper - lower).tolist()
     tables = [[] for _ in members]
     for index in schedule:
+        counts = {length: _panel_count(length, index) for length in dict.fromkeys(lengths)}
         groups = {}
-        for k, phi in enumerate(members):
-            groups.setdefault(_panel_count(*phi.support, index), []).append(k)
+        for k, length in enumerate(lengths):
+            groups.setdefault(counts[length], []).append(k)
         failed = []
         for panels, rows in groups.items():
             nodes, weights = _two_grid_setup(panels)

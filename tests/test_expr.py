@@ -1,6 +1,7 @@
 import math
 import operator
 import pickle
+import time
 from functools import partial
 
 import numpy as np
@@ -197,6 +198,160 @@ def test_diff_matches_central_difference(expression_corpus, rng):
             third = abs(ex.evaluate(d3, 1, x))
             tol = max(1.0, third / 6.0) * 2.0 * h * h + 1e-9 * (1 + abs(sym))
             assert abs(fd - sym) <= tol
+
+
+def _reference_d(e):
+    """The derivative rules without a memo: every occurrence is differentiated again."""
+    match e:
+        case ex.Num() | ex.Pi():
+            return ex.Num(0.0)
+        case ex.Var(name):
+            return ex.Num(1.0) if name == "x" else ex.Num(0.0)
+        case ex.Neg(a):
+            return ex.Neg(_reference_d(a))
+        case ex.Add(parts):
+            return ex._flat([(op, _reference_d(node)) for op, node in parts])
+        case ex.Mul(((_, prefix), *rest)):
+            dprefix = _reference_d(prefix)
+            for k, (op, node) in enumerate(rest):
+                if k:
+                    prefix = ex._seeded(prefix, *rest[k - 1])
+                lead = ex._seeded(prefix, "*", _reference_d(node))
+                dprefix = ex._seeded(dprefix, "*", node)
+                if op == "*":
+                    dprefix = ex._seeded(dprefix, "+", lead)
+                else:
+                    dprefix = ex._seeded(ex._seeded(dprefix, "-", lead), "/", node**2)
+            return dprefix
+        case ex.Pow(b, k):
+            if k == 0:
+                return ex.Num(0.0)
+            return ex.Num(float(k)) * ex.Pow(b, k - 1) * _reference_d(b)
+        case ex.Call(fn, a):
+            da = _reference_d(a)
+            if fn == "sin":
+                outer = ex.Call("cos", a)
+            elif fn == "cos":
+                outer = ex.Neg(ex.Call("sin", a))
+            elif fn == "exp":
+                outer = ex.Call("exp", a)
+            elif fn == "tanh":
+                outer = ex.Pow(ex.Call("cosh", a), -2)
+            else:
+                outer = ex.Call("tanh", a) * ex.Call("cosh", a)
+            return outer * da
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def test_memoized_diff_matches_the_rules_without_a_memo(rng):
+    trees = [random_expression(rng, depth=3, allow_nu=True) for _ in range(300)]
+    # and trees whose subexpressions repeat, so the memo is read
+    for e in trees[:20]:
+        trees.append(e * ex.Call("cos", e) - e**2 / (ex.Num(2.0) + ex.Call("sin", e)))
+    for e in trees:
+        expected = e
+        for order in (1, 2, 3):
+            expected = ex.simplify(_reference_d(expected))
+            got = ex.diff(e, order)
+            assert got == expected
+            assert ex.to_string(got) == ex.to_string(expected)
+
+
+def _nodes(e):
+    """Every node of e's tree, e first; a subtree that occurs twice is listed twice."""
+    nodes, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        nodes.append(node)
+        match node:
+            case ex.Add(parts) | ex.Mul(parts):
+                stack.extend(part for _, part in parts)
+            case ex.Neg(child) | ex.Pow(child, _) | ex.Call(_, child):
+                stack.append(child)
+    return nodes
+
+
+def _record_rule_applications(monkeypatch):
+    """Patch ex._d to list each node a rule is applied to, and each memo with its first size."""
+    applied, memos = [], []
+    original = ex._d
+
+    def recorded(e, memo):
+        if all(seen is not memo for seen, _ in memos):
+            memos.append((memo, len(memo)))
+        if e not in memo:
+            applied.append(e)
+        return original(e, memo)
+
+    monkeypatch.setattr(ex, "_d", recorded)
+    return applied, memos
+
+
+REPEATS = "cos(2*x)*exp(x^2)*cos(2*x) + cos(2*x)^3 - sin(x^2)*cos(2*x)/(1 + cos(2*x))"
+
+
+def test_diff_applies_one_rule_per_distinct_subexpression(monkeypatch):
+    e = ex.parse(REPEATS)
+    # the trees diff(e, 3) differentiates, one per order
+    trees = [e, ex.diff(e), ex.diff(e, 2)]
+    occurrences = [node for tree in trees for node in _nodes(tree)]
+    applied, memos = _record_rule_applications(monkeypatch)
+    ex.diff(e, 3)
+    assert len(memos) == 1
+    assert len(applied) == len(set(applied)) == len(set(occurrences))
+    assert set(applied) == set(occurrences)
+    assert 2 * len(applied) < len(occurrences)
+
+
+def test_successive_diff_calls_share_no_state(monkeypatch):
+    e = ex.parse(REPEATS)
+    applied, memos = _record_rule_applications(monkeypatch)
+    first = ex.diff(e, 2)
+    once = len(applied)
+    second = ex.diff(e, 2)
+    assert second == first
+    # a new, empty memo per call, and every rule applied again
+    assert len(memos) == 2 and memos[0][0] is not memos[1][0]
+    assert [size for _, size in memos] == [0, 0]
+    assert len(applied) == 2 * once
+
+
+def test_variables_walks_a_tree_of_any_depth():
+    e = ex.x
+    for level in range(10_000):
+        e = (ex.Call("cos", e), ex.Neg(e), ex.Pow(e, 2), ex.nu * e)[level % 4]
+    assert ex.variables(e) == frozenset(("x", "nu"))
+    assert ex.variables(ex.parse("pi + 2")) == frozenset()
+    # a node object under several parents is walked once: 2**22 leaves, 45 objects
+    shared = ex.nu
+    for _ in range(22):
+        shared = ex.Call("sin", shared) * shared
+    started = time.process_time()
+    assert ex.variables(shared) == frozenset(("nu",))
+    assert time.process_time() - started < 1.0
+    with pytest.raises(TypeError):
+        ex.variables(ex.Neg("x"))
+
+
+def _reference_format_number(v):
+    if v == int(v) and abs(v) < 1e16:
+        return str(int(v))
+    return repr(v)
+
+
+def test_infinite_coefficients_print_as_a_literal_that_reads_back(rng):
+    assert ex.format_number(math.inf) == "1e999"
+    assert ex.format_number(-math.inf) == "-1e999"
+    for text in ("1e200*x*1e200*x", "-1e200*x*(1e200*x)", "x/1e-200/1e-200 + 1", "1e999 - x"):
+        e = ex.simplify(ex.parse(text))
+        assert ex.parse(ex.to_string(e)) == e
+    assert ex.to_string(ex.simplify(ex.parse("1e200*x*1e200*x"))) == "1e999*x^2"
+    # finite numbers print as they always did
+    finite = [0.0, -0.0, 1.0, -3.0, 0.5, 1e15, 1e16 - 2, 1e16, 2.0**53 + 2, 1e-300, 5e-324]
+    finite += [1.7976931348623157e308, -1.7976931348623157e308]
+    finite += [round(rng.uniform(-1e6, 1e6), rng.randint(0, 6)) for _ in range(200)]
+    for v in finite:
+        assert ex.format_number(v) == _reference_format_number(v)
 
 
 def test_substitute():

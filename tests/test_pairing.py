@@ -6,6 +6,7 @@ import pytest
 import branchlab as bl
 import branchlab.expr as ex
 import branchlab.pairing as pairing
+from branchlab.weaklimit import DEFAULT_SCHEDULE
 from conftest import random_expression
 
 # midpoint rule at 2^20 panels, written before looking at the package value
@@ -313,6 +314,29 @@ def test_pairing_tables_match_each_pairing_alone(rng, monkeypatch):
             assert len(groups) < len(blocks)
             assert any(rows > 1 for _, rows, nodes in blocks if nodes * 3 > pairing.BLOCK_NODES)
     assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize(
+    "domain, lengths", [(DOM, 1), (ex.DomainInterval(0.0, 6.283185307179586), 3)]
+)
+def test_pairing_tables_count_panels_once_per_support_length(domain, lengths, monkeypatch):
+    panel = pairing.default_panel(domain)
+    # equal widths, yet on [0, 2*pi] upper - lower takes three values in the last bit
+    assert len({phi.width for phi in panel}) == 1
+    assert len({phi.support[1] - phi.support[0] for phi in panel}) == lengths
+    s = bl.smooth_sequence("cos(nu*x)")
+    expected = _reference_tables(s, panel.members, DEFAULT_SCHEDULE)
+    calls = []
+    original = pairing._panel_count
+
+    def counted(width, hint):
+        calls.append((width, hint))
+        return original(width, hint)
+
+    monkeypatch.setattr(pairing, "_panel_count", counted)
+    # bit for bit, so == and not approx
+    assert pairing.pairing_tables(s, panel.members, DEFAULT_SCHEDULE) == expected
+    assert len(calls) == len(set(calls)) == lengths * len(DEFAULT_SCHEDULE)
 
 
 def test_pairing_tables_refuse_an_index_before_the_start():

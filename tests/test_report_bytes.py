@@ -81,6 +81,23 @@ PINNED_REPORTS = [
         2,
         "62dc932772e0c94fd3529a4e2a6a7157c476a2eba7369f01aabaa43e088033f6",
     ),
+    # repeated subexpressions, which diff differentiates once per call; recorded
+    # before diff kept a memo
+    (
+        ["gf", "derive", "--lhs=sin(nu*x)*cos(nu*x)*sin(nu*x)/(1+sin(nu*x)^2)"],
+        0,
+        "c5d8cadcfc79402c1aa7ebc87842611ef794eaac284d0fd864a2f1309b14fa83",
+    ),
+    (
+        ["gf", "derive", "--lhs=exp(x)*cos(2*x)*exp(x)*cos(2*x)+cos(2*x)^3", "--order=2"],
+        0,
+        "2672920abfea8f8278e7d04ac8a4280a7691a494a1f2df7320c4dfa24cf357fa",
+    ),
+    (
+        ["gf", "derive", "--lhs=tanh(nu*x)*cosh(nu*x)*tanh(nu*x)/cosh(nu*x)^2", "--order=3"],
+        0,
+        "7fcfba8e04d721ff9afe34b6bc54363e48b8ced1c976311abde10d9af9f68987",
+    ),
 ]
 
 PINNED_DEMOS = [
