@@ -59,6 +59,10 @@ class AlgebraError(ValueError):
     """Gate violation: inadmissible ideal or unsupported operation."""
 
 
+class GateInconclusive(AlgebraError):
+    """The off-diagonality gate neither certified nor refuted the ideal."""
+
+
 @dataclass(frozen=True, slots=True)
 class AlgebraConfig(Record):
     """Validated by make_algebra; construct through it, not directly.
@@ -77,10 +81,13 @@ def make_algebra(ideal, domain):
 
     The ideal must certify off-diagonal (meeting the diagonal constants only
     in zero); otherwise the quotient would identify distinct smooth
-    functions and the construction is refused.  Derivation capability is
-    recorded from the closure check, not assumed.
+    functions and the construction is refused; GateInconclusive says the
+    gate could not tell.  Derivation capability is recorded from the closure
+    check, not assumed.
     """
     verdict = off_diagonality(ideal, domain)
+    if not verdict.definite:
+        raise GateInconclusive(verdict.reason)
     if not isinstance(verdict, OffDiagonal):
         raise AlgebraError(
             "ideal failed the off-diagonality gate: " + str(verdict.to_dict())

@@ -28,6 +28,7 @@ from ._report import all_passed, report_value, stage
 from .algebra import (
     DELTA_SQUARE_SCHEDULE,
     AlgebraError,
+    GateInconclusive,
     branching_demo,
     delta_square_demo,
     eventually_zero_algebra,
@@ -530,20 +531,32 @@ def _cmd_span_independence(args):
     return _settings_echo(settings), stages, conclusion
 
 
-def _gf_algebra(args, domain):
+def _gf_algebra(args, domain, stages):
+    """The command's algebra; None after an inconclusive gate stage."""
     if args.algebra == "eventually-zero":
         return eventually_zero_algebra(domain)
     if args.algebra == "generated":
         if not args.generators:
             raise ValueError("--algebra generated requires --generators")
-        return make_algebra(generated_by(*load_sequence_list(args.generators)), domain)
+        with stage("off-diagonality-gate", stages) as entry:
+            # make_algebra certifies at these fixed values; no setting reaches them
+            entry["cell_width"], entry["nu_max"] = DEFAULT_CELL_WIDTH, DEFAULT_INDEX_CAP
+            try:
+                algebra = make_algebra(generated_by(*load_sequence_list(args.generators)), domain)
+            except GateInconclusive as err:
+                algebra, entry["reason"] = None, str(err)
+            entry["passed"] = algebra is not None
+        return algebra
     raise ValueError(f"unknown algebra {args.algebra!r}")
 
 
 def _cmd_gf(args):
     settings = resolve_settings(args)
-    algebra = _gf_algebra(args, settings["domain"])
+    config_echo = _settings_echo(settings) | {"algebra": args.algebra}
     stages = []
+    algebra = _gf_algebra(args, settings["domain"], stages)
+    if algebra is None:
+        return config_echo, stages, "the off-diagonality gate is inconclusive"
     with stage("gf-" + args.gf_action, stages) as entry:
         lhs = gf(load_sequence(args.lhs), algebra)
         entry["lhs"] = lhs.representative.to_dict()
@@ -565,7 +578,7 @@ def _cmd_gf(args):
                 entry["outcome"] = verdict.to_dict()
                 entry["passed"] = verdict.definite
                 conclusion = f"equality modulo the ideal: {verdict.tag}"
-    return _settings_echo(settings) | {"algebra": args.algebra}, stages, conclusion
+    return config_echo, stages, conclusion
 
 
 def _cmd_demo(args):

@@ -53,28 +53,20 @@ compiler.  The source is built only from node types, parameter names,
 temporaries, ``nu``, ``x`` and the four operators; no text a user wrote
 enters it, so ``exec`` runs nothing a user chose.
 
-Bracket refinement probes one expression at one index many times, so it
-holds a probe for the whole bracket: the index check, the function lookup
-and the error state are paid once, and each call costs the generated
-function plus the scalar policy of ``evaluate``.  Probes keep the type of
-the path whose numbers they reproduce, because numpy's integer powers differ
-in the last bit between arrays and scalars: certificate roots and witnesses
-are probed with float64 scalars.
-
 ``denominator_safety`` calls a denominator's function once on the block of
 every sampled index (a column) by every grid point (a row), then refines
 all rows' argmin brackets together with ``_numutil.refine_min_abs_lanes``,
-whose probe passes one point and one index per lane.  x is an array on both
-paths, as on the grid, so powers involving x round as the grid rounds; an
-x-free power of the index, such as ``(nu-1.738)^3``, is an array power here
-and a scalar power in ``evaluate_on_grid``, and may differ in the last bit.
+whose function passes one point and one index per lane; certificate roots
+are bisected the same way.  x is an array on both paths, as on the grid, so
+powers involving x round as the grid rounds; an x-free power of the index,
+such as ``(nu-1.738)^3``, is an array power on lanes and a scalar power in
+``evaluate_on_grid``, and may differ in the last bit.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache, partial
@@ -276,26 +268,6 @@ def _chain(left, op, right):
     return _flat((("+" if op in "+-" else "*", as_expr(left)), (op, as_expr(right))))
 
 
-def sin(e):
-    return Call("sin", as_expr(e))
-
-
-def cos(e):
-    return Call("cos", as_expr(e))
-
-
-def exp(e):
-    return Call("exp", as_expr(e))
-
-
-def tanh(e):
-    return Call("tanh", as_expr(e))
-
-
-def cosh(e):
-    return Call("cosh", as_expr(e))
-
-
 def variables(e):
     """Free variable names appearing in e.
 
@@ -370,9 +342,6 @@ class DomainInterval:
     @property
     def length(self):
         return self.upper - self.lower
-
-    def contains(self, value):
-        return self.lower < value < self.upper
 
     def interior_grid(self, count):
         """Evenly spaced sample points, endpoints excluded."""
@@ -527,19 +496,6 @@ def evaluate(e, nu_value, x_value):
     _check_index(nu_value)
     with np.errstate(all="ignore", divide="raise"):
         return _scalar(_compiled(e), np.float64(nu_value), x_value)
-
-
-@contextmanager
-def _probe(e, nu_value):
-    """Yield x -> evaluate(e, nu_value, x) with the per-call setup done once.
-
-    The index check, the closure lookup, boxing nu and the error state are
-    paid on entry; the probe must not be called after the block exits.
-    """
-    _check_index(nu_value)
-    scalar = partial(_scalar, _compiled(e), np.float64(nu_value))
-    with np.errstate(all="ignore", divide="raise"):
-        yield scalar
 
 
 def evaluate_on_grid(e, nu_value, xs):
@@ -903,6 +859,14 @@ def _step_terms(left, op, right):
     return _combine_factors(cl / cr, fl, _pow_factors(fr, -1))
 
 
+def _power(c, k):
+    """c ** k for a coefficient; one that overflows is +-inf, as a product's is."""
+    try:
+        return c ** k
+    except OverflowError:
+        return math.copysign(math.inf, c) if k % 2 else math.inf
+
+
 def _terms(e):
     """Term map of e's normal form, computed once per node and stored on it.
 
@@ -933,14 +897,14 @@ def _terms(e):
             elif len(base_terms) == 1:
                 (mono, c), = base_terms.items()
                 if mono:
-                    terms = _combine_factors(c ** k, _pow_factors(dict(mono), k))
+                    terms = _combine_factors(_power(c, k), _pow_factors(dict(mono), k))
                 elif c == 0.0 and k < 0:
                     terms = _combine_factors(1.0, {Num(0.0): -1})
                 else:
-                    terms = {(): c ** k}
+                    terms = {(): _power(c, k)}
             else:
                 lead, base = _atomic_sum(base_terms)
-                terms = _combine_factors(lead ** k, {base: k})
+                terms = _combine_factors(_power(lead, k), {base: k})
         case Call(fn, a):
             arg = simplify(a)
             folded = None

@@ -4,8 +4,8 @@ Two ideal species are supported: the eventually-zero sequences (membership is
 a decision procedure on the normal form) and finitely generated ideals, where
 membership is a semi-decision.  InIdeal verdicts carry an explicit
 factorization that is re-multiplied at random samples before being returned;
-NotInIdeal verdicts carry a sample point where every generator vanishes to
-within 1e-10 while the candidate stays above 1e-6, which is evidence against
+NotInIdeal verdicts carry a root of the first generator where every generator
+is below 1e-10 while the candidate stays above 1e-6, which is evidence against
 any moderately bounded cofactor rather than a proof.  Everything else is
 Unknown.
 
@@ -16,19 +16,27 @@ domain, so a constant trapped in the ideal must vanish on a grid of the
 certificate's resolution) and negatively by a unit witness (a small integer
 combination of generators bounded away from zero, which makes the ideal
 improper).  The two successful outcomes are mutually exclusive.
+
+Certificates and witnesses share one root finder.  At index nu a root is an
+exact zero on a grid, or a sign change between adjacent grid points, of a
+root factor (a * part of a product, never a / part; the base of a positive
+power; the operand of a negation), or a closed-form root of a factor
+c +- c*sin|cos(u) with u linear in x.  A certificate brackets every cell
+first and bisects all its brackets in one lane-wise pass; each root must
+leave the entry below 1e-8, which rules out a sign change across a pole.  A
+near-zero minimum with neither, such as that of 1.000000001 + sin, is no root.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr as ex
-from ._numutil import refine_min_abs
+from ._numutil import bisect_lanes
 from ._report import Record, Unknown, all_passed, stage
 from .expr import DomainInterval, Num, from_sum_terms, simplify, sum_terms, to_string
 from .sequences import (
@@ -259,52 +267,129 @@ def _verify_factorization(s, factorization, domain):
     return worst
 
 
-def _local_minima(values, threshold):
-    """Indices of interior local minima of |values| below the threshold."""
-    magnitude = np.abs(values)
-    inner = magnitude[1:-1]
-    mask = (inner <= magnitude[:-2]) & (inner <= magnitude[2:]) & (inner < threshold)
-    return (np.nonzero(mask)[0] + 1).tolist()
+def _root_factors(e):
+    """Root factors of e, taken apart recursively (see the module docstring)."""
+    match e:
+        case ex.Mul(parts):
+            return [f for op, part in parts if op == "*" for f in _root_factors(part)]
+        case ex.Pow(base, k) if k > 0:
+            return _root_factors(base)
+        case ex.Neg(a):
+            return _root_factors(a)
+    return [e]
+
+
+def _touching(factor):
+    """Compiled (u, du/dx) and the phase when factor is c +- c*sin|cos(u) with u
+    linear in x, else None; such a factor vanishes where u = phase + 2*pi*m."""
+    terms = {mono: c for c, mono in sum_terms(factor)}
+    constant = terms.pop((), None)
+    if constant is None or len(terms) != 1:
+        return None
+    ((mono, c),) = terms.items()
+    match mono:
+        case ((ex.Call("sin" | "cos" as fn, u), 1),) if abs(c) == abs(constant):
+            if ex.is_zero(ex.diff(du := ex.diff(u))):
+                level = -constant / c  # where sin|cos(u) = +-1
+                phase = (level if fn == "sin" else 1.0 - level) * 0.5 * math.pi
+                return ex._compiled(u), ex._compiled(du), phase
+    return None
+
+
+def _on_lanes(exprs, ids, nus):
+    """points -> exprs[ids[i]] at (nus[i], points[i]) for every lane i, one call
+    per distinct expression; run under an error state that ignores everything."""
+    # np.bincount, not np.unique, which imports numpy.ma on first use
+    groups = [(ex._compiled(exprs[k]), ids == k) for k in np.flatnonzero(np.bincount(ids))]
+
+    def f(points):
+        if len(groups) == 1:
+            values = groups[0][0](nus, points)
+            # only a constant comes back as a scalar
+            return values if np.ndim(values) else np.full_like(points, values)
+        out = np.empty_like(points)
+        for closure, lanes in groups:
+            out[lanes] = closure(nus[lanes], points[lanes])
+        return out
+
+    return f
+
+
+class _RootFinder:
+    """Root brackets of one sequence's entries, index by index, on a grid of x,
+    and their roots with |entry| there (see the module docstring).  Run it
+    under an error state that ignores everything."""
+
+    def __init__(self, sequence):
+        self.sequence = sequence
+        self.plans = {}  # id(entry) -> [(factor id, closed form or None)]
+        self.pairs = []  # factor id -> (factor, entry)
+
+    def _plan(self, index):
+        entry = self.sequence._entry(index)
+        plan = self.plans.get(id(entry))
+        if plan is None:
+            plan = self.plans[id(entry)] = []
+            for factor in dict.fromkeys(_root_factors(entry)):
+                plan.append((len(self.pairs), _touching(factor)))
+                self.pairs.append((factor, entry))
+        return plan
+
+    def brackets(self, index, xs):
+        """(factor ids, lo, hi) of the root brackets at index, ordered by lo;
+        a closed-form root or an exact zero is the bracket [root, root]."""
+        parts = []
+        for fid, form in self._plan(index):
+            if form is None:
+                values = ex.evaluate_on_grid(self.pairs[fid][0], index, xs)
+                zero = values == 0.0
+                k = np.flatnonzero(zero | np.append(values[:-1] * values[1:] < 0.0, False))
+                lo, hi = xs[k], xs[np.where(zero[k], k, k + 1)]
+            else:
+                # each grid interval takes the first root above its smaller u
+                # if it lies inside; a zero or non-finite slope leaves none
+                u, du, phase = form
+                slope, offset = du(np.float64(index), 0.0), u(np.float64(index), 0.0)
+                ends = slope * xs + offset
+                low = np.minimum(ends[:-1], ends[1:])
+                roots = (phase + math.tau * np.ceil((low - phase) / math.tau) - offset) / slope
+                lo = hi = roots[(xs[:-1] <= roots) & (roots < xs[1:])]
+            parts.append((np.full(len(lo), fid), lo, hi))
+        ids, lo, hi = (np.concatenate(arrays) for arrays in zip(*parts))
+        order = np.argsort(lo, kind="stable")
+        return ids[order], lo[order], hi[order]
+
+    def roots(self, ids, nus, lo, hi):
+        """(points, |entry| at the points): each bracket bisected at its own index."""
+        factors, entries = zip(*self.pairs)
+        points = bisect_lanes(_on_lanes(factors, ids, nus.astype(float)), lo, hi)
+        return points, np.abs(_on_lanes(entries, ids, nus.astype(float))(points))
 
 
 def _scan_for_witness(s, generators, domain):
-    """Sample point where all generators nearly vanish but s does not."""
+    """Root of the first generator where every generator vanishes but s does not."""
     xs = domain.interior_grid(SCAN_GRID)
-    indices = list(range(1, SCAN_NU_LIMIT + 1))
-    for index, _ in s.exceptional:
-        if index not in indices:
-            indices.append(index)
+    indices = sorted({*range(1, SCAN_NU_LIMIT + 1), *(index for index, _ in s.exceptional)})
+    finder = _RootFinder(generators[0])
     for index in indices:
-        if index < s.start_index:
+        if index < s.start_index or any(index < g.start_index for g in generators):
             continue
-        if any(index < g.start_index for g in generators):
-            continue
-        stacked = np.stack([g.term_values(index, xs) for g in generators])
-        if not np.all(np.isfinite(stacked)):
-            continue
-        worst = np.max(np.abs(stacked), axis=0)
-
-        with ExitStack() as held:
-            probes = [held.enter_context(g.probe(index)) for g in generators]
-
-            def combined(point):
-                return max(abs(p(point)) for p in probes)
-
-            probe = probes[0] if len(probes) == 1 else combined
-            for k in _local_minima(worst, 0.05)[:64]:
-                lo, hi = float(xs[k - 1]), float(xs[k + 1])
-                point, _ = refine_min_abs(probe, lo, hi)
-                residual = combined(point)
-                if residual < VANISH_TOL:
-                    value = s.term_value(index, point)
-                    if abs(value) > NONVANISH_TOL:
-                        return MembershipWitness(
-                            index,
-                            point,
-                            value,
-                            tuple(p(point) for p in probes),
-                            note="all generators vanish to tolerance at this point",
-                        )
+        with np.errstate(all="ignore"):
+            ids, lo, hi = (part[:64] for part in finder.brackets(index, xs))
+            if not len(ids):
+                continue
+            points, residuals = finder.roots(ids, np.full(len(ids), index), lo, hi)
+            # lane and grid values screen the roots; a witness is checked pointwise
+            sizes = np.abs(s.term_values(index, points))
+        for point in points[(residuals < VANISH_TOL) & (sizes > NONVANISH_TOL)].tolist():
+            try:
+                values = tuple(g.term_value(index, point) for g in generators)
+                value = s.term_value(index, point)
+            except ex.EvalError:
+                continue
+            if max(map(abs, values)) < VANISH_TOL and abs(value) > NONVANISH_TOL:
+                note = "all generators vanish to tolerance at this point"
+                return MembershipWitness(index, point, value, values, note=note)
     return None
 
 
@@ -472,40 +557,38 @@ def zero_density_certificate(
     generator = ideal.generators[0]
     cell_count = max(1, int(math.ceil(domain.length / cell_width)))
     actual_width = domain.length / cell_count
-    edges = [domain.lower + actual_width * k for k in range(cell_count + 1)]
-    filled = {}
+    edges = domain.lower + actual_width * np.arange(cell_count + 1)
+    finder = _RootFinder(generator)
+    # the bracket each cell took: its factor, its index (0 for none) and its ends
+    cell_ids, cell_nus = np.zeros((2, cell_count), int)
+    cell_lo, cell_hi = np.zeros((2, cell_count))
 
-    for index in range(max(1, generator.start_index), nu_max + 1):
-        if len(filled) == cell_count:
-            break
-        step = min(actual_width / 8.0, 2.0 * math.pi / (8.0 * index))
-        count = int(math.ceil(domain.length / step)) + 1
-        xs = np.linspace(domain.lower, domain.upper, count)
-        values = generator.term_values(index, xs)
-        if not np.all(np.isfinite(values)):
-            continue
-
-        with generator.probe(index) as scalar:
-            for cell in range(cell_count):
-                if cell in filled:
-                    continue
-                lo, hi = edges[cell], edges[cell + 1]
-                inside = np.nonzero((xs >= lo) & (xs <= hi))[0]
-                if len(inside) < 3:
-                    continue
-                segment = values[inside]
-                k = int(np.argmin(np.abs(segment)))
-                if abs(segment[k]) > 0.1:
-                    continue
-                left = float(xs[inside[max(k - 1, 0)]])
-                right = float(xs[inside[min(k + 1, len(inside) - 1)]])
-                point, residual = refine_min_abs(scalar, left, right)
-                if residual < ROOT_RESIDUAL_TOL and lo <= point <= hi:
-                    filled[cell] = CertificateCell(lo, hi, index, point, residual)
-
-    if len(filled) != cell_count:
+    with np.errstate(all="ignore"):
+        for index in range(max(1, generator.start_index), nu_max + 1):
+            open_cells = cell_nus == 0
+            if not open_cells.any():
+                break
+            step = min(actual_width / 8.0, 2.0 * math.pi / (8.0 * index))
+            count = int(math.ceil(domain.length / step)) + 1
+            ids, lo, hi = finder.brackets(index, np.linspace(domain.lower, domain.upper, count))
+            # a bracket is a candidate for the cell holding lo and for the one
+            # holding hi, which differ for a root on an edge; np.unique keeps
+            # each open cell's first candidate
+            pick = np.concatenate((np.arange(len(lo)), np.arange(len(lo))))
+            cell = np.concatenate((np.searchsorted(edges, lo, "right"), np.searchsorted(edges, hi)))
+            cell = np.minimum(np.maximum(cell - 1, 0), cell_count - 1)
+            inside = (edges[cell] <= lo[pick]) & (hi[pick] <= edges[cell + 1]) & open_cells[cell]
+            cells, first = np.unique(cell[inside], return_index=True)
+            chosen = pick[np.flatnonzero(inside)[first]]
+            cell_ids[cells], cell_nus[cells] = ids[chosen], index
+            cell_lo[cells], cell_hi[cells] = lo[chosen], hi[chosen]
+        if not cell_nus.all():
+            return None
+        roots, residuals = finder.roots(cell_ids, cell_nus, cell_lo, cell_hi)
+    if not (residuals < ROOT_RESIDUAL_TOL).all():
         return None
-    cells = tuple(filled[k] for k in sorted(filled))
+    bounds = edges[:-1].tolist(), edges[1:].tolist(), cell_nus.tolist()
+    cells = tuple(map(CertificateCell, *bounds, roots.tolist(), residuals.tolist()))
     return ZeroDensityCertificate(domain, actual_width, nu_max, cells)
 
 

@@ -64,10 +64,6 @@ class SmoothSequence(Record):
     def term_value(self, index, x_value):
         return ex.evaluate(self._entry(index), index, x_value)
 
-    def probe(self, index):
-        """Context manager yielding x -> term_value(index, x), set up once."""
-        return ex._probe(self._entry(index), index)
-
     def _entry(self, index):
         """The exceptional entry at a checked index, else the tail."""
         if not isinstance(index, (int, np.integer)) or isinstance(index, bool):

@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import branchlab.expr as ex
-from branchlab._numutil import refine_min_abs
 
-from conftest import random_expression
+from conftest import random_expression, refine_min_abs
 
 # (text, index, point): expressions with a pole at that index and point
 POLES = [
@@ -695,45 +694,6 @@ def test_each_root_is_compiled_once(monkeypatch):
     compiled.clear()
     ex.evaluate(e, 3, 0.5)
     assert compiled == []
-
-
-def test_probe_returns_what_evaluate_returns(rng):
-    compared = 0
-    for _ in range(200):
-        e = random_expression(rng, depth=3, allow_nu=True)
-        index = rng.randint(1, 40)
-        points = [rng.uniform(-3.0, 3.0) for _ in range(8)]
-        with ex._probe(e, index) as probe:
-            for point in points:
-                assert probe(point) == ex.evaluate(e, index, point)
-                compared += 1
-    assert compared == 1600
-
-
-@pytest.mark.parametrize("text, index, point", POLES)
-def test_probe_poles_raise_like_evaluate(text, index, point):
-    e = ex.parse(text)
-    with pytest.raises(ex.EvalError) as expected:
-        ex.evaluate(e, index, point)
-    with ex._probe(e, index) as probe:
-        with pytest.raises(ex.EvalError) as raised:
-            probe(point)
-    assert str(raised.value) == str(expected.value)
-
-
-def test_probe_restores_the_error_state():
-    before = np.geterr()
-    with ex._probe(ex.parse("1/x"), 1) as probe:
-        assert probe(2.0) == 0.5
-    assert np.geterr() == before
-    with pytest.raises(ex.EvalError):
-        with ex._probe(ex.parse("1/x"), 1) as probe:
-            probe(0.0)
-    assert np.geterr() == before
-    with pytest.raises(ex.EvalError, match="index"):
-        with ex._probe(ex.x, 0):
-            pass
-    assert np.geterr() == before
 
 
 _REFERENCE_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}

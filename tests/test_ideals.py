@@ -17,8 +17,8 @@ DOM = ex.DomainInterval(0.0, 2.0 * math.pi)
 # the analytic infimum is 2 - sqrt(2)
 UNIT_BOUND = 0.5857864961087899
 
-# where 1 + sin(x) hits zero on (0, 2*pi), refined from the witness scan grid
-WITNESS_X = 4.712388990921401
+# where 1 + sin(x) hits zero on (0, 2*pi): the closed-form root 3*pi/2
+WITNESS_X = 1.5 * math.pi
 
 
 def ideal_pair():
@@ -255,6 +255,71 @@ def test_zero_density_roots_match_cosine_zeros():
         assert cell.residual < 1e-12
         offset = math.remainder(cell.nu * cell.root - 0.5 * math.pi, math.pi)
         assert abs(offset) < 1e-10
+
+
+@pytest.mark.parametrize("form", ["1+sin", "1-sin", "1+cos", "1-cos", "-2+2*sin", "3+3*cos"])
+@pytest.mark.parametrize("k, b", [(1, 0.0), (2, 0.7), (3, 2.9)])
+def test_closed_form_roots_lie_in_their_cells(form, k, b):
+    generator = idl.generated_by(f"{form}({k}*nu*x+{b})")
+    tail = generator.generators[0].tail
+    domain = ex.DomainInterval(-0.8, 2.2)
+    cert = idl.zero_density_certificate(generator, domain, cell_width=0.1, nu_max=100)
+    assert cert is not None
+    for cell in cert.cells:
+        assert cell.lower <= cell.root <= cell.upper
+        assert abs(ex.evaluate(tail, cell.nu, cell.root)) <= 1e-12
+    # at each index every closed-form root lies on the grid's span and is a
+    # root there; u = k*nu*x + b runs over k*nu*3/(2*pi) periods
+    finder = idl._RootFinder(generator.generators[0])
+    xs = np.linspace(domain.lower, domain.upper, 4000)
+    for nu in (1, 7, 40):
+        with np.errstate(all="ignore"):
+            _, lo, hi = finder.brackets(nu, xs)
+        assert len(lo) >= int(k * nu * domain.length / (2.0 * math.pi))
+        assert (lo == hi).all() and (xs[0] <= lo).all() and (hi <= xs[-1]).all()
+        for root in lo.tolist():
+            assert abs(ex.evaluate(tail, nu, root)) <= 1e-12
+
+
+def test_near_touching_generators_have_no_closed_form_root():
+    # 1.000000001 + sin never vanishes; its two constants differ
+    generator = idl.generated_by("1.000000001 + sin(nu*x)")
+    assert idl.zero_density_certificate(generator, ex.DomainInterval(-1.0, 1.0)) is None
+
+
+def test_a_sign_change_across_a_pole_is_no_root():
+    # 1 - 1/(x + 0.3) changes sign at its pole -0.3 and vanishes at 0.7
+    ideal = idl.generated_by("1 - 1/(x + 0.3)")
+    finder = idl._RootFinder(ideal.generators[0])
+    with np.errstate(all="ignore"):
+        ids, lo, hi = finder.brackets(1, np.linspace(-1.0, 1.0, 41))
+        points, residuals = finder.roots(ids, np.ones(len(ids), int), lo, hi)
+    assert points.tolist() == [pytest.approx(-0.3), pytest.approx(0.7)]
+    assert not residuals[0] < idl.ROOT_RESIDUAL_TOL
+    assert residuals[1] < 1e-15
+    # the cell [-1, 0] holds only the pole, so there is no certificate
+    assert idl.zero_density_certificate(ideal, ex.DomainInterval(-1.0, 1.0), cell_width=1.0) is None
+    verdict = idl.membership(bl.diagonal("1"), ideal, ex.DomainInterval(-1.0, 1.0))
+    assert verdict.witness.x == pytest.approx(0.7, abs=1e-12)
+
+
+def test_one_bisection_pass_serves_several_factors_and_entries():
+    # index 1 is the exceptional entry x - 0.3, later indices x*sin(nu*x):
+    # the cells' lanes bisect three factors of two entries in one pass
+    generator = bl.smooth_sequence("x*sin(nu*x)", {1: "x - 0.3"})
+    cert = idl.zero_density_certificate(
+        idl.generated_by(generator), ex.DomainInterval(-1.0, 1.0), cell_width=0.25
+    )
+    assert {cell.nu for cell in cert.cells} >= {1, 2}
+    for cell in cert.cells:
+        assert cell.lower <= cell.root <= cell.upper
+        assert abs(generator.term_value(cell.nu, cell.root)) < 1e-12
+    assert [cell.root for cell in cert.cells if cell.nu == 1] == [pytest.approx(0.3, abs=1e-15)]
+
+
+def test_the_generator_x_vanishes_at_zero():
+    verdict = idl.membership(bl.diagonal("1"), idl.generated_by("x"), ex.DomainInterval(-1.0, 1.0))
+    assert (verdict.witness.nu, verdict.witness.x) == (1, 0.0)
 
 
 def test_zero_density_single_generator_only():

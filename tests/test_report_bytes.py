@@ -28,15 +28,16 @@ PINNED_REPORTS = [
         2,
         "e73356737e13831aeac8f4769e6bff904027aa357b71978b3ecd9975d5b57e90",
     ),
-    (  # closure unknown
+    (  # closure unknown; re-recorded when touching roots became closed-form roots
         ["ideal", "check", "--generators=1+sin(nu*x)", "--domain=-1,1"],
         2,
-        "8caa37bb6157dc326cf19e9fd7b33299219df563492a7d05be8bc173df00bad9",
+        "9881903d76c45e84c9406609d0b30167fa61934f27e93d7c84549803dd1a7728",
     ),
-    (  # not-closed, with a membership witness
+    (  # not-closed, with a membership witness; re-recorded when certificate
+        # roots were bisected lane-wise, which moved three roots in the last bits
         ["ideal", "check", "--generators=sin(nu*x)", "--domain=-1,1"],
         0,
-        "4c97b68301fd5ac4bb90264c82262575f62a35b5ec028bdbe7bd25b109407cd7",
+        "e0a30cfca13bb829d4462bfbc8a8b0caa4c278303db67b3b59ce42cb3d695f04",
     ),
     (  # off-diagonality inconclusive, closure closed
         ["ideal", "check", "--generators=sin(nu*x),cos(nu*x)", "--domain=-1,1"],
@@ -73,13 +74,13 @@ PINNED_REPORTS = [
         0,
         "58d51d819bf9ab1acd3bbf39232bbde947a0994c0cf8fd9f3f81dfb1d485e47f",
     ),
-    (  # equality unknown
+    (  # equality unknown; re-recorded when the algebra gate became a stage
         [
             "gf", "equal", "--lhs=nu*cos(nu*x)", "--rhs=0", "--algebra=generated",
             "--generators=1+sin(nu*x)", TRIG_DOMAIN,
         ],
         2,
-        "62dc932772e0c94fd3529a4e2a6a7157c476a2eba7369f01aabaa43e088033f6",
+        "9e3ed022c38e1a48b9244aaaca06770fee06db072a794d92bc6da6629ecfcbb7",
     ),
     # repeated subexpressions, which diff differentiates once per call; recorded
     # before diff kept a memo
@@ -106,9 +107,9 @@ PINNED_DEMOS = [
         "482a2ef8cdf5fc17a6fe0aa4572be145fd1cf4563560ac47d6134d5bf89b4729",
         "f51a32dc0d0425a9c2fd2a8cbea68337dec074e90c255594be3ca0d10b994013",
     ),
-    (
+    (  # re-recorded when touching roots became closed-form roots; the CSV did not move
         "no-largest-ideal",
-        "bf4d1a46886b241f45422c476b1434407c3cec289710093fe48583ebbdcb6334",
+        "eeaa248ad211222ceada8c4aa0b44ddf6700ece16d09c247dc86b58fc8ae4125",
         "f8b3149b47f410eb10af15d4048c2e0bd94c88e3d8bcd7d570a15f4fa5aaa2d8",
     ),
     (  # re-recorded when its records became FunctionalVerdict records; the CSV did not move

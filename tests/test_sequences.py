@@ -21,8 +21,7 @@ DOM = ex.DomainInterval(-1.0, 1.0)
 def test_term_dispatch(index, exc_index, coeff):
     s = bl.smooth_sequence("nu*x", {exc_index: ex.Num(coeff) * ex.x})
     got = s.term_value(index, 0.7)
-    with s.probe(index) as probe:
-        assert probe(0.7) == got
+    assert s.term_values(index, np.array([0.7]))[0] == got
     if index == exc_index:
         assert got == pytest.approx(coeff * 0.7, abs=1e-12)
     else:
@@ -43,7 +42,7 @@ def test_index_validation():
     with pytest.raises(ValueError):
         s.term_value(True, 0.0)
     with pytest.raises(ValueError):
-        s.probe(1)
+        s.term_values(1, np.array([0.7]))
     with pytest.raises(ValueError):
         bl.smooth_sequence("x", start_index=0)
     with pytest.raises(ValueError):
