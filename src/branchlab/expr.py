@@ -14,25 +14,21 @@ its inner sum) and a chain of any length is one level deep.  Each walk folds
 a flat node left to right with the rule of one binary node, so values round,
 term maps collect, text prints and derivatives nest as on binary chains.
 
-Nodes are immutable and compare structurally.  ``simplify`` produces a
-deterministic normal form: like terms of a sum and like factors of a product
-are collected, constants are folded, and the result is rebuilt as the exact
-tree the parser would produce on its own printout, so
-``parse(to_string(simplify(e))) == simplify(e)`` holds node for node.
-Products are never distributed over multi-term sums and no trigonometric
-identities are applied.
+Nodes are immutable and hash-consed: a constructor returns the one live node
+of its type and fields, so equal trees are one object and ``==`` and
+``hash`` are identity.  ``simplify`` produces a deterministic normal form:
+like terms of a sum and like factors of a product are collected, constants
+are folded, and the result is rebuilt as the exact tree the parser would
+produce on its own printout, so ``parse(to_string(simplify(e))) is
+simplify(e)``.  Products are never distributed over multi-term sums and no
+trigonometric identities are applied.
 
-Each node computes four things at most once and keeps them: its hash, its
-printed form (stored by ``to_string``), its normal-form term map and its
-compiled function.  ``_terms`` stores the term map, so ``simplify``, ``diff``,
-``sum_terms`` and ``atomic_factor`` reuse every subtree they share, as the
-derivative rules share them.  A stored term map is handed to every later
-caller, so term maps are read-only: code that needs a changed map copies it.
-These caches work by identity: a node built apart from an equal one fills its
-own.  ``diff`` also reuses the derivatives of equal subtrees within one call:
-it passes one memo, keyed by structural equality, down through ``_d`` for all
-orders, so each distinct subexpression is differentiated once and every
-occurrence gets the same (immutable) result node.  The memo dies with the call.
+Each node keeps its printed form (stored by ``to_string``), its normal-form
+term map and its compiled function once computed, and every holder of the
+structure shares them, however it was built.  Term maps are read-only, as
+every later caller is handed the stored one.  ``diff`` passes one memo,
+keyed by node, down through ``_d`` for all orders, so each distinct
+subexpression is differentiated once per call; the memo dies with the call.
 
 ``evaluate`` (scalar; EvalError at a division by zero or a non-finite value)
 and ``evaluate_on_grid`` (array; inf/nan passed through) run one generated
@@ -67,7 +63,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+import weakref
+from bisect import bisect_left
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache, partial
 
@@ -107,30 +105,47 @@ class EvalError(ValueError):
     """Raised when evaluation cannot produce a finite real."""
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class Expr:
-    """Base class for expression nodes.
+class _Interned(type):
+    """Metaclass of the nodes: one live node per type and fields, held weakly.
 
-    The four fields below are caches filled on first use and left out of
-    comparison and matching; an unfilled one is an unset slot.  A node is
-    immutable, so each cache holds for its lifetime.
+    The lookup and the entry are two steps, so nodes are built on one thread.
     """
 
-    _hash: int = field(init=False, compare=False)
-    _text: str = field(init=False, compare=False)
-    _term_map: dict = field(init=False, compare=False)
-    _closure: object = field(init=False, compare=False)
+    def __call__(cls, *fields):
+        # checked first: Pow(x, True) must raise even while Pow(x, 1) lives
+        if cls._fields is not None:
+            fields = cls._fields(*fields)
+        key = (cls, *fields)
+        ref = _NODES.get(key)
+        node = None if ref is None else ref()
+        if node is None:
+            node = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, fields, strict=True):
+                object.__setattr__(node, name, value)
+            _NODES[key] = weakref.KeyedRef(node, _forget, key)
+        return node
 
-    def __hash__(self):
-        h = getattr(self, "_hash", None)
-        if h is None:
-            # the formula of the generated dataclass hash over the node's fields
-            h = hash(tuple([getattr(self, name) for name in self.__match_args__]))
-            object.__setattr__(self, "_hash", h)
-        return h
+
+def _forget(ref):
+    # a dead node's entry, unless a node of the same structure took its key
+    if _NODES.get(ref.key) is ref:
+        del _NODES[ref.key]
+
+
+_NODES = {}
+
+
+class Expr(metaclass=_Interned):
+    """Base class for expression nodes; the three cache slots are unset until used.
+
+    A node type lists its fields as ``__slots__`` and ``__match_args__``.
+    """
+
+    __slots__ = ("_text", "_term_map", "_closure", "__weakref__")
+    _fields = None  # a node type's check: the given fields to the stored ones
 
     def __reduce__(self):
-        # copies and pickles rebuild from the fields; the caches refill on use
+        # copies and pickles rebuild through the constructor, which interns
         return type(self), tuple([getattr(self, name) for name in self.__match_args__])
 
     def __add__(self, other):
@@ -166,81 +181,73 @@ class Expr:
     def __repr__(self):
         return to_string(self)
 
-    def __str__(self):
-        return to_string(self)
+    def __setattr__(self, *_):
+        # an interned node is shared by every holder of its structure
+        raise AttributeError("expression nodes are immutable")
+
+    __delattr__ = __setattr__
 
 
-def _node(cls):
-    """Make cls a frozen slotted dataclass that keeps the cached hash of Expr."""
-    cls = dataclass(frozen=True, slots=True, repr=False)(cls)
-    cls.__hash__ = Expr.__hash__
-    return cls
-
-
-@_node
 class Num(Expr):
-    value: float
+    __slots__ = __match_args__ = ("value",)
 
-    def __post_init__(self):
-        v = float(self.value)
-        if v == 0.0:
-            v = 0.0
-        object.__setattr__(self, "value", v)
+    @staticmethod
+    def _fields(value):
+        v = float(value)
+        return (0.0 if v == 0.0 else v,)
 
 
-@_node
 class Pi(Expr):
-    pass
+    __slots__ = __match_args__ = ()
 
 
-@_node
 class Var(Expr):
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
-    def __post_init__(self):
-        if self.name not in ("x", "nu", "u"):
-            raise ValueError(f"unknown variable {self.name!r}")
+    @staticmethod
+    def _fields(name):
+        if name not in ("x", "nu", "u"):
+            raise ValueError(f"unknown variable {name!r}")
+        return (name,)
 
 
-@_node
 class Neg(Expr):
-    operand: Expr
+    __slots__ = __match_args__ = ("operand",)
 
 
-@_node
 class Add(Expr):
-    terms: tuple  # (op, node) pairs, op "+" or "-", the first "+"
+    __slots__ = __match_args__ = ("terms",)  # (op, node) pairs, op "+" or "-", the first "+"
 
 
-@_node
 class Mul(Expr):
-    factors: tuple  # (op, node) pairs, op "*" or "/", the first "*"
+    __slots__ = __match_args__ = ("factors",)  # (op, node) pairs, op "*" or "/", the first "*"
 
 
-@_node
 class Pow(Expr):
-    base: Expr
-    exponent: int
+    __slots__ = __match_args__ = ("base", "exponent")
 
-    def __post_init__(self):
+    @staticmethod
+    def _fields(base, exponent):
         # bools are ints but make no sense as exponents
-        if not isinstance(self.exponent, int) or isinstance(self.exponent, bool):
+        if not isinstance(exponent, int) or isinstance(exponent, bool):
             raise TypeError("power exponents must be plain integers")
+        return base, exponent
 
 
-@_node
 class Call(Expr):
-    fn: str
-    arg: Expr
+    __slots__ = __match_args__ = ("fn", "arg")
 
-    def __post_init__(self):
-        if self.fn not in FUNCTIONS:
-            raise ValueError(f"unknown function {self.fn!r}")
+    @staticmethod
+    def _fields(fn, arg):
+        if fn not in FUNCTIONS:
+            raise ValueError(f"unknown function {fn!r}")
+        return fn, arg
 
 
 x = Var("x")
 nu = Var("nu")
 pi = Pi()
+_ZERO = Num(0.0)  # the base of the zero division sentinel
 
 
 def as_expr(value):
@@ -532,12 +539,8 @@ def _tokenize(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup == "num":
-            tokens.append(("num", m.group(), pos))
-        elif m.lastgroup == "ident":
-            tokens.append(("ident", m.group(), pos))
-        else:
-            tokens.append((m.group(), m.group(), pos))
+        # an operator's kind is the operator itself
+        tokens.append((m.group() if m.lastgroup == "op" else m.lastgroup, m.group(), pos))
         pos = m.end()
     tokens.append(("end", "", n))
     return tokens
@@ -551,7 +554,6 @@ MAX_NESTING = 100
 
 class _Parser:
     def __init__(self, text, variable_names):
-        self.text = text
         self.tokens = _tokenize(text)
         self.index = 0
         self.variable_names = variable_names
@@ -571,12 +573,6 @@ class _Parser:
         self.index += 1
         return token
 
-    def expect(self, kind, what):
-        token = self.peek()
-        if token[0] != kind:
-            raise ParseError(f"expected {what}", token[2])
-        return self.advance()
-
     def parse(self):
         e = self.expression()
         token = self.peek()
@@ -585,16 +581,16 @@ class _Parser:
         return e
 
     def expression(self):
-        node = self.term()
+        parts = [("+", self.term())]
         while self.peek()[0] in ("+", "-"):
-            node = _chain(node, self.advance()[0], self.term())
-        return node
+            parts.append((self.advance()[0], self.term()))
+        return _flat(parts)
 
     def term(self):
-        node = self.factor()
+        parts = [("*", self.factor())]
         while self.peek()[0] in ("*", "/"):
-            node = _chain(node, self.advance()[0], self.factor())
-        return node
+            parts.append((self.advance()[0], self.factor()))
+        return _flat(parts)
 
     def factor(self):
         negate = False
@@ -602,16 +598,14 @@ class _Parser:
             self.enter(self.advance()[2])
             negate = True
         node = self.atom()
-        has_exponent = False
         if self.peek()[0] == "^":
             self.advance()
             node = Pow(node, self.exponent())
-            has_exponent = True
         if negate:
             self.nesting -= 1
-            # a leading minus on a bare literal folds into the literal,
-            # matching what the printer emits for negative coefficients
-            if isinstance(node, Num) and not has_exponent:
+            # a leading minus on a bare literal (not a power) folds into the
+            # literal, matching what the printer emits for negative coefficients
+            if isinstance(node, Num):
                 node = Num(-node.value)
             else:
                 node = Neg(node)
@@ -642,7 +636,9 @@ class _Parser:
             if text in self.variable_names:
                 return Var(text)
             if text in FUNCTIONS:
-                self.expect("(", "'(' after function name")
+                kind, _, after = self.advance()
+                if kind != "(":
+                    raise ParseError("expected '(' after function name", after)
                 return Call(text, self.group(pos))
             raise ParseError(f"unknown identifier {text!r}", pos)
         if kind == "(":
@@ -680,23 +676,14 @@ _PREC_MUL = 2
 _PREC_UNARY = 3
 _PREC_POW = 4
 _PREC_ATOM = 5
+_PRECEDENCE = {Add: _PREC_ADD, Mul: _PREC_MUL, Neg: _PREC_UNARY, Pow: _PREC_POW}
 
 
 def _precedence(e):
-    match e:
-        case Num(v):
-            return _PREC_UNARY if v < 0 else _PREC_ATOM
-        case Pi() | Var() | Call():
-            return _PREC_ATOM
-        case Pow():
-            return _PREC_POW
-        case Neg():
-            return _PREC_UNARY
-        case Mul():
-            return _PREC_MUL
-        case Add():
-            return _PREC_ADD
-    raise TypeError(f"not an expression node: {e!r}")
+    """Binding strength of e's printed form; a negative literal binds as a unary minus."""
+    if isinstance(e, Num) and e.value < 0:
+        return _PREC_UNARY
+    return _PRECEDENCE.get(type(e), _PREC_ATOM)
 
 
 def format_number(v):
@@ -728,10 +715,7 @@ def _render(e, context):
                 text = f"{base}^{k}"
             case Neg(a):
                 # parenthesize literal operands: "-2" would re-parse as a literal
-                inner = _render(
-                    a, _PREC_POW + 1 if not isinstance(a, Num) else _PREC_ATOM + 1
-                )
-                text = f"-{inner}"
+                text = "-" + _render(a, _PREC_ATOM + 1 if isinstance(a, Num) else _PREC_POW + 1)
             case Add(((_, first), *rest)) | Mul(((_, first), *rest)):
                 level = _precedence(e)
                 text = _render(first, level)
@@ -739,9 +723,7 @@ def _render(e, context):
                     text += (f" {op} " if level == _PREC_ADD else op) + _render(node, level + 1)
             case _:
                 raise TypeError(f"not an expression node: {e!r}")
-    if _precedence(e) < context:
-        return f"({text})"
-    return text
+    return f"({text})" if _precedence(e) < context else text
 
 
 def to_string(e):
@@ -756,14 +738,20 @@ def to_string(e):
 # ---------------------------------------------------------------------------
 # normal form
 
-# A term map sends a monomial (sorted tuple of (base, exponent) pairs) to its
-# real coefficient.  Bases are canonical sub-expressions; multi-term sums
-# appearing as factors stay atomic, so products are never distributed.
+# A term map sends a monomial, a tuple of (base, exponent) pairs ordered by
+# printed base, to its real coefficient.  Bases are canonical sub-expressions;
+# multi-term sums appearing as factors stay atomic, so products are never
+# distributed.
+
+
+def _order(factor):
+    """A factor's place in a monomial: its base's printed form."""
+    return to_string(factor[0])
 
 
 def _monomial(factors):
     """Canonical monomial of a factor dict: factors ordered by printed base."""
-    return tuple(sorted(factors.items(), key=lambda item: to_string(item[0])))
+    return tuple(sorted(factors.items(), key=_order))
 
 
 def _ordered_terms(terms):
@@ -805,42 +793,50 @@ def _atomic_sum(terms):
 
 
 def _as_single_term(terms):
-    """View a term map as one (coefficient, factor dict) product."""
+    """View a term map as one (coefficient, monomial) product."""
     if not terms:
-        return 0.0, {}
+        return 0.0, ()
     if len(terms) == 1:
         (mono, c), = terms.items()
-        return c, dict(mono)
+        return c, mono
     lead, base = _atomic_sum(terms)
-    return lead, {base: 1}
+    return lead, ((base, 1),)
 
 
-def _combine_factors(coefficient, *factor_maps):
-    factors = {}
-    for fm in factor_maps:
-        for base, exponent in fm.items():
-            total = factors.get(base, 0) + exponent
-            if total == 0:
-                factors.pop(base, None)
-            else:
-                factors[base] = total
+def _combine_factors(coefficient, left, right):
+    """Term map of coefficient times the monomials left and right.
+
+    Each factor of right is placed into left by bisection, so no sort runs.
+    """
     if coefficient == 0.0:
         return {}
-    if Num(0.0) in factors:
-        # exponent arithmetic must not rescale the zero division sentinel
-        factors[Num(0.0)] = -1
+    factors = list(left)
+    for base, exponent in right:
+        # distinct nodes print apart, so a base's place holds it if any does
+        i = bisect_left(factors, to_string(base), key=_order)
+        found = i < len(factors) and factors[i][0] is base
+        total = factors[i][1] + exponent if found else exponent
+        if total and base is _ZERO:
+            # exponent arithmetic must not rescale the zero division sentinel
+            total = -1
+        if not found:
+            factors.insert(i, (base, total))
+        elif total:
+            factors[i] = (base, total)
+        else:
+            del factors[i]
     if len(factors) == 1 and coefficient in (1.0, -1.0):
-        (base, exponent), = factors.items()
+        (base, exponent), = factors
         if exponent == 1 and isinstance(base, Add):
             # a lone signed sum is not a product, fold it into open terms or
             # one derivation path nests it while another flattens it; only
             # the exact +-1 scalings fold, anything else would round twice
             return _scale_terms(_terms(base), coefficient)
-    return {_monomial(factors): coefficient}
+    return {tuple(factors): coefficient}
 
 
-def _pow_factors(factors, k):
-    return {base: exponent * k for base, exponent in factors.items()}
+def _pow_factors(mono, k):
+    return tuple([(base, exponent * k) for base, exponent in mono])
 
 
 def _step_terms(left, op, right):
@@ -855,7 +851,7 @@ def _step_terms(left, op, right):
         return _combine_factors(cl * cr, fl, fr)
     if cr == 0.0 and not fr:
         # division by literal zero: keep it symbolic, evaluation raises
-        cr, fr = 1.0, {Num(0.0): 1}
+        cr, fr = 1.0, ((_ZERO, 1),)
     return _combine_factors(cl / cr, fl, _pow_factors(fr, -1))
 
 
@@ -893,18 +889,18 @@ def _terms(e):
             base_terms = _terms(b)
             if not base_terms:
                 # zero denominator sentinel, always order one so reparses agree
-                terms = {} if k > 0 else _combine_factors(1.0, {Num(0.0): -1})
+                terms = {} if k > 0 else _combine_factors(1.0, (), ((_ZERO, -1),))
             elif len(base_terms) == 1:
                 (mono, c), = base_terms.items()
                 if mono:
-                    terms = _combine_factors(_power(c, k), _pow_factors(dict(mono), k))
+                    terms = _combine_factors(_power(c, k), (), _pow_factors(mono, k))
                 elif c == 0.0 and k < 0:
-                    terms = _combine_factors(1.0, {Num(0.0): -1})
+                    terms = _combine_factors(1.0, (), ((_ZERO, -1),))
                 else:
                     terms = {(): _power(c, k)}
             else:
                 lead, base = _atomic_sum(base_terms)
-                terms = _combine_factors(_power(lead, k), {base: k})
+                terms = _combine_factors(_power(lead, k), (), ((base, k),))
         case Call(fn, a):
             arg = simplify(a)
             folded = None
@@ -1005,14 +1001,14 @@ def is_zero(e):
 def _d(e, memo):
     """Derivative of e; memo maps each node this diff call differentiated to its result.
 
-    The lookup is by equality, not identity: the rules build their nodes
-    afresh, so equal subtrees recur as distinct objects.
+    Nodes are interned, so an equal subtree is the same object and the
+    identity lookup finds it however the rules rebuilt it.
     """
     derivative = memo.get(e)
     if derivative is not None:
         return derivative
     match e:
-        case Num() | Pi():
+        case Num() | Pi() | Pow(_, 0):
             derivative = Num(0.0)
         case Var(name):
             derivative = Num(1.0) if name == "x" else Num(0.0)
@@ -1038,10 +1034,7 @@ def _d(e, memo):
                     dprefix = _seeded(_seeded(dprefix, "-", lead), "/", node**2)
             derivative = dprefix
         case Pow(b, k):
-            if k == 0:
-                derivative = Num(0.0)
-            else:
-                derivative = Num(float(k)) * Pow(b, k - 1) * _d(b, memo)
+            derivative = Num(float(k)) * Pow(b, k - 1) * _d(b, memo)
         case Call(fn, a):
             da = _d(a, memo)
             if fn == "sin":
@@ -1062,9 +1055,13 @@ def _d(e, memo):
 
 
 def _seeded(left, op, right):
-    """left op right, holding the term map one fold step makes from left's."""
+    """left op right, holding the term map one fold step makes from left's.
+
+    An interned node that already holds its map keeps it: the fold made it.
+    """
     node = _chain(left, op, right)
-    object.__setattr__(node, "_term_map", _step_terms(_terms(left), op, _terms(right)))
+    if getattr(node, "_term_map", None) is None:
+        object.__setattr__(node, "_term_map", _step_terms(_terms(left), op, _terms(right)))
     return node
 
 
@@ -1072,7 +1069,7 @@ def diff(e, order=1):
     """Symbolic derivative with respect to x, simplified at each order.
 
     Each distinct subexpression is differentiated once across all orders:
-    one memo, keyed by structural equality, lives for this call alone.
+    one memo, keyed by the interned nodes, lives for this call alone.
     """
     if not isinstance(order, int) or isinstance(order, bool) or order < 0:
         raise ValueError("derivative order must be a non-negative integer")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -330,6 +331,40 @@ def test_main_writes_report_to_stdout():
     payload = json.loads(completed.stdout)
     assert payload["schema"] == "branch-lab/1"
     assert payload["conclusion"] == "classification: weak-null"
+
+
+# nodes hash by identity, so a report that followed the iteration order of a
+# hashed container of nodes would change with the hash seed and memory layout
+HASH_SEED_ARGVS = [
+    ["gf", "derive", "--lhs=cos(2*x)*exp(x^2)*cos(2*x) + cos(2*x)^3 - sin(x^2)/(1 + cos(2*x))",
+     "--order=2"],
+    ["gf", "equal", "--lhs=(1+x)^2*cos(nu*x)", "--rhs=cos(nu*x)*(1+x)*(x+1)"],
+    ["gf", "mul", "--lhs=nu/(2*cosh(nu*x)^2) + 1/(3+sin(x))", "--rhs=x/(1+x^2) - cos(nu*x)"],
+    ["ideal", "check", "--generators=sin(nu*x),cos(nu*x)", "--domain=-1,1"],
+]
+
+
+def test_report_bytes_do_not_depend_on_the_hash_seed():
+    script = (
+        "import hashlib, json, sys\n"
+        "from branchlab import cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    code, report = cli.run(argv)\n"
+        "    print(code, hashlib.sha256(cli.comparable_bytes(report)).hexdigest())\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    outputs = []
+    for seed in ("1", "7"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        completed = subprocess.run(
+            [sys.executable, "-c", script, json.dumps(HASH_SEED_ARGVS)],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert completed.returncode == 0, completed.stderr
+        outputs.append(completed.stdout)
+    assert len(outputs[0].splitlines()) == len(HASH_SEED_ARGVS)
+    assert outputs[0] == outputs[1]
 
 
 def test_index_only_pole_ends_in_an_error_report():

@@ -1,7 +1,10 @@
+import copy
+import gc
 import math
 import operator
 import pickle
 import time
+import weakref
 from functools import partial
 
 import numpy as np
@@ -532,7 +535,7 @@ def test_node_caches_agree_with_fresh_nodes(rng):
         e = random_expression(rng, depth=3, allow_nu=True)
         rng.setstate(state)
         twin = random_expression(rng, depth=3, allow_nu=True)
-        assert twin == e and twin is not e
+        assert twin == e and twin is e
         assert hash(twin) == hash(e)
         text = ex.to_string(twin)
         fresh = _normal_forms(ex.parse(text))
@@ -543,7 +546,7 @@ def test_node_caches_agree_with_fresh_nodes(rng):
                 assert hash(e) == hash(twin)
                 assert result == fresh[k]
         assert ex.to_string(e) == text
-        # a copy carries the fields, not the caches, and refills them equal
+        # a copy rebuilds through the constructor, so it is the interned node
         copied = pickle.loads(pickle.dumps(e))
         assert copied == e and hash(copied) == hash(e)
         assert _normal_forms(copied)[0] == fresh[0]
@@ -839,3 +842,84 @@ def test_shape_cache_keeps_to_its_size():
         ex._compiled(ex.Add(tuple(("+", part) for part in parts)))
         assert ex._factory.cache_info().currsize <= ex._SHAPE_CACHE_SIZE
     assert ex._factory.cache_info().misses - before > ex._SHAPE_CACHE_SIZE
+
+
+# ---------------------------------------------------------------------------
+# interning
+
+
+def test_fields_are_checked_before_the_table_is_read():
+    b = ex.Call("cos", ex.x)
+    # alive, and equal as keys to the invalid calls below: True == 1, 2.0 == 2
+    alive = (ex.Pow(b, 1), ex.Pow(b, 2))
+    with pytest.raises(TypeError):
+        ex.Pow(b, True)
+    with pytest.raises(TypeError):
+        ex.Pow(b, 2.0)
+    with pytest.raises(ValueError):
+        ex.Var("y")
+    with pytest.raises(ValueError):
+        ex.Call("sinh", ex.x)
+    assert ex.Pow(b, 1) is alive[0] and ex.Pow(b, 2) is alive[1]
+    assert ex.Num(-0.0) is ex.Num(0.0) and ex.Num(0) is ex.Num(0.0)
+    assert ex.to_string(ex.Num(-0.0)) == "0"
+    with pytest.raises(AttributeError):
+        alive[0].exponent = 3
+
+
+def test_copies_and_pickles_are_the_interned_node():
+    e = ex.parse("cos(2*x)^2/(1 + nu*x) - 3*exp(-x)")
+    assert pickle.loads(pickle.dumps(e)) is e
+    assert copy.copy(e) is e
+    assert copy.deepcopy(e) is e
+
+
+def test_the_table_keeps_no_tree_alive():
+    e = ex.parse("sin(3*x + nu)^2/(1 + x) - 17.25*x*cosh(0.5*x)")
+    # fill every cache: term maps, derivatives, printed forms, compiled functions
+    ex.to_string(ex.diff(e, 2))
+    ex.evaluate(e, 2, 0.5)
+    ref = weakref.ref(e)
+    del e
+    gc.collect()
+    assert ref() is None
+    assert all(entry() is not None for entry in ex._NODES.values())
+
+
+def test_seeded_keeps_the_map_an_interned_node_holds():
+    left, right = ex.parse("cos(2*x)*x"), ex.parse("sin(x)")
+    node = left * right
+    terms = ex._terms(node)
+    assert ex._seeded(left, "*", right) is node
+    assert node._term_map is terms
+
+
+def _census(e):
+    """(node objects by id, distinct structures) in e's tree.
+
+    Each structure is numbered from its type and its fields, children by
+    their numbers, so equal structures share a number whatever their identity.
+    """
+    numbers, structures = {}, {}
+
+    def number(node):
+        if id(node) not in numbers:
+            key = [type(node).__name__]
+            for name in node.__match_args__:
+                value = getattr(node, name)
+                if isinstance(value, ex.Expr):
+                    value = number(value)
+                elif isinstance(value, tuple):
+                    value = tuple((op, number(part)) for op, part in value)
+                key.append(value)
+            numbers[id(node)] = structures.setdefault(tuple(key), len(structures))
+        return numbers[id(node)]
+
+    number(e)
+    return len(numbers), len(structures)
+
+
+def test_a_long_product_derivative_holds_one_node_per_structure():
+    e = ex.parse("*".join(f"cos({k}*x)" for k in range(1, 61)))
+    # the parent of hash-consing held 8,536 node objects for these structures
+    assert _census(ex.diff(e, 2)) == (2156, 2156)
