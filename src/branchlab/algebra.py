@@ -391,8 +391,7 @@ def branching_demo(
         entry["records"] = separations
         entry["passed"] = witness_found
 
-    passed = all_passed(stages)
-    if passed:
+    if all_passed(stages):
         conclusion = (
             "all representatives converge weakly to zero, yet the operation "
             "sends them to sequences with well-separated weak limits; the "
@@ -410,7 +409,6 @@ def branching_demo(
         conclusion = "expected pattern not reproduced; the demo is not applicable"
 
     return {
-        "demo": "branching",
         "parameters": {
             "domain": domain.to_dict(),
             "operation": operation if isinstance(operation, str) else ex.to_string(operation),
@@ -418,7 +416,6 @@ def branching_demo(
             "panel": [phi.to_dict() for phi in panel],
         },
         "stages": stages,
-        "all_stages_passed": passed,
         "conclusion": conclusion,
     }
 
@@ -489,8 +486,7 @@ def delta_square_demo(
         entry.update(classified.to_dict())
         entry["passed"] = classified.classification is Classification.DIVERGENT
 
-    passed = all_passed(stages)
-    if passed:
+    if all_passed(stages):
         conclusion = (
             "pairings of the squared delta grow like index * probe(0) / 3 "
             "with growth exponent 1 within 0.1; the square has no weak limit "
@@ -501,13 +497,11 @@ def delta_square_demo(
         conclusion = "expected pattern not reproduced; the demo is not applicable"
 
     return {
-        "demo": "delta-square",
         "parameters": {
             "domain": domain.to_dict(),
             "probe": probe.to_dict(),
             "schedule": list(schedule),
         },
         "stages": stages,
-        "all_stages_passed": passed,
         "conclusion": conclusion,
     }

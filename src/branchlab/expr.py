@@ -30,15 +30,18 @@ every later caller is handed the stored one.  ``diff`` passes one memo,
 keyed by node, down through ``_d`` for all orders, so each distinct
 subexpression is differentiated once per call; the memo dies with the call.
 
-``evaluate`` (scalar; EvalError at a division by zero or a non-finite value)
-and ``evaluate_on_grid`` (array; inf/nan passed through) run one generated
-function ``f(nu, x)`` per expression, compiled once and kept on its root
-node.  ``_compile`` writes the tree as the source of one Python expression:
-a flat node is a left-associative chain ``a - b + c``, which Python folds
-left to right as the walks fold, and every inner sum, product, negation and
-power sits in parentheses.  Each constant is a float64 parameter, each
-exponent an int parameter and each call a numpy ufunc parameter, so every
-numpy operation gets the operands, of the types and in the order, that a
+Every value comes from one generated function ``f(nu, x)`` per expression,
+compiled once and kept on its root node, with x an array:
+``evaluate_on_grid`` passes a grid and ``_on_lanes`` one point and one index
+per lane.  Both run under an error state that ignores everything and pass
+inf and nan through.  ``_defined_values`` states where a value is defined:
+where it is finite and none of the expression's denominators is zero.
+``_compile`` writes the tree as the source of one Python expression: a flat
+node is a left-associative chain ``a - b + c``, which Python folds left to
+right as the walks fold, and every inner sum, product, negation and power
+sits in parentheses.  Each constant is a float64 parameter, each exponent an
+int parameter and each call a numpy ufunc parameter, so every numpy
+operation gets the operands, of the types and in the order, that a
 node-by-node evaluation gives it, and the results are equal bit for bit.  A
 subexpression 50 levels deep, counting chain parts, goes to a local
 temporary first, so no tree is too deep or too long for Python's parser.
@@ -51,12 +54,10 @@ enters it, so ``exec`` runs nothing a user chose.
 
 ``denominator_safety`` calls a denominator's function once on the block of
 every sampled index (a column) by every grid point (a row), then refines
-all rows' argmin brackets together with ``_numutil.refine_min_abs_lanes``,
-whose function passes one point and one index per lane; certificate roots
-are bisected the same way.  x is an array on both paths, as on the grid, so
-powers involving x round as the grid rounds; an x-free power of the index,
-such as ``(nu-1.738)^3``, is an array power on lanes and a scalar power in
-``evaluate_on_grid``, and may differ in the last bit.
+all rows' argmin brackets together with ``_numutil.refine_min_abs_lanes``
+through ``_on_lanes``; certificate roots are bisected the same way.  An
+x-free power of the index, such as ``(nu-1.738)^3``, is an array power on
+lanes and a scalar power on a grid, and may differ in the last bit.
 """
 
 from __future__ import annotations
@@ -102,7 +103,8 @@ class ParseError(ValueError):
 
 
 class EvalError(ValueError):
-    """Raised when evaluation cannot produce a finite real."""
+    """Raised when an expression cannot be evaluated at all: a bad index or an
+    unbound placeholder."""
 
 
 class _Interned(type):
@@ -484,27 +486,6 @@ def _check_index(nu_value):
         raise EvalError("sequence index must be >= 1")
 
 
-def _scalar(f, nu, x_value):
-    """f(nu, x_value) as a finite float; run under the scalar error state.
-
-    That state ignores everything but division by zero, which raises.
-    """
-    try:
-        result = float(f(nu, np.float64(x_value)))
-    except FloatingPointError:
-        raise EvalError("division by zero at the sample point") from None
-    if not math.isfinite(result):
-        raise EvalError("evaluation produced a non-finite value")
-    return result
-
-
-def evaluate(e, nu_value, x_value):
-    """Value of e at integer index nu_value >= 1 and real x_value."""
-    _check_index(nu_value)
-    with np.errstate(all="ignore", divide="raise"):
-        return _scalar(_compiled(e), np.float64(nu_value), x_value)
-
-
 def evaluate_on_grid(e, nu_value, xs):
     """Vectorized value of e over an array of x samples.
 
@@ -516,6 +497,39 @@ def evaluate_on_grid(e, nu_value, xs):
     with np.errstate(all="ignore"):
         result = _compiled(e)(np.float64(nu_value), xs)
     return result if np.shape(result) == xs.shape else np.full_like(xs, result)
+
+
+def _defined_values(e, nu_value, xs):
+    """Values of e over an array of x samples, nan wherever e is undefined.
+
+    A point is defined only when the value is finite and none of e's
+    denominators is zero there: tanh(1/x) is tanh(inf) = 1 at x = 0, yet
+    undefined.
+    """
+    values = evaluate_on_grid(e, nu_value, xs)
+    undefined = ~np.isfinite(values)
+    for den in dict.fromkeys(denominators(e)):
+        undefined |= evaluate_on_grid(den, nu_value, xs) == 0.0
+    return np.where(undefined, np.nan, values)
+
+
+def _on_lanes(exprs, ids, nus):
+    """points -> exprs[ids[i]] at (nus[i], points[i]) for every lane i, one call
+    per distinct expression; run under an error state that ignores everything."""
+    # np.bincount, not np.unique, which imports numpy.ma on first use
+    groups = [(_compiled(exprs[k]), ids == k) for k in np.flatnonzero(np.bincount(ids))]
+
+    def f(points):
+        if len(groups) == 1:
+            values = groups[0][0](nus, points)
+            # only a constant comes back as a scalar
+            return values if np.ndim(values) else np.full_like(points, values)
+        out = np.empty_like(points)
+        for closure, lanes in groups:
+            out[lanes] = closure(nus[lanes], points[lanes])
+        return out
+
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -1157,11 +1171,7 @@ def denominator_safety(e, domain):
         row_finite = np.isfinite(block).all(axis=1)
         rows = len(nus) if row_finite.all() else int(np.argmin(row_finite))
         k = np.argmin(np.abs(block[:rows]), axis=1)
-        lane_nus = nus[:rows]
-
-        def f(points):
-            return np.broadcast_to(closure(lane_nus, points), points.shape)
-
+        f = _on_lanes((den,), np.zeros(rows, int), nus[:rows])
         with np.errstate(all="ignore"):
             best_x, best_abs = refine_min_abs_lanes(
                 f, xs[np.maximum(k - 1, 0)], xs[np.minimum(k + 1, len(xs) - 1)]

@@ -4,20 +4,22 @@ The bump family is exp(-1/(1-u^2)) on |u| < 1 with u = (x-center)/width,
 zero outside.  All derivatives vanish at the support endpoints, so the
 composite Simpson rule converges extremely fast; the step size additionally
 resolves the oscillation of the sequence entry being paired (at least 16
-points per period of the hint frequency).  Every integral returns an error
-estimate from comparing the rule against itself at half the step.
+points per period of the index).  Every pairing returns an error estimate
+from comparing the rule against itself at half the step.
 
-Pairings are computed a block at a time.  At each schedule index the panel
-members whose supports need the same number of Simpson panels (all of them,
-when the widths are equal) share one (member x node) block of grids, and the
-sequence entry is evaluated on the whole block in one closure call.  The
-index stays a scalar: an integer power of an array of indices can differ in
-the last bit from the same power of each index alone.  A block holds at most
-BLOCK_NODES nodes, unless one grid alone is longer, so memory stays flat
-however wide the panel.  Every value is bit for bit the value of pairing the
-member alone on `np.linspace`: the grid and the bump apply the same
-floating-point operations to each node, and each Simpson sum reduces one
-contiguous row, the same pairwise sum as over a 1-D grid.
+Pairings have one entry point, `pairing_tables`, which pairs a sequence with
+every member of a panel at every index of a schedule.  At each index the
+panel members whose supports need the same number of Simpson panels (all
+of them, when the widths are equal) share one (member x node) block of
+grids, and the sequence entry is evaluated on the whole block in one
+closure call.  The index stays a scalar: an integer power of an array of
+indices can differ in the last bit from the same power of each index alone.
+A block holds at most BLOCK_NODES nodes, unless one grid alone is longer,
+and no grid may hold more than MAX_GRID_NODES, so memory stays bounded
+however wide the panel and however large the index.  Every value is bit for
+bit the value of pairing the member alone on `np.linspace`: the grid and the
+bump apply the same floating-point operations to each node, and each Simpson
+sum reduces one contiguous row, the same pairwise sum as over a 1-D grid.
 """
 
 from __future__ import annotations
@@ -32,10 +34,12 @@ from ._report import Record
 
 # most nodes one closure call of pairing_tables sees, unless one grid is longer
 BLOCK_NODES = 8192
+# most nodes of one member's grid; a longer one is refused before its index is sampled
+MAX_GRID_NODES = 1 << 22
 
 
 class IntegrationError(ValueError):
-    """Raised when an integrand produces non-finite samples."""
+    """Raised when an integrand produces non-finite samples or needs too long a grid."""
 
 
 def _bump_shape(u):
@@ -236,32 +240,14 @@ def _two_grid_rule(ys, width, panels, weights):
     return fine, np.abs(fine - coarse)
 
 
-def integrate(f, lower, upper, oscillation_hint=1):
-    """Composite Simpson integral of f with an oscillation-aware step.
-
-    Returns (value, error_estimate); the estimate is the raw step-halving
-    difference, which is deliberately conservative.  f is sampled once, on
-    the fine grid; the coarse rule reads every other sample.
-    """
-    lower = float(lower)
-    upper = float(upper)
-    panels = _panel_count(upper - lower, oscillation_hint)
-    nodes, weights = _two_grid_setup(panels)
-    (xs,) = _grids(np.array([lower]), np.array([upper]), nodes)
-    ys = np.asarray(f(xs))
-    if not np.all(np.isfinite(ys)):
-        raise IntegrationError("non-finite sample in the integrand")
-    (fine,), (estimate,) = _two_grid_rule(ys[None, :], upper - lower, panels, weights)
-    return float(fine), float(estimate)
-
-
 def pairing_tables(s, members, schedule):
     """Pairing values and quadrature estimates of s against each test function.
 
     Returns one [(index, value, estimate), ...] table per member, in schedule
     order; see the module docstring for the blocks they are computed on.  A
     non-finite sample raises IntegrationError naming the first index of the
-    schedule that has one and, at that index, the first member that does.
+    schedule that has one and, at that index, the first member that does;
+    so does a grid longer than MAX_GRID_NODES, before its index is sampled.
     """
     members = tuple(members)
     lower = np.array([phi.support[0] for phi in members])
@@ -276,6 +262,13 @@ def pairing_tables(s, members, schedule):
         counts = {length: _panel_count(length, index) for length in dict.fromkeys(lengths)}
         groups = {}
         for k, length in enumerate(lengths):
+            if 2 * counts[length] + 1 > MAX_GRID_NODES:
+                phi = members[k]
+                raise IntegrationError(
+                    f"the grid at index {index}, against the test function centered at "
+                    f"{phi.center} with width {phi.width}, would have "
+                    f"{2 * counts[length] + 1} nodes, more than {MAX_GRID_NODES}"
+                )
             groups.setdefault(counts[length], []).append(k)
         failed = []
         for panels, rows in groups.items():
@@ -302,14 +295,3 @@ def pairing_tables(s, members, schedule):
                 f"test function centered at {phi.center} with width {phi.width}"
             )
     return tables
-
-
-def pair_with_estimate(s, index, phi):
-    """Pairing integral of sequence entry `index` against the test function."""
-    ((_, value, estimate),) = pairing_tables(s, (phi,), (index,))[0]
-    return value, estimate
-
-
-def pair(s, index, phi):
-    """Pairing value alone; see pair_with_estimate for the error estimate."""
-    return pair_with_estimate(s, index, phi)[0]

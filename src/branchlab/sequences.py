@@ -62,7 +62,8 @@ class SmoothSequence(Record):
         return ex.evaluate_on_grid(self._entry(index), index, xs)
 
     def term_value(self, index, x_value):
-        return ex.evaluate(self._entry(index), index, x_value)
+        """Entry value at one point: a one-point grid."""
+        return float(self.term_values(index, [x_value])[0])
 
     def _entry(self, index):
         """The exceptional entry at a checked index, else the tail."""

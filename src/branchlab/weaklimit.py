@@ -219,8 +219,7 @@ def nosquare_demo(
             "deviation" in entry and entry["deviation"] <= 1e-3 for entry in half_mass
         )
 
-    passed = all_passed(stages)
-    if passed:
+    if all_passed(stages):
         conclusion = (
             "the base sequence is weak-null but its square settles at half the "
             "test-function mass on every panel member; a multiplication that "
@@ -234,7 +233,6 @@ def nosquare_demo(
         )
 
     return {
-        "demo": "nosquare",
         "parameters": {
             "domain": domain.to_dict(),
             "schedule": list(schedule),
@@ -242,6 +240,5 @@ def nosquare_demo(
             "panel": panel.to_dict(),
         },
         "stages": stages,
-        "all_stages_passed": passed,
         "conclusion": conclusion,
     }

@@ -53,6 +53,11 @@ def random_expression(rng, depth=3, allow_nu=False):
     return ex.Call(fn, random_expression(rng, depth - 1, allow_nu))
 
 
+def value_at(e, index, x):
+    """Value of e at one point, evaluated as a one-point grid."""
+    return float(ex.evaluate_on_grid(e, index, np.array([x]))[0])
+
+
 def gauss_rank(matrix, rel_tol=1e-8):
     """Row-echelon rank by Gaussian elimination with partial pivoting.
 

@@ -502,6 +502,19 @@ def test_non_finite_pairings_raise_no_warning(seq):
     assert report["error"]["type"] == "IntegrationError"
 
 
+def test_a_grid_too_long_to_sample_is_an_error_report():
+    # at index 1e8 one member's grid would hold 2.3e8 nodes (several GB);
+    # it is refused before it is sampled, so the command ends in milliseconds
+    started = time.perf_counter()
+    code, report = cli.run(["limit", "--seq=cos(nu*x)", "--schedule=1,2,4,8,16,100000000"])
+    assert time.perf_counter() - started < 0.5
+    assert code == 1
+    assert report["error"]["type"] == "IntegrationError"
+    message = report["error"]["message"]
+    assert "index 100000000" in message and "centered at -0.7777777777777778" in message
+    assert f"more than {pairing.MAX_GRID_NODES}" in message
+
+
 def test_boolean_start_index_is_rejected():
     code, report = cli.run(["limit", '--seq={"tail": "cos(nu*x)", "start": true}'])
     assert code == 1

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import branchlab.expr as ex
 
-from conftest import random_expression, refine_min_abs
+from conftest import random_expression, refine_min_abs, value_at
 
 # (text, index, point): expressions with a pole at that index and point
 POLES = [
@@ -74,7 +74,7 @@ def test_parse_nesting_limit(opening, levels):
 
 
 def test_pi_is_a_constant():
-    assert ex.evaluate(ex.parse("pi"), 1, 0.0) == pytest.approx(math.pi)
+    assert value_at(ex.parse("pi"), 1, 0.0) == pytest.approx(math.pi)
     assert "pi" not in ex.variables(ex.parse("pi + x"))
     assert ex.variables(ex.parse("cos(nu*x) + pi")) == frozenset({"x", "nu"})
 
@@ -131,8 +131,8 @@ def test_simplify_preserves_values(expression_corpus, rng):
     for e in expression_corpus:
         s = ex.simplify(e)
         for x in points:
-            v0 = ex.evaluate(e, 1, x)
-            v1 = ex.evaluate(s, 1, x)
+            v0 = value_at(e, 1, x)
+            v1 = value_at(s, 1, x)
             assert abs(v0 - v1) <= 1e-8 * (1.0 + max(abs(v0), abs(v1)))
 
 
@@ -174,7 +174,7 @@ def test_diff_linearity(expression_corpus, rng):
         rhs = ex.Num(a) * ex.diff(f) + ex.Num(b) * ex.diff(g)
         for _ in range(4):
             x = rng.uniform(-1.0, 1.0)
-            assert abs(ex.evaluate(lhs, 1, x) - ex.evaluate(rhs, 1, x)) < 1e-10
+            assert abs(value_at(lhs, 1, x) - value_at(rhs, 1, x)) < 1e-10
 
 
 def test_diff_leibniz(expression_corpus, rng):
@@ -185,7 +185,7 @@ def test_diff_leibniz(expression_corpus, rng):
         rhs = ex.diff(f) * g + f * ex.diff(g)
         for _ in range(4):
             x = rng.uniform(-1.0, 1.0)
-            assert abs(ex.evaluate(lhs, 1, x) - ex.evaluate(rhs, 1, x)) < 1e-10
+            assert abs(value_at(lhs, 1, x) - value_at(rhs, 1, x)) < 1e-10
 
 
 def test_diff_matches_central_difference(expression_corpus, rng):
@@ -195,9 +195,9 @@ def test_diff_matches_central_difference(expression_corpus, rng):
         d3 = ex.diff(e, 3)
         for _ in range(2):
             x = rng.uniform(-1.0, 1.0)
-            fd = (ex.evaluate(e, 1, x + h) - ex.evaluate(e, 1, x - h)) / (2 * h)
-            sym = ex.evaluate(d1, 1, x)
-            third = abs(ex.evaluate(d3, 1, x))
+            fd = (value_at(e, 1, x + h) - value_at(e, 1, x - h)) / (2 * h)
+            sym = value_at(d1, 1, x)
+            third = abs(value_at(d3, 1, x))
             tol = max(1.0, third / 6.0) * 2.0 * h * h + 1e-9 * (1 + abs(sym))
             assert abs(fd - sym) <= tol
 
@@ -364,14 +364,9 @@ def test_substitute():
 
 def test_evaluate_validates_index():
     with pytest.raises(ValueError):
-        ex.evaluate(ex.x, 0, 1.0)
+        ex.evaluate_on_grid(ex.x, 0, np.array([1.0]))
     with pytest.raises(ValueError):
-        ex.evaluate(ex.x, 1.5, 1.0)
-
-
-def test_evaluate_division_by_zero_raises():
-    with pytest.raises(ex.EvalError):
-        ex.evaluate(ex.parse("1/x"), 1, 0.0)
+        ex.evaluate_on_grid(ex.x, 1.5, np.array([1.0]))
 
 
 def test_evaluate_on_grid_flags_poles_without_raising():
@@ -387,15 +382,11 @@ def test_evaluate_on_grid_passes_index_only_poles_through():
         assert values.shape == xs.shape
         assert not np.any(np.isfinite(values))
     assert np.all(np.isnan(ex.evaluate_on_grid(ex.parse("0/(nu-1)"), 1, xs)))
-    with pytest.raises(ex.EvalError):
-        ex.evaluate(ex.parse("1/(nu-1)"), 1, 0.5)
 
 
 def test_power_overflow_is_an_eval_error_or_passed_through():
-    with pytest.raises(ex.EvalError):
-        ex.evaluate(ex.parse("x^2"), 1, 1e300)
-    with pytest.raises(ex.EvalError):
-        ex.evaluate(ex.parse("nu^200"), 4096, 0.0)
+    assert value_at(ex.parse("x^2"), 1, 1e300) == math.inf
+    assert value_at(ex.parse("nu^200"), 4096, 0.0) == math.inf
     values = ex.evaluate_on_grid(ex.parse("nu^200*cos(x)"), 4096, np.array([0.0, 0.5]))
     assert np.all(np.isposinf(values))
 
@@ -564,36 +555,36 @@ def _random_powered_expression(rng):
     return ex.Pow(e, -k) + ex.Pow(ex.x, k) * ex.Pow(ex.nu, k + 1)
 
 
-def test_scalar_and_grid_evaluation_agree(rng):
+def test_lane_and_grid_evaluation_agree(rng):
     xs = np.array([-2.5, -1.0, -0.3, 0.0, 0.25, 0.7, 1.9])
     for _ in range(200):
         e = _random_powered_expression(rng)
         for index in (1, 3, 7):
             grid = ex.evaluate_on_grid(e, index, xs)
-            for point, expected in zip(xs, grid):
-                if not math.isfinite(expected):
-                    with pytest.raises(ex.EvalError):
-                        ex.evaluate(e, index, point)
-                    continue
-                try:
-                    value = ex.evaluate(e, index, point)
-                except ex.EvalError:
-                    continue  # a pole the grid smooths over, e.g. tanh(1/0) = 1
-                assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
+            f = ex._on_lanes((e,), np.zeros(len(xs), int), np.full(len(xs), float(index)))
+            with np.errstate(all="ignore"):
+                lanes = f(xs)
+            assert np.array_equal(np.isfinite(lanes), np.isfinite(grid))
+            # an x-free power of the index may differ in the last bit
+            finite = np.isfinite(grid)
+            assert lanes[finite] == pytest.approx(grid[finite], rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("text, index, point", POLES)
 def test_scalar_poles_raise(text, index, point):
-    with pytest.raises(ex.EvalError, match="division by zero"):
-        ex.evaluate(ex.parse(text), index, point)
+    # a pole is a point the definedness rule refuses, even where the value is
+    # finite: tanh(1/0) = tanh(inf) = 1 and exp(-1/0^2) = 0
+    (value,) = ex._defined_values(ex.parse(text), index, np.array([point]))
+    assert np.isnan(value)
 
 
 def test_deep_left_sum_evaluates_on_both_paths():
     e = ex.x
     for _ in range(899):
         e = e + ex.x
-    assert ex.evaluate(e, 1, 0.5) == 450.0
-    assert ex.evaluate_on_grid(e, 1, np.array([0.5, 1.0])).tolist() == [450.0, 900.0]
+    xs = np.array([0.5, 1.0])
+    assert ex.evaluate_on_grid(e, 1, xs).tolist() == [450.0, 900.0]
+    assert ex._on_lanes((e,), np.zeros(2, int), np.ones(2))(xs).tolist() == [450.0, 900.0]
     # the normal form, the derivative and the printer each fold over one flat node
     assert ex.simplify(e) == ex.Num(900.0) * ex.x
     assert ex.diff(e) == ex.Num(900.0)
@@ -684,18 +675,18 @@ def test_each_root_is_compiled_once(monkeypatch):
 
     monkeypatch.setattr(ex, "_compile", counted)
     e = ex.parse("cos(nu*x)/(2 + x^2)")
-    ex.evaluate(e, 3, 0.5)
+    value_at(e, 3, 0.5)
     first = len(compiled)
     for _ in range(1000):
-        ex.evaluate(e, 3, 0.5)
-        ex.evaluate_on_grid(e, 3, np.array([0.5]))
+        value_at(e, 3, 0.5)
+        ex.evaluate_on_grid(e, 3, np.array([0.5, 0.7]))
     assert len(compiled) == first
 
     # a node keeps its closure however many other roots compile meanwhile
     for k in range(100):
-        ex.evaluate(ex.parse(f"x + {k}"), 1, 0.5)
+        value_at(ex.parse(f"x + {k}"), 1, 0.5)
     compiled.clear()
-    ex.evaluate(e, 3, 0.5)
+    value_at(e, 3, 0.5)
     assert compiled == []
 
 
@@ -775,12 +766,13 @@ def test_generated_function_matches_the_node_closures_bit_for_bit(rng):
 @pytest.mark.parametrize("text, index, point", POLES)
 def test_generated_poles_raise_what_the_node_closures_raise(text, index, point):
     e = ex.parse(text)
-    with pytest.raises(ex.EvalError) as expected:
-        with np.errstate(all="ignore", divide="raise"):
-            ex._scalar(_reference_compile(e), np.float64(index), point)
-    with pytest.raises(ex.EvalError) as raised:
-        ex.evaluate(e, index, point)
-    assert str(raised.value) == str(expected.value)
+    raised = []
+    for f in (_reference_compile(e), ex._compile(e)):
+        with pytest.raises(FloatingPointError, match="divide by zero") as caught:
+            with np.errstate(all="ignore", divide="raise"):
+                f(np.float64(index), np.array([point]))
+        raised.append(str(caught.value))
+    assert raised[0] == raised[1]
 
 
 def test_grid_overflow_and_x_free_trees():
@@ -830,7 +822,7 @@ def test_trees_of_one_shape_share_one_code_object():
     second = ex._compiled(ex.parse("0.7+sin(3*nu*x+0.2)"))
     assert first is not second
     assert first.__code__ is second.__code__
-    assert ex.evaluate(ex.parse("0.7+sin(3*nu*x+0.2)"), 2, 0.5) == pytest.approx(0.7 + math.sin(3.2))
+    assert value_at(ex.parse("0.7+sin(3*nu*x+0.2)"), 2, 0.5) == pytest.approx(0.7 + math.sin(3.2))
 
 
 def test_shape_cache_keeps_to_its_size():
@@ -878,7 +870,7 @@ def test_the_table_keeps_no_tree_alive():
     e = ex.parse("sin(3*x + nu)^2/(1 + x) - 17.25*x*cosh(0.5*x)")
     # fill every cache: term maps, derivatives, printed forms, compiled functions
     ex.to_string(ex.diff(e, 2))
-    ex.evaluate(e, 2, 0.5)
+    value_at(e, 2, 0.5)
     ref = weakref.ref(e)
     del e
     gc.collect()

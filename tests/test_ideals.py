@@ -9,7 +9,10 @@ import pytest
 
 import branchlab as bl
 import branchlab.expr as ex
+from branchlab._report import all_passed
 from branchlab import ideals as idl
+
+from conftest import random_expression, value_at
 
 DOM = ex.DomainInterval(0.0, 2.0 * math.pi)
 
@@ -267,7 +270,7 @@ def test_closed_form_roots_lie_in_their_cells(form, k, b):
     assert cert is not None
     for cell in cert.cells:
         assert cell.lower <= cell.root <= cell.upper
-        assert abs(ex.evaluate(tail, cell.nu, cell.root)) <= 1e-12
+        assert abs(value_at(tail, cell.nu, cell.root)) <= 1e-12
     # at each index every closed-form root lies on the grid's span and is a
     # root there; u = k*nu*x + b runs over k*nu*3/(2*pi) periods
     finder = idl._RootFinder(generator.generators[0])
@@ -278,7 +281,7 @@ def test_closed_form_roots_lie_in_their_cells(form, k, b):
         assert len(lo) >= int(k * nu * domain.length / (2.0 * math.pi))
         assert (lo == hi).all() and (xs[0] <= lo).all() and (hi <= xs[-1]).all()
         for root in lo.tolist():
-            assert abs(ex.evaluate(tail, nu, root)) <= 1e-12
+            assert abs(value_at(tail, nu, root)) <= 1e-12
 
 
 def test_near_touching_generators_have_no_closed_form_root():
@@ -320,6 +323,99 @@ def test_one_bisection_pass_serves_several_factors_and_entries():
 def test_the_generator_x_vanishes_at_zero():
     verdict = idl.membership(bl.diagonal("1"), idl.generated_by("x"), ex.DomainInterval(-1.0, 1.0))
     assert (verdict.witness.nu, verdict.witness.x) == (1, 0.0)
+
+
+def _defined_at(sequence, index, point):
+    return ex._defined_values(sequence._entry(index), index, np.array([point]))[0]
+
+
+def _pointwise_verification(s, factorization, domain):
+    """The verification residual sample by sample, each entry as a one-point grid."""
+    rng = random.Random(idl._VERIFICATION_SEED)
+    indices = [i for i, _ in s.exceptional]
+    for g, _ in factorization:
+        indices.extend(i for i, _ in g.exceptional)
+    worst = 0.0
+    for k in range(idl.VERIFICATION_SAMPLES):
+        if indices and k % 10 == 9:
+            index = indices[(k // 10) % len(indices)]
+        else:
+            index = rng.randint(max(s.start_index, 1), idl.SCAN_NU_LIMIT)
+        point = rng.uniform(domain.lower, domain.upper)
+        total = 0.0
+        for g, t in factorization:
+            total += _defined_at(g, index, point) * _defined_at(t, index, point)
+        residual = abs(_defined_at(s, index, point) - total)
+        if math.isnan(residual):
+            return math.inf
+        worst = max(worst, residual)
+    return worst
+
+
+def _pointwise_witness(s, generators, domain):
+    """The witness scan checking one screened root at a time."""
+    xs = domain.interior_grid(idl.SCAN_GRID)
+    finder = idl._RootFinder(generators[0])
+    for index in sorted({*range(1, idl.SCAN_NU_LIMIT + 1), *(i for i, _ in s.exceptional)}):
+        with np.errstate(all="ignore"):
+            ids, lo, hi = (part[:64] for part in finder.brackets(index, xs))
+            if not len(ids):
+                continue
+            points, residuals = finder.roots(ids, np.full(len(ids), index), lo, hi)
+        for point, residual in zip(points.tolist(), residuals.tolist()):
+            value = _defined_at(s, index, point)
+            values = [_defined_at(g, index, point) for g in generators]
+            if residual < idl.VANISH_TOL and abs(value) > idl.NONVANISH_TOL:
+                if all(abs(v) < idl.VANISH_TOL for v in values):
+                    return index, point, value, tuple(values)
+    return None
+
+
+def test_array_checks_equal_the_pointwise_loops(rng):
+    domain = ex.DomainInterval(-1.0, 1.0)
+    generators = ("sin(nu*x)", "x", "1+sin(nu*x)", "x^2-0.25", "sin(3*nu*x+0.5)", "tanh(nu*x)")
+    verified, found = set(), set()
+    for _ in range(60):
+        e = random_expression(rng, depth=2, allow_nu=True)
+        if rng.random() < 0.5:
+            e = e / (ex.x - ex.Num(round(rng.uniform(-0.9, 0.9), 1)))
+        if rng.random() < 0.2:
+            # undefined at every point of index 3
+            e = e / (ex.nu - ex.Num(3.0))
+        ideal = idl.generated_by(rng.choice(generators))
+        g = ideal.generators[0]
+        exceptional = {3: "x/(x-0.5)"} if rng.random() < 0.3 else {}
+        s = bl.smooth_sequence(g.tail * e, exceptional)
+        factorization = idl._match_factorization(s, ideal)
+        if factorization is not None:
+            residual = idl._verify_factorization(s, factorization, domain)
+            assert residual == _pointwise_verification(s, factorization, domain)
+            verified.add(residual < idl.FACTORIZATION_TOL)
+        t = bl.smooth_sequence(e, exceptional)
+        witness = idl._scan_for_witness(t, ideal.generators, domain)
+        expected = _pointwise_witness(t, ideal.generators, domain)
+        if witness is None:
+            assert expected is None
+        else:
+            assert (witness.nu, witness.x, witness.sequence_value, witness.generator_values) == expected
+        found.add(witness is not None)
+    assert verified == found == {False, True}
+
+
+@pytest.mark.parametrize(
+    "tail, value", [("tanh(1/x)", -0.8546732406992827), ("1/x", -1.273239544735163)]
+)
+def test_a_witness_is_never_a_point_where_a_denominator_vanishes(tail, value):
+    # at index 1 bisection lands exactly on the root x = 0 of sin(nu*x); there
+    # tanh(1/0) is tanh(inf) = 1, finite, yet the entry is undefined because its
+    # denominator x is zero, so the witness is the next root, at index 4
+    verdict = idl.membership(
+        bl.smooth_sequence(tail), idl.generated_by("sin(nu*x)"), ex.DomainInterval(-1.0, 1.0)
+    )
+    witness = verdict.witness
+    assert (witness.nu, witness.x) == (4, -0.7853981633974481)
+    assert witness.sequence_value == pytest.approx(value, rel=1e-15)
+    assert witness.generator_values == (pytest.approx(-1.0106430996148606e-15, rel=1e-12),)
 
 
 def test_zero_density_single_generator_only():
@@ -422,7 +518,7 @@ def test_no_largest_ideal_demo_structure():
     result = idl.no_largest_ideal_demo()
     assert time.perf_counter() - started < 30.0
 
-    assert result["demo"] == "no-largest-ideal"
+    assert set(result) == {"parameters", "stages", "conclusion"}
     assert [s["name"] for s in result["stages"]] == [
         "off-diagonality-first",
         "off-diagonality-second",
@@ -430,7 +526,7 @@ def test_no_largest_ideal_demo_structure():
         "unit-witness",
     ]
     assert all(s["passed"] for s in result["stages"])
-    assert result["all_stages_passed"] is True
+    assert all_passed(result["stages"])
     assert result["parameters"]["first_generator"] == "1 + sin(nu*x)"
     assert result["parameters"]["second_generator"] == "1 + cos(nu*x)"
     unit_stage = result["stages"][3]
@@ -442,14 +538,14 @@ def test_no_largest_ideal_demo_phase_shift():
     result = idl.no_largest_ideal_demo(
         first_generator="1 + sin(nu*x + 1)", second_generator="1 + cos(nu*x + 1)"
     )
-    assert result["all_stages_passed"] is True
+    assert all_passed(result["stages"])
     bound = result["stages"][3]["outcome"]["lower_bound"]
     assert bound == pytest.approx(2.0 - math.sqrt(2.0), abs=1e-3)
 
 
 def test_no_largest_ideal_demo_degenerate_pair():
     result = idl.no_largest_ideal_demo(second_generator="1 + sin(nu*x)")
-    assert result["all_stages_passed"] is False
+    assert not all_passed(result["stages"])
     flags = {s["name"]: s["passed"] for s in result["stages"]}
     assert flags["ideal-sum"] is False
     assert flags["unit-witness"] is False

@@ -111,10 +111,23 @@ def test_bump_values_and_support():
     assert np.all(phi.values(xs) >= 0.0)
 
 
+def _pair(s, index, phi):
+    """Pairing value and estimate of entry `index` with phi: a one-member, one-index table."""
+    ((_, value, estimate),) = pairing.pairing_tables(s, (phi,), (index,))[0]
+    return value, estimate
+
+
+def _rule(ys, width, panels):
+    """The two-grid Simpson rule pairing_tables applies to each row of samples."""
+    _, weights = pairing._two_grid_setup(panels)
+    (value,), (estimate,) = pairing._two_grid_rule(ys[None, :], width, panels, weights)
+    return value, estimate
+
+
 def test_normalized_bump_integrates_to_one():
     phi = pairing.bump(0.0, 1.0)
     assert phi.integral() == 1.0
-    value, estimate = pairing.integrate(phi.values, -1.0, 1.0)
+    value, estimate = _pair(bl.diagonal("1"), 1, phi)
     assert abs(value - 1.0) < 1e-6
     assert abs(value - 1.0) <= estimate + 1e-9
 
@@ -167,26 +180,29 @@ def test_panel_to_dict():
 
 
 def test_integrate_constant_is_exact():
-    value, estimate = pairing.integrate(lambda xs: np.ones_like(xs), 0.0, 1.0)
+    panels = pairing._panel_count(1.0, 1)
+    value, estimate = _rule(np.ones(2 * panels + 1), 1.0, panels)
     assert value == pytest.approx(1.0, abs=1e-14)
     assert estimate <= 1e-14
 
 
 def test_integrate_full_period_sine():
-    value, _ = pairing.integrate(np.sin, 0.0, 2.0 * math.pi)
+    panels = pairing._panel_count(2.0 * math.pi, 1)
+    (xs,) = pairing._grids(np.array([0.0]), np.array([2.0 * math.pi]), np.arange(2 * panels + 1))
+    value, _ = _rule(np.sin(xs), 2.0 * math.pi, panels)
     assert abs(value) < 1e-8
 
 
 def test_integrate_validation():
     with pytest.raises(ValueError):
-        pairing.integrate(np.sin, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        pairing.integrate(np.sin, 0.0, 1.0, oscillation_hint=0)
+        pairing._panel_count(0.0, 1)
+    with pytest.raises(ValueError, match="oscillation hint"):
+        pairing.pairing_tables(bl.smooth_sequence("cos(nu*x)"), (pairing.bump(0.0, 1.0),), (0,))
 
 
 def test_integrate_rejects_non_finite_samples():
     with pytest.raises(pairing.IntegrationError):
-        pairing.integrate(lambda xs: np.full_like(xs, np.nan), 0.0, 1.0)
+        _pair(bl.smooth_sequence("0/(nu-1)"), 1, pairing.bump(0.0, 1.0))
 
 
 def _two_grid_simpson(f, lower, upper, hint):
@@ -207,19 +223,32 @@ def _two_grid_simpson(f, lower, upper, hint):
     return fine, abs(fine - coarse)
 
 
+def _recorded_grids(monkeypatch):
+    """Every grid pairing_tables hands SmoothSequence.term_values, copied."""
+    grids = []
+    original = bl.SmoothSequence.term_values
+
+    def recorded(self, index, xs):
+        grids.append(np.array(xs))
+        return original(self, index, xs)
+
+    monkeypatch.setattr(bl.SmoothSequence, "term_values", recorded)
+    return grids
+
+
 @pytest.mark.parametrize("tail", ["cos(nu*x)", "cos(nu*x)^2", "nu/(2*cosh(nu*x)^2)", "x^3"])
 @pytest.mark.parametrize("index", [1, 3, 16, 256])
-def test_integrate_samples_its_integrand_once(tail, index):
+def test_integrate_samples_its_integrand_once(tail, index, monkeypatch):
     s = bl.smooth_sequence(tail)
     phi = pairing.bump(0.2, 0.7)
-    calls = []
 
     def integrand(xs):
-        calls.append(len(xs))
         return s.term_values(index, xs) * phi.values(xs)
 
-    got = pairing.integrate(integrand, *phi.support, oscillation_hint=index)
-    (nodes,) = calls
+    grids = _recorded_grids(monkeypatch)
+    got = _pair(s, index, phi)
+    monkeypatch.undo()
+    ((nodes,),) = [grid.shape[1:] for grid in grids]
     assert nodes % 2 == 1
     # the fine grid's even nodes are the coarse grid, bit for bit
     assert got == _two_grid_simpson(integrand, *phi.support, index)
@@ -227,19 +256,15 @@ def test_integrate_samples_its_integrand_once(tail, index):
 
 @pytest.mark.parametrize("lower, upper", [(-1.0, 0.7), (0.3, 1.9), (-2.2, 3.1)])
 @pytest.mark.parametrize("hint", [1, 7, 64])
-def test_integrate_samples_on_linspace(lower, upper, hint):
-    grids = []
-
-    def f(xs):
-        grids.append(xs.copy())
-        return np.exp(xs)
-
-    assert pairing.integrate(f, lower, upper, hint) == _two_grid_simpson(
-        np.exp, lower, upper, hint
-    )
+def test_integrate_samples_on_linspace(lower, upper, hint, monkeypatch):
+    phi = pairing.bump(0.5 * (lower + upper), 0.5 * (upper - lower))
+    grids = _recorded_grids(monkeypatch)
+    got = _pair(bl.smooth_sequence("exp(x)"), hint, phi)
+    monkeypatch.undo()
+    assert got == _two_grid_simpson(lambda xs: np.exp(xs) * phi.values(xs), *phi.support, hint)
     # every node, the last one included, where linspace puts it
-    (xs,) = grids
-    assert np.array_equal(xs, np.linspace(lower, upper, len(xs)))
+    ((xs,),) = grids
+    assert np.array_equal(xs, np.linspace(*phi.support, len(xs)))
 
 
 def _reference_tables(s, members, schedule):
@@ -348,37 +373,58 @@ def test_pairing_tables_refuse_an_index_before_the_start():
     assert str(caught.value) == str(reference.value) == "sequence starts at index 5, got 4"
 
 
+def test_pairing_tables_refuse_a_grid_longer_than_the_cap(monkeypatch):
+    members = _mixed_members()
+    s = bl.smooth_sequence("cos(nu*x)")
+    widest = max(members, key=lambda phi: phi.width)
+    length = widest.support[1] - widest.support[0]
+    monkeypatch.setattr(pairing, "MAX_GRID_NODES", 2 * pairing._panel_count(length, 256) + 1)
+    # a grid at the cap is sampled
+    assert [len(table) for table in pairing.pairing_tables(s, members, (1, 256))] == [2] * 14
+    grids = _recorded_grids(monkeypatch)
+    with pytest.raises(pairing.IntegrationError) as caught:
+        pairing.pairing_tables(s, members, (1, 257))
+    message = str(caught.value)
+    assert message.startswith(
+        f"the grid at index 257, against the test function centered at {widest.center} "
+        f"with width {widest.width}, would have "
+    )
+    assert message.endswith(f"more than {pairing.MAX_GRID_NODES}")
+    # index 1 was sampled, one row per member, and index 257 not at all
+    assert sum(len(grid) for grid in grids) == len(members)
+
+
 def test_pair_constant_sequence():
     phi = pairing.bump(0.0, 1.0)
-    assert pairing.pair(bl.diagonal("1"), 1, phi) == pytest.approx(1.0, abs=1e-6)
+    assert _pair(bl.diagonal("1"), 1, phi)[0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_pair_oscillation_decays():
     phi = pairing.bump(0.0, 1.0, normalized=False)
     cos_seq = bl.smooth_sequence("cos(nu*x)")
-    assert abs(pairing.pair(cos_seq, 4096, phi)) < 1e-4
-    assert abs(pairing.pair(cos_seq, 64, phi)) < 1e-4
+    assert abs(_pair(cos_seq, 4096, phi)[0]) < 1e-4
+    assert abs(_pair(cos_seq, 64, phi)[0]) < 1e-4
     # the pairing at low frequency is visibly larger, the decay is real
-    assert abs(pairing.pair(cos_seq, 1, phi)) > 1e-2
+    assert abs(_pair(cos_seq, 1, phi)[0]) > 1e-2
 
 
 def test_pair_square_keeps_half_mass():
     phi = pairing.bump(0.0, 1.0)
     squared = bl.apply_smooth("u^2", bl.smooth_sequence("cos(nu*x)"))
-    assert pairing.pair(squared, 4096, phi) == pytest.approx(0.5, abs=1e-3)
+    assert _pair(squared, 4096, phi)[0] == pytest.approx(0.5, abs=1e-3)
 
 
 def test_pair_uses_exceptional_entries():
     phi = pairing.bump(0.0, 1.0)
     s = bl.smooth_sequence("cos(nu*x)", {2: "1"})
-    assert pairing.pair(s, 2, phi) == pytest.approx(1.0, abs=1e-6)
+    assert _pair(s, 2, phi)[0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_pair_rejects_poles_inside_support():
     phi = pairing.bump(0.0, 0.5)
     s = bl.SmoothSequence(ex.parse("1/x"))
     with pytest.raises(pairing.IntegrationError):
-        pairing.pair(s, 1, phi)
+        _pair(s, 1, phi)
 
 
 def test_pairing_linearity(rng):
@@ -390,31 +436,22 @@ def test_pairing_linearity(rng):
         b = round(rng.uniform(-2, 2), 3)
         nu = rng.randrange(1, 12)
         combo = bl.seq_add(bl.seq_scale(a, s), bl.seq_scale(b, t))
-        lhs = pairing.pair(combo, nu, phi)
-        rhs = a * pairing.pair(s, nu, phi) + b * pairing.pair(t, nu, phi)
+        lhs = _pair(combo, nu, phi)[0]
+        rhs = a * _pair(s, nu, phi)[0] + b * _pair(t, nu, phi)[0]
         assert abs(lhs - rhs) < 1e-8
 
 
 def test_integration_by_parts():
     # <s', phi> = -<s, phi'> because phi vanishes at its support endpoints;
-    # phi' spikes near the edges, so both sides get a fine step
+    # phi' spikes near the edges, so that side gets a fine step
     phi = pairing.bump(0.1, 0.8)
-    lo, hi = phi.support
     for tail in ("sin(nu*x)", "x^2", "tanh(x)*cos(nu*x)"):
         s = bl.smooth_sequence(tail)
         derived = bl.seq_derive(s)
         for nu in (1, 3, 9):
-            left, _ = pairing.integrate(
-                lambda xs: derived.term_values(nu, xs) * phi.values(xs),
-                lo,
-                hi,
-                oscillation_hint=max(nu, 128),
-            )
-            right, _ = pairing.integrate(
-                lambda xs: s.term_values(nu, xs) * phi.derivative_values(xs),
-                lo,
-                hi,
-                oscillation_hint=max(nu, 128),
+            left, _ = _pair(derived, nu, phi)
+            right, _ = _two_grid_simpson(
+                lambda xs: s.term_values(nu, xs) * phi.derivative_values(xs), *phi.support, 128
             )
             assert abs(left + right) < 1e-6
 
@@ -430,7 +467,7 @@ def test_error_estimates_are_honest(rng):
             width = rng.uniform(0.3, 0.7)
             nu = rng.randrange(1, 32)
             phi = pairing.bump(center, width)
-            value, estimate = pairing.pair_with_estimate(s, nu, phi)
+            value, estimate = _pair(s, nu, phi)
             reference = midpoint(
                 lambda xs: s.term_values(nu, xs) * phi.values(xs),
                 center - width,

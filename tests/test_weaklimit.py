@@ -5,6 +5,7 @@ import branchlab as bl
 import branchlab.expr as ex
 import branchlab.pairing as pairing
 import branchlab.weaklimit as wl
+from branchlab._report import all_passed
 
 DOM = ex.DomainInterval(-1.0, 1.0)
 PHI = pairing.bump(0.0, 1.0)
@@ -170,8 +171,8 @@ def test_classify_stage_payload():
 
 def test_nosquare_demo_default():
     report = wl.nosquare_demo()
-    assert report["demo"] == "nosquare"
-    assert report["all_stages_passed"] is True
+    assert set(report) == {"parameters", "stages", "conclusion"}
+    assert all_passed(report["stages"])
     names = [stage["name"] for stage in report["stages"]]
     assert names == ["classify-base", "classify-square", "square-limits-vs-half-mass"]
     assert report["stages"][0]["classification"] == "weak-null"
@@ -183,13 +184,13 @@ def test_nosquare_demo_default():
 
 def test_nosquare_demo_with_sine_base():
     report = wl.nosquare_demo(sequence=bl.smooth_sequence("sin(nu*x)"))
-    assert report["all_stages_passed"] is True
+    assert all_passed(report["stages"])
     assert report["stages"][0]["classification"] == "weak-null"
     assert report["stages"][1]["classification"] == "convergent"
 
 
 def test_nosquare_demo_zero_base_draws_no_conclusion():
     report = wl.nosquare_demo(sequence=bl.zero_sequence())
-    assert report["all_stages_passed"] is False
+    assert not all_passed(report["stages"])
     assert report["stages"][1]["classification"] == "weak-null"
     assert "no impossibility" in report["conclusion"]
