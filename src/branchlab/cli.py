@@ -1,10 +1,13 @@
 """Command-line surface: subcommands, settings, JSON reports, CSV tables.
 
-Every command reads its settings through one resolver (flag, then --config
-file, then the command's default) and returns its report stages; run()
-alone turns them into the exit code: 0 when every stage passed, 2 when one
-did not (an indefinite verdict, or a demo pattern that did not materialize),
-1 for usage or runtime errors, with a JSON error report.  Reports carry a
+COMMANDS declares each command once: its words, handler, the settings it
+reads with their defaults, and its other flags; SETTING_FLAGS gives each
+setting's flag and reader.  The parser and the settings resolver both read
+that table.  A setting comes from its flag, else the --config file, else
+the default.  A handler returns its report stages; run() alone turns them
+into the exit code: 0 when every stage passed, 2 when one did not (an
+indefinite verdict, or a demo pattern that did not materialize), 1 for
+usage or runtime errors, with a JSON error report.  Reports carry a
 versioned schema and are byte-deterministic apart from the timestamp and
 per-stage timings; strip_volatile removes exactly those fields so byte
 comparison across runs is meaningful.  canonical_json writes a report with
@@ -22,6 +25,7 @@ import math
 import os
 import sys
 from datetime import datetime, timezone
+from typing import Callable, NamedTuple
 
 from . import __version__
 from ._report import all_passed, report_value, stage
@@ -94,9 +98,10 @@ def _sequence_from_payload(payload):
             raise ValueError(f"unknown sequence literal keys: {sorted(unknown)}")
         if "tail" not in payload:
             raise ValueError("sequence literal needs a 'tail' key")
-        return smooth_sequence(
-            payload["tail"], payload.get("exceptions"), payload.get("start", 1)
-        )
+        exceptions = payload.get("exceptions") or {}
+        if not isinstance(exceptions, dict):
+            raise ValueError("sequence literal 'exceptions' must be an object")
+        return smooth_sequence(payload["tail"], exceptions, payload.get("start", 1))
     raise ValueError("sequence literal must be a string or an object")
 
 
@@ -131,7 +136,12 @@ def _parse_domain(value):
 
 
 def load_panel_spec(value):
-    """Panel spec as (center, width, normalized) triples."""
+    """Panel spec as (center, width, normalized) triples.
+
+    The spec is an array of [center, width] or [center, width, normalized]
+    entries or of objects with those keys, or an object holding that array
+    under "members", as a demo report's `parameters.panel` writes it.
+    """
     text = _file_or_literal(value) if isinstance(value, str) else value
     payload = json.loads(text) if isinstance(text, str) else text
     if isinstance(payload, dict):
@@ -139,17 +149,13 @@ def load_panel_spec(value):
     triples = []
     for entry in payload:
         if isinstance(entry, dict):
-            triples.append(
-                (
-                    float(entry["center"]),
-                    float(entry["width"]),
-                    bool(entry.get("normalized", True)),
-                )
-            )
-        else:
-            center, width, *rest = entry
-            normalized = bool(rest[0]) if rest else True
-            triples.append((float(center), float(width), normalized))
+            missing = [key for key in ("center", "width") if key not in entry]
+            if missing:
+                raise ValueError(f"panel member needs a {missing[0]!r} key")
+            entry = (entry["center"], entry["width"], entry.get("normalized", True))
+        center, width, *rest = entry
+        normalized = bool(rest[0]) if rest else True
+        triples.append((float(center), float(width), normalized))
     return tuple(triples)
 
 
@@ -163,12 +169,7 @@ def _parse_schedule(value):
 
 def _schedule_up_to(nu_max, first):
     """Powers of two from `first`, itself a power of two, through nu_max."""
-    entries = []
-    index = first
-    while index <= nu_max:
-        entries.append(index)
-        index *= 2
-    return tuple(entries)
+    return tuple(first << k for k in range(max(nu_max // first, 0).bit_length()))
 
 
 # ---------------------------------------------------------------------------
@@ -179,30 +180,23 @@ _REQUIRED = object()  # a setting with no default: a flag or the config file mus
 _SWEEP = {"domain": DEFAULT_DOMAIN, "schedule": DEFAULT_SCHEDULE, "tol": DEFAULT_TOL, "panel": None}
 _CERTIFICATE = {"cell": DEFAULT_CELL_WIDTH, "nu-max": DEFAULT_INDEX_CAP}
 
-# the settings each command reads, in resolution order, with their defaults;
-# a sweep's `nu-max` is the other way to give its schedule
-COMMAND_SETTINGS = {
-    "limit": _SWEEP,
-    "classify": _SWEEP,
-    "ideal check": {"domain": _REQUIRED, **_CERTIFICATE, "margin": DEFAULT_UNIT_MARGIN},
-    "span independence": {"domain": DEFAULT_DOMAIN, "x-count": DEFAULT_X_COUNT},
-    "gf": {"domain": DEFAULT_DOMAIN},
-    "demo nosquare": _SWEEP,
-    "demo no-largest-ideal": {"domain": NO_LARGEST_IDEAL_DOMAIN, **_CERTIFICATE},
-    "demo branching": _SWEEP,
-    "demo delta-square": _SWEEP | {"schedule": DELTA_SQUARE_SCHEDULE},
+# each setting's flag: how its value is read, and its help; argparse itself
+# converts an int or float flag, so a bad value is a usage error naming the flag
+SETTING_FLAGS = {
+    "domain": (_parse_domain, 'domain interval "lower,upper"'),
+    "schedule": (_parse_schedule, "explicit comma-separated index schedule"),
+    "tol": (float, "convergence tolerance"),
+    "panel": (load_panel_spec, "panel file or JSON: (center,width,normalized) triples"),
+    "cell": (float, "certificate cell width"),
+    "nu-max": (int, "largest index: the certificate index cap, or a schedule of powers of 2"),
+    "margin": (float, "unit-search margin"),
+    "x-count": (int, "sample points per index"),
 }
 
-_PARSERS = {
-    "domain": _parse_domain,
-    "schedule": _parse_schedule,
-    "tol": float,
-    "panel": load_panel_spec,
-    "cell": float,
-    "nu-max": int,
-    "margin": float,
-    "x-count": int,
-}
+
+def _readable(defaults):
+    """A command's keys: its settings, and `nu-max`, a sweep's other way to give its schedule."""
+    return [*defaults, *(["nu-max"] if "schedule" in defaults else [])]
 
 
 def _load_config_file(path):
@@ -223,9 +217,9 @@ def resolve_settings(args):
     as powers of two starting at the default schedule's first index.
     """
     defaults = COMMAND_SETTINGS[args.command]
-    readable = set(defaults) | ({"nu-max"} if "schedule" in defaults else set())
+    readable = _readable(defaults)
     config = _load_config_file(args.config)
-    unread = sorted(set(config) - readable)
+    unread = sorted(set(config) - set(readable))
     if unread:
         raise ValueError(f"{args.command} reads no config key {', '.join(map(repr, unread))}")
     flags = {name: getattr(args, name.replace("-", "_")) for name in readable}
@@ -241,7 +235,7 @@ def resolve_settings(args):
                 break
         if value is _REQUIRED:
             raise ValueError(f"{args.command} needs --{name} or a config {name!r}")
-        settings[name] = None if value is None else _PARSERS[name](value)
+        settings[name] = None if value is None else SETTING_FLAGS[name][0](value)
     tol = settings.get("tol", DEFAULT_TOL)
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("tolerance must be finite and positive")
@@ -557,11 +551,12 @@ def _cmd_gf(args):
     algebra = _gf_algebra(args, settings["domain"], stages)
     if algebra is None:
         return config_echo, stages, "the off-diagonality gate is inconclusive"
-    with stage("gf-" + args.gf_action, stages) as entry:
+    action = args.command.removeprefix("gf ")
+    with stage("gf-" + action, stages) as entry:
         lhs = gf(load_sequence(args.lhs), algebra)
         entry["lhs"] = lhs.representative.to_dict()
         entry["passed"] = True
-        if args.gf_action == "derive":
+        if action == "derive":
             result = gf_derive(lhs, args.order)
             entry["order"] = args.order
             entry["result"] = result.representative.to_dict()
@@ -569,7 +564,7 @@ def _cmd_gf(args):
         else:
             rhs = gf(load_sequence(args.rhs), algebra)
             entry["rhs"] = rhs.representative.to_dict()
-            if args.gf_action == "mul":
+            if action == "mul":
                 result = gf_mul(lhs, rhs)
                 entry["result"] = result.representative.to_dict()
                 conclusion = f"product representative: {entry['result']['tail']}"
@@ -581,65 +576,108 @@ def _cmd_gf(args):
     return config_echo, stages, conclusion
 
 
-def _cmd_demo(args):
-    settings = resolve_settings(args)
-    config_echo = _settings_echo(settings)
-    domain = settings["domain"]
-    name = args.demo_name
-    if name == "nosquare":
-        sequence = load_sequence(args.seq) if args.seq else None
-        result = nosquare_demo(
-            domain, _panel(settings), settings["schedule"], settings["tol"], sequence
-        )
-    elif name == "no-largest-ideal":
-        kwargs = {"domain": domain, "cell_width": settings["cell"], "nu_max": settings["nu-max"]}
-        if args.generators:
-            generators = load_sequence_list(args.generators)
-            if len(generators) != 2:
-                raise ValueError("this demo takes exactly two generators")
-            kwargs["first_generator"] = generators[0]
-            kwargs["second_generator"] = generators[1]
-        result = no_largest_ideal_demo(**kwargs)
-    elif name == "branching":
-        representatives = (
-            load_sequence_list(args.reps) if args.reps is not None else None
-        )
-        result = branching_demo(
-            representatives,
-            args.op,
-            domain,
-            _panel(settings),
-            settings["schedule"],
-            settings["tol"],
-        )
-        config_echo["op"] = args.op
-    else:
-        result = delta_square_demo(
-            domain,
-            schedule=settings["schedule"],
-            panel=_panel(settings),
-            tol=settings["tol"],
-        )
-    config_echo["parameters"] = result["parameters"]
+def _demo_report(settings, result, **echo):
+    """A demo's (config echo, stages, conclusion); its parameters join the echo."""
+    config_echo = _settings_echo(settings) | echo | {"parameters": result["parameters"]}
     return config_echo, result["stages"], result["conclusion"]
+
+
+def _sweep(settings):
+    """A sweep's domain, panel, schedule and tolerance, the order the demos take them in."""
+    return settings["domain"], _panel(settings), settings["schedule"], settings["tol"]
+
+
+def _demo_nosquare(args):
+    settings = resolve_settings(args)
+    sequence = load_sequence(args.seq) if args.seq else None
+    return _demo_report(settings, nosquare_demo(*_sweep(settings), sequence))
+
+
+def _demo_no_largest_ideal(args):
+    settings = resolve_settings(args)
+    kwargs = {"cell_width": settings["cell"], "nu_max": settings["nu-max"]}
+    if args.generators:
+        generators = load_sequence_list(args.generators)
+        if len(generators) != 2:
+            raise ValueError("this demo takes exactly two generators")
+        kwargs["first_generator"], kwargs["second_generator"] = generators
+    return _demo_report(settings, no_largest_ideal_demo(settings["domain"], **kwargs))
+
+
+def _demo_branching(args):
+    settings = resolve_settings(args)
+    representatives = load_sequence_list(args.reps) if args.reps is not None else None
+    result = branching_demo(representatives, args.op, *_sweep(settings))
+    return _demo_report(settings, result, op=args.op)
+
+
+def _demo_delta_square(args):
+    settings = resolve_settings(args)
+    domain, panel, schedule, tol = _sweep(settings)
+    return _demo_report(settings, delta_square_demo(domain, schedule, panel, tol))
+
+
+# ---------------------------------------------------------------------------
+# the command table
+
+
+class Command(NamedTuple):
+    """A command's words, help, handler, the settings it reads with their
+    defaults in resolution order, and its other arguments as (flag,
+    add_argument keywords) pairs.  A setting's flag comes from SETTING_FLAGS."""
+
+    words: str
+    help: str
+    handler: Callable
+    settings: dict
+    arguments: tuple = ()
+
+
+def _operand(flag, **options):
+    """A required flag that takes a sequence literal or file."""
+    return (flag, {"required": True, "help": "sequence literal or file"} | options)
+
+
+_GF_ALGEBRA = (
+    ("--algebra", {"default": "eventually-zero", "choices": ("eventually-zero", "generated")}),
+    ("--generators", {"help": "generators for --algebra generated"}),
+)
+_GF = {"domain": DEFAULT_DOMAIN}
+_BASIS = {"action": "append", "help": "basis sequence (repeatable)"}
+
+COMMANDS = (
+    Command("limit", "weak limit per panel member", _cmd_limit, _SWEEP, (_operand("--seq"),)),
+    Command("classify", "weak-convergence class", _cmd_classify, _SWEEP, (_operand("--seq"),)),
+    Command("ideal check", "off-diagonality and closure", _cmd_ideal_check,
+            {"domain": _REQUIRED, **_CERTIFICATE, "margin": DEFAULT_UNIT_MARGIN},
+            (_operand("--generators", help="comma-separated expressions or files"),)),
+    Command("span independence", "trivial-intersection certificate", _cmd_span_independence,
+            {"domain": DEFAULT_DOMAIN, "x-count": DEFAULT_X_COUNT},
+            (_operand("--first", **_BASIS), _operand("--second", **_BASIS))),
+    Command("gf mul", "product of two classes", _cmd_gf, _GF,
+            (_operand("--lhs"), _operand("--rhs"), *_GF_ALGEBRA)),
+    Command("gf derive", "derivative of a class", _cmd_gf, _GF,
+            (_operand("--lhs"), ("--order", {"type": int, "default": 1}), *_GF_ALGEBRA)),
+    Command("gf equal", "equality modulo the ideal", _cmd_gf, _GF,
+            (_operand("--lhs"), _operand("--rhs"), *_GF_ALGEBRA)),
+    Command("demo nosquare", "squared null sequence", _demo_nosquare, _SWEEP,
+            (("--seq", {"help": "substitute base sequence"}),)),
+    Command("demo no-largest-ideal", "improper ideal sum", _demo_no_largest_ideal,
+            {"domain": NO_LARGEST_IDEAL_DOMAIN, **_CERTIFICATE},
+            (("--generators", {"help": "two comma-separated generators"}),)),
+    Command("demo branching", "representative-dependent limits", _demo_branching, _SWEEP,
+            (("--reps", {"help": "JSON array, comma list, or file"}),
+             ("--op", {"default": "u^2", "help": "outer expression in u"}))),
+    Command("demo delta-square", "squared delta pairings", _demo_delta_square,
+            _SWEEP | {"schedule": DELTA_SQUARE_SCHEDULE}),
+)
+COMMAND_SETTINGS = {command.words: command.settings for command in COMMANDS}
+_GROUP_HELP = {"ideal": "ideal admissibility checks", "span": "finite-span diagnostics",
+               "gf": "generalized-function operations", "demo": "scripted demonstrations"}
 
 
 # ---------------------------------------------------------------------------
 # parser
-
-
-def _add_common(parser):
-    parser.add_argument("--config", help="JSON config file; flags take precedence")
-    parser.add_argument("--out", help="write the JSON report to this path")
-    parser.add_argument("--csv", help="write raw pairing rows to this CSV path")
-
-
-def _add_sweep_flags(parser):
-    parser.add_argument("--domain", help='domain interval "lower,upper"')
-    parser.add_argument("--panel", help="panel file or JSON: (center,width,normalized) triples")
-    parser.add_argument("--nu-max", type=int, help="largest index; schedule = powers of 2")
-    parser.add_argument("--schedule", help="explicit comma-separated index schedule")
-    parser.add_argument("--tol", type=float, help="convergence tolerance")
 
 
 class UsageError(ValueError):
@@ -655,102 +693,30 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def build_parser():
+    """One subparser per row of COMMANDS, nested under its group word."""
     parser = _ArgumentParser(
         prog="branchlab",
         description="Sequence algebras, weak limits, and branching demonstrations.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
-
-    limit = subparsers.add_parser("limit", help="weak limit per panel member")
-    limit.add_argument("--seq", required=True, help="sequence literal or file")
-    _add_sweep_flags(limit)
-    _add_common(limit)
-    limit.set_defaults(handler=_cmd_limit, command="limit")
-
-    classify = subparsers.add_parser("classify", help="weak-convergence class")
-    classify.add_argument("--seq", required=True, help="sequence literal or file")
-    _add_sweep_flags(classify)
-    _add_common(classify)
-    classify.set_defaults(handler=_cmd_classify, command="classify")
-
-    ideal = subparsers.add_parser("ideal", help="ideal admissibility checks")
-    ideal_sub = ideal.add_subparsers(dest="ideal_action", required=True)
-    check = ideal_sub.add_parser("check", help="off-diagonality and closure")
-    check.add_argument(
-        "--generators", required=True, help="comma-separated expressions or files"
-    )
-    check.add_argument("--domain", help='domain interval "lower,upper"')
-    check.add_argument("--cell", type=float, help="certificate cell width")
-    check.add_argument("--nu-max", type=int, help="certificate index cap")
-    check.add_argument("--margin", type=float, help="unit-search margin")
-    _add_common(check)
-    check.set_defaults(handler=_cmd_ideal_check, command="ideal check")
-
-    span_cmd = subparsers.add_parser("span", help="finite-span diagnostics")
-    span_sub = span_cmd.add_subparsers(dest="span_action", required=True)
-    independence = span_sub.add_parser(
-        "independence", help="trivial-intersection certificate"
-    )
-    independence.add_argument(
-        "--first", action="append", required=True, help="basis sequence (repeatable)"
-    )
-    independence.add_argument(
-        "--second", action="append", required=True, help="basis sequence (repeatable)"
-    )
-    independence.add_argument("--domain", help='domain interval "lower,upper"')
-    independence.add_argument("--x-count", type=int, help="sample points per index")
-    _add_common(independence)
-    independence.set_defaults(handler=_cmd_span_independence, command="span independence")
-
-    gf_cmd = subparsers.add_parser("gf", help="generalized-function operations")
-    gf_sub = gf_cmd.add_subparsers(dest="gf_action", required=True)
-    for action in ("mul", "derive", "equal"):
-        sub = gf_sub.add_parser(action)
-        sub.add_argument("--lhs", required=True, help="sequence literal or file")
-        if action != "derive":
-            sub.add_argument("--rhs", required=True, help="sequence literal or file")
-        else:
-            sub.add_argument("--order", type=int, default=1)
-        sub.add_argument(
-            "--algebra",
-            default="eventually-zero",
-            choices=("eventually-zero", "generated"),
-        )
-        sub.add_argument("--generators", help="generators for --algebra generated")
-        sub.add_argument("--domain", help='domain interval "lower,upper"')
-        _add_common(sub)
-        sub.set_defaults(handler=_cmd_gf, command="gf")
-
-    demo = subparsers.add_parser("demo", help="scripted demonstrations")
-    demo_sub = demo.add_subparsers(dest="demo_name", required=True)
-
-    nosquare = demo_sub.add_parser("nosquare", help="squared null sequence")
-    nosquare.add_argument("--seq", help="substitute base sequence")
-    _add_sweep_flags(nosquare)
-    _add_common(nosquare)
-    nosquare.set_defaults(handler=_cmd_demo, command="demo nosquare")
-
-    no_largest = demo_sub.add_parser("no-largest-ideal", help="improper ideal sum")
-    no_largest.add_argument("--generators", help="two comma-separated generators")
-    no_largest.add_argument("--domain", help='domain interval "lower,upper"')
-    no_largest.add_argument("--cell", type=float, help="certificate cell width")
-    no_largest.add_argument("--nu-max", type=int, help="certificate index cap")
-    _add_common(no_largest)
-    no_largest.set_defaults(handler=_cmd_demo, command="demo no-largest-ideal")
-
-    branching = demo_sub.add_parser("branching", help="representative-dependent limits")
-    branching.add_argument("--reps", help="JSON array, comma list, or file")
-    branching.add_argument("--op", default="u^2", help="outer expression in u")
-    _add_sweep_flags(branching)
-    _add_common(branching)
-    branching.set_defaults(handler=_cmd_demo, command="demo branching")
-
-    delta_square = demo_sub.add_parser("delta-square", help="squared delta pairings")
-    _add_sweep_flags(delta_square)
-    _add_common(delta_square)
-    delta_square.set_defaults(handler=_cmd_demo, command="demo delta-square")
-
+    groups = {}
+    for command in COMMANDS:
+        group, _, word = command.words.rpartition(" ")
+        if group and group not in groups:
+            group_parser = subparsers.add_parser(group, help=_GROUP_HELP[group])
+            groups[group] = group_parser.add_subparsers(required=True)
+        sub = (groups[group] if group else subparsers).add_parser(word, help=command.help)
+        for flag, options in command.arguments:
+            sub.add_argument(flag, **options)
+        for name in _readable(command.settings):
+            reader, help = SETTING_FLAGS[name]
+            converter = reader if reader in (int, float) else None
+            sub.add_argument("--" + name, type=converter, help=help)
+        sub.add_argument("--config", help="JSON config file; flags take precedence")
+        sub.add_argument("--out", help="write the JSON report to this path")
+        sub.add_argument("--csv", help="write raw pairing rows to this CSV path")
+        sub.set_defaults(handler=command.handler, command=command.words)
     return parser
 
 

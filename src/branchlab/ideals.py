@@ -253,19 +253,21 @@ def _defined(sequence, index, points):
 
 def _verify_factorization(s, factorization, domain):
     """Max |s - sum(g*t)| over random samples, inf if an entry is undefined at
-    one; exercises exceptional entries."""
+    one; exercises exceptional entries.  Every sampled index is one at which
+    s, each generator and each cofactor is defined."""
     rng = random.Random(_VERIFICATION_SEED)
     domain = domain or ex.DEFAULT_DOMAIN
-    indices = [i for i, _ in s.exceptional]
+    start = max(q.start_index for pair in [(s,), *factorization] for q in pair)
+    indices = [i for i, _ in s.exceptional if i >= start]
     for g, _ in factorization:
-        indices.extend(i for i, _ in g.exceptional)
+        indices.extend(i for i, _ in g.exceptional if i >= start)
     samples = {}  # index -> positions of its samples
     points = []
     for k in range(VERIFICATION_SAMPLES):
         if indices and k % 10 == 9:
             index = indices[(k // 10) % len(indices)]
         else:
-            index = rng.randint(max(s.start_index, 1), SCAN_NU_LIMIT)
+            index = rng.randint(start, max(start, SCAN_NU_LIMIT))
         samples.setdefault(index, []).append(k)
         points.append(rng.uniform(domain.lower, domain.upper))
     points = np.array(points)

@@ -522,6 +522,46 @@ def test_boolean_start_index_is_rejected():
     assert "start index" in report["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "argv, config, message",
+    [
+        (["limit", "--seq=cos(nu*x)", '--panel=[{"center":0}]'], None, "'width'"),
+        (["limit", "--seq=cos(nu*x)"], {"panel": {"members": [{"width": 0.5}]}}, "'center'"),
+        (["limit", '--seq={"tail":"x","exceptions":[1,2]}'], None, "'exceptions'"),
+        (["span", "independence", '--first={"tail":"x","exceptions":"x"}', "--second=1"], None, "'exceptions'"),
+        (["demo", "branching", '--reps=[{"tail":"x","exceptions":3}]'], None, "'exceptions'"),
+    ],
+)
+def test_a_malformed_literal_is_one_error_report(tmp_path, argv, config, message):
+    if config is not None:
+        path = tmp_path / "settings.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        argv = argv + [f"--config={path}"]
+    code, report = cli.run(argv)
+    assert code == 1
+    assert report["error"]["type"] == "ValueError"
+    assert message in report["error"]["message"]
+
+
+# the candidate and its generator start after index 3, or after the sampled range
+@pytest.mark.parametrize(
+    "lhs, generator",
+    [
+        ("sin(nu*x)*x", '{"tail":"sin(nu*x)","start":5}'),
+        ('{"tail":"sin(nu*x)*x","start":40}', '{"tail":"sin(nu*x)","start":40}'),
+    ],
+)
+def test_factorization_checks_only_indices_every_sequence_defines(lhs, generator):
+    code, report = cli.run(
+        [
+            "gf", "equal", f"--lhs={lhs}", "--rhs=0", "--algebra=generated",
+            f"--generators={generator}", "--domain=-1,1",
+        ]
+    )
+    assert code == 0
+    assert report["stages"][1]["outcome"]["verdict"] == "equal"
+
+
 def test_default_panel_fits_a_domain_that_rounds_badly():
     code, report = cli.run(["limit", "--seq=cos(8*nu*x+0.19)", "--domain=-1.88,0.92"])
     assert code in (0, 2)

@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import io
 import json
+import pathlib
 
 import pytest
 
@@ -387,3 +388,32 @@ def test_changing_a_flag_changes_what_is_computed(tmp_path, command, flag, base,
         # the config file reaches the same setting as the flag
         _, by_file = cli.run(base + [_config(tmp_path, {setting: second})])
         assert _computed(by_file) == _computed(other)
+
+
+# ---------------------------------------------------------------------------
+# the README's configuration table
+
+
+def _readme_config_pairs():
+    """(key, command) pairs of the README's Configuration table."""
+    readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    every = [command.words for command in cli.COMMANDS]
+    pairs = set()
+    for line in section.splitlines():
+        if not line.startswith("| `"):
+            continue
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        readers = every if cells[1] == "every command" else cells[1].split(", ")
+        pairs |= {(cells[0].strip("`"), command) for command in readers}
+    return pairs
+
+
+def test_readme_configuration_table_matches_the_command_table():
+    # a sweep reads `nu-max` as its other way to give a schedule
+    declared = {
+        (key, command.words)
+        for command in cli.COMMANDS
+        for key in [*command.settings, *(["nu-max"] if "schedule" in command.settings else [])]
+    }
+    assert _readme_config_pairs() == declared

@@ -227,3 +227,75 @@ def test_certificates_and_demos_end_in_one_report_and_a_contract_code(drawn):
         again_code, again = cli.run(argv)
         assert again_code == code
         assert cli.comparable_bytes(again) == cli.comparable_bytes(report)
+
+
+# ---------------------------------------------------------------------------
+# JSON literals: whatever a literal or a config file holds, run() ends in a report
+
+def json_values(keys):
+    """Small JSON values whose objects use only `keys`, so they get past a reader's key check."""
+    return st.recursive(
+        st.none()
+        | st.booleans()
+        | st.integers(-3, 8)
+        | st.sampled_from((0.25, -1.5, 2.5, "x", "sin(nu*x)", "1,2"))
+        | st.text(alphabet="xnu+*()0123456789.,", max_size=6),
+        lambda children: st.lists(children, max_size=3)
+        | st.fixed_dictionaries({}, optional=dict.fromkeys(keys, children)),
+        max_leaves=8,
+    )
+
+
+SEQUENCE_KEYS = ("tail", "exceptions", "start")
+PANEL_KEYS = ("members", "center", "width", "normalized")
+CHEAP_SCHEDULE = "--schedule=1,2,3,4,5,6"
+# each literal flag on an argv that is cheap whatever the literal holds, with its reader's keys
+LITERAL_ARGVS = {
+    "--seq": (["limit", CHEAP_SCHEDULE], SEQUENCE_KEYS),
+    "--panel": (["limit", "--seq=x", CHEAP_SCHEDULE], PANEL_KEYS),
+    "--generators": (["ideal", "check", "--domain=-1,1", "--nu-max=4", "--cell=0.5"], SEQUENCE_KEYS),
+    "--reps": (["demo", "branching", CHEAP_SCHEDULE], SEQUENCE_KEYS),
+}
+# config files: a sweep whose schedule flag beats the file's, and a certificate
+# whose resolution flags beat the file's, so a drawn value cannot make either slow
+CONFIG_ARGVS = {
+    "limit": ["limit", "--seq=x", CHEAP_SCHEDULE],
+    "ideal check": ["ideal", "check", "--generators=sin(nu*x)", "--nu-max=4", "--cell=0.5"],
+}
+
+
+@st.composite
+def literal_argvs(draw):
+    """An argv with one drawn JSON literal, and the contents of its config file or None."""
+    if draw(st.booleans()):
+        flag = draw(st.sampled_from(sorted(LITERAL_ARGVS)))
+        argv, keys = LITERAL_ARGVS[flag]
+        return argv + [f"{flag}={json.dumps(draw(json_values(keys)))}"], None
+    command = draw(st.sampled_from(sorted(CONFIG_ARGVS)))
+    keys = sorted({*cli.COMMAND_SETTINGS[command], "nu-max"})
+    if draw(st.integers(0, 3)):
+        config = draw(st.dictionaries(st.sampled_from(keys), json_values(PANEL_KEYS), max_size=3))
+    else:
+        config = draw(json_values(keys))
+    return CONFIG_ARGVS[command], config
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(literal_argvs())
+def test_no_literal_raises_out_of_run(drawn):
+    argv, config = drawn
+    with tempfile.TemporaryDirectory() as scratch:
+        if config is not None:
+            path = os.path.join(scratch, "settings.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(config, handle)
+            argv = argv + ["--config=" + path]
+        code, report = cli.run(argv)
+    assert code in (0, 1, 2)
+    assert isinstance(report, dict)
+    assert ("error" in report) == (code == 1)
