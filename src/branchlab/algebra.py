@@ -142,12 +142,6 @@ def gf_mul(f, g):
     return GeneralizedFunction(f.representative * g.representative, f.algebra)
 
 
-def gf_apply_smooth(f, outer):
-    """Apply a smooth outer function (placeholder u) representative-wise."""
-    result = apply_smooth(outer, f.representative, f.algebra.domain)
-    return GeneralizedFunction(result, f.algebra)
-
-
 def gf_derive(f, order=1):
     """Quotient derivation; only defined when the ideal closure held."""
     if not isinstance(order, int) or order < 0:

@@ -123,15 +123,21 @@ def load_sequence_list(value):
     return [load_sequence(item.strip()) for item in text.split(",") if item.strip()]
 
 
+def _typed(path, value, types, expected):
+    """The value, if it has one of the types; else an error naming where it sits."""
+    if isinstance(value, types):
+        return value
+    raise ValueError(f"{path}: expected {expected}, got {json.dumps(value, default=repr)}")
+
+
 def _parse_domain(value):
     if isinstance(value, DomainInterval):
         return value
     if isinstance(value, str):
-        parts = value.split(",")
-        if len(parts) != 2:
+        value = value.split(",")
+        if len(value) != 2:
             raise ValueError('domain must be written "lower,upper"')
-        return DomainInterval(float(parts[0]), float(parts[1]))
-    lower, upper = value
+    lower, upper = _typed("domain", value, (list, tuple), 'a "lower,upper" string or an array')
     return DomainInterval(float(lower), float(upper))
 
 
@@ -144,27 +150,28 @@ def load_panel_spec(value):
     """
     text = _file_or_literal(value) if isinstance(value, str) else value
     payload = json.loads(text) if isinstance(text, str) else text
-    if isinstance(payload, dict):
-        payload = payload.get("members", payload)
+    if isinstance(payload, dict) and "members" in payload:
+        payload = payload["members"]
+    payload = _typed("panel", payload, (list, tuple), 'an array, or an object with "members"')
     triples = []
-    for entry in payload:
+    for k, entry in enumerate(payload):
         if isinstance(entry, dict):
             missing = [key for key in ("center", "width") if key not in entry]
             if missing:
                 raise ValueError(f"panel member needs a {missing[0]!r} key")
             entry = (entry["center"], entry["width"], entry.get("normalized", True))
-        center, width, *rest = entry
-        normalized = bool(rest[0]) if rest else True
+        center, width, *rest = _typed(f"panel[{k}]", entry, (list, tuple), "an array or an object")
+        normalized = rest[0] if rest else True
+        _typed(f"panel[{k}].normalized", normalized, bool, "true or false")
         triples.append((float(center), float(width), normalized))
     return tuple(triples)
 
 
 def _parse_schedule(value):
     if isinstance(value, str):
-        entries = [int(item) for item in value.split(",") if item.strip()]
-    else:
-        entries = [int(item) for item in value]
-    return tuple(entries)
+        value = [item for item in value.split(",") if item.strip()]
+    entries = _typed("schedule", value, (list, tuple), "a comma-separated string or an array")
+    return tuple(int(item) for item in entries)
 
 
 def _schedule_up_to(nu_max, first):

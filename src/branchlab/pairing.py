@@ -16,10 +16,15 @@ closure call.  The index stays a scalar: an integer power of an array of
 indices can differ in the last bit from the same power of each index alone.
 A block holds at most BLOCK_NODES nodes, unless one grid alone is longer,
 and no grid may hold more than MAX_GRID_NODES, so memory stays bounded
-however wide the panel and however large the index.  Every value is bit for
-bit the value of pairing the member alone on `np.linspace`: the grid and the
-bump apply the same floating-point operations to each node, and each Simpson
-sum reduces one contiguous row, the same pairwise sum as over a 1-D grid.
+however wide the panel and however large the index.  Each call computes its
+blocks in two buffers it allocates once, and grows only for a longer grid:
+the grid goes into one, the bump and then the integrand into the other, one
+`out=` ufunc at a time, and the weighted samples of each Simpson rule back
+into the first.  A finite sum has finite samples, so only a row whose sum is
+not finite is searched for a non-finite sample.  Every value is bit for bit
+the value of pairing the member alone on `np.linspace`: each node gets the
+same floating-point operations on the same operands, and each Simpson sum
+reduces one contiguous row, the same pairwise sum as over a 1-D grid.
 """
 
 from __future__ import annotations
@@ -42,27 +47,16 @@ class IntegrationError(ValueError):
     """Raised when an integrand produces non-finite samples or needs too long a grid."""
 
 
-def _bump_shape(u):
-    """exp(-1/(1-u^2)) on |u| < 1, zero elsewhere; vectorized."""
-    u = np.asarray(u, dtype=float)
-    work = np.abs(u, out=np.empty_like(u))  # an array even when u is 0-d
-    inside = work < 1.0
-    # exp(-1/(1-u*u)) at every point, one ufunc at a time in one buffer; the
-    # points outside overflow or divide by zero and are dropped by np.where
-    with np.errstate(all="ignore"):
-        np.multiply(u, u, out=work)
-        np.subtract(1.0, work, out=work)
-        np.divide(-1.0, work, out=work)
-        np.exp(work, out=work)
-    return np.where(inside, work, 0.0)
-
-
-def _bump_shape_derivative(u):
-    """d/du of the bump shape: shape(u) * (-2u/(1-u^2)^2)."""
-    u = np.asarray(u, dtype=float)
-    with np.errstate(all="ignore"):
-        w = 1.0 - u * u
-        return np.where(np.abs(u) < 1.0, np.exp(-1.0 / w) * (-2.0 * u / (w * w)), 0.0)
+def _bump(u, scale):
+    """scale * exp(-1/(1-u^2)) written over u, zero where u*u >= 1 or u is nan; run it
+    under an error state that ignores division by zero and overflow.  np.fmax clips
+    1 - u*u (nan too) to 0, exp(-1/0) is 0, and a point inside gets the same ufuncs."""
+    np.multiply(u, u, out=u)
+    np.subtract(1.0, u, out=u)
+    np.fmax(u, 0.0, out=u)
+    np.divide(-1.0, u, out=u)
+    np.exp(u, out=u)
+    return np.multiply(u, scale, out=u)
 
 
 @lru_cache(maxsize=1)
@@ -76,7 +70,7 @@ def bump_shape_integral():
     n = 1 << 16
     h = 2.0 / n
     u = -1.0 + h * (np.arange(n) + 0.5)
-    return float(np.sum(_bump_shape(u)) * h)
+    return float(np.sum(_bump(u, 1.0)) * h)  # no u*u reaches 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,25 +92,20 @@ class TestFunction(Record):
         return (self.center - self.width, self.center + self.width)
 
     def integral(self):
-        if self.normalized:
-            return 1.0
-        return self.width * bump_shape_integral()
+        return 1.0 if self.normalized else self.width * bump_shape_integral()
 
     def _scale(self):
-        if self.normalized:
-            return 1.0 / (self.width * bump_shape_integral())
-        return 1.0
+        return 1.0 / (self.width * bump_shape_integral()) if self.normalized else 1.0
 
     def values(self, xs):
-        u = (np.asarray(xs, dtype=float) - self.center) / self.width
-        return _bump_shape(u) * self._scale()
+        u = np.array(xs, dtype=float)  # a copy, even of a 0-d array, that _bump overwrites
+        np.subtract(u, self.center, out=u)
+        np.divide(u, self.width, out=u)
+        with np.errstate(all="ignore"):
+            return _bump(u, self._scale())
 
     def value(self, x_value):
         return float(self.values(np.array([x_value]))[0])
-
-    def derivative_values(self, xs):
-        u = (np.asarray(xs, dtype=float) - self.center) / self.width
-        return _bump_shape_derivative(u) * (self._scale() / self.width)
 
 
 def bump(center, width, normalized=True, domain=None):
@@ -204,39 +193,39 @@ def _panel_count(width, oscillation_hint):
     return panels + panels % 2
 
 
-def _grids(lower, upper, nodes):
-    """Row i is np.linspace(lower[i], upper[i], count), bit for bit for a nonzero step.
+def _grids(lower, upper, nodes, out):
+    """Writes row i of np.linspace(lower[i], upper[i], count) into out, bit for bit
+    for a nonzero step; `nodes` is np.arange(count)."""
+    np.multiply(nodes, ((upper - lower) / (nodes.size - 1))[:, None], out=out)
+    np.add(out, lower[:, None], out=out)
+    out[:, -1] = upper
+    return out
 
-    `nodes` is np.arange(count).
-    """
-    xs = nodes * ((upper - lower) / (nodes.size - 1))[:, None] + lower[:, None]
-    xs[:, -1] = upper
-    return xs
 
-
-def _simpson_weights(count):
-    """Composite Simpson weights of `count` (odd) samples."""
-    weights = np.ones(count)
-    weights[1:-1:2] = 4.0
-    weights[2:-1:2] = 2.0
+def _simpson_weights(size):
+    """1, 4, 2, 4, 2, ...: the composite Simpson weights of n + 1 samples are its
+    first n entries and then 1."""
+    weights = np.full(size, 2.0)
+    weights[1::2] = 4.0
+    weights[0] = 1.0
     return weights
 
 
-def _two_grid_setup(panels):
-    """np.arange of the 2*panels+1 fine nodes, and the fine and coarse Simpson weights."""
-    count = 2 * panels + 1
-    return np.arange(count), (_simpson_weights(count), _simpson_weights(panels + 1))
-
-
-def _two_grid_rule(ys, width, panels, weights):
+def _two_grid_rule(ys, width, panels, weights, out):
     """Per row: Simpson on 2*panels, and its distance to Simpson on every other node.
 
     linspace(lo, hi, 2n+1)[::2] is linspace(lo, hi, n+1) bit for bit, so the
-    coarse rule reads the fine grid's samples instead of sampling again.
+    coarse rule reads the fine grid's samples instead of sampling again.  Each
+    rule writes its weighted samples into contiguous rows of the flat buffer
+    `out` and sums each row pairwise, as over a 1-D grid; ys is left as it is.
     """
-    fine_weights, coarse_weights = weights
-    fine = np.sum(fine_weights * ys, axis=1) * (width / (2 * panels)) / 3.0
-    coarse = np.sum(coarse_weights * ys[:, ::2], axis=1) * (width / panels) / 3.0
+    sums = []
+    for stride, n in ((1, 2 * panels), (2, panels)):
+        weighted = out[: len(ys) * (n + 1)].reshape(-1, n + 1)
+        np.multiply(ys[:, :-1:stride], weights[:n], out=weighted[:, :-1])
+        weighted[:, -1] = ys[:, -1]
+        sums.append(np.add.reduce(weighted, axis=1) * (width / n) / 3.0)
+    fine, coarse = sums
     return fine, np.abs(fine - coarse)
 
 
@@ -258,40 +247,49 @@ def pairing_tables(s, members, schedule):
     # equal widths can differ in the last bit of upper - lower, the float a count reads
     lengths = (upper - lower).tolist()
     tables = [[] for _ in members]
-    for index in schedule:
-        counts = {length: _panel_count(length, index) for length in dict.fromkeys(lengths)}
-        groups = {}
-        for k, length in enumerate(lengths):
-            if 2 * counts[length] + 1 > MAX_GRID_NODES:
-                phi = members[k]
+    size = 0  # nodes of each buffer; no chunk is longer than max(BLOCK_NODES, count)
+    # a non-finite entry times the bump's zeros is nan, and a sum may overflow
+    with np.errstate(all="ignore"):
+        for index in schedule:
+            counts = {length: _panel_count(length, index) for length in dict.fromkeys(lengths)}
+            groups = {}
+            for k, length in enumerate(lengths):
+                if 2 * counts[length] + 1 > MAX_GRID_NODES:
+                    phi = members[k]
+                    raise IntegrationError(
+                        f"the grid at index {index}, against the test function centered at "
+                        f"{phi.center} with width {phi.width}, would have "
+                        f"{2 * counts[length] + 1} nodes, more than {MAX_GRID_NODES}"
+                    )
+                groups.setdefault(counts[length], []).append(k)
+            failed = []
+            for panels, rows in groups.items():
+                count = 2 * panels + 1
+                if count > size:
+                    size = max(BLOCK_NODES, count)
+                    grid, work = np.empty((2, size))
+                    nodes, weights = np.arange(size, dtype=float), _simpson_weights(size)
+                chunk_rows = max(1, BLOCK_NODES // count)
+                for first in range(0, len(rows), chunk_rows):
+                    chunk = np.array(rows[first : first + chunk_rows])
+                    xs = grid[: chunk.size * count].reshape(-1, count)
+                    _grids(lower[chunk], upper[chunk], nodes[:count], xs)
+                    ys = np.subtract(xs, centers[chunk], out=work[: xs.size].reshape(xs.shape))
+                    np.divide(ys, widths[chunk], out=ys)
+                    np.multiply(s.term_values(index, xs), _bump(ys, scales[chunk]), out=ys)
+                    # the grid is read; its buffer takes the weighted samples
+                    width = upper[chunk] - lower[chunk]
+                    fine, estimate = _two_grid_rule(ys, width, panels, weights, grid)
+                    # a finite sum has finite samples; finite samples may still overflow it
+                    suspect = ~np.isfinite(fine)
+                    if suspect.any():
+                        failed += chunk[suspect][~np.isfinite(ys[suspect]).all(axis=1)].tolist()
+                    for k, value, error in zip(chunk.tolist(), fine.tolist(), estimate.tolist()):
+                        tables[k].append((index, value, error))
+            if failed:
+                phi = members[min(failed)]
                 raise IntegrationError(
-                    f"the grid at index {index}, against the test function centered at "
-                    f"{phi.center} with width {phi.width}, would have "
-                    f"{2 * counts[length] + 1} nodes, more than {MAX_GRID_NODES}"
+                    f"non-finite sample in the integrand at index {index}, against the "
+                    f"test function centered at {phi.center} with width {phi.width}"
                 )
-            groups.setdefault(counts[length], []).append(k)
-        failed = []
-        for panels, rows in groups.items():
-            nodes, weights = _two_grid_setup(panels)
-            chunk_rows = max(1, BLOCK_NODES // nodes.size)
-            for first in range(0, len(rows), chunk_rows):
-                chunk = np.array(rows[first : first + chunk_rows])
-                xs = _grids(lower[chunk], upper[chunk], nodes)
-                # a non-finite entry times the bump's zeros is nan; it is refused below
-                with np.errstate(all="ignore"):
-                    bumps = _bump_shape((xs - centers[chunk]) / widths[chunk]) * scales[chunk]
-                    ys = s.term_values(index, xs) * bumps
-                finite = np.all(np.isfinite(ys), axis=1)
-                if not np.all(finite):
-                    failed.extend(chunk[~finite])
-                    continue
-                fine, estimate = _two_grid_rule(ys, upper[chunk] - lower[chunk], panels, weights)
-                for k, value, error in zip(chunk, fine, estimate):
-                    tables[k].append((index, float(value), float(error)))
-        if failed:
-            phi = members[min(failed)]
-            raise IntegrationError(
-                f"non-finite sample in the integrand at index {index}, against the "
-                f"test function centered at {phi.center} with width {phi.width}"
-            )
     return tables

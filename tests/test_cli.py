@@ -530,6 +530,34 @@ def test_boolean_start_index_is_rejected():
         (["limit", '--seq={"tail":"x","exceptions":[1,2]}'], None, "'exceptions'"),
         (["span", "independence", '--first={"tail":"x","exceptions":"x"}', "--second=1"], None, "'exceptions'"),
         (["demo", "branching", '--reps=[{"tail":"x","exceptions":3}]'], None, "'exceptions'"),
+        # a value of the wrong JSON type is refused, never read by its keys or characters
+        (["limit", "--seq=x", '--panel=["01"]'], None, 'panel[0]: expected an array or an object, got "01"'),
+        (
+            ["limit", "--seq=x", '--panel={"01": 0}'],
+            None,
+            'panel: expected an array, or an object with "members", got {"01": 0}',
+        ),
+        (
+            ["limit", "--seq=x", '--panel=[[0,1,"no"],[0.5,0.4,"false"]]'],
+            None,
+            'panel[0].normalized: expected true or false, got "no"',
+        ),
+        (
+            ["limit", "--seq=x", '--panel=[{"center":0,"width":0.9,"normalized":1}]'],
+            None,
+            "panel[0].normalized: expected true or false, got 1",
+        ),
+        (
+            ["limit", "--seq=x"],
+            {"domain": {"-1": 0, "1": 0}},
+            'domain: expected a "lower,upper" string or an array, got {"-1": 0, "1": 0}',
+        ),
+        (
+            ["limit", "--seq=x"],
+            {"schedule": {str(k): 0 for k in range(1, 7)}},
+            'schedule: expected a comma-separated string or an array, got {"1": 0, "2": 0, '
+            '"3": 0, "4": 0, "5": 0, "6": 0}',
+        ),
     ],
 )
 def test_a_malformed_literal_is_one_error_report(tmp_path, argv, config, message):
@@ -541,6 +569,21 @@ def test_a_malformed_literal_is_one_error_report(tmp_path, argv, config, message
     assert code == 1
     assert report["error"]["type"] == "ValueError"
     assert message in report["error"]["message"]
+
+
+# the array form is test_panel_flag_echoes_triples; the second is a demo report's parameters.panel
+@pytest.mark.parametrize(
+    "flag",
+    [
+        '--panel=[{"center": -0.5, "width": 0.5}, {"center": 0.5, "width": 0.5, "normalized": false}]',
+        '--panel={"domain": [-1.0, 1.0], "members": [{"center": -0.5, "width": 0.5, '
+        '"normalized": true}, {"center": 0.5, "width": 0.5, "normalized": false}]}',
+    ],
+)
+def test_the_object_panel_forms_are_read(flag):
+    code, report = cli.run(["limit", "--seq=cos(nu*x)", flag])
+    assert code == 0
+    assert report["config"]["panel"] == [[-0.5, 0.5, True], [0.5, 0.5, False]]
 
 
 # the candidate and its generator start after index 3, or after the sampled range

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -42,6 +43,26 @@ def _masked_bump_shape(u):
     return out
 
 
+def _bump_shape_derivative(u):
+    """d/du of the bump shape: shape(u) * (-2u/(1-u^2)^2), by np.where."""
+    u = np.asarray(u, dtype=float)
+    with np.errstate(all="ignore"):
+        w = 1.0 - u * u
+        return np.where(np.abs(u) < 1.0, np.exp(-1.0 / w) * (-2.0 * u / (w * w)), 0.0)
+
+
+def _derivative_values(phi, xs):
+    """phi' at xs: the reference integration by parts pairs against."""
+    u = (np.asarray(xs, dtype=float) - phi.center) / phi.width
+    return _bump_shape_derivative(u) * (phi._scale() / phi.width)
+
+
+def _bump_shape(u):
+    """pairing._bump at scale 1 on a copy of u."""
+    with np.errstate(all="ignore"):
+        return pairing._bump(np.array(u, dtype=float), 1.0)
+
+
 def _masked_bump_shape_derivative(u):
     u = np.asarray(u, dtype=float)
     out = np.zeros_like(u)
@@ -76,8 +97,8 @@ EDGE_U = np.array(
 
 def test_bump_shape_matches_the_masked_form_bit_for_bit(rng):
     pairs = (
-        (pairing._bump_shape, _masked_bump_shape),
-        (pairing._bump_shape_derivative, _masked_bump_shape_derivative),
+        (_bump_shape, _masked_bump_shape),
+        (_bump_shape_derivative, _masked_bump_shape_derivative),
     )
     for shape, reference in pairs:
         expected = reference(EDGE_U)
@@ -91,10 +112,16 @@ def test_bump_shape_matches_the_masked_form_bit_for_bit(rng):
         # grids on the support, as pairing_tables samples, or a little past its ends
         reach = rng.choice((1.0, rng.uniform(0.5, 1.5)))
         lower = (centers - reach * widths)[:, 0]
-        xs = pairing._grids(lower, (centers + reach * widths)[:, 0], np.arange(count))
+        xs = np.empty((rows, count))
+        pairing._grids(lower, (centers + reach * widths)[:, 0], np.arange(count), xs)
         u = (xs - centers) / widths
         for shape, reference in pairs:
             assert _same_bits(shape(u), reference(u))
+        # scaled in place, as pairing_tables and TestFunction.values scale it
+        scales = 1.0 / (widths * pairing.bump_shape_integral())
+        with np.errstate(all="ignore"):
+            scaled = pairing._bump(u.copy(), scales)
+        assert _same_bits(scaled, _masked_bump_shape(u) * scales)
 
 
 def test_shape_integral_is_pinned():
@@ -119,8 +146,9 @@ def _pair(s, index, phi):
 
 def _rule(ys, width, panels):
     """The two-grid Simpson rule pairing_tables applies to each row of samples."""
-    _, weights = pairing._two_grid_setup(panels)
-    (value,), (estimate,) = pairing._two_grid_rule(ys[None, :], width, panels, weights)
+    weights = pairing._simpson_weights(ys.size)
+    work = np.empty(ys.size)
+    (value,), (estimate,) = pairing._two_grid_rule(ys[None, :], width, panels, weights, work)
     return value, estimate
 
 
@@ -188,7 +216,8 @@ def test_integrate_constant_is_exact():
 
 def test_integrate_full_period_sine():
     panels = pairing._panel_count(2.0 * math.pi, 1)
-    (xs,) = pairing._grids(np.array([0.0]), np.array([2.0 * math.pi]), np.arange(2 * panels + 1))
+    grid = np.empty((1, 2 * panels + 1))
+    (xs,) = pairing._grids(np.array([0.0]), np.array([2.0 * math.pi]), np.arange(grid.size), grid)
     value, _ = _rule(np.sin(xs), 2.0 * math.pi, panels)
     assert abs(value) < 1e-8
 
@@ -304,6 +333,14 @@ def _mixed_members():
     return sorted(members, key=lambda phi: phi.center)
 
 
+def _nan_as_text(tables):
+    """The tables with each nan written "nan", so that == matches nan with nan;
+    every other float is still compared bit for bit."""
+    if isinstance(tables, str):
+        return tables
+    return [[tuple("nan" if v != v else v for v in row) for row in table] for table in tables]
+
+
 def test_pairing_tables_match_each_pairing_alone(rng, monkeypatch):
     members = _mixed_members()
     schedule = (1, 3, 16, 100, 256, 1024, 4096)
@@ -318,9 +355,17 @@ def test_pairing_tables_match_each_pairing_alone(rng, monkeypatch):
     sequences.append(bl.smooth_sequence("cos(nu*x)*x", {3: "x^2", 16: "tanh(x)"}))
     sequences.append(bl.smooth_sequence("(nu-1.738)^3*cos(x)"))
     sequences.append(bl.smooth_sequence("1/(nu-100)"))
+    # finite samples whose sum overflows on one row of a chunk of narrow members: (inf, nan)
+    sequences.append(bl.smooth_sequence("1e307*exp(-50*(x-0.8)^2)"))
+    # at 256 the only non-finite sample is inf * 0 = nan, at the last member's upper end
+    edge = members[-1].support[1]
+    assert not any(phi.support[0] < edge < phi.support[1] for phi in members)
+    sequences.append(bl.smooth_sequence("x", {256: f"1/(x-{edge!r})"}))
+    # non-finite in the one-row blocks longer than BLOCK_NODES only
+    sequences.append(bl.smooth_sequence("1/(nu-4096)"))
     outcomes = set()
     for s in sequences:
-        expected = _reference_tables(s, members, schedule)
+        expected = _nan_as_text(_reference_tables(s, members, schedule))
         blocks.clear()
         monkeypatch.setattr(bl.SmoothSequence, "term_values", recorded)
         if isinstance(expected, str):
@@ -329,16 +374,27 @@ def test_pairing_tables_match_each_pairing_alone(rng, monkeypatch):
             assert str(caught.value) == expected
         else:
             # bit for bit, so == and not approx
-            assert pairing.pairing_tables(s, members, schedule) == expected
+            assert _nan_as_text(pairing.pairing_tables(s, members, schedule)) == expected
         monkeypatch.undo()
-        outcomes.add(isinstance(expected, str))
+        if isinstance(expected, str):
+            outcomes.add(expected)
+        else:
+            outcomes.add(any("nan" in row for table in expected for row in table))
         # several groups at one index, and a group split into chunks of several rows
         groups = {(index, nodes) for index, _, nodes in blocks}
         assert len({nodes for index, _, nodes in blocks if index == 16}) == 3
+        if blocks[-1][0] == schedule[-1]:
+            assert any(rows == 1 and nodes > pairing.BLOCK_NODES for _, rows, nodes in blocks)
         if not isinstance(expected, str):
             assert len(groups) < len(blocks)
             assert any(rows > 1 for _, rows, nodes in blocks if nodes * 3 > pairing.BLOCK_NODES)
-    assert outcomes == {False, True}
+    # finite tables, tables with (inf, nan) rows, and the failures the edge cases expect
+    assert {False, True} <= outcomes
+    for index, phi in ((256, members[-1]), (4096, members[0])):
+        assert (
+            f"non-finite sample in the integrand at index {index}, against the "
+            f"test function centered at {phi.center} with width {phi.width}"
+        ) in outcomes
 
 
 @pytest.mark.parametrize(
@@ -392,6 +448,30 @@ def test_pairing_tables_refuse_a_grid_longer_than_the_cap(monkeypatch):
     assert message.endswith(f"more than {pairing.MAX_GRID_NODES}")
     # index 1 was sampled, one row per member, and index 257 not at all
     assert sum(len(grid) for grid in grids) == len(members)
+
+
+def test_an_overflowing_pairing_is_inf_and_nan_without_a_warning():
+    # finite samples whose Simpson sums overflow; a RuntimeWarning would fail the test
+    s = bl.smooth_sequence("1e307")
+    tables = pairing.pairing_tables(s, (pairing.bump(0.0, 1.0),), (1, 2, 1024))
+    assert _nan_as_text(tables) == [[(index, math.inf, "nan") for index in (1, 2, 1024)]]
+
+
+def test_pairing_tables_peak_memory_is_a_few_blocks():
+    panel = pairing.default_panel(DOM)
+    s = bl.smooth_sequence("cos(nu*x)")
+    # at index 4096 each member's grid, 9273 nodes, is a block of its own
+    length = max(phi.support[1] - phi.support[0] for phi in panel)
+    block_bytes = 8 * (2 * pairing._panel_count(length, 4096) + 1)
+    pairing.pairing_tables(s, panel.members, (4096,))  # compiles the entry outside the trace
+    tracemalloc.start()
+    try:
+        pairing.pairing_tables(s, panel.members, (4096,))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # two work buffers, the nodes, the weights, and the entry's value and temporary
+    assert peak < 7 * block_bytes
 
 
 def test_pair_constant_sequence():
@@ -451,7 +531,7 @@ def test_integration_by_parts():
         for nu in (1, 3, 9):
             left, _ = _pair(derived, nu, phi)
             right, _ = _two_grid_simpson(
-                lambda xs: s.term_values(nu, xs) * phi.derivative_values(xs), *phi.support, 128
+                lambda xs: s.term_values(nu, xs) * _derivative_values(phi, xs), *phi.support, 128
             )
             assert abs(left + right) < 1e-6
 
