@@ -4,178 +4,9 @@ Smooth-function sequences, compactly supported test functions, weak-limit
 classification, constructible ideals with off-diagonality certificates, and
 quotient algebras whose multiplication demonstrably depends on the choice of
 ideal.  Verdicts are three-valued wherever the underlying question is only
-semi-decidable.
+semi-decidable.  The public surface is the command line, `branchlab.cli`:
+`run`, `main`, `canonical_json`, `strip_volatile`, `comparable_bytes` and the
+command table `COMMANDS`.
 """
 
 __version__ = "0.1.0"
-
-from .expr import (
-    DomainInterval,
-    EvalError,
-    ParseError,
-    SafetyStatus,
-    denominator_safety,
-    diff,
-    evaluate_on_grid,
-    parse,
-    simplify,
-    to_string,
-)
-from .sequences import (
-    FiniteSpan,
-    IndependenceCertificate,
-    SampleGrid,
-    SmoothSequence,
-    SpanStatus,
-    apply_smooth,
-    concat_spans,
-    diagonal,
-    independence_certificate,
-    is_eventually_zero,
-    seq_add,
-    seq_derive,
-    seq_mul,
-    seq_scale,
-    seq_sub,
-    sequence_is_zero,
-    smooth_sequence,
-    span,
-    zero_sequence,
-)
-from .pairing import (
-    IntegrationError,
-    Panel,
-    TestFunction,
-    bump,
-    default_panel,
-    pairing_tables,
-)
-from .weaklimit import (
-    Classification,
-    ConvergesTo,
-    Diverges,
-    FunctionalVerdict,
-    Inconclusive,
-    classify_membership,
-    nosquare_demo,
-    weak_limit,
-)
-from .ideals import (
-    ContainsUnit,
-    EventuallyZero,
-    FinitelyGenerated,
-    InIdeal,
-    NotInIdeal,
-    OffDiagonal,
-    Unknown,
-    ZeroDensityCertificate,
-    derivation_closure,
-    generated_by,
-    ideal_sum,
-    membership,
-    no_largest_ideal_demo,
-    off_diagonality,
-    unit_detection,
-    zero_density_certificate,
-)
-from .algebra import (
-    AlgebraConfig,
-    AlgebraError,
-    Delta,
-    DeltaDerivative,
-    GeneralizedFunction,
-    Heaviside,
-    SmoothEmbed,
-    branching_demo,
-    delta_square_demo,
-    embed_distribution,
-    eventually_zero_algebra,
-    gf,
-    gf_add,
-    gf_derive,
-    gf_equal,
-    gf_mul,
-    make_algebra,
-    smooth_mult_consistency,
-)
-
-__all__ = [
-    "__version__",
-    "DomainInterval",
-    "EvalError",
-    "ParseError",
-    "SafetyStatus",
-    "denominator_safety",
-    "diff",
-    "evaluate_on_grid",
-    "parse",
-    "simplify",
-    "to_string",
-    "FiniteSpan",
-    "IndependenceCertificate",
-    "SampleGrid",
-    "SmoothSequence",
-    "SpanStatus",
-    "apply_smooth",
-    "concat_spans",
-    "diagonal",
-    "independence_certificate",
-    "is_eventually_zero",
-    "seq_add",
-    "seq_derive",
-    "seq_mul",
-    "seq_scale",
-    "seq_sub",
-    "sequence_is_zero",
-    "smooth_sequence",
-    "span",
-    "zero_sequence",
-    "IntegrationError",
-    "Panel",
-    "TestFunction",
-    "bump",
-    "default_panel",
-    "pairing_tables",
-    "Classification",
-    "ConvergesTo",
-    "Diverges",
-    "FunctionalVerdict",
-    "Inconclusive",
-    "classify_membership",
-    "nosquare_demo",
-    "weak_limit",
-    "ContainsUnit",
-    "EventuallyZero",
-    "FinitelyGenerated",
-    "InIdeal",
-    "NotInIdeal",
-    "OffDiagonal",
-    "Unknown",
-    "ZeroDensityCertificate",
-    "derivation_closure",
-    "generated_by",
-    "ideal_sum",
-    "membership",
-    "no_largest_ideal_demo",
-    "off_diagonality",
-    "unit_detection",
-    "zero_density_certificate",
-    "AlgebraConfig",
-    "AlgebraError",
-    "Delta",
-    "DeltaDerivative",
-    "GeneralizedFunction",
-    "Heaviside",
-    "SmoothEmbed",
-    "branching_demo",
-    "delta_square_demo",
-    "embed_distribution",
-    "eventually_zero_algebra",
-    "gf",
-    "gf_add",
-    "gf_derive",
-    "gf_equal",
-    "gf_mul",
-    "make_algebra",
-    "smooth_mult_consistency",
-]

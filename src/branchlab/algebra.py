@@ -11,14 +11,11 @@ expression language.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import expr as ex
 from ._report import Record, all_passed, stage
-from .expr import DEFAULT_DOMAIN, DomainInterval, SafetyStatus, denominator_safety, simplify
+from .expr import DEFAULT_DOMAIN, DomainInterval, SafetyStatus, denominator_safety
 from .ideals import (
     Closed,
     EventuallyZero,
@@ -29,7 +26,7 @@ from .ideals import (
     membership,
     off_diagonality,
 )
-from .pairing import bump, default_panel
+from .pairing import bump, default_panel, pairing_tables
 from .sequences import (
     SmoothSequence,
     apply_smooth,
@@ -44,12 +41,9 @@ from .weaklimit import (
     Diverges,
     _verdict_from_table,
     classify_membership,
-    pairing_table,
     validate_schedule,
 )
 
-GRID_POINTS = 256
-SMOOTH_CONSISTENCY_TOL = 1e-12
 SEPARATION_FACTOR = 100.0
 DELTA_SQUARE_SCHEDULE = tuple(2**k for k in range(2, 13))
 DELTA_SQUARE_BAND = 0.05
@@ -92,7 +86,7 @@ def make_algebra(ideal, domain):
         raise AlgebraError(
             "ideal failed the off-diagonality gate: " + str(verdict.to_dict())
         )
-    closure = derivation_closure(ideal, 1, domain)
+    closure = derivation_closure(ideal, domain)
     return AlgebraConfig(ideal, isinstance(closure, Closed), domain)
 
 
@@ -130,11 +124,6 @@ def gf(representative, algebra):
 def _same_algebra(f, g):
     if f.algebra != g.algebra:
         raise AlgebraError("operands live in different algebras")
-
-
-def gf_add(f, g):
-    _same_algebra(f, g)
-    return GeneralizedFunction(f.representative + g.representative, f.algebra)
 
 
 def gf_mul(f, g):
@@ -249,43 +238,6 @@ def embed_distribution(tag, algebra):
         case _:
             raise TypeError("unknown distribution tag")
     return GeneralizedFunction(rep, algebra)
-
-
-def smooth_mult_consistency(psi, chi, domain=DEFAULT_DOMAIN):
-    """Check that embedding preserves products of smooth functions.
-
-    The product of the diagonal embeddings must match the embedding of the
-    product, structurally after normalization and numerically on a grid
-    (the grid compares the two evaluation orders, not the simplified
-    difference, so it is not vacuous).
-    """
-    psi = ex.parse(psi) if isinstance(psi, str) else ex.as_expr(psi)
-    chi = ex.parse(chi) if isinstance(chi, str) else ex.as_expr(chi)
-    for candidate in (psi, chi):
-        if "nu" in ex.variables(candidate):
-            raise ValueError("both factors must be index-free")
-    lhs = diagonal(psi) * diagonal(chi)
-    rhs = diagonal(simplify(psi * chi))
-    difference = lhs - rhs
-    structural = ex.is_zero(simplify(difference.tail))
-    xs = domain.interior_grid(GRID_POINTS)
-    lhs_values = lhs.term_values(1, xs)
-    rhs_values = rhs.term_values(1, xs)
-    finite = np.isfinite(lhs_values) & np.isfinite(rhs_values)
-    residual = (
-        float(np.max(np.abs(lhs_values[finite] - rhs_values[finite])))
-        if np.any(finite)
-        else math.inf
-    )
-    passed = structural and residual < SMOOTH_CONSISTENCY_TOL
-    return {
-        "psi": ex.to_string(psi),
-        "chi": ex.to_string(chi),
-        "structural_zero": structural,
-        "max_grid_residual": residual,
-        "grid_points": int(np.count_nonzero(finite)),
-        "passed": passed,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +397,7 @@ def delta_square_demo(
     stages = []
 
     with stage("pairing-table", stages) as entry:
-        table = pairing_table(rep, probe, schedule)
+        table = pairing_tables(rep, (probe,), schedule)[0]
         probe_height = probe.value(0.0)
         rows = []
         within_band = True

@@ -53,15 +53,13 @@ from .ideals import (
     no_largest_ideal_demo,
     off_diagonality,
 )
-from .pairing import Panel, bump, default_panel
+from .pairing import MAX_GRID_NODES, Panel, bump, default_panel
 from .sequences import (
     DEFAULT_X_COUNT,
-    SampleGrid,
-    concat_spans,
+    SAMPLE_NUS,
+    SpanStatus,
     independence_certificate,
     smooth_sequence,
-    span,
-    SpanStatus,
 )
 from .weaklimit import (
     DEFAULT_SCHEDULE,
@@ -123,11 +121,21 @@ def load_sequence_list(value):
     return [load_sequence(item.strip()) for item in text.split(",") if item.strip()]
 
 
+# a JSON number: a bool is no number, though Python's bool is an int
+_NUMBER = (int, float)
+
+
 def _typed(path, value, types, expected):
-    """The value, if it has one of the types; else an error naming where it sits."""
-    if isinstance(value, types):
+    """The value, if its type is exactly one of the types; else an error naming where it sits."""
+    if type(value) in types:
         return value
     raise ValueError(f"{path}: expected {expected}, got {json.dumps(value, default=repr)}")
+
+
+def _array_of(path, value, types, expected, entry):
+    """A JSON array whose every item has one of the types, as a list."""
+    items = _typed(path, value, (list, tuple), expected)
+    return [_typed(f"{path}[{k}]", item, types, entry) for k, item in enumerate(items)]
 
 
 def _parse_domain(value):
@@ -137,7 +145,10 @@ def _parse_domain(value):
         value = value.split(",")
         if len(value) != 2:
             raise ValueError('domain must be written "lower,upper"')
-    lower, upper = _typed("domain", value, (list, tuple), 'a "lower,upper" string or an array')
+    else:
+        expected = 'a "lower,upper" string or an array'
+        value = _array_of("domain", value, _NUMBER, expected, "a number")
+    lower, upper = value
     return DomainInterval(float(lower), float(upper))
 
 
@@ -160,18 +171,23 @@ def load_panel_spec(value):
             if missing:
                 raise ValueError(f"panel member needs a {missing[0]!r} key")
             entry = (entry["center"], entry["width"], entry.get("normalized", True))
-        center, width, *rest = _typed(f"panel[{k}]", entry, (list, tuple), "an array or an object")
-        normalized = rest[0] if rest else True
-        _typed(f"panel[{k}].normalized", normalized, bool, "true or false")
-        triples.append((float(center), float(width), normalized))
+        entry = _typed(f"panel[{k}]", entry, (list, tuple), "an array or an object")
+        if not 2 <= len(entry) <= 3:
+            raise ValueError(f"panel[{k}]: expected 2 or 3 entries, got {len(entry)}")
+        center, width, *rest = entry
+        triples.append((
+            float(_typed(f"panel[{k}].center", center, _NUMBER, "a number")),
+            float(_typed(f"panel[{k}].width", width, _NUMBER, "a number")),
+            _typed(f"panel[{k}].normalized", rest[0] if rest else True, (bool,), "true or false"),
+        ))
     return tuple(triples)
 
 
 def _parse_schedule(value):
     if isinstance(value, str):
-        value = [item for item in value.split(",") if item.strip()]
-    entries = _typed("schedule", value, (list, tuple), "a comma-separated string or an array")
-    return tuple(int(item) for item in entries)
+        return tuple(int(item) for item in value.split(",") if item.strip())
+    expected = "a comma-separated string or an array"
+    return tuple(_array_of("schedule", value, (int,), expected, "an integer"))
 
 
 def _schedule_up_to(nu_max, first):
@@ -199,6 +215,19 @@ SETTING_FLAGS = {
     "margin": (float, "unit-search margin"),
     "x-count": (int, "sample points per index"),
 }
+
+
+def _read(name, value):
+    """A setting's value through its reader.  A numeric setting takes a JSON
+    number or the text of one, never a bool; an int setting takes no fraction."""
+    reader = SETTING_FLAGS[name][0]
+    if reader is float:
+        _typed(name, value, (str, *_NUMBER), "a number")
+    elif reader is int:
+        if type(value) is float and value.is_integer():
+            value = int(value)
+        _typed(name, value, (str, int), "an integer")
+    return reader(value)
 
 
 def _readable(defaults):
@@ -238,11 +267,11 @@ def resolve_settings(args):
                 value = layer[name]
                 break
             if name == "schedule" and layer.get("nu-max") is not None:
-                value = _schedule_up_to(int(layer["nu-max"]), default[0])
+                value = _schedule_up_to(_read("nu-max", layer["nu-max"]), default[0])
                 break
         if value is _REQUIRED:
             raise ValueError(f"{args.command} needs --{name} or a config {name!r}")
-        settings[name] = None if value is None else SETTING_FLAGS[name][0](value)
+        settings[name] = None if value is None else _read(name, value)
     tol = settings.get("tol", DEFAULT_TOL)
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("tolerance must be finite and positive")
@@ -500,7 +529,7 @@ def _cmd_ideal_check(args):
         entry["passed"] = verdict.definite
 
     with stage("derivation-closure", stages) as entry:
-        closure = derivation_closure(ideal, 1, domain)
+        closure = derivation_closure(ideal, domain)
         entry["outcome"] = closure.to_dict()
         entry["passed"] = closure.definite
 
@@ -513,12 +542,14 @@ def _cmd_span_independence(args):
     settings = resolve_settings(args)
     first = [load_sequence(item) for item in args.first]
     second = [load_sequence(item) for item in args.second]
-    grid = SampleGrid.for_domain(settings["domain"], x_count=settings["x-count"])
+    # the evaluation matrix holds len(SAMPLE_NUS) * x-count rows per basis sequence
+    x_count, most = settings["x-count"], MAX_GRID_NODES // len(SAMPLE_NUS)
+    if not 1 <= x_count <= most:
+        raise ValueError(f"x-count must lie in [1, {most}], got {x_count}")
+    xs = settings["domain"].interior_grid(x_count)
     stages = []
     with stage("independence", stages) as entry:
-        certificate = independence_certificate(
-            concat_spans(span(*first), span(*second)), grid
-        )
+        certificate = independence_certificate(first + second, xs)
         entry["first"] = [s.to_dict() for s in first]
         entry["second"] = [s.to_dict() for s in second]
         entry["certificate"] = certificate.to_dict()

@@ -256,7 +256,6 @@ def _verify_factorization(s, factorization, domain):
     one; exercises exceptional entries.  Every sampled index is one at which
     s, each generator and each cofactor is defined."""
     rng = random.Random(_VERIFICATION_SEED)
-    domain = domain or ex.DEFAULT_DOMAIN
     start = max(q.start_index for pair in [(s,), *factorization] for q in pair)
     indices = [i for i, _ in s.exceptional if i >= start]
     for g, _ in factorization:
@@ -394,7 +393,7 @@ def _scan_for_witness(s, generators, domain):
 
 
 def _eventually_zero_witness(s, domain):
-    xs = (domain or ex.DEFAULT_DOMAIN).interior_grid(256)
+    xs = domain.interior_grid(256)
     best = (1, float(xs[0]), 0.0)
     for index in range(1, 9):
         values = s.term_values(index, xs)
@@ -411,7 +410,7 @@ def _eventually_zero_witness(s, domain):
     )
 
 
-def membership(s, ideal, domain=None):
+def membership(s, ideal, domain):
     """Membership evidence for a sequence in an ideal.
 
     Eventually-zero ideals are decided structurally (never Unknown).  For
@@ -431,12 +430,10 @@ def membership(s, ideal, domain=None):
         if residual < FACTORIZATION_TOL:
             return InIdeal(factorization, residual)
 
-    if domain is not None:
-        witness = _scan_for_witness(s, ideal.generators, domain)
-        if witness is not None:
-            return NotInIdeal(witness)
-        return Unknown("no factorization matched and no vanishing-point witness found")
-    return Unknown("no factorization matched; no domain given to scan")
+    witness = _scan_for_witness(s, ideal.generators, domain)
+    if witness is not None:
+        return NotInIdeal(witness)
+    return Unknown("no factorization matched and no vanishing-point witness found")
 
 
 # ---------------------------------------------------------------------------
@@ -676,28 +673,24 @@ class NotClosed(Record):
     witness: MembershipWitness
 
 
-def derivation_closure(ideal, order=1, domain=None):
-    """Is the ideal stable under entry-wise derivatives up to the order?
+def derivation_closure(ideal, domain):
+    """Is the ideal stable under the entry-wise first derivative?
 
     Eventually-zero ideals are structurally stable.  For finitely generated
     ideals each generator derivative goes through membership; one NotInIdeal
     settles the question, anything Unknown keeps it open.
     """
-    if not isinstance(order, int) or order < 1:
-        raise ValueError("derivation order must be a positive integer")
     if isinstance(ideal, EventuallyZero):
         return Closed("derivatives of finitely supported sequences stay finitely supported")
     unknown_reason = None
     for position, generator in enumerate(ideal.generators):
-        for p in range(1, order + 1):
-            verdict = membership(seq_derive(generator, p), ideal, domain)
-            if isinstance(verdict, NotInIdeal):
-                return NotClosed(position, p, verdict.witness)
-            if not verdict.definite:
-                unknown_reason = (
-                    f"membership of generator {position} derivative order {p}: "
-                    f"{verdict.reason}"
-                )
+        verdict = membership(seq_derive(generator), ideal, domain)
+        if isinstance(verdict, NotInIdeal):
+            return NotClosed(position, 1, verdict.witness)
+        if not verdict.definite:
+            unknown_reason = (
+                f"membership of generator {position} derivative order 1: {verdict.reason}"
+            )
     if unknown_reason is not None:
         return Unknown(unknown_reason)
     return Closed("every generator derivative factored over the generators")

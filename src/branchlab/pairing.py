@@ -167,11 +167,11 @@ def _fitted_width(center, width, domain):
     return width
 
 
-def default_panel(domain, count=8):
-    """Equally spaced normalized bumps; widths equal the spacing, so supports overlap."""
-    spacing = domain.length / (count + 1)
+def default_panel(domain):
+    """Eight equally spaced normalized bumps; widths equal the spacing, so supports overlap."""
+    spacing = domain.length / 9
     members = []
-    for k in range(count):
+    for k in range(8):
         center = domain.lower + spacing * (k + 1)
         width = _fitted_width(center, spacing, domain)
         members.append(bump(center, width, domain=domain))

@@ -2,8 +2,8 @@
 
 A sequence is a closed-form tail expression in x and nu together with a
 finite table of exceptional entries (expressions in x only).  Arithmetic,
-scaling, term-wise differentiation and composition with a one-variable
-operation all act entry by entry, so the tail and each exceptional entry are
+term-wise differentiation and composition with a one-variable operation all
+act entry by entry, so the tail and each exceptional entry are
 transformed independently and renormalized.
 """
 
@@ -123,20 +123,11 @@ def diagonal(psi):
     return SmoothSequence(simplify(body))
 
 
-def zero_sequence():
-    return SmoothSequence(Num(0.0))
-
-
 def sequence_is_zero(s):
     """True when every entry normalizes to the literal 0."""
     if simplify(s.tail) != Num(0.0):
         return False
     return all(simplify(entry) == Num(0.0) for _, entry in s.exceptional)
-
-
-def is_eventually_zero(s):
-    """True when all but finitely many entries normalize to 0."""
-    return simplify(s.tail) == Num(0.0)
 
 
 def _combine(s, t, op):
@@ -161,16 +152,6 @@ def seq_mul(s, t):
     return _combine(s, t, lambda a, b: a * b)
 
 
-def seq_scale(c, s):
-    """Scale every entry by the real constant c."""
-    c = float(c)
-    tail = simplify(Num(c) * s.tail)
-    entries = tuple(
-        (index, simplify(Num(c) * entry)) for index, entry in s.exceptional
-    )
-    return SmoothSequence(tail, entries, s.start_index)
-
-
 def seq_sub(s, t):
     """Entry-wise difference."""
     # must subtract (a "-" term of an Add), not scale-then-add: negating via
@@ -186,12 +167,11 @@ def seq_derive(s, order=1):
     return SmoothSequence(tail, entries, s.start_index)
 
 
-def apply_smooth(outer, s, domain=None):
+def apply_smooth(outer, s, domain):
     """Compose a one-variable operation with every entry of s.
 
     The operation body uses the placeholder u; it is substituted symbolically.
-    When a domain is given and the composition introduces denominators, the
-    result must pass the denominator-safety check.
+    The composed tail must pass the denominator-safety check on the domain.
     """
     if isinstance(outer, str):
         outer = ex.parse_operation(outer)
@@ -203,61 +183,16 @@ def apply_smooth(outer, s, domain=None):
         (index, simplify(substitute(outer, "u", entry)))
         for index, entry in s.exceptional
     )
-    result = SmoothSequence(tail, entries, s.start_index)
-    if domain is not None:
-        report = ex.denominator_safety(tail, domain)
-        if report.status is not ex.SafetyStatus.SAFE:
-            raise ValueError(
-                f"composition is not denominator-safe on the domain: {report.status.value}"
-            )
-    return result
+    report = ex.denominator_safety(tail, domain)
+    if report.status is not ex.SafetyStatus.SAFE:
+        raise ValueError(
+            f"composition is not denominator-safe on the domain: {report.status.value}"
+        )
+    return SmoothSequence(tail, entries, s.start_index)
 
 
 # ---------------------------------------------------------------------------
-# finite spans and independence certificates
-
-
-@dataclass(frozen=True, slots=True)
-class FiniteSpan:
-    basis: tuple
-
-    def __post_init__(self):
-        if not self.basis:
-            raise ValueError("a span needs at least one basis sequence")
-        for s in self.basis:
-            if not isinstance(s, SmoothSequence):
-                raise TypeError("span bases must be smooth sequences")
-
-
-def span(*sequences):
-    return FiniteSpan(tuple(sequences))
-
-
-def concat_spans(a, b):
-    return FiniteSpan(a.basis + b.basis)
-
-
-@dataclass(frozen=True, slots=True)
-class SampleGrid:
-    """Cartesian (nu, x) sampling lattice."""
-
-    nus: tuple
-    xs: tuple
-
-    def __post_init__(self):
-        if not self.nus or not self.xs:
-            raise ValueError("sample grid must be non-empty")
-        if any((not isinstance(n, int)) or n < 1 for n in self.nus):
-            raise ValueError("grid indices must be positive integers")
-
-    @property
-    def size(self):
-        return len(self.nus) * len(self.xs)
-
-    @classmethod
-    def for_domain(cls, domain, x_count=DEFAULT_X_COUNT):
-        xs = tuple(float(v) for v in domain.interior_grid(x_count))
-        return cls(SAMPLE_NUS, xs)
+# independence certificates
 
 
 class SpanStatus(str, Enum):
@@ -273,26 +208,19 @@ class IndependenceCertificate(Record):
     singular_values: tuple
 
 
-def independence_certificate(the_span, grid):
-    """Full-column-rank test for the sampled evaluations of a basis.
+def independence_certificate(basis, xs):
+    """Full-column-rank test for a basis sampled at SAMPLE_NUS and the points xs.
 
     A full-rank matrix certifies that the basis is linearly independent, so
     two sub-spans whose concatenated bases pass have trivial intersection.
     Rank deficiency on a sample is never a dependence proof, hence
     inconclusive.
     """
-    basis = the_span.basis
-    if grid.size < len(basis) + 8:
+    if len(SAMPLE_NUS) * len(xs) < len(basis) + 8:
         raise ValueError("grid must provide at least basis size + 8 sample pairs")
-    points = [(n, x) for n in grid.nus for x in grid.xs]
-    if len(set(points)) < 2:
-        raise ValueError("degenerate grid: all sample points identical")
-    xs = np.asarray(grid.xs, dtype=float)
-    columns = []
-    for s in basis:
-        stacked = np.concatenate([s.term_values(n, xs) for n in grid.nus])
-        columns.append(stacked)
-    matrix = np.column_stack(columns)
+    matrix = np.column_stack(
+        [np.concatenate([s.term_values(n, xs) for n in SAMPLE_NUS]) for s in basis]
+    )
     if not np.all(np.isfinite(matrix)):
         raise ValueError("non-finite sample in the evaluation matrix")
     singular = np.linalg.svd(matrix, compute_uv=False)

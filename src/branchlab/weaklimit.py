@@ -67,11 +67,6 @@ def validate_schedule(schedule):
         raise ValueError("schedule indices must be positive")
 
 
-def pairing_table(s, phi, schedule):
-    """Pairing values and quadrature estimates along the schedule."""
-    return pairing_tables(s, (phi,), schedule)[0]
-
-
 def _verdict_from_table(table, tol):
     """Growth is tested first, so no tolerance can settle a stable power law."""
     values = [v for _, v, _ in table]
@@ -94,13 +89,6 @@ def _verdict_from_table(table, tol):
     if growing:
         return Inconclusive("monotone growth without a stable power law")
     return Inconclusive("pairings neither settle nor grow monotonically")
-
-
-def weak_limit(s, phi, schedule=DEFAULT_SCHEDULE, tol=DEFAULT_TOL):
-    """Limit verdict for one sequence against one test function."""
-    schedule = tuple(schedule)
-    validate_schedule(schedule)
-    return _verdict_from_table(pairing_table(s, phi, schedule), tol)
 
 
 class Classification(str, Enum):

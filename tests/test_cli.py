@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -515,6 +516,20 @@ def test_a_grid_too_long_to_sample_is_an_error_report():
     assert f"more than {pairing.MAX_GRID_NODES}" in message
 
 
+def test_span_independence_at_its_x_count_bound_stays_small():
+    # 8 indices x 524288 points is MAX_GRID_NODES, the largest sample the bound lets through
+    argv = ["span", "independence", "--first=sin(x)", "--second=cos(x)", "--x-count=524288"]
+    tracemalloc.start()
+    try:
+        code, report = cli.run(argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert report["stages"][0]["certificate"]["rank"] == 2
+    assert peak < 250 * 2**20
+
+
 def test_boolean_start_index_is_rejected():
     code, report = cli.run(["limit", '--seq={"tail": "cos(nu*x)", "start": true}'])
     assert code == 1
@@ -557,6 +572,38 @@ def test_boolean_start_index_is_rejected():
             {"schedule": {str(k): 0 for k in range(1, 7)}},
             'schedule: expected a comma-separated string or an array, got {"1": 0, "2": 0, '
             '"3": 0, "4": 0, "5": 0, "6": 0}',
+        ),
+        # inside a JSON array a number is an int or a float, never a bool or a
+        # string; a schedule entry is an int; a panel member has 2 or 3 entries
+        (
+            ["limit", "--seq=x"],
+            {"schedule": [1.9, 2, 4, 8, 16, 32.7]},
+            "schedule[0]: expected an integer, got 1.9",
+        ),
+        (
+            ["limit", "--seq=x", '--panel=[["0", true, false, 99]]'],
+            None,
+            "panel[0]: expected 2 or 3 entries, got 4",
+        ),
+        (["limit", "--seq=x", "--panel=[[0, true]]"], None, "panel[0].width: expected a number, got true"),
+        (["limit", "--seq=x"], {"domain": ["-1", True]}, 'domain[0]: expected a number, got "-1"'),
+        # an int setting takes no fraction, and no numeric setting takes a bool
+        (["limit", "--seq=x"], {"nu-max": 64.9}, "nu-max: expected an integer, got 64.9"),
+        (
+            ["ideal", "check", "--generators=sin(nu*x)", "--domain=-1,1", "--nu-max=16"],
+            {"cell": True},
+            "cell: expected a number, got true",
+        ),
+        # a sample count past its bound is refused before anything is sampled
+        (
+            ["span", "independence", "--first=sin(x)", "--second=cos(x)", "--x-count=10000000"],
+            None,
+            "x-count must lie in [1, 524288], got 10000000",
+        ),
+        (
+            ["span", "independence", "--first=sin(x)", "--second=cos(x)", "--x-count=0"],
+            None,
+            "x-count must lie in [1, 524288], got 0",
         ),
     ],
 )

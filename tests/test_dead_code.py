@@ -1,0 +1,74 @@
+"""No public definition in the package is dead: each one is named elsewhere in `src`.
+
+The package's surface is its command line, so a public module-level function
+or class, or a public method of a public class, that no other line of
+`src/branchlab` names is code that nothing runs.  Names are read from the
+syntax trees: a reference is a name or an attribute, outside the
+definition's own lines.  Two kinds of definition are kept without one:
+`cli.comparable_bytes`, which the README documents, and the methods that
+`perfbench/tracer.py` wraps by name from class dicts.
+"""
+
+import ast
+import pathlib
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "branchlab"
+PERFBENCH = ROOT / "perfbench"
+DOCUMENTED = {"cli.comparable_bytes"}
+
+
+def _traced_methods():
+    """The methods the tracer reads from class dicts, as module.Class.method."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import tracer
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    return {
+        f"{module}.{cls}.{method}"
+        for module, classes in tracer.METHODS.items()
+        for cls, methods in classes.items()
+        for method in methods
+    }
+
+
+def _definitions(module, tree):
+    """(qualified name, first line, last line) of each public definition."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node.lineno, node.end_lineno
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{module}.{node.name}.{item.name}", item.lineno, item.end_lineno
+
+
+def _references(tree):
+    """(name, line) of every name and attribute the tree reads or writes."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+
+
+def test_every_public_definition_has_a_reference_in_src():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    lines_by_name = {}
+    for module, tree in trees.items():
+        for name, line in _references(tree):
+            lines_by_name.setdefault(name, set()).add((module, line))
+    kept = DOCUMENTED | _traced_methods()
+    unreferenced = [
+        qualified
+        for module, tree in trees.items()
+        for qualified, first, last in _definitions(module, tree)
+        if qualified not in kept
+        and not any(
+            where != module or not first <= line <= last
+            for where, line in lines_by_name.get(qualified.rpartition(".")[2], ())
+        )
+    ]
+    assert not unreferenced, f"no reference in src: {sorted(unreferenced)}"

@@ -33,7 +33,7 @@ SCHEDULES = (
     ("0,1,2,3,4,5", "6,5,4,3,2,1", "1,2,3", "1,1,2,3,4,5", "a,b", ""),
 )
 ORDERS = (("0", "1", "2", "3"), ("-1", "x", "1.5"))
-X_COUNTS = (("2", "16"), ("1", "0", "-3", "a"))
+X_COUNTS = (("2", "16"), ("1", "0", "-3", "a", "10000000"))
 # certificate and demo resolutions stay small, so an example costs milliseconds
 CELLS = (("0.25", "0.5"), ("0", "-0.1", "inf", "nan", "x"))
 CERTIFICATE_NU_MAX = (("8", "16"), ("0", "-4", "x"))
@@ -51,14 +51,20 @@ GENERATOR_PAIRS = (
 )
 # config file values: the ones a command accepts, then ones it must refuse
 CONFIG_VALUES = {
-    "domain": (("-1,1", [-1, 1], "-1.5,2"), ("1,0", "a", [1], "", [0, "x"])),
-    "tol": ((1e-4, 0.5, "1e-3"), ("abc", 0, -1, "inf", [1])),
-    "schedule": (("1,2,4,8,16,32", [4, 8, 16, 32, 64, 128]), ("1,2,3", "a", [], {})),
-    "nu-max": ((16, 32, "64"), ("x", -1, [2])),
-    "cell": ((0.25, 0.5), (0, "nan", "x")),
-    "margin": ((0.1, 0.5), (-1, "x")),
-    "x-count": ((8, 16), (0, "a")),
-    "panel": (("[[0,1]]", [[-0.5, 0.5], [0.5, 0.5, False]]), ("[[0,0.1]]", "x", [[0]])),
+    "domain": (("-1,1", [-1, 1], "-1.5,2"), ("1,0", "a", [1], "", [0, "x"], ["-1", True])),
+    "tol": ((1e-4, 0.5, "1e-3"), ("abc", 0, -1, "inf", [1], True)),
+    "schedule": (
+        ("1,2,4,8,16,32", [4, 8, 16, 32, 64, 128]),
+        ("1,2,3", "a", [], {}, [1.9, 2, 4, 8, 16, 32.7]),
+    ),
+    "nu-max": ((16, 32, "64"), ("x", -1, [2], 64.9, True)),
+    "cell": ((0.25, 0.5), (0, "nan", "x", True)),
+    "margin": ((0.1, 0.5), (-1, "x", False)),
+    "x-count": ((8, 16), (0, "a", 8.5, 10000000)),
+    "panel": (
+        ("[[0,1]]", [[-0.5, 0.5], [0.5, 0.5, False]]),
+        ("[[0,0.1]]", "x", [[0]], [["0", True, False, 99]]),
+    ),
 }
 
 # the alphabet holds no letters of a flag name, so junk never spells an option

@@ -7,10 +7,10 @@ import time
 import numpy as np
 import pytest
 
-import branchlab as bl
 import branchlab.expr as ex
 from branchlab._report import all_passed
 from branchlab import ideals as idl
+from branchlab.sequences import diagonal, seq_derive, smooth_sequence
 
 from conftest import random_expression, value_at
 
@@ -58,7 +58,7 @@ def assert_witness_holds(witness, s, generators):
 
 
 def test_generated_by_accepts_mixed_inputs():
-    ideal = idl.generated_by("x", bl.diagonal("sin(x)"), ex.parse("nu*x"))
+    ideal = idl.generated_by("x", diagonal("sin(x)"), ex.parse("nu*x"))
     assert [g.signature() for g in ideal.generators] == ["x|1", "sin(x)|1", "nu*x|1"]
 
 
@@ -92,7 +92,7 @@ def test_ideal_sum_rejects_total_collapse():
 
 def test_membership_with_cofactor():
     first, _ = ideal_pair()
-    s = bl.smooth_sequence("(1 + sin(nu*x))*x^2")
+    s = smooth_sequence("(1 + sin(nu*x))*x^2")
     verdict = idl.membership(s, first, DOM)
     assert isinstance(verdict, idl.InIdeal)
     ((generator, cofactor),) = verdict.factorization
@@ -106,7 +106,7 @@ def test_membership_with_cofactor():
 def test_membership_with_non_monic_generator():
     # generator and candidate share the scale factor; division must strip it
     ideal = idl.generated_by("2 + 2*sin(nu*x)")
-    s = bl.smooth_sequence("(2 + 2*sin(nu*x))*x^2")
+    s = smooth_sequence("(2 + 2*sin(nu*x))*x^2")
     verdict = idl.membership(s, ideal, DOM)
     assert isinstance(verdict, idl.InIdeal)
     assert refactorization_residual(s, verdict, DOM) < 1e-10
@@ -115,7 +115,7 @@ def test_membership_with_non_monic_generator():
 def test_membership_splits_over_two_generators():
     first, second = ideal_pair()
     combined = idl.ideal_sum(first, second)
-    s = bl.smooth_sequence("x*(1 + sin(nu*x)) + 3*(1 + cos(nu*x))")
+    s = smooth_sequence("x*(1 + sin(nu*x)) + 3*(1 + cos(nu*x))")
     verdict = idl.membership(s, combined, DOM)
     assert isinstance(verdict, idl.InIdeal)
     cofactors = {g.signature(): t.signature() for g, t in verdict.factorization}
@@ -125,7 +125,7 @@ def test_membership_splits_over_two_generators():
 
 def test_membership_witness_at_vanishing_point():
     first, _ = ideal_pair()
-    one = bl.diagonal("1")
+    one = diagonal("1")
     verdict = idl.membership(one, first, DOM)
     assert isinstance(verdict, idl.NotInIdeal)
     witness = verdict.witness
@@ -141,14 +141,13 @@ def test_membership_witness_at_vanishing_point():
     "domain, reason",
     [
         (DOM, "no factorization matched and no vanishing-point witness found"),
-        (None, "no factorization matched; no domain given to scan"),
     ],
 )
 def test_membership_unknown_reasons(domain, reason):
     # the generator's derivative vanishes wherever the generator does, so the
     # witness scan cannot separate them
     first, _ = ideal_pair()
-    derivative = bl.seq_derive(first.generators[0])
+    derivative = seq_derive(first.generators[0])
     verdict = idl.membership(derivative, first, domain)
     assert isinstance(verdict, idl.Unknown)
     assert verdict.reason == reason
@@ -157,27 +156,27 @@ def test_membership_unknown_reasons(domain, reason):
 
 def test_membership_rejects_unknown_ideal_kind():
     with pytest.raises(TypeError, match="unsupported ideal"):
-        idl.membership(bl.smooth_sequence("x"), object())
+        idl.membership(smooth_sequence("x"), object(), DOM)
 
 
 def test_eventually_zero_membership_is_decided(expression_corpus):
     ideal = idl.EventuallyZero()
     for e in expression_corpus:
-        cancelled = idl.membership(bl.smooth_sequence(e - e), ideal)
+        cancelled = idl.membership(smooth_sequence(e - e), ideal, DOM)
         assert isinstance(cancelled, idl.InIdeal)
         assert cancelled.factorization == ()
-        verdict = idl.membership(bl.smooth_sequence(e), ideal, DOM)
+        verdict = idl.membership(smooth_sequence(e), ideal, DOM)
         assert isinstance(verdict, (idl.InIdeal, idl.NotInIdeal))
 
 
 def test_eventually_zero_membership_evidence():
     ideal = idl.EventuallyZero()
-    bumped = bl.smooth_sequence("0", {"3": "x^2"})
-    verdict = idl.membership(bumped, ideal)
+    bumped = smooth_sequence("0", {"3": "x^2"})
+    verdict = idl.membership(bumped, ideal, DOM)
     assert isinstance(verdict, idl.InIdeal)
     assert verdict.factorization == ()
 
-    outside = idl.membership(bl.smooth_sequence("x - x + 1"), ideal, DOM)
+    outside = idl.membership(smooth_sequence("x - x + 1"), ideal, DOM)
     assert isinstance(outside, idl.NotInIdeal)
     assert outside.witness.sequence_value == pytest.approx(1.0, abs=1e-12)
     assert "does not normalize to zero" in outside.witness.note
@@ -302,14 +301,14 @@ def test_a_sign_change_across_a_pole_is_no_root():
     assert residuals[1] < 1e-15
     # the cell [-1, 0] holds only the pole, so there is no certificate
     assert idl.zero_density_certificate(ideal, ex.DomainInterval(-1.0, 1.0), cell_width=1.0) is None
-    verdict = idl.membership(bl.diagonal("1"), ideal, ex.DomainInterval(-1.0, 1.0))
+    verdict = idl.membership(diagonal("1"), ideal, ex.DomainInterval(-1.0, 1.0))
     assert verdict.witness.x == pytest.approx(0.7, abs=1e-12)
 
 
 def test_one_bisection_pass_serves_several_factors_and_entries():
     # index 1 is the exceptional entry x - 0.3, later indices x*sin(nu*x):
     # the cells' lanes bisect three factors of two entries in one pass
-    generator = bl.smooth_sequence("x*sin(nu*x)", {1: "x - 0.3"})
+    generator = smooth_sequence("x*sin(nu*x)", {1: "x - 0.3"})
     cert = idl.zero_density_certificate(
         idl.generated_by(generator), ex.DomainInterval(-1.0, 1.0), cell_width=0.25
     )
@@ -321,7 +320,7 @@ def test_one_bisection_pass_serves_several_factors_and_entries():
 
 
 def test_the_generator_x_vanishes_at_zero():
-    verdict = idl.membership(bl.diagonal("1"), idl.generated_by("x"), ex.DomainInterval(-1.0, 1.0))
+    verdict = idl.membership(diagonal("1"), idl.generated_by("x"), ex.DomainInterval(-1.0, 1.0))
     assert (verdict.witness.nu, verdict.witness.x) == (1, 0.0)
 
 
@@ -385,13 +384,13 @@ def test_array_checks_equal_the_pointwise_loops(rng):
         ideal = idl.generated_by(rng.choice(generators))
         g = ideal.generators[0]
         exceptional = {3: "x/(x-0.5)"} if rng.random() < 0.3 else {}
-        s = bl.smooth_sequence(g.tail * e, exceptional)
+        s = smooth_sequence(g.tail * e, exceptional)
         factorization = idl._match_factorization(s, ideal)
         if factorization is not None:
             residual = idl._verify_factorization(s, factorization, domain)
             assert residual == _pointwise_verification(s, factorization, domain)
             verified.add(residual < idl.FACTORIZATION_TOL)
-        t = bl.smooth_sequence(e, exceptional)
+        t = smooth_sequence(e, exceptional)
         witness = idl._scan_for_witness(t, ideal.generators, domain)
         expected = _pointwise_witness(t, ideal.generators, domain)
         if witness is None:
@@ -410,7 +409,7 @@ def test_a_witness_is_never_a_point_where_a_denominator_vanishes(tail, value):
     # tanh(1/0) is tanh(inf) = 1, finite, yet the entry is undefined because its
     # denominator x is zero, so the witness is the next root, at index 4
     verdict = idl.membership(
-        bl.smooth_sequence(tail), idl.generated_by("sin(nu*x)"), ex.DomainInterval(-1.0, 1.0)
+        smooth_sequence(tail), idl.generated_by("sin(nu*x)"), ex.DomainInterval(-1.0, 1.0)
     )
     witness = verdict.witness
     assert (witness.nu, witness.x) == (4, -0.7853981633974481)
@@ -476,37 +475,28 @@ def test_off_diagonality_inconclusive_reasons():
 
 
 def test_derivation_closure_structural_and_factored():
-    assert isinstance(idl.derivation_closure(idl.EventuallyZero()), idl.Closed)
-    verdict = idl.derivation_closure(idl.generated_by("exp(x)"), order=2)
+    assert isinstance(idl.derivation_closure(idl.EventuallyZero(), DOM), idl.Closed)
+    verdict = idl.derivation_closure(idl.generated_by("exp(x)"), DOM)
     assert isinstance(verdict, idl.Closed)
     assert "factored over the generators" in verdict.note
-    assert isinstance(
-        idl.derivation_closure(idl.generated_by("1"), order=3, domain=DOM), idl.Closed
-    )
+    assert isinstance(idl.derivation_closure(idl.generated_by("1"), DOM), idl.Closed)
 
 
 def test_derivation_closure_detects_escape():
-    ideal = idl.generated_by(bl.diagonal("x"))
-    verdict = idl.derivation_closure(ideal, domain=ex.DomainInterval(-1.0, 1.0))
+    ideal = idl.generated_by(diagonal("x"))
+    verdict = idl.derivation_closure(ideal, ex.DomainInterval(-1.0, 1.0))
     assert isinstance(verdict, idl.NotClosed)
     assert verdict.generator_position == 0
     assert verdict.order == 1
     assert verdict.witness.x == pytest.approx(0.0, abs=1e-10)
-    assert_witness_holds(verdict.witness, bl.diagonal("1"), ideal.generators)
+    assert_witness_holds(verdict.witness, diagonal("1"), ideal.generators)
 
 
 def test_derivation_closure_unknown_generator():
     first, _ = ideal_pair()
-    verdict = idl.derivation_closure(first, domain=DOM)
+    verdict = idl.derivation_closure(first, DOM)
     assert isinstance(verdict, idl.Unknown)
     assert "generator 0 derivative order 1" in verdict.reason
-
-
-@pytest.mark.parametrize("order", [0, -2, 1.5])
-def test_derivation_closure_order_validation(order):
-    first, _ = ideal_pair()
-    with pytest.raises(ValueError, match="positive integer"):
-        idl.derivation_closure(first, order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -554,7 +544,7 @@ def test_no_largest_ideal_demo_degenerate_pair():
 
 @pytest.mark.parametrize("margin", [-1.0, 0.0, math.nan, math.inf])
 def test_unit_detection_refuses_margin_outside_the_positive_reals(margin):
-    ideal = bl.generated_by("sin(nu*x)")
+    ideal = idl.generated_by("sin(nu*x)")
     with pytest.raises(ValueError, match="unit margin"):
         idl.unit_detection(ideal, DOM, margin=margin)
     with pytest.raises(ValueError, match="unit margin"):
@@ -563,7 +553,7 @@ def test_unit_detection_refuses_margin_outside_the_positive_reals(margin):
 
 @pytest.mark.parametrize("cell_width", [-0.05, 0.0, math.nan, math.inf])
 def test_cell_width_outside_the_positive_reals_is_refused(monkeypatch, cell_width):
-    ideal = bl.generated_by("1 + sin(nu*x)")
+    ideal = idl.generated_by("1 + sin(nu*x)")
 
     def no_search(*args, **kwargs):
         raise AssertionError("the unit search ran before the cell width was checked")

@@ -4,9 +4,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import branchlab as bl
 import branchlab.expr as ex
 import branchlab.pairing as pairing
+from branchlab.sequences import (
+    SmoothSequence,
+    apply_smooth,
+    diagonal,
+    seq_add,
+    seq_derive,
+    seq_mul,
+    smooth_sequence,
+)
 from branchlab.weaklimit import DEFAULT_SCHEDULE
 from conftest import random_expression
 
@@ -155,7 +163,7 @@ def _rule(ys, width, panels):
 def test_normalized_bump_integrates_to_one():
     phi = pairing.bump(0.0, 1.0)
     assert phi.integral() == 1.0
-    value, estimate = _pair(bl.diagonal("1"), 1, phi)
+    value, estimate = _pair(diagonal("1"), 1, phi)
     assert abs(value - 1.0) < 1e-6
     assert abs(value - 1.0) <= estimate + 1e-9
 
@@ -200,7 +208,7 @@ def test_panel_must_cover_domain():
 
 
 def test_panel_to_dict():
-    panel = pairing.default_panel(DOM, count=2)
+    panel = pairing.Panel((pairing.bump(-0.5, 0.5), pairing.bump(0.5, 0.5)), DOM)
     d = panel.to_dict()
     assert d["domain"] == [-1.0, 1.0]
     assert len(d["members"]) == 2
@@ -226,12 +234,12 @@ def test_integrate_validation():
     with pytest.raises(ValueError):
         pairing._panel_count(0.0, 1)
     with pytest.raises(ValueError, match="oscillation hint"):
-        pairing.pairing_tables(bl.smooth_sequence("cos(nu*x)"), (pairing.bump(0.0, 1.0),), (0,))
+        pairing.pairing_tables(smooth_sequence("cos(nu*x)"), (pairing.bump(0.0, 1.0),), (0,))
 
 
 def test_integrate_rejects_non_finite_samples():
     with pytest.raises(pairing.IntegrationError):
-        _pair(bl.smooth_sequence("0/(nu-1)"), 1, pairing.bump(0.0, 1.0))
+        _pair(smooth_sequence("0/(nu-1)"), 1, pairing.bump(0.0, 1.0))
 
 
 def _two_grid_simpson(f, lower, upper, hint):
@@ -255,20 +263,20 @@ def _two_grid_simpson(f, lower, upper, hint):
 def _recorded_grids(monkeypatch):
     """Every grid pairing_tables hands SmoothSequence.term_values, copied."""
     grids = []
-    original = bl.SmoothSequence.term_values
+    original = SmoothSequence.term_values
 
     def recorded(self, index, xs):
         grids.append(np.array(xs))
         return original(self, index, xs)
 
-    monkeypatch.setattr(bl.SmoothSequence, "term_values", recorded)
+    monkeypatch.setattr(SmoothSequence, "term_values", recorded)
     return grids
 
 
 @pytest.mark.parametrize("tail", ["cos(nu*x)", "cos(nu*x)^2", "nu/(2*cosh(nu*x)^2)", "x^3"])
 @pytest.mark.parametrize("index", [1, 3, 16, 256])
 def test_integrate_samples_its_integrand_once(tail, index, monkeypatch):
-    s = bl.smooth_sequence(tail)
+    s = smooth_sequence(tail)
     phi = pairing.bump(0.2, 0.7)
 
     def integrand(xs):
@@ -288,7 +296,7 @@ def test_integrate_samples_its_integrand_once(tail, index, monkeypatch):
 def test_integrate_samples_on_linspace(lower, upper, hint, monkeypatch):
     phi = pairing.bump(0.5 * (lower + upper), 0.5 * (upper - lower))
     grids = _recorded_grids(monkeypatch)
-    got = _pair(bl.smooth_sequence("exp(x)"), hint, phi)
+    got = _pair(smooth_sequence("exp(x)"), hint, phi)
     monkeypatch.undo()
     assert got == _two_grid_simpson(lambda xs: np.exp(xs) * phi.values(xs), *phi.support, hint)
     # every node, the last one included, where linspace puts it
@@ -345,29 +353,29 @@ def test_pairing_tables_match_each_pairing_alone(rng, monkeypatch):
     members = _mixed_members()
     schedule = (1, 3, 16, 100, 256, 1024, 4096)
     blocks = []  # (index, rows, nodes) of each closure call
-    original = bl.SmoothSequence.term_values
+    original = SmoothSequence.term_values
 
     def recorded(self, index, xs):
         blocks.append((index, *np.shape(xs)))
         return original(self, index, xs)
 
-    sequences = [bl.SmoothSequence(random_expression(rng, allow_nu=True)) for _ in range(5)]
-    sequences.append(bl.smooth_sequence("cos(nu*x)*x", {3: "x^2", 16: "tanh(x)"}))
-    sequences.append(bl.smooth_sequence("(nu-1.738)^3*cos(x)"))
-    sequences.append(bl.smooth_sequence("1/(nu-100)"))
+    sequences = [SmoothSequence(random_expression(rng, allow_nu=True)) for _ in range(5)]
+    sequences.append(smooth_sequence("cos(nu*x)*x", {3: "x^2", 16: "tanh(x)"}))
+    sequences.append(smooth_sequence("(nu-1.738)^3*cos(x)"))
+    sequences.append(smooth_sequence("1/(nu-100)"))
     # finite samples whose sum overflows on one row of a chunk of narrow members: (inf, nan)
-    sequences.append(bl.smooth_sequence("1e307*exp(-50*(x-0.8)^2)"))
+    sequences.append(smooth_sequence("1e307*exp(-50*(x-0.8)^2)"))
     # at 256 the only non-finite sample is inf * 0 = nan, at the last member's upper end
     edge = members[-1].support[1]
     assert not any(phi.support[0] < edge < phi.support[1] for phi in members)
-    sequences.append(bl.smooth_sequence("x", {256: f"1/(x-{edge!r})"}))
+    sequences.append(smooth_sequence("x", {256: f"1/(x-{edge!r})"}))
     # non-finite in the one-row blocks longer than BLOCK_NODES only
-    sequences.append(bl.smooth_sequence("1/(nu-4096)"))
+    sequences.append(smooth_sequence("1/(nu-4096)"))
     outcomes = set()
     for s in sequences:
         expected = _nan_as_text(_reference_tables(s, members, schedule))
         blocks.clear()
-        monkeypatch.setattr(bl.SmoothSequence, "term_values", recorded)
+        monkeypatch.setattr(SmoothSequence, "term_values", recorded)
         if isinstance(expected, str):
             with pytest.raises(pairing.IntegrationError) as caught:
                 pairing.pairing_tables(s, members, schedule)
@@ -405,7 +413,7 @@ def test_pairing_tables_count_panels_once_per_support_length(domain, lengths, mo
     # equal widths, yet on [0, 2*pi] upper - lower takes three values in the last bit
     assert len({phi.width for phi in panel}) == 1
     assert len({phi.support[1] - phi.support[0] for phi in panel}) == lengths
-    s = bl.smooth_sequence("cos(nu*x)")
+    s = smooth_sequence("cos(nu*x)")
     expected = _reference_tables(s, panel.members, DEFAULT_SCHEDULE)
     calls = []
     original = pairing._panel_count
@@ -421,7 +429,7 @@ def test_pairing_tables_count_panels_once_per_support_length(domain, lengths, mo
 
 
 def test_pairing_tables_refuse_an_index_before_the_start():
-    s = bl.smooth_sequence("cos(nu*x)", start_index=5)
+    s = smooth_sequence("cos(nu*x)", start_index=5)
     with pytest.raises(ValueError) as reference:
         _reference_tables(s, _mixed_members(), (4, 8))
     with pytest.raises(ValueError) as caught:
@@ -431,7 +439,7 @@ def test_pairing_tables_refuse_an_index_before_the_start():
 
 def test_pairing_tables_refuse_a_grid_longer_than_the_cap(monkeypatch):
     members = _mixed_members()
-    s = bl.smooth_sequence("cos(nu*x)")
+    s = smooth_sequence("cos(nu*x)")
     widest = max(members, key=lambda phi: phi.width)
     length = widest.support[1] - widest.support[0]
     monkeypatch.setattr(pairing, "MAX_GRID_NODES", 2 * pairing._panel_count(length, 256) + 1)
@@ -452,14 +460,14 @@ def test_pairing_tables_refuse_a_grid_longer_than_the_cap(monkeypatch):
 
 def test_an_overflowing_pairing_is_inf_and_nan_without_a_warning():
     # finite samples whose Simpson sums overflow; a RuntimeWarning would fail the test
-    s = bl.smooth_sequence("1e307")
+    s = smooth_sequence("1e307")
     tables = pairing.pairing_tables(s, (pairing.bump(0.0, 1.0),), (1, 2, 1024))
     assert _nan_as_text(tables) == [[(index, math.inf, "nan") for index in (1, 2, 1024)]]
 
 
 def test_pairing_tables_peak_memory_is_a_few_blocks():
     panel = pairing.default_panel(DOM)
-    s = bl.smooth_sequence("cos(nu*x)")
+    s = smooth_sequence("cos(nu*x)")
     # at index 4096 each member's grid, 9273 nodes, is a block of its own
     length = max(phi.support[1] - phi.support[0] for phi in panel)
     block_bytes = 8 * (2 * pairing._panel_count(length, 4096) + 1)
@@ -476,12 +484,12 @@ def test_pairing_tables_peak_memory_is_a_few_blocks():
 
 def test_pair_constant_sequence():
     phi = pairing.bump(0.0, 1.0)
-    assert _pair(bl.diagonal("1"), 1, phi)[0] == pytest.approx(1.0, abs=1e-6)
+    assert _pair(diagonal("1"), 1, phi)[0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_pair_oscillation_decays():
     phi = pairing.bump(0.0, 1.0, normalized=False)
-    cos_seq = bl.smooth_sequence("cos(nu*x)")
+    cos_seq = smooth_sequence("cos(nu*x)")
     assert abs(_pair(cos_seq, 4096, phi)[0]) < 1e-4
     assert abs(_pair(cos_seq, 64, phi)[0]) < 1e-4
     # the pairing at low frequency is visibly larger, the decay is real
@@ -490,32 +498,32 @@ def test_pair_oscillation_decays():
 
 def test_pair_square_keeps_half_mass():
     phi = pairing.bump(0.0, 1.0)
-    squared = bl.apply_smooth("u^2", bl.smooth_sequence("cos(nu*x)"))
+    squared = apply_smooth("u^2", smooth_sequence("cos(nu*x)"), DOM)
     assert _pair(squared, 4096, phi)[0] == pytest.approx(0.5, abs=1e-3)
 
 
 def test_pair_uses_exceptional_entries():
     phi = pairing.bump(0.0, 1.0)
-    s = bl.smooth_sequence("cos(nu*x)", {2: "1"})
+    s = smooth_sequence("cos(nu*x)", {2: "1"})
     assert _pair(s, 2, phi)[0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_pair_rejects_poles_inside_support():
     phi = pairing.bump(0.0, 0.5)
-    s = bl.SmoothSequence(ex.parse("1/x"))
+    s = SmoothSequence(ex.parse("1/x"))
     with pytest.raises(pairing.IntegrationError):
         _pair(s, 1, phi)
 
 
 def test_pairing_linearity(rng):
     phi = pairing.bump(0.2, 0.7)
-    s = bl.smooth_sequence("cos(nu*x)", {3: "x"})
-    t = bl.smooth_sequence("x^2")
+    s = smooth_sequence("cos(nu*x)", {3: "x"})
+    t = smooth_sequence("x^2")
     for _ in range(10):
         a = round(rng.uniform(-2, 2), 3)
         b = round(rng.uniform(-2, 2), 3)
         nu = rng.randrange(1, 12)
-        combo = bl.seq_add(bl.seq_scale(a, s), bl.seq_scale(b, t))
+        combo = seq_add(seq_mul(diagonal(ex.Num(a)), s), seq_mul(diagonal(ex.Num(b)), t))
         lhs = _pair(combo, nu, phi)[0]
         rhs = a * _pair(s, nu, phi)[0] + b * _pair(t, nu, phi)[0]
         assert abs(lhs - rhs) < 1e-8
@@ -526,8 +534,8 @@ def test_integration_by_parts():
     # phi' spikes near the edges, so that side gets a fine step
     phi = pairing.bump(0.1, 0.8)
     for tail in ("sin(nu*x)", "x^2", "tanh(x)*cos(nu*x)"):
-        s = bl.smooth_sequence(tail)
-        derived = bl.seq_derive(s)
+        s = smooth_sequence(tail)
+        derived = seq_derive(s)
         for nu in (1, 3, 9):
             left, _ = _pair(derived, nu, phi)
             right, _ = _two_grid_simpson(
@@ -541,7 +549,7 @@ def test_error_estimates_are_honest(rng):
     covered = 0
     total = 0
     for tail in tails:
-        s = bl.smooth_sequence(tail)
+        s = smooth_sequence(tail)
         for _ in range(8):
             center = rng.uniform(-0.3, 0.3)
             width = rng.uniform(0.3, 0.7)

@@ -167,8 +167,11 @@ def test_library_records_keep_their_dicts():
     assert algebra.SmoothEmbed(parse("sin(x)")).to_dict() == {"tag": "smooth-embed", "psi": "sin(x)"}
     proof = ideals.off_diagonality(ideals.EventuallyZero(), domain)
     assert proof.to_dict()["certificate"]["kind"] == "structural"
-    unknown = ideals.membership(smooth_sequence("x"), ideals.generated_by("sin(nu*x)"))
+    # the generator's derivative vanishes wherever the generator does
+    unknown = ideals.membership(
+        smooth_sequence("nu*cos(nu*x)"), ideals.generated_by("1 + sin(nu*x)"), domain
+    )
     assert unknown.to_dict() == {
         "verdict": "unknown",
-        "reason": "no factorization matched; no domain given to scan",
+        "reason": "no factorization matched and no vanishing-point witness found",
     }

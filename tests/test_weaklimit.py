@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-import branchlab as bl
 import branchlab.expr as ex
 import branchlab.pairing as pairing
 import branchlab.weaklimit as wl
 from branchlab._report import all_passed
+from branchlab.sequences import apply_smooth, diagonal, seq_mul, smooth_sequence
 
 DOM = ex.DomainInterval(-1.0, 1.0)
 PHI = pairing.bump(0.0, 1.0)
@@ -18,36 +18,36 @@ def midpoint(f, lo, hi, n):
 
 
 def test_oscillation_is_weak_null():
-    verdict = wl.weak_limit(bl.smooth_sequence("cos(nu*x)"), PHI)
+    ((_, verdict),) = wl.classify_membership(smooth_sequence("cos(nu*x)"), (PHI,)).per_test_function
     assert isinstance(verdict, wl.ConvergesTo)
     assert abs(verdict.value) < 1e-4
 
 
 def test_square_converges_to_half():
-    squared = bl.apply_smooth("u^2", bl.smooth_sequence("cos(nu*x)"))
-    verdict = wl.weak_limit(squared, PHI)
+    squared = apply_smooth("u^2", smooth_sequence("cos(nu*x)"), DOM)
+    ((_, verdict),) = wl.classify_membership(squared, (PHI,)).per_test_function
     assert isinstance(verdict, wl.ConvergesTo)
     assert verdict.value == pytest.approx(0.5, abs=1e-3)
 
 
 def test_constant_sequence_limit_matches_oracle():
     phi = pairing.bump(0.3, 0.5)
-    verdict = wl.weak_limit(bl.diagonal("x"), phi)
+    ((_, verdict),) = wl.classify_membership(diagonal("x"), (phi,)).per_test_function
     assert isinstance(verdict, wl.ConvergesTo)
     oracle = midpoint(lambda xs: xs * phi.values(xs), -0.2, 0.8, 1 << 19)
     assert verdict.value == pytest.approx(oracle, abs=1e-6)
 
 
 def test_concentrating_square_diverges():
-    tail = bl.smooth_sequence("nu^2/(4*cosh(nu*x)^4)")
-    verdict = wl.weak_limit(tail, PHI)
+    tail = smooth_sequence("nu^2/(4*cosh(nu*x)^4)")
+    ((_, verdict),) = wl.classify_membership(tail, (PHI,)).per_test_function
     assert isinstance(verdict, wl.Diverges)
     assert verdict.growth_exponent == pytest.approx(1.0, abs=0.1)
     assert verdict.fit_residual < 0.2
 
 
 def test_x_free_oscillator_is_inconclusive():
-    verdict = wl.weak_limit(bl.smooth_sequence("sin(nu)"), PHI)
+    ((_, verdict),) = wl.classify_membership(smooth_sequence("sin(nu)"), (PHI,)).per_test_function
     assert isinstance(verdict, wl.Inconclusive)
     assert verdict.reason
 
@@ -63,7 +63,7 @@ def test_x_free_oscillator_is_inconclusive():
 )
 def test_growth_is_tested_before_convergence(tail, tol):
     panel = pairing.default_panel(DOM)
-    verdict = wl.classify_membership(bl.smooth_sequence(tail), panel, tol=tol)
+    verdict = wl.classify_membership(smooth_sequence(tail), panel, tol=tol)
     assert verdict.classification is wl.Classification.DIVERGENT
     for _, member in verdict.per_test_function:
         assert isinstance(member, wl.Diverges)
@@ -86,24 +86,24 @@ def test_slow_creep_still_settles():
 
 
 def test_schedule_validation():
-    s = bl.smooth_sequence("cos(nu*x)")
+    s = smooth_sequence("cos(nu*x)")
     with pytest.raises(ValueError):
-        wl.weak_limit(s, PHI, schedule=(1, 2, 4, 8, 16))
+        wl.classify_membership(s, (PHI,), (1, 2, 4, 8, 16))
     with pytest.raises(ValueError):
-        wl.weak_limit(s, PHI, schedule=(1, 2, 4, 4, 8, 16))
+        wl.classify_membership(s, (PHI,), (1, 2, 4, 4, 8, 16))
     with pytest.raises(ValueError):
-        wl.weak_limit(s, PHI, schedule=(0, 1, 2, 4, 8, 16))
+        wl.classify_membership(s, (PHI,), (0, 1, 2, 4, 8, 16))
     # an empty schedule is a short one, never a stand-in for the default
     for empty in ((), []):
         with pytest.raises(ValueError, match="at least 6"):
-            wl.weak_limit(s, PHI, schedule=empty)
+            wl.classify_membership(s, (PHI,), empty)
         with pytest.raises(ValueError, match="at least 6"):
             wl.classify_membership(s, pairing.default_panel(DOM), empty)
 
 
 def test_pairing_table_shape():
     schedule = (1, 2, 4, 8, 16, 32)
-    table = wl.pairing_table(bl.smooth_sequence("cos(nu*x)"), PHI, schedule)
+    (table,) = pairing.pairing_tables(smooth_sequence("cos(nu*x)"), (PHI,), schedule)
     assert [row[0] for row in table] == list(schedule)
     for _, value, estimate in table:
         assert np.isfinite(value)
@@ -122,13 +122,13 @@ def test_pairing_table_shape():
 )
 def test_classification_table(tail, expected):
     panel = pairing.default_panel(DOM)
-    verdict = wl.classify_membership(bl.smooth_sequence(tail), panel)
+    verdict = wl.classify_membership(smooth_sequence(tail), panel)
     assert verdict.classification is expected
 
 
 def test_weak_null_implies_convergent_everywhere():
     panel = pairing.default_panel(DOM)
-    verdict = wl.classify_membership(bl.smooth_sequence("cos(nu*x)"), panel)
+    verdict = wl.classify_membership(smooth_sequence("cos(nu*x)"), panel)
     assert verdict.classification is wl.Classification.WEAK_NULL
     for _, member in verdict.per_test_function:
         assert isinstance(member, wl.ConvergesTo)
@@ -136,9 +136,9 @@ def test_weak_null_implies_convergent_everywhere():
 
 
 def test_limit_scales_with_the_sequence():
-    squared = bl.apply_smooth("u^2", bl.smooth_sequence("cos(nu*x)"))
-    tripled = bl.seq_scale(3.0, squared)
-    verdict = wl.weak_limit(tripled, PHI)
+    squared = apply_smooth("u^2", smooth_sequence("cos(nu*x)"), DOM)
+    tripled = seq_mul(diagonal("3"), squared)
+    ((_, verdict),) = wl.classify_membership(tripled, (PHI,)).per_test_function
     assert isinstance(verdict, wl.ConvergesTo)
     assert verdict.value == pytest.approx(1.5, abs=3e-3)
 
@@ -146,19 +146,19 @@ def test_limit_scales_with_the_sequence():
 def test_refining_the_schedule_preserves_verdicts():
     extended = wl.DEFAULT_SCHEDULE + (8192,)
     for tail in ("cos(nu*x)", "cos(nu*x)^2", "x^2"):
-        s = bl.smooth_sequence(tail)
-        base = wl.weak_limit(s, PHI)
-        refined = wl.weak_limit(s, PHI, schedule=extended)
+        s = smooth_sequence(tail)
+        ((_, base),) = wl.classify_membership(s, (PHI,)).per_test_function
+        ((_, refined),) = wl.classify_membership(s, (PHI,), extended).per_test_function
         assert isinstance(base, wl.ConvergesTo)
         assert isinstance(refined, wl.ConvergesTo)
         assert refined.value == pytest.approx(base.value, abs=1e-3)
 
 
 def test_classify_stage_payload():
-    panel = pairing.default_panel(DOM, count=2)
+    panel = pairing.Panel((pairing.bump(-0.5, 0.5), pairing.bump(0.5, 0.5)), DOM)
     schedule = (1, 2, 4, 8, 16, 32)
     stage, verdict = wl.classify_stage(
-        "demo-stage", bl.smooth_sequence("cos(nu*x)"), panel, schedule, 1e-4
+        "demo-stage", smooth_sequence("cos(nu*x)"), panel, schedule, 1e-4
     )
     assert stage["name"] == "demo-stage"
     assert stage["sequence"] == {"tail": "cos(nu*x)"}
@@ -183,14 +183,14 @@ def test_nosquare_demo_default():
 
 
 def test_nosquare_demo_with_sine_base():
-    report = wl.nosquare_demo(sequence=bl.smooth_sequence("sin(nu*x)"))
+    report = wl.nosquare_demo(sequence=smooth_sequence("sin(nu*x)"))
     assert all_passed(report["stages"])
     assert report["stages"][0]["classification"] == "weak-null"
     assert report["stages"][1]["classification"] == "convergent"
 
 
 def test_nosquare_demo_zero_base_draws_no_conclusion():
-    report = wl.nosquare_demo(sequence=bl.zero_sequence())
+    report = wl.nosquare_demo(sequence=smooth_sequence("0"))
     assert not all_passed(report["stages"])
     assert report["stages"][1]["classification"] == "weak-null"
     assert "no impossibility" in report["conclusion"]
