@@ -2,17 +2,18 @@
 
 COMMANDS declares each command once: its words, handler, the settings it
 reads with their defaults, and its other flags; SETTING_FLAGS gives each
-setting's flag and reader.  The parser and the settings resolver both read
-that table.  A setting comes from its flag, else the --config file, else
-the default.  A handler returns its report stages; run() alone turns them
-into the exit code: 0 when every stage passed, 2 when one did not (an
-indefinite verdict, or a demo pattern that did not materialize), 1 for
-usage or runtime errors, with a JSON error report.  Reports carry a
-versioned schema and are byte-deterministic apart from the timestamp and
-per-stage timings; strip_volatile removes exactly those fields so byte
-comparison across runs is meaningful.  canonical_json writes a report with
-its own encoder, in exactly the bytes json.dumps(sort_keys=True, indent=2)
-writes, with non-finite floats as the strings "nan", "inf" and "-inf".
+setting's flag, reader and rule.  The parser and the settings resolver both
+read that table.  The config file and the flags are each read whole, then a
+flag beats the config file beats the default.  A handler returns its report
+stages; run() alone turns them into the exit code: 0 when every stage
+passed, 2 when one did not (an indefinite verdict, or a demo pattern that
+did not materialize), 1 for usage or runtime errors, with a JSON error
+report.  Reports carry a versioned schema and are byte-deterministic apart
+from the timestamp and per-stage timings; strip_volatile removes exactly
+those fields so byte comparison across runs is meaningful.  canonical_json
+writes a report with its own encoder, in exactly the bytes
+json.dumps(sort_keys=True, indent=2) writes, with non-finite floats as the
+strings "nan", "inf" and "-inf".
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from . import __version__
 from ._report import all_passed, report_value, stage
 from .algebra import (
     DELTA_SQUARE_SCHEDULE,
-    AlgebraError,
     GateInconclusive,
     branching_demo,
     delta_square_demo,
@@ -87,38 +87,45 @@ def _file_or_literal(value):
     return value
 
 
-def _sequence_from_payload(payload):
-    if isinstance(payload, str):
+def _sequence_from_payload(path, payload):
+    """A sequence from an expression string, or from an object with a string
+    `tail`, `exceptions` from index text to strings, and an integer `start`."""
+    payload = _typed(path, payload, (str, dict), "an expression string or an object")
+    if type(payload) is str:
         return smooth_sequence(payload)
-    if isinstance(payload, dict):
-        unknown = set(payload) - {"tail", "exceptions", "start"}
-        if unknown:
-            raise ValueError(f"unknown sequence literal keys: {sorted(unknown)}")
-        if "tail" not in payload:
-            raise ValueError("sequence literal needs a 'tail' key")
-        exceptions = payload.get("exceptions") or {}
-        if not isinstance(exceptions, dict):
-            raise ValueError("sequence literal 'exceptions' must be an object")
-        return smooth_sequence(payload["tail"], exceptions, payload.get("start", 1))
-    raise ValueError("sequence literal must be a string or an object")
+    unknown = set(payload) - {"tail", "exceptions", "start"}
+    if unknown:
+        raise ValueError(f"{path}: unknown sequence literal keys {sorted(unknown)}")
+    if "tail" not in payload:
+        raise ValueError(f"{path}: sequence literal needs a 'tail' key")
+    tail = _typed(f"{path}['tail']", payload["tail"], (str,), "an expression string")
+    where = f"{path}['exceptions']"
+    exceptions = _typed(where, payload.get("exceptions", {}), (dict,), "an object")
+    for key, entry in exceptions.items():
+        if not (key.isdecimal() and str(int(key)) == key):  # the index text to_dict writes
+            raise ValueError(f"{where}: expected index keys like \"2\", got {json.dumps(key)}")
+        _typed(f"{where}[{key!r}]", entry, (str,), "an expression string")
+    start = _typed(f"{path}['start']", payload.get("start", 1), (int,), "an integer")
+    return smooth_sequence(tail, exceptions, start)
 
 
-def load_sequence(value):
-    """Sequence from an expression string, JSON literal, or file of either."""
+def load_sequence(value, path):
+    """Sequence from an expression string, JSON literal, or file of either;
+    `path` names the literal in an error."""
     text = _file_or_literal(value).strip()
-    if text.startswith("{"):
-        return _sequence_from_payload(json.loads(text))
-    return smooth_sequence(text)
+    return _sequence_from_payload(path, json.loads(text) if text.startswith("{") else text)
 
 
-def load_sequence_list(value):
+def load_sequence_list(value, path):
     """Comma-separated expressions or file paths, or a JSON array."""
     text = _file_or_literal(value).strip()
     if text.startswith("["):
-        return [_sequence_from_payload(item) for item in json.loads(text)]
+        items = enumerate(json.loads(text))
+        return [_sequence_from_payload(f"{path}[{k}]", item) for k, item in items]
     if text.startswith("{"):
-        return [_sequence_from_payload(json.loads(text))]
-    return [load_sequence(item.strip()) for item in text.split(",") if item.strip()]
+        return [_sequence_from_payload(path, json.loads(text))]
+    items = [item.strip() for item in text.split(",") if item.strip()]
+    return [load_sequence(item, f"{path}[{k}]") for k, item in enumerate(items)]
 
 
 # a JSON number: a bool is no number, though Python's bool is an int
@@ -139,8 +146,6 @@ def _array_of(path, value, types, expected, entry):
 
 
 def _parse_domain(value):
-    if isinstance(value, DomainInterval):
-        return value
     if isinstance(value, str):
         value = value.split(",")
         if len(value) != 2:
@@ -159,7 +164,7 @@ def load_panel_spec(value):
     entries or of objects with those keys, or an object holding that array
     under "members", as a demo report's `parameters.panel` writes it.
     """
-    text = _file_or_literal(value) if isinstance(value, str) else value
+    text = _file_or_literal(value)
     payload = json.loads(text) if isinstance(text, str) else text
     if isinstance(payload, dict) and "members" in payload:
         payload = payload["members"]
@@ -190,110 +195,109 @@ def _parse_schedule(value):
     return tuple(_array_of("schedule", value, (int,), expected, "an integer"))
 
 
-def _schedule_up_to(nu_max, first):
-    """Powers of two from `first`, itself a power of two, through nu_max."""
-    return tuple(first << k for k in range(max(nu_max // first, 0).bit_length()))
-
-
 # ---------------------------------------------------------------------------
 # settings
 
 
+def _positive_tolerance(tol):
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError("tolerance must be finite and positive")
+
+
+def _index_cap(nu_max):
+    if nu_max < 1:
+        raise ValueError(f"nu-max must be at least 1, got {nu_max}")
+
+
+def _sample_count(x_count):
+    # the evaluation matrix holds len(SAMPLE_NUS) * x-count rows per basis sequence
+    most = MAX_GRID_NODES // len(SAMPLE_NUS)
+    if not 1 <= x_count <= most:
+        raise ValueError(f"x-count must lie in [1, {most}], got {x_count}")
+
+
+# a command's settings with their defaults, which are values already read;
+# a sweep's `nu-max`, unset by default, is its other way to give its schedule
 _REQUIRED = object()  # a setting with no default: a flag or the config file must give it
-_SWEEP = {"domain": DEFAULT_DOMAIN, "schedule": DEFAULT_SCHEDULE, "tol": DEFAULT_TOL, "panel": None}
+_SWEEP = {"domain": DEFAULT_DOMAIN, "schedule": DEFAULT_SCHEDULE, "tol": DEFAULT_TOL,
+          "panel": None, "nu-max": None}
 _CERTIFICATE = {"cell": DEFAULT_CELL_WIDTH, "nu-max": DEFAULT_INDEX_CAP}
 
-# each setting's flag: how its value is read, and its help; argparse itself
-# converts an int or float flag, so a bad value is a usage error naming the flag
+# each setting's flag: how its value is read, the rule a read value must meet
+# (`cell` and `margin` are checked in `ideals`, where they are used), and its
+# help; argparse itself converts an int or float flag, so a bad value is a
+# usage error naming the flag
 SETTING_FLAGS = {
-    "domain": (_parse_domain, 'domain interval "lower,upper"'),
-    "schedule": (_parse_schedule, "explicit comma-separated index schedule"),
-    "tol": (float, "convergence tolerance"),
-    "panel": (load_panel_spec, "panel file or JSON: (center,width,normalized) triples"),
-    "cell": (float, "certificate cell width"),
-    "nu-max": (int, "largest index: the certificate index cap, or a schedule of powers of 2"),
-    "margin": (float, "unit-search margin"),
-    "x-count": (int, "sample points per index"),
+    "domain": (_parse_domain, None, 'domain interval "lower,upper"'),
+    "schedule": (_parse_schedule, validate_schedule, "explicit comma-separated index schedule"),
+    "tol": (float, _positive_tolerance, "convergence tolerance"),
+    "panel": (load_panel_spec, None, "panel file or JSON: (center,width,normalized) triples"),
+    "cell": (float, None, "certificate cell width"),
+    "nu-max": (int, _index_cap, "largest index: the certificate cap, or a powers-of-2 schedule"),
+    "margin": (float, None, "unit-search margin"),
+    "x-count": (int, _sample_count, "sample points per index"),
 }
 
 
 def _read(name, value):
-    """A setting's value through its reader.  A numeric setting takes a JSON
-    number or the text of one, never a bool; an int setting takes no fraction."""
-    reader = SETTING_FLAGS[name][0]
+    """A setting's value through its reader, then its rule.  A numeric setting takes
+    a JSON number or the text of one, never a bool; an int setting takes no fraction."""
+    reader, rule, _ = SETTING_FLAGS[name]
     if reader is float:
         _typed(name, value, (str, *_NUMBER), "a number")
     elif reader is int:
         if type(value) is float and value.is_integer():
             value = int(value)
         _typed(name, value, (str, int), "an integer")
-    return reader(value)
+    value = reader(value)
+    if rule is not None:
+        rule(value)
+    return value
 
 
-def _readable(defaults):
-    """A command's keys: its settings, and `nu-max`, a sweep's other way to give its schedule."""
-    return [*defaults, *(["nu-max"] if "schedule" in defaults else [])]
-
-
-def _load_config_file(path):
-    if path is None:
-        return {}
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if not isinstance(payload, dict):
-        raise ValueError("config file must hold a JSON object")
-    return payload
+def _read_layer(layer, defaults):
+    """Every value of one layer, read.  A sweep reads `nu-max` as the schedule of powers
+    of two from its default's first index through it, which the layer's `schedule` beats."""
+    values = {name: _read(name, value) for name, value in layer.items()}
+    if "schedule" in defaults and "nu-max" in values:
+        nu_max, first = values.pop("nu-max"), defaults["schedule"][0]
+        powers = tuple(first << k for k in range((nu_max // first).bit_length()))
+        values = {"schedule": _read("schedule", powers)} | values
+    return values
 
 
 def resolve_settings(args):
     """The command's settings: a flag beats the --config file beats the default.
 
-    A config key the command does not read is an error, never a silent
-    no-op.  A sweep's schedule comes from `schedule`, or else from `nu-max`
-    as powers of two starting at the default schedule's first index.
+    The config file and the flags are each read whole, so a value is refused
+    whether or not another layer overrides it, and a config key the command
+    does not read is an error, never a silent no-op.
     """
-    defaults = COMMAND_SETTINGS[args.command]
-    readable = _readable(defaults)
-    config = _load_config_file(args.config)
-    unread = sorted(set(config) - set(readable))
+    defaults, config = COMMAND_SETTINGS[args.command], {}
+    if args.config is not None:
+        with open(args.config, "r", encoding="utf-8") as handle:
+            config = _typed("config file", json.load(handle), (dict,), "a JSON object")
+    unread = sorted(set(config) - set(defaults))
     if unread:
         raise ValueError(f"{args.command} reads no config key {', '.join(map(repr, unread))}")
-    flags = {name: getattr(args, name.replace("-", "_")) for name in readable}
-    settings = {}
-    for name, default in defaults.items():
-        value = default
-        for layer in (flags, config):
-            if layer.get(name) is not None:
-                value = layer[name]
-                break
-            if name == "schedule" and layer.get("nu-max") is not None:
-                value = _schedule_up_to(_read("nu-max", layer["nu-max"]), default[0])
-                break
+    flags = {name: getattr(args, name) for name in defaults if getattr(args, name) is not None}
+    settings = defaults | _read_layer(config, defaults) | _read_layer(flags, defaults)
+    for name, value in settings.items():
         if value is _REQUIRED:
             raise ValueError(f"{args.command} needs --{name} or a config {name!r}")
-        settings[name] = None if value is None else _read(name, value)
-    tol = settings.get("tol", DEFAULT_TOL)
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError("tolerance must be finite and positive")
-    if "schedule" in settings:
-        validate_schedule(settings["schedule"])
     return settings
 
 
 def _settings_echo(settings):
-    """Report form of the resolved settings; an unset panel is left out."""
+    """Report form of the resolved settings; an unset panel or nu-max is left out."""
     return {name: report_value(value) for name, value in settings.items() if value is not None}
 
 
 def _panel(settings):
-    domain = settings["domain"]
-    if settings["panel"] is None:
+    domain, triples = settings["domain"], settings["panel"]
+    if triples is None:
         return default_panel(domain)
-    members = tuple(
-        bump(center, width, normalized, domain)
-        for center, width, normalized in settings["panel"]
-    )
-    return Panel(members, domain)
+    return Panel(tuple(bump(*triple, domain) for triple in triples), domain)
 
 
 # ---------------------------------------------------------------------------
@@ -463,7 +467,7 @@ def write_csv(report, path):
 def _classified(args, name):
     """The config echo, stage and verdict of classifying --seq over the panel."""
     settings = resolve_settings(args)
-    sequence = load_sequence(args.seq)
+    sequence = load_sequence(args.seq, "seq")
     entry, verdict = classify_stage(
         name, sequence, _panel(settings), settings["schedule"], settings["tol"]
     )
@@ -501,7 +505,7 @@ def _cmd_classify(args):
 def _cmd_ideal_check(args):
     settings = resolve_settings(args)
     domain = settings["domain"]
-    generators = load_sequence_list(args.generators)
+    generators = load_sequence_list(args.generators, "generators")
     ideal = generated_by(*generators)
     stages = []
 
@@ -540,13 +544,9 @@ def _cmd_ideal_check(args):
 
 def _cmd_span_independence(args):
     settings = resolve_settings(args)
-    first = [load_sequence(item) for item in args.first]
-    second = [load_sequence(item) for item in args.second]
-    # the evaluation matrix holds len(SAMPLE_NUS) * x-count rows per basis sequence
-    x_count, most = settings["x-count"], MAX_GRID_NODES // len(SAMPLE_NUS)
-    if not 1 <= x_count <= most:
-        raise ValueError(f"x-count must lie in [1, {most}], got {x_count}")
-    xs = settings["domain"].interior_grid(x_count)
+    first = [load_sequence(item, f"first[{k}]") for k, item in enumerate(args.first)]
+    second = [load_sequence(item, f"second[{k}]") for k, item in enumerate(args.second)]
+    xs = settings["domain"].interior_grid(settings["x-count"])
     stages = []
     with stage("independence", stages) as entry:
         certificate = independence_certificate(first + second, xs)
@@ -565,21 +565,20 @@ def _cmd_span_independence(args):
 
 def _gf_algebra(args, domain, stages):
     """The command's algebra; None after an inconclusive gate stage."""
+    if (args.algebra == "generated") != (args.generators is not None):
+        raise ValueError("--algebra generated and --generators go together")
     if args.algebra == "eventually-zero":
         return eventually_zero_algebra(domain)
-    if args.algebra == "generated":
-        if not args.generators:
-            raise ValueError("--algebra generated requires --generators")
-        with stage("off-diagonality-gate", stages) as entry:
-            # make_algebra certifies at these fixed values; no setting reaches them
-            entry["cell_width"], entry["nu_max"] = DEFAULT_CELL_WIDTH, DEFAULT_INDEX_CAP
-            try:
-                algebra = make_algebra(generated_by(*load_sequence_list(args.generators)), domain)
-            except GateInconclusive as err:
-                algebra, entry["reason"] = None, str(err)
-            entry["passed"] = algebra is not None
-        return algebra
-    raise ValueError(f"unknown algebra {args.algebra!r}")
+    with stage("off-diagonality-gate", stages) as entry:
+        # make_algebra certifies at these fixed values; no setting reaches them
+        entry["cell_width"], entry["nu_max"] = DEFAULT_CELL_WIDTH, DEFAULT_INDEX_CAP
+        try:
+            generators = load_sequence_list(args.generators, "generators")
+            algebra = make_algebra(generated_by(*generators), domain)
+        except GateInconclusive as err:
+            algebra, entry["reason"] = None, str(err)
+        entry["passed"] = algebra is not None
+    return algebra
 
 
 def _cmd_gf(args):
@@ -591,7 +590,7 @@ def _cmd_gf(args):
         return config_echo, stages, "the off-diagonality gate is inconclusive"
     action = args.command.removeprefix("gf ")
     with stage("gf-" + action, stages) as entry:
-        lhs = gf(load_sequence(args.lhs), algebra)
+        lhs = gf(load_sequence(args.lhs, "lhs"), algebra)
         entry["lhs"] = lhs.representative.to_dict()
         entry["passed"] = True
         if action == "derive":
@@ -600,7 +599,7 @@ def _cmd_gf(args):
             entry["result"] = result.representative.to_dict()
             conclusion = f"derivative representative: {entry['result']['tail']}"
         else:
-            rhs = gf(load_sequence(args.rhs), algebra)
+            rhs = gf(load_sequence(args.rhs, "rhs"), algebra)
             entry["rhs"] = rhs.representative.to_dict()
             if action == "mul":
                 result = gf_mul(lhs, rhs)
@@ -627,7 +626,7 @@ def _sweep(settings):
 
 def _demo_nosquare(args):
     settings = resolve_settings(args)
-    sequence = load_sequence(args.seq) if args.seq else None
+    sequence = load_sequence(args.seq, "seq") if args.seq else None
     return _demo_report(settings, nosquare_demo(*_sweep(settings), sequence))
 
 
@@ -635,7 +634,7 @@ def _demo_no_largest_ideal(args):
     settings = resolve_settings(args)
     kwargs = {"cell_width": settings["cell"], "nu_max": settings["nu-max"]}
     if args.generators:
-        generators = load_sequence_list(args.generators)
+        generators = load_sequence_list(args.generators, "generators")
         if len(generators) != 2:
             raise ValueError("this demo takes exactly two generators")
         kwargs["first_generator"], kwargs["second_generator"] = generators
@@ -644,7 +643,7 @@ def _demo_no_largest_ideal(args):
 
 def _demo_branching(args):
     settings = resolve_settings(args)
-    representatives = load_sequence_list(args.reps) if args.reps is not None else None
+    representatives = load_sequence_list(args.reps, "reps") if args.reps is not None else None
     result = branching_demo(representatives, args.op, *_sweep(settings))
     return _demo_report(settings, result, op=args.op)
 
@@ -747,10 +746,10 @@ def build_parser():
         sub = (groups[group] if group else subparsers).add_parser(word, help=command.help)
         for flag, options in command.arguments:
             sub.add_argument(flag, **options)
-        for name in _readable(command.settings):
-            reader, help = SETTING_FLAGS[name]
+        for name in command.settings:
+            reader, _, help = SETTING_FLAGS[name]
             converter = reader if reader in (int, float) else None
-            sub.add_argument("--" + name, type=converter, help=help)
+            sub.add_argument("--" + name, dest=name, type=converter, help=help)
         sub.add_argument("--config", help="JSON config file; flags take precedence")
         sub.add_argument("--out", help="write the JSON report to this path")
         sub.add_argument("--csv", help="write raw pairing rows to this CSV path")
@@ -784,7 +783,7 @@ def run(argv):
             write_csv(report, args.csv)
     except SystemExit as err:
         return (0 if err.code == 0 else 1, None)
-    except (ValueError, TypeError, OSError, AlgebraError, ArithmeticError, RecursionError) as err:
+    except (ValueError, TypeError, OSError, ArithmeticError, RecursionError, MemoryError) as err:
         code, report = 1, _error_report(argv, err)
     if getattr(args, "out", None):
         try:

@@ -43,6 +43,7 @@ from . import expr as ex
 from ._numutil import bisect_lanes
 from ._report import Record, Unknown, all_passed, stage
 from .expr import DomainInterval, Num, from_sum_terms, simplify, sum_terms, to_string
+from .pairing import MAX_GRID_NODES
 from .sequences import (
     SmoothSequence,
     seq_derive,
@@ -70,6 +71,20 @@ _VERIFICATION_SEED = 20260815
 def _require_positive(value, what):
     if not (math.isfinite(value) and value > 0):
         raise ValueError(f"{what} must be finite and positive, got {value!r}")
+
+
+def _cell_count(domain, cell_width):
+    """The certificate's cell count on the domain.  Its first grid has at
+    least 8 nodes a cell and one more, so a count whose grid would pass
+    MAX_GRID_NODES is refused before anything is sampled."""
+    _require_positive(cell_width, "cell width")
+    cells, most = domain.length / cell_width, (MAX_GRID_NODES - 1) // 8
+    if cells > most:
+        raise ValueError(
+            f"cell width must be finite and positive and leave at most {most} cells "
+            f"on the domain, got {cell_width!r} ({cells:.6g} cells)"
+        )
+    return max(1, math.ceil(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -550,9 +565,8 @@ def zero_density_certificate(
     """
     if not isinstance(ideal, FinitelyGenerated) or len(ideal.generators) != 1:
         raise TypeError("zero-density certificates require a single generator")
-    _require_positive(cell_width, "cell width")
+    cell_count = _cell_count(domain, cell_width)
     generator = ideal.generators[0]
-    cell_count = max(1, int(math.ceil(domain.length / cell_width)))
     actual_width = domain.length / cell_count
     edges = domain.lower + actual_width * np.arange(cell_count + 1)
     finder = _RootFinder(generator)
@@ -631,7 +645,7 @@ def off_diagonality(
     generator combination bounded away from zero has no roots to certify,
     and certified dense roots cap any combination's infimum at zero.
     """
-    _require_positive(cell_width, "cell width")
+    _cell_count(domain, cell_width)
     if isinstance(ideal, EventuallyZero):
         return OffDiagonal(
             StructuralProof(

@@ -301,12 +301,12 @@ def test_sequence_from_file(tmp_path):
 
 
 def test_sequence_loader_validation():
-    with pytest.raises(ValueError, match="unknown sequence literal keys"):
-        cli.load_sequence('{"tail": "x", "bogus": 1}')
-    with pytest.raises(ValueError, match="needs a 'tail'"):
-        cli.load_sequence('{"exceptions": {}}')
-    assert len(cli.load_sequence_list('["x", {"tail": "0"}]')) == 2
-    assert len(cli.load_sequence_list("x, sin(x)")) == 2
+    with pytest.raises(ValueError, match="seq: unknown sequence literal keys"):
+        cli.load_sequence('{"tail": "x", "bogus": 1}', "seq")
+    with pytest.raises(ValueError, match="seq: sequence literal needs a 'tail'"):
+        cli.load_sequence('{"exceptions": {}}', "seq")
+    assert len(cli.load_sequence_list('["x", {"tail": "0"}]', "generators")) == 2
+    assert len(cli.load_sequence_list("x, sin(x)", "generators")) == 2
 
 
 def test_gf_mul_reports_representative():
@@ -534,7 +534,7 @@ def test_boolean_start_index_is_rejected():
     code, report = cli.run(["limit", '--seq={"tail": "cos(nu*x)", "start": true}'])
     assert code == 1
     assert report["error"]["type"] == "ValueError"
-    assert "start index" in report["error"]["message"]
+    assert report["error"]["message"] == "seq['start']: expected an integer, got true"
 
 
 @pytest.mark.parametrize(
@@ -604,6 +604,65 @@ def test_boolean_start_index_is_rejected():
             ["span", "independence", "--first=sin(x)", "--second=cos(x)", "--x-count=0"],
             None,
             "x-count must lie in [1, 524288], got 0",
+        ),
+        # a config value is read even when a flag gives the same setting
+        (
+            ["ideal", "check", "--generators=sin(nu*x)", "--domain=-1,1", "--nu-max=16", "--cell=0.25"],
+            {"nu-max": 64.9},
+            "nu-max: expected an integer, got 64.9",
+        ),
+        (["limit", "--seq=cos(nu*x)", "--tol=1e-4"], {"tol": True}, "tol: expected a number, got true"),
+        # an index cap below 1 searches no index; a sweep's gives no schedule
+        (
+            ["ideal", "check", "--generators=sin(nu*x)", "--domain=-1,1", "--nu-max=0"],
+            None,
+            "nu-max must be at least 1, got 0",
+        ),
+        (["limit", "--seq=cos(nu*x)"], {"nu-max": -4}, "nu-max must be at least 1, got -4"),
+        # --generators is read only by the generated algebra
+        (
+            ["gf", "equal", "--lhs=x", "--rhs=x", "--generators=(x"],
+            None,
+            "--algebra generated and --generators go together",
+        ),
+        # a sequence literal's error names the flag and the path of the entry
+        (
+            ["limit", '--seq={"tail":"x","exceptions":[1,2]}'],
+            None,
+            "seq['exceptions']: expected an object, got [1, 2]",
+        ),
+        (
+            ["demo", "branching", '--reps=[{"tail":"x","exceptions":3}]'],
+            None,
+            "reps[0]['exceptions']: expected an object, got 3",
+        ),
+        (
+            ["gf", "mul", '--lhs={"tail": 5}', "--rhs=1"],
+            None,
+            "lhs['tail']: expected an expression string, got 5",
+        ),
+        (
+            ["gf", "mul", '--lhs={"tail": "x", "exceptions": {"2": 5}}', "--rhs=1"],
+            None,
+            "lhs['exceptions']['2']: expected an expression string, got 5",
+        ),
+        # an exception's key is the index text the report echoes, nothing that merely reads as one
+        *(
+            (
+                ["gf", "mul", f'--lhs={{"tail": "x", "exceptions": {{"{key}": "x"}}}}', "--rhs=1"],
+                None,
+                f'lhs[\'exceptions\']: expected index keys like "2", got "{key}"',
+            )
+            for key in (" 2", "+2", "02")
+        ),
+        # an `exceptions` that is no object is refused, never read as no exceptions
+        *(
+            (
+                ["gf", "mul", '--lhs={"tail": "x", "exceptions": %s}' % value, "--rhs=1"],
+                None,
+                f"lhs['exceptions']: expected an object, got {value}",
+            )
+            for value in ("[]", "0", "null")
         ),
     ],
 )
@@ -758,14 +817,25 @@ def test_delta_square_refuses_a_domain_without_its_probe(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "argv",
-    [["limit", "--seq=cos(nu*x)", "--nu-max=0"], ["demo", "delta-square", "--nu-max=2"]],
-    ids=" ".join,
+    ("argv", "message"),
+    [
+        # a sweep's cap below 1 would give no schedule; it is refused by name first
+        pytest.param(
+            ["limit", "--seq=cos(nu*x)", "--nu-max=0"],
+            "nu-max must be at least 1, got 0",
+            id="limit --seq=cos(nu*x) --nu-max=0",
+        ),
+        pytest.param(
+            ["demo", "delta-square", "--nu-max=2"],
+            "schedule needs at least 6 indices",
+            id="demo delta-square --nu-max=2",
+        ),
+    ],
 )
-def test_an_empty_schedule_is_a_short_one(argv):
+def test_an_empty_schedule_is_a_short_one(argv, message):
     code, report = cli.run(argv)
     assert code == 1
-    assert report["error"]["message"] == "schedule needs at least 6 indices"
+    assert report["error"]["message"] == message
 
 
 def _outcome(argv):
@@ -934,6 +1004,16 @@ def test_usage_errors_print_one_error_report(argv, message, capsys):
     assert captured.err.startswith("usage:")
 
 
+def test_running_out_of_memory_is_one_error_report(monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 14.6 TiB")
+
+    monkeypatch.setattr(cli, "off_diagonality", exhausted)
+    code, report = cli.run(["ideal", "check", "--generators=sin(nu*x)", "--domain=-1,1"])
+    assert code == 1
+    assert report["error"] == {"type": "MemoryError", "message": "Unable to allocate 14.6 TiB"}
+
+
 def test_help_exits_cleanly_without_a_report(capsys):
     assert cli.run(["limit", "--help"]) == (0, None)
     assert capsys.readouterr().out.startswith("usage:")
@@ -953,6 +1033,8 @@ def test_help_exits_cleanly_without_a_report(capsys):
         # an infinite tolerance called nu^2 weak-null
         ["classify", "--seq=nu^2", "--tol=inf"],
         ["limit", "--seq=nu^2", "--tol=nan"],
+        # 2e12 cells: the certificate's first grid would have allocated 14.6 TiB
+        ["ideal", "check", "--generators=sin(nu*x)", "--domain=-1,1", "--cell=1e-12"],
     ],
 )
 def test_out_of_range_parameters_are_refused(argv):

@@ -337,8 +337,8 @@ KNOBS = [
         for action, rhs in (("mul", ["--rhs=x"]), ("derive", []), ("equal", ["--rhs=0"]))
         for row in (
             (f"gf {action}", "--lhs", ["gf", action, *rhs], "sin(nu*x)", "cos(x)"),
-            # the algebra gate refuses an ideal that contains the unit 1
-            (f"gf {action}", "--algebra", ["gf", action, "--lhs=sin(nu*x)", *rhs, "--generators=1"], "eventually-zero", "generated"),
+            # the generated algebra and --generators go together
+            (f"gf {action}", "--algebra", ["gf", action, "--lhs=sin(nu*x)", *rhs], "eventually-zero", "generated"),
             # for derive, the two ideals fail different gates
             (f"gf {action}", "--generators", ["gf", action, "--lhs=sin(nu*x)", *rhs, "--algebra=generated"], "sin(nu*x)", "1"),
             # 1/(x+0.5) has its pole inside [-1, 1] and outside [0, 1]

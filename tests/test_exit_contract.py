@@ -24,7 +24,10 @@ from conftest import random_expression
 JUNK_EXPRESSIONS = (
     "", "(x", "x+", "nu^", "1/x", "1/(nu-1)", "exp(nu*x)", "sin(nu)", "u", "y",
     "-x", "1e400", "nan", "{", "[1]", '{"tail": "x", "start": 2}',
-    '{"tail": "nu", "exceptions": {"1": "x"}}', '{"tail": "x", "start": true}',
+    '{"tail": "nu", "exceptions": {"1": "x"}}', '{"tail": "x", "start": true}', '{"tail": 5}',
+    '{"tail": "x", "exceptions": {"2": 5}}', '{"tail": "x", "exceptions": {" 2": "x"}}',
+    '{"tail": "x", "exceptions": {"+2": "x"}}', '{"tail": "x", "exceptions": []}',
+    '{"tail": "x", "exceptions": 0}', '{"tail": "x", "exceptions": null}',
 )
 # each flag: values the command accepts, then values it must refuse
 TOLERANCES = (("1e-4", "0.5", "1e300"), ("abc", "", "0", "-1", "inf", "nan", "-inf"))
@@ -35,7 +38,7 @@ SCHEDULES = (
 ORDERS = (("0", "1", "2", "3"), ("-1", "x", "1.5"))
 X_COUNTS = (("2", "16"), ("1", "0", "-3", "a", "10000000"))
 # certificate and demo resolutions stay small, so an example costs milliseconds
-CELLS = (("0.25", "0.5"), ("0", "-0.1", "inf", "nan", "x"))
+CELLS = (("0.25", "0.5"), ("0", "-0.1", "inf", "nan", "x", "1e-12"))
 CERTIFICATE_NU_MAX = (("8", "16"), ("0", "-4", "x"))
 DEMO_NU_MAX = (("32", "64", "128"), ("0", "4", "x"))
 # its schedule starts at 4 and needs six indices
@@ -270,16 +273,44 @@ CONFIG_ARGVS = {
 }
 
 
+# literals of the shape their reader takes, so that accepted ones are drawn often
+WELL_FORMED = {
+    "--seq": st.fixed_dictionaries(
+        {"tail": st.sampled_from(("x", "cos(nu*x)", "sin(x)/nu"))},
+        optional={
+            "exceptions": st.dictionaries(
+                st.sampled_from(("1", "2", "7")), st.sampled_from(("0", "x", "x^2")), max_size=2
+            ),
+            # the cheap schedule starts at 1, before which no sequence may start
+            "start": st.just(1),
+        },
+    ),
+    # each member covers at least 90 percent of [-1, 1] and stays inside it
+    "--panel": st.lists(
+        st.tuples(st.sampled_from((-0.05, 0.0, 0.05)), st.sampled_from((0.9, 0.95)), st.booleans()),
+        min_size=1,
+        max_size=3,
+    ),
+}
+# the config keys each command reads that a round trip covers
+ROUND_TRIP_KEYS = {"limit": ("domain", "schedule"), "ideal check": ("domain",)}
+
+
 @st.composite
 def literal_argvs(draw):
     """An argv with one drawn JSON literal, and the contents of its config file or None."""
+    well_formed = draw(st.booleans())
     if draw(st.booleans()):
         flag = draw(st.sampled_from(sorted(LITERAL_ARGVS)))
         argv, keys = LITERAL_ARGVS[flag]
-        return argv + [f"{flag}={json.dumps(draw(json_values(keys)))}"], None
+        value = draw(WELL_FORMED[flag] if well_formed and flag in WELL_FORMED else json_values(keys))
+        return argv + [f"{flag}={json.dumps(value)}"], None
     command = draw(st.sampled_from(sorted(CONFIG_ARGVS)))
     keys = sorted({*cli.COMMAND_SETTINGS[command], "nu-max"})
-    if draw(st.integers(0, 3)):
+    if well_formed:
+        chosen = draw(st.lists(st.sampled_from(ROUND_TRIP_KEYS[command]), min_size=1, unique=True))
+        config = {key: draw(st.sampled_from(CONFIG_VALUES[key][0])) for key in chosen}
+    elif draw(st.integers(0, 3)):
         config = draw(st.dictionaries(st.sampled_from(keys), json_values(PANEL_KEYS), max_size=3))
     else:
         config = draw(json_values(keys))
@@ -295,13 +326,37 @@ def literal_argvs(draw):
 @given(literal_argvs())
 def test_no_literal_raises_out_of_run(drawn):
     argv, config = drawn
+    code, report = _run_with_config(argv, config)
+    assert code in (0, 1, 2)
+    assert isinstance(report, dict)
+    assert ("error" in report) == (code == 1)
+    if code == 1:
+        return
+    # an accepted literal's echo, passed back as the literal, computes the same report
+    echoed = report["config"]
+    if config is None:
+        flag = argv[-1].partition("=")[0]
+        if flag in ("--seq", "--panel"):
+            again = _run_with_config(argv[:-1] + [f"{flag}={json.dumps(echoed[flag[2:]])}"], None)
+            assert again[0] == code
+            assert _without_argv(again[1]) == _without_argv(report)
+    elif isinstance(config, dict) and config.keys() & {"domain", "schedule"}:
+        config = config | {key: echoed[key] for key in ("domain", "schedule") if key in config}
+        again = _run_with_config(argv, config)
+        assert again[0] == code
+        assert _without_argv(again[1]) == _without_argv(report)
+
+
+def _run_with_config(argv, config):
     with tempfile.TemporaryDirectory() as scratch:
         if config is not None:
             path = os.path.join(scratch, "settings.json")
             with open(path, "w", encoding="utf-8") as handle:
                 json.dump(config, handle)
             argv = argv + ["--config=" + path]
-        code, report = cli.run(argv)
-    assert code in (0, 1, 2)
-    assert isinstance(report, dict)
-    assert ("error" in report) == (code == 1)
+        return cli.run(argv)
+
+
+def _without_argv(report):
+    """The comparable bytes of a report but for its argv echo, which names the literal."""
+    return cli.comparable_bytes({key: value for key, value in report.items() if key != "command"})
