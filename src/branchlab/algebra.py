@@ -2,20 +2,19 @@
 
 An algebra configuration pins down an ideal that passed the off-diagonality
 gate, a domain, and whether entry-wise derivation descends to the quotient.
-Generalized functions are representative sequences tagged with their algebra;
-equality is membership of the difference, so it inherits the three-valued
-character of membership.  A small catalog of distributions embeds through
-explicit regularizations chosen to differentiate exactly within the
-expression language.
+A generalized function is a denominator-safe representative sequence read
+in one algebra; equality is membership of the difference, so it inherits
+the three-valued character of membership.  The two demos show the branching
+of products: equal inputs whose squares have different weak limits, and the
+squared delta, an algebra element with no weak limit at all.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import expr as ex
 from ._report import Record, all_passed, stage
-from .expr import DEFAULT_DOMAIN, DomainInterval, SafetyStatus, denominator_safety
+from .expr import DomainInterval, SafetyStatus, denominator_safety
 from .ideals import (
     Closed,
     EventuallyZero,
@@ -26,23 +25,9 @@ from .ideals import (
     membership,
     off_diagonality,
 )
-from .pairing import bump, default_panel, pairing_tables
-from .sequences import (
-    SmoothSequence,
-    apply_smooth,
-    diagonal,
-    seq_derive,
-    smooth_sequence,
-)
-from .weaklimit import (
-    DEFAULT_SCHEDULE,
-    DEFAULT_TOL,
-    Classification,
-    Diverges,
-    _verdict_from_table,
-    classify_membership,
-    validate_schedule,
-)
+from .pairing import bump, pairing_tables
+from .sequences import apply_smooth, seq_derive, smooth_sequence
+from .weaklimit import Classification, Diverges, _verdict_from_table, classify_membership
 
 SEPARATION_FACTOR = 100.0
 DELTA_SQUARE_SCHEDULE = tuple(2**k for k in range(2, 13))
@@ -90,60 +75,36 @@ def make_algebra(ideal, domain):
     return AlgebraConfig(ideal, isinstance(closure, Closed), domain)
 
 
-def eventually_zero_algebra(domain=DEFAULT_DOMAIN):
+def eventually_zero_algebra(domain):
     """The house algebra: decidable equality, derivation-capable."""
     return AlgebraConfig(EventuallyZero(), True, domain)
 
 
-@dataclass(frozen=True, slots=True)
-class GeneralizedFunction(Record):
-    representative: SmoothSequence
-    algebra: AlgebraConfig
-
-
-def _check_safety(s, domain):
-    checked = [s.tail]
-    checked.extend(entry for _, entry in s.exceptional)
-    for candidate in checked:
-        report = denominator_safety(candidate, domain)
+def gf(representative, algebra):
+    """The representative, once every entry is denominator-safe on the algebra's domain."""
+    for candidate in (representative.tail, *(entry for _, entry in representative.exceptional)):
+        report = denominator_safety(candidate, algebra.domain)
         if report.status is not SafetyStatus.SAFE:
             raise AlgebraError(
                 "representative is not denominator-safe on the domain: "
                 + str(report.to_dict())
             )
+    return representative
 
 
-def gf(representative, algebra):
-    """Wrap a representative after checking denominator safety."""
-    if isinstance(representative, str) or isinstance(representative, ex.Expr):
-        representative = smooth_sequence(representative)
-    _check_safety(representative, algebra.domain)
-    return GeneralizedFunction(representative, algebra)
-
-
-def _same_algebra(f, g):
-    if f.algebra != g.algebra:
-        raise AlgebraError("operands live in different algebras")
-
-
-def gf_mul(f, g):
-    _same_algebra(f, g)
-    return GeneralizedFunction(f.representative * g.representative, f.algebra)
-
-
-def gf_derive(f, order=1):
+def gf_derive(f, order, algebra):
     """Quotient derivation; only defined when the ideal closure held."""
     if not isinstance(order, int) or order < 0:
         raise ValueError("derivation order must be a nonnegative integer")
     if order == 0:
         return f
-    if not f.algebra.derivation_capable:
+    if not algebra.derivation_capable:
         raise AlgebraError(
             "algebra is not derivation-capable: the ideal's closure under "
             "entry-wise derivatives was not established, so derivation does "
             "not descend to the quotient"
         )
-    return GeneralizedFunction(seq_derive(f.representative, order), f.algebra)
+    return seq_derive(f, order)
 
 
 @dataclass(frozen=True, slots=True)
@@ -158,14 +119,12 @@ class NotEqual(Record):
     evidence: NotInIdeal
 
 
-def gf_equal(f, g):
+def gf_equal(f, g, algebra):
     """Equality modulo the ideal, decided by membership of the difference.
 
     An open membership question comes back as it is: membership's Unknown.
     """
-    _same_algebra(f, g)
-    difference = f.representative - g.representative
-    verdict = membership(difference, f.algebra.ideal, f.algebra.domain)
+    verdict = membership(f - g, algebra.ideal, algebra.domain)
     if isinstance(verdict, InIdeal):
         return Equal(verdict)
     if isinstance(verdict, NotInIdeal):
@@ -173,85 +132,16 @@ def gf_equal(f, g):
     return verdict
 
 
-# ---------------------------------------------------------------------------
-# distribution catalog
-
-
-@dataclass(frozen=True, slots=True)
-class Delta(Record):
-    key = "tag"
-    tag = "delta"
-
-
-@dataclass(frozen=True, slots=True)
-class Heaviside(Record):
-    key = "tag"
-    tag = "heaviside"
-
-
-@dataclass(frozen=True, slots=True)
-class DeltaDerivative(Record):
-    key = "tag"
-    tag = "delta-derivative"
-    order: int
-
-    def __post_init__(self):
-        if not isinstance(self.order, int) or self.order < 1:
-            raise ValueError("delta derivative order must be a positive integer")
-
-
-@dataclass(frozen=True, slots=True)
-class SmoothEmbed(Record):
-    key = "tag"
-    tag = "smooth-embed"
-    psi: ex.Expr
-
-    def __post_init__(self):
-        psi = ex.as_expr(self.psi)
-        object.__setattr__(self, "psi", psi)
-        if "nu" in ex.variables(psi):
-            raise ValueError("smooth embeddings must not depend on the index")
-
-    def to_dict(self):
-        return {self.key: self.tag, "psi": ex.to_string(self.psi)}
-
-
-HEAVISIDE_REPRESENTATIVE = "(1 + tanh(nu*x))/2"
+# the derivative of the steep step (1 + tanh(nu*x))/2, so derivation coherence
+# holds by construction
 DELTA_REPRESENTATIVE = "nu/(2*cosh(nu*x)^2)"
-
-
-def embed_distribution(tag, algebra):
-    """Catalog regularizations: steep tanh step and its exact derivatives.
-
-    The delta representative is literally the symbolic derivative of the
-    step representative, so derivation coherence holds by construction.
-    """
-    match tag:
-        case Heaviside():
-            rep = smooth_sequence(HEAVISIDE_REPRESENTATIVE)
-        case Delta():
-            rep = smooth_sequence(DELTA_REPRESENTATIVE)
-        case DeltaDerivative(order=k):
-            rep = seq_derive(smooth_sequence(DELTA_REPRESENTATIVE), k)
-        case SmoothEmbed(psi=psi):
-            rep = diagonal(psi)
-        case _:
-            raise TypeError("unknown distribution tag")
-    return GeneralizedFunction(rep, algebra)
 
 
 # ---------------------------------------------------------------------------
 # demos
 
 
-def branching_demo(
-    representatives=None,
-    operation="u^2",
-    domain=DEFAULT_DOMAIN,
-    panel=None,
-    schedule=DEFAULT_SCHEDULE,
-    tol=DEFAULT_TOL,
-):
+def branching_demo(representatives, operation, domain, panel, schedule, tol):
     """Distinct distributional outcomes of one operation on equal inputs.
 
     Every representative is first classified as converging weakly to zero,
@@ -260,14 +150,8 @@ def branching_demo(
     limit the quotient algebra selects depends on which representatives the
     ideal identifies, and no choice is canonical.
     """
-    panel = panel or default_panel(domain)
     if representatives is None:
         representatives = (smooth_sequence("cos(nu*x)"), smooth_sequence("0"))
-    else:
-        representatives = tuple(
-            r if isinstance(r, SmoothSequence) else smooth_sequence(r)
-            for r in representatives
-        )
     if len(representatives) < 2:
         raise ValueError("branching needs at least two representatives")
 
@@ -283,9 +167,7 @@ def branching_demo(
         entry["passed"] = all_null
 
     with stage("apply-operation", stages) as entry:
-        entry["operation"] = (
-            operation if isinstance(operation, str) else ex.to_string(operation)
-        )
+        entry["operation"] = operation
         squared_records = []
         limit_vectors = []
         all_definite = True
@@ -357,7 +239,7 @@ def branching_demo(
     return {
         "parameters": {
             "domain": domain.to_dict(),
-            "operation": operation if isinstance(operation, str) else ex.to_string(operation),
+            "operation": operation,
             "representatives": [s.to_dict() for s in representatives],
             "panel": [phi.to_dict() for phi in panel],
         },
@@ -366,9 +248,7 @@ def branching_demo(
     }
 
 
-def delta_square_demo(
-    domain=DEFAULT_DOMAIN, schedule=DELTA_SQUARE_SCHEDULE, panel=None, tol=DEFAULT_TOL
-):
+def delta_square_demo(domain, schedule, panel, tol):
     """The squared delta: a healthy algebra element with no weak limit.
 
     Pairings of the squared representative against the normalized bump on
@@ -386,13 +266,8 @@ def delta_square_demo(
             f"demo delta-square pairs against the normalized bump on [{lo}, {hi}], "
             f"which the domain [{domain.lower}, {domain.upper}] does not contain"
         )
-    panel = panel or default_panel(domain)
-    schedule = tuple(schedule)
-    validate_schedule(schedule)
-    algebra = eventually_zero_algebra(domain)
-    delta = embed_distribution(Delta(), algebra)
-    squared = gf_mul(delta, delta)
-    rep = squared.representative
+    delta = smooth_sequence(DELTA_REPRESENTATIVE)
+    rep = delta * delta
 
     stages = []
 

@@ -39,7 +39,6 @@ from .algebra import (
     gf,
     gf_derive,
     gf_equal,
-    gf_mul,
     make_algebra,
 )
 from .expr import DEFAULT_DOMAIN, DomainInterval, SafetyStatus, denominator_safety
@@ -48,6 +47,7 @@ from .ideals import (
     DEFAULT_INDEX_CAP,
     DEFAULT_UNIT_MARGIN,
     NO_LARGEST_IDEAL_DOMAIN,
+    NO_LARGEST_IDEAL_GENERATORS,
     derivation_closure,
     generated_by,
     no_largest_ideal_demo,
@@ -145,14 +145,25 @@ def _array_of(path, value, types, expected, entry):
     return [_typed(f"{path}[{k}]", item, types, entry) for k, item in enumerate(items)]
 
 
+def _from_text(path, text, convert, expected):
+    """The text read as a number by convert; else an error naming where it sits."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ValueError(f"{path}: expected {expected}, got {json.dumps(text)}") from None
+
+
 def _parse_domain(value):
     if isinstance(value, str):
         value = value.split(",")
         if len(value) != 2:
             raise ValueError('domain must be written "lower,upper"')
+        value = [_from_text(f"domain[{k}]", v, float, "a number") for k, v in enumerate(value)]
     else:
         expected = 'a "lower,upper" string or an array'
         value = _array_of("domain", value, _NUMBER, expected, "a number")
+        if len(value) != 2:
+            raise ValueError(f"domain: expected 2 entries, got {len(value)}")
     lower, upper = value
     return DomainInterval(float(lower), float(upper))
 
@@ -190,7 +201,10 @@ def load_panel_spec(value):
 
 def _parse_schedule(value):
     if isinstance(value, str):
-        return tuple(int(item) for item in value.split(",") if item.strip())
+        items = [item for item in value.split(",") if item.strip()]
+        return tuple(
+            _from_text(f"schedule[{k}]", item, int, "an integer") for k, item in enumerate(items)
+        )
     expected = "a comma-separated string or an array"
     return tuple(_array_of("schedule", value, (int,), expected, "an integer"))
 
@@ -281,10 +295,15 @@ def resolve_settings(args):
     if unread:
         raise ValueError(f"{args.command} reads no config key {', '.join(map(repr, unread))}")
     flags = {name: getattr(args, name) for name in defaults if getattr(args, name) is not None}
-    settings = defaults | _read_layer(config, defaults) | _read_layer(flags, defaults)
+    layers = _read_layer(config, defaults), _read_layer(flags, defaults)
+    settings = defaults | layers[0] | layers[1]
     for name, value in settings.items():
         if value is _REQUIRED:
             raise ValueError(f"{args.command} needs --{name} or a config {name!r}")
+    # a config panel that a flag's panel beats must fit the resolved domain too;
+    # the panel in use is built against it by the command
+    if "panel" in layers[0] and "panel" in layers[1]:
+        _panel(settings["domain"], layers[0]["panel"])
     return settings
 
 
@@ -293,10 +312,9 @@ def _settings_echo(settings):
     return {name: report_value(value) for name, value in settings.items() if value is not None}
 
 
-def _panel(settings):
-    domain, triples = settings["domain"], settings["panel"]
-    if triples is None:
-        return default_panel(domain)
+def _panel(domain, triples):
+    """The panel of (center, width, normalized) triples; each support and the
+    cover are checked against the domain."""
     return Panel(tuple(bump(*triple, domain) for triple in triples), domain)
 
 
@@ -468,9 +486,8 @@ def _classified(args, name):
     """The config echo, stage and verdict of classifying --seq over the panel."""
     settings = resolve_settings(args)
     sequence = load_sequence(args.seq, "seq")
-    entry, verdict = classify_stage(
-        name, sequence, _panel(settings), settings["schedule"], settings["tol"]
-    )
+    _, panel, schedule, tol = _sweep(settings)
+    entry, verdict = classify_stage(name, sequence, panel, schedule, tol)
     return _settings_echo(settings) | {"seq": sequence.to_dict()}, entry, verdict
 
 
@@ -591,22 +608,20 @@ def _cmd_gf(args):
     action = args.command.removeprefix("gf ")
     with stage("gf-" + action, stages) as entry:
         lhs = gf(load_sequence(args.lhs, "lhs"), algebra)
-        entry["lhs"] = lhs.representative.to_dict()
+        entry["lhs"] = lhs.to_dict()
         entry["passed"] = True
         if action == "derive":
-            result = gf_derive(lhs, args.order)
             entry["order"] = args.order
-            entry["result"] = result.representative.to_dict()
+            entry["result"] = gf_derive(lhs, args.order, algebra).to_dict()
             conclusion = f"derivative representative: {entry['result']['tail']}"
         else:
             rhs = gf(load_sequence(args.rhs, "rhs"), algebra)
-            entry["rhs"] = rhs.representative.to_dict()
+            entry["rhs"] = rhs.to_dict()
             if action == "mul":
-                result = gf_mul(lhs, rhs)
-                entry["result"] = result.representative.to_dict()
+                entry["result"] = (lhs * rhs).to_dict()
                 conclusion = f"product representative: {entry['result']['tail']}"
             else:
-                verdict = gf_equal(lhs, rhs)
+                verdict = gf_equal(lhs, rhs, algebra)
                 entry["outcome"] = verdict.to_dict()
                 entry["passed"] = verdict.definite
                 conclusion = f"equality modulo the ideal: {verdict.tag}"
@@ -621,7 +636,9 @@ def _demo_report(settings, result, **echo):
 
 def _sweep(settings):
     """A sweep's domain, panel, schedule and tolerance, the order the demos take them in."""
-    return settings["domain"], _panel(settings), settings["schedule"], settings["tol"]
+    domain, triples = settings["domain"], settings["panel"]
+    panel = default_panel(domain) if triples is None else _panel(domain, triples)
+    return domain, panel, settings["schedule"], settings["tol"]
 
 
 def _demo_nosquare(args):
@@ -632,13 +649,13 @@ def _demo_nosquare(args):
 
 def _demo_no_largest_ideal(args):
     settings = resolve_settings(args)
-    kwargs = {"cell_width": settings["cell"], "nu_max": settings["nu-max"]}
+    generators = NO_LARGEST_IDEAL_GENERATORS
     if args.generators:
         generators = load_sequence_list(args.generators, "generators")
         if len(generators) != 2:
             raise ValueError("this demo takes exactly two generators")
-        kwargs["first_generator"], kwargs["second_generator"] = generators
-    return _demo_report(settings, no_largest_ideal_demo(settings["domain"], **kwargs))
+    domain, cell, nu_max = settings["domain"], settings["cell"], settings["nu-max"]
+    return _demo_report(settings, no_largest_ideal_demo(domain, cell, nu_max, *generators))
 
 
 def _demo_branching(args):

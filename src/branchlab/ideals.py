@@ -64,6 +64,7 @@ UNIT_LATTICE_X_COUNT = 8192
 SCAN_NU_LIMIT = 32
 SCAN_GRID = 2048
 NO_LARGEST_IDEAL_DOMAIN = DomainInterval(0.0, 2.0 * math.pi)
+NO_LARGEST_IDEAL_GENERATORS = (smooth_sequence("1 + sin(nu*x)"), smooth_sequence("1 + cos(nu*x)"))
 VERIFICATION_SAMPLES = 100
 _VERIFICATION_SEED = 20260815
 
@@ -108,24 +109,15 @@ class FinitelyGenerated(Record):
     def __post_init__(self):
         if not self.generators:
             raise ValueError("a finitely generated ideal needs generators")
-        for g in self.generators:
-            if not isinstance(g, SmoothSequence):
-                raise TypeError("generators must be smooth sequences")
 
 
-def generated_by(*tails):
-    """Finitely generated ideal from expressions, strings, or sequences."""
-    gens = tuple(
-        g if isinstance(g, SmoothSequence) else smooth_sequence(g) for g in tails
-    )
-    return FinitelyGenerated(gens)
+def generated_by(*generators):
+    """Finitely generated ideal from sequences."""
+    return FinitelyGenerated(generators)
 
 
 def ideal_sum(first, second):
     """Ideal generated by the union of the generator lists, deduplicated."""
-    for operand in (first, second):
-        if not isinstance(operand, FinitelyGenerated):
-            raise TypeError("ideal_sum operates on finitely generated ideals")
     seen = set()
     merged = []
     for g in first.generators + second.generators:
@@ -436,8 +428,6 @@ def membership(s, ideal, domain):
         if ex.is_zero(s.tail):
             return InIdeal(factorization=())
         return NotInIdeal(_eventually_zero_witness(s, domain))
-    if not isinstance(ideal, FinitelyGenerated):
-        raise TypeError("unsupported ideal specification")
 
     factorization = _match_factorization(s, ideal)
     if factorization is not None:
@@ -487,8 +477,6 @@ def unit_detection(ideal, domain, margin=DEFAULT_UNIT_MARGIN):
     exact one; the lattice is dense enough that the quadratic sampling error
     stays well below the margin for the index range used.
     """
-    if not isinstance(ideal, FinitelyGenerated):
-        raise TypeError("unit detection requires a finitely generated ideal")
     # a margin at or below zero admits combinations that touch zero as units
     _require_positive(margin, "unit margin")
     xs = domain.interior_grid(UNIT_LATTICE_X_COUNT)
@@ -554,17 +542,13 @@ class ZeroDensityCertificate(Record):
         }
 
 
-def zero_density_certificate(
-    ideal, domain, cell_width=DEFAULT_CELL_WIDTH, nu_max=DEFAULT_INDEX_CAP
-):
-    """Root of some generator entry in every cell of the domain, or None.
+def zero_density_certificate(ideal, domain, cell_width, nu_max):
+    """Root of the single generator's entries in every cell of the domain, or None.
 
     A constant sequence lying in the ideal must vanish at every certified
     root, so its zeros are at least cell-width dense; the certificate is the
     finite form of that argument at this resolution.
     """
-    if not isinstance(ideal, FinitelyGenerated) or len(ideal.generators) != 1:
-        raise TypeError("zero-density certificates require a single generator")
     cell_count = _cell_count(domain, cell_width)
     generator = ideal.generators[0]
     actual_width = domain.length / cell_count
@@ -714,13 +698,7 @@ def derivation_closure(ideal, domain):
 # demo
 
 
-def no_largest_ideal_demo(
-    domain=NO_LARGEST_IDEAL_DOMAIN,
-    first_generator="1 + sin(nu*x)",
-    second_generator="1 + cos(nu*x)",
-    cell_width=DEFAULT_CELL_WIDTH,
-    nu_max=DEFAULT_INDEX_CAP,
-):
+def no_largest_ideal_demo(domain, cell_width, nu_max, first_generator, second_generator):
     """Two separately admissible ideals whose sum is improper.
 
     Each principal ideal gets a zero-density certificate, so each one meets

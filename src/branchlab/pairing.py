@@ -185,8 +185,6 @@ def _panel_count(width, oscillation_hint):
     """
     if not width > 0:
         raise ValueError("integration interval must have positive length")
-    if oscillation_hint < 1:
-        raise ValueError("oscillation hint must be >= 1")
     period = 2.0 * math.pi / float(oscillation_hint)
     step = min(width / 50.0, period / 16.0)
     panels = int(math.ceil(width / step))

@@ -115,14 +115,6 @@ def smooth_sequence(tail, exceptional=None, start_index=1):
     return SmoothSequence(tail_expr, tuple(entries), start_index)
 
 
-def diagonal(psi):
-    """Constant sequence whose every entry is the given x-only expression."""
-    body = _coerce_expr(psi)
-    if "nu" in ex.variables(body):
-        raise ValueError("diagonal sequences must not mention nu")
-    return SmoothSequence(simplify(body))
-
-
 def sequence_is_zero(s):
     """True when every entry normalizes to the literal 0."""
     if simplify(s.tail) != Num(0.0):
@@ -170,11 +162,11 @@ def seq_derive(s, order=1):
 def apply_smooth(outer, s, domain):
     """Compose a one-variable operation with every entry of s.
 
-    The operation body uses the placeholder u; it is substituted symbolically.
-    The composed tail must pass the denominator-safety check on the domain.
+    The operation body is text in the placeholder u; it is substituted
+    symbolically.  The composed tail must pass the denominator-safety check on
+    the domain.
     """
-    if isinstance(outer, str):
-        outer = ex.parse_operation(outer)
+    outer = ex.parse_operation(outer)
     names = ex.variables(outer)
     if not names <= {"u"}:
         raise ValueError("operation bodies may only use the placeholder u")
@@ -218,9 +210,12 @@ def independence_certificate(basis, xs):
     """
     if len(SAMPLE_NUS) * len(xs) < len(basis) + 8:
         raise ValueError("grid must provide at least basis size + 8 sample pairs")
-    matrix = np.column_stack(
-        [np.concatenate([s.term_values(n, xs) for n in SAMPLE_NUS]) for s in basis]
-    )
+    # row (n, x) of column s, filled in place: no per-index or per-column copies
+    samples = np.empty((len(SAMPLE_NUS), len(xs), len(basis)))
+    for column, s in enumerate(basis):
+        for row, n in enumerate(SAMPLE_NUS):
+            samples[row, :, column] = s.term_values(n, xs)
+    matrix = samples.reshape(-1, len(basis))
     if not np.all(np.isfinite(matrix)):
         raise ValueError("non-finite sample in the evaluation matrix")
     singular = np.linalg.svd(matrix, compute_uv=False)

@@ -23,8 +23,7 @@ from enum import Enum
 import numpy as np
 
 from ._report import Record, Unknown, all_passed, stage
-from .expr import DEFAULT_DOMAIN
-from .pairing import default_panel, pairing_tables
+from .pairing import pairing_tables
 from .sequences import seq_mul, smooth_sequence
 
 DEFAULT_SCHEDULE = tuple(2 ** k for k in range(13))
@@ -119,15 +118,13 @@ class FunctionalVerdict(Record):
         }
 
 
-def classify_membership(s, panel, schedule=DEFAULT_SCHEDULE, tol=DEFAULT_TOL):
+def classify_membership(s, panel, schedule, tol):
     """Classify a sequence by its limit behaviour across a whole panel.
 
     weak-null additionally requires every limit to sit within its
     uncertainty (floored by the tolerance) of zero; weak-null therefore
     implies convergent by construction.
     """
-    schedule = tuple(schedule)
-    validate_schedule(schedule)
     tables = tuple(pairing_tables(s, panel, schedule))
     verdicts = tuple(
         (phi, _verdict_from_table(table, tol)) for phi, table in zip(panel, tables)
@@ -167,9 +164,7 @@ def classify_stage(name, s, panel, schedule, tol):
     return entry, verdict
 
 
-def nosquare_demo(
-    domain=DEFAULT_DOMAIN, panel=None, schedule=DEFAULT_SCHEDULE, tol=DEFAULT_TOL, sequence=None
-):
+def nosquare_demo(domain, panel, schedule, tol, sequence):
     """Why identifying all weak-null sequences with zero breaks multiplication.
 
     The base sequence is weak-null, yet its entry-wise square has weak limit
@@ -177,8 +172,6 @@ def nosquare_demo(
     every weak-null sequence to the zero class would force the square's class
     to be both zero and one-half, so no such multiplication exists.
     """
-    panel = panel or default_panel(domain)
-    schedule = tuple(schedule)
     base = sequence or smooth_sequence("cos(nu*x)")
     square = seq_mul(base, base)
 

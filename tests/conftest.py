@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from branchlab import expr as ex
+from branchlab import ideals
 from branchlab._numutil import _GOLDEN, BISECT_ITERATIONS, GOLDEN_ITERATIONS
+from branchlab.sequences import smooth_sequence
 
 CORPUS_SEED = 977112
 
@@ -51,6 +53,11 @@ def random_expression(rng, depth=3, allow_nu=False):
         return -inner
     fn = rng.choice(("sin", "cos", "tanh"))
     return ex.Call(fn, random_expression(rng, depth - 1, allow_nu))
+
+
+def generated_by(*tails):
+    """The finitely generated ideal whose generators have these tails."""
+    return ideals.generated_by(*map(smooth_sequence, tails))
 
 
 def value_at(e, index, x):

@@ -12,12 +12,14 @@ from branchlab._report import Unknown, all_passed
 from branchlab import algebra as alg
 from branchlab import cli
 from branchlab import ideals as idl
-from branchlab.pairing import Panel, bump, pairing_tables
-from branchlab.sequences import diagonal, seq_derive, smooth_sequence
-from branchlab.weaklimit import DEFAULT_SCHEDULE, classify_membership
+from branchlab.pairing import Panel, bump, default_panel, pairing_tables
+from branchlab.sequences import seq_derive, smooth_sequence
+from branchlab.weaklimit import DEFAULT_SCHEDULE, DEFAULT_TOL, classify_membership
 
 DOM = ex.DomainInterval(-1.0, 1.0)
 DOM2PI = ex.DomainInterval(0.0, 2.0 * math.pi)
+# the steep step whose derivative the delta representative is
+STEP = "(1 + tanh(nu*x))/2"
 
 # midpoint value of the bump profile integral, shared with the pairing tests
 SHAPE_INTEGRAL = 0.4439938161680794
@@ -25,12 +27,12 @@ SHAPE_INTEGRAL = 0.4439938161680794
 
 @pytest.fixture(scope="module")
 def house():
-    return alg.eventually_zero_algebra()
+    return alg.eventually_zero_algebra(DOM)
 
 
 @pytest.fixture(scope="module")
 def trig_algebra():
-    return alg.make_algebra(idl.generated_by("1 + sin(nu*x)"), DOM2PI)
+    return alg.make_algebra(idl.generated_by(smooth_sequence("1 + sin(nu*x)")), DOM2PI)
 
 
 def test_eventually_zero_algebra_defaults(house):
@@ -53,67 +55,58 @@ def test_make_algebra_records_closure(house, trig_algebra):
 
 def test_make_algebra_refuses_unit_ideal():
     combined = idl.ideal_sum(
-        idl.generated_by("1 + sin(nu*x)"), idl.generated_by("1 + cos(nu*x)")
+        idl.generated_by(smooth_sequence("1 + sin(nu*x)")),
+        idl.generated_by(smooth_sequence("1 + cos(nu*x)")),
     )
     with pytest.raises(alg.AlgebraError, match="off-diagonality gate"):
         alg.make_algebra(combined, DOM2PI)
 
 
 def test_gf_wraps_and_checks_safety(house):
-    f = alg.gf("x^2", house)
-    assert f.representative.signature() == "x^2|1"
-    assert f.to_dict()["representative"] == {"tail": "x^2"}
+    s = smooth_sequence("x^2")
+    f = alg.gf(s, house)
+    assert f is s
+    assert f.signature() == "x^2|1"
+    assert f.to_dict() == {"tail": "x^2"}
     with pytest.raises(alg.AlgebraError, match="denominator-safe"):
-        alg.gf("1/x", house)
-
-
-def test_gf_operations_require_same_algebra(house, trig_algebra):
-    f = alg.gf("x", house)
-    g = alg.gf("x", trig_algebra)
-    with pytest.raises(alg.AlgebraError, match="different algebras"):
-        alg.gf_mul(f, g)
+        alg.gf(smooth_sequence("1/x"), house)
 
 
 def test_gf_derive_gates(house, trig_algebra):
-    f = alg.gf("x^2", house)
-    assert alg.gf_derive(f, 0) is f
-    assert alg.gf_derive(f).representative.signature() == "2*x|1"
+    f = alg.gf(smooth_sequence("x^2"), house)
+    assert alg.gf_derive(f, 0, house) is f
+    assert alg.gf_derive(f, 1, house).signature() == "2*x|1"
     with pytest.raises(ValueError, match="nonnegative"):
-        alg.gf_derive(f, -1)
+        alg.gf_derive(f, -1, house)
     with pytest.raises(ValueError, match="nonnegative"):
-        alg.gf_derive(f, 1.5)
+        alg.gf_derive(f, 1.5, house)
     with pytest.raises(alg.AlgebraError, match="derivation-capable"):
-        alg.gf_derive(alg.gf("x", trig_algebra))
+        alg.gf_derive(alg.gf(smooth_sequence("x"), trig_algebra), 1, trig_algebra)
 
 
 def test_embedding_derivation_coherence(house):
-    # the delta regularization is the exact symbolic derivative of the step
-    delta = alg.embed_distribution(alg.Delta(), house)
-    step = alg.embed_distribution(alg.Heaviside(), house)
-    assert (
-        seq_derive(step.representative).signature()
-        == delta.representative.signature()
-    )
-    first = alg.embed_distribution(alg.DeltaDerivative(1), house)
-    assert (
-        alg.gf_derive(delta).representative.signature()
-        == first.representative.signature()
-    )
+    # the delta regularization is the exact symbolic derivative of the step,
+    # and its quotient derivative is the step's second derivative
+    delta = alg.gf(smooth_sequence(alg.DELTA_REPRESENTATIVE), house)
+    step = smooth_sequence(STEP)
+    assert seq_derive(step).signature() == delta.signature()
+    first = seq_derive(seq_derive(step))
+    assert alg.gf_derive(delta, 1, house).signature() == first.signature()
 
 
-def test_delta_concentrates_at_probe_height(house):
-    delta = alg.embed_distribution(alg.Delta(), house)
+def test_delta_concentrates_at_probe_height():
+    delta = smooth_sequence(alg.DELTA_REPRESENTATIVE)
     phi = bump(0.0, 0.8, normalized=True, domain=DOM)
-    (((_, value, _),),) = pairing_tables(delta.representative, (phi,), (1024,))
+    (((_, value, _),),) = pairing_tables(delta, (phi,), (1024,))
     assert value == pytest.approx(phi.value(0.0), abs=1e-3)
 
 
-def test_heaviside_weak_limit_right_mass(house):
-    step = alg.embed_distribution(alg.Heaviside(), house)
+def test_heaviside_weak_limit_right_mass():
+    step = smooth_sequence(STEP)
     for center, width in ((0.0, 0.8), (0.3, 0.5)):
         phi = bump(center, width, normalized=True, domain=DOM)
         ((_, verdict),) = classify_membership(
-            step.representative, (phi,), DEFAULT_SCHEDULE
+            step, (phi,), DEFAULT_SCHEDULE, DEFAULT_TOL
         ).per_test_function
         payload = verdict.to_dict()
         assert payload["kind"] == "converges-to"
@@ -124,23 +117,12 @@ def test_heaviside_weak_limit_right_mass(house):
         assert payload["value"] == pytest.approx(oracle, abs=1e-3)
 
 
-def test_delta_square_representative(house):
-    delta = alg.embed_distribution(alg.Delta(), house)
-    squared = alg.gf_mul(delta, delta)
+def test_delta_square_representative():
+    delta = smooth_sequence(alg.DELTA_REPRESENTATIVE)
+    squared = delta * delta
     expected = smooth_sequence(ex.simplify(ex.parse("nu^2/(4*cosh(nu*x)^4)")))
-    assert squared.representative.signature() == expected.signature()
-    assert squared.representative.signature() == "0.25*nu^2/cosh(nu*x)^4|1"
-
-
-def test_embedding_catalog_validation(house):
-    smooth = alg.embed_distribution(alg.SmoothEmbed(ex.parse("x^2")), house)
-    assert ex.to_string(smooth.representative.term(5)) == "x^2"
-    with pytest.raises(ValueError, match="positive integer"):
-        alg.DeltaDerivative(0)
-    with pytest.raises(ValueError, match="not depend on the index"):
-        alg.SmoothEmbed(ex.parse("nu*x"))
-    with pytest.raises(TypeError, match="unknown distribution tag"):
-        alg.embed_distribution("delta", house)
+    assert squared.signature() == expected.signature()
+    assert squared.signature() == "0.25*nu^2/cosh(nu*x)^4|1"
 
 
 def test_smooth_mult_consistency_corpus(expression_corpus):
@@ -191,42 +173,53 @@ def test_quotient_well_definedness(house, expression_corpus):
             smooth_sequence(f_tail, {index: f_tail + entry}), house
         )
         g = alg.gf(smooth_sequence(g_tail), house)
-        assert isinstance(alg.gf_equal(f, perturbed), alg.Equal)
+        assert isinstance(alg.gf_equal(f, perturbed, house), alg.Equal)
+        assert isinstance(alg.gf_equal(f * g, perturbed * g, house), alg.Equal)
         assert isinstance(
-            alg.gf_equal(alg.gf_mul(f, g), alg.gf_mul(perturbed, g)), alg.Equal
-        )
-        assert isinstance(
-            alg.gf_equal(alg.gf_derive(f), alg.gf_derive(perturbed)), alg.Equal
+            alg.gf_equal(
+                alg.gf_derive(f, 1, house), alg.gf_derive(perturbed, 1, house), house
+            ),
+            alg.Equal,
         )
 
 
 def test_gf_equal_decidable_cases(house):
     f = alg.gf(smooth_sequence("x^2"), house)
     perturbed = alg.gf(smooth_sequence("x^2", {4: "x^2 + sin(x)"}), house)
-    verdict = alg.gf_equal(f, perturbed)
+    verdict = alg.gf_equal(f, perturbed, house)
     assert isinstance(verdict, alg.Equal)
     assert verdict.to_dict()["verdict"] == "equal"
 
-    ones = alg.gf(diagonal("1"), house)
-    zero = alg.gf(diagonal("0"), house)
-    assert isinstance(alg.gf_equal(ones, zero), alg.NotEqual)
-    cos = alg.gf("cos(nu*x)", house)
-    assert isinstance(alg.gf_equal(cos, zero), alg.NotEqual)
+    ones = alg.gf(smooth_sequence("1"), house)
+    zero = alg.gf(smooth_sequence("0"), house)
+    assert isinstance(alg.gf_equal(ones, zero, house), alg.NotEqual)
+    cos = alg.gf(smooth_sequence("cos(nu*x)"), house)
+    assert isinstance(alg.gf_equal(cos, zero, house), alg.NotEqual)
 
 
 def test_gf_equal_generated_ideal(trig_algebra):
-    zero = alg.gf("0", trig_algebra)
-    factored = alg.gf("(1 + sin(nu*x))*x", trig_algebra)
-    assert isinstance(alg.gf_equal(factored, zero), alg.Equal)
-    assert isinstance(alg.gf_equal(alg.gf("1", trig_algebra), zero), alg.NotEqual)
-    open_case = alg.gf_equal(alg.gf("nu*cos(nu*x)", trig_algebra), zero)
+    def gf(tail):
+        return alg.gf(smooth_sequence(tail), trig_algebra)
+
+    zero = gf("0")
+    assert isinstance(alg.gf_equal(gf("(1 + sin(nu*x))*x"), zero, trig_algebra), alg.Equal)
+    assert isinstance(alg.gf_equal(gf("1"), zero, trig_algebra), alg.NotEqual)
+    open_case = alg.gf_equal(gf("nu*cos(nu*x)"), zero, trig_algebra)
     assert isinstance(open_case, Unknown)
     assert "no factorization matched" in open_case.reason
     assert open_case.to_dict()["verdict"] == "unknown"
 
 
+def _branching(reps=None, panel=None, schedule=DEFAULT_SCHEDULE):
+    """The branching demo as the command runs it by default, with these changes."""
+    if reps is not None:
+        reps = [smooth_sequence(tail) for tail in reps]
+    panel = panel or default_panel(DOM)
+    return alg.branching_demo(reps, "u^2", DOM, panel, schedule, DEFAULT_TOL)
+
+
 def test_branching_demo_default():
-    result = alg.branching_demo()
+    result = _branching()
     assert set(result) == {"parameters", "stages", "conclusion"}
     assert [s["name"] for s in result["stages"]] == [
         "classify-representatives",
@@ -250,7 +243,7 @@ def test_branching_demo_default():
 
 
 def test_branching_demo_equal_squares_no_witness():
-    result = alg.branching_demo(representatives=("cos(nu*x)", "sin(nu*x)"))
+    result = _branching(("cos(nu*x)", "sin(nu*x)"))
     assert not all_passed(result["stages"])
     flags = {s["name"]: s["passed"] for s in result["stages"]}
     assert flags["classify-representatives"] is True
@@ -260,7 +253,7 @@ def test_branching_demo_equal_squares_no_witness():
 
 
 def test_branching_demo_scaled_pair():
-    result = alg.branching_demo(representatives=("cos(nu*x)", "2*cos(nu*x)"))
+    result = _branching(("cos(nu*x)", "2*cos(nu*x)"))
     assert all_passed(result["stages"])
     records = result["stages"][1]["records"]
     for row in records[0]["per_test_function"]:
@@ -271,22 +264,20 @@ def test_branching_demo_scaled_pair():
 
 def test_branching_demo_needs_two_representatives():
     with pytest.raises(ValueError, match="at least two"):
-        alg.branching_demo(representatives=("cos(nu*x)",))
+        _branching(("cos(nu*x)",))
 
 
 def test_branching_witness_stability():
     # the separation witness must survive a coarser panel and a longer tail
-    coarse = alg.branching_demo(
-        panel=Panel(tuple(bump(-5 / 6 + k / 3, 1 / 6) for k in range(6)), DOM)
-    )
+    coarse = _branching(panel=Panel(tuple(bump(-5 / 6 + k / 3, 1 / 6) for k in range(6)), DOM))
     assert all_passed(coarse["stages"])
-    longer = alg.branching_demo(schedule=tuple(2**k for k in range(14)))
+    longer = _branching(schedule=tuple(2**k for k in range(14)))
     assert all_passed(longer["stages"])
 
 
 def test_delta_square_demo_structure():
     started = time.perf_counter()
-    result = alg.delta_square_demo()
+    result = alg.delta_square_demo(DOM, alg.DELTA_SQUARE_SCHEDULE, default_panel(DOM), DEFAULT_TOL)
     assert time.perf_counter() - started < 20.0
 
     assert set(result) == {"parameters", "stages", "conclusion"}

@@ -527,7 +527,7 @@ def test_span_independence_at_its_x_count_bound_stays_small():
         tracemalloc.stop()
     assert code == 0
     assert report["stages"][0]["certificate"]["rank"] == 2
-    assert peak < 250 * 2**20
+    assert peak < 100 * 2**20
 
 
 def test_boolean_start_index_is_rejected():
@@ -663,6 +663,20 @@ def test_boolean_start_index_is_rejected():
                 f"lhs['exceptions']: expected an object, got {value}",
             )
             for value in ("[]", "0", "null")
+        ),
+        # a domain or schedule entry that is no number names its place
+        (["limit", "--seq=cos(nu*x)"], {"domain": [1]}, "domain: expected 2 entries, got 1"),
+        (["limit", "--seq=cos(nu*x)", "--domain=a,1"], None, 'domain[0]: expected a number, got "a"'),
+        (
+            ["limit", "--seq=cos(nu*x)", "--schedule=1,2,x,8,16,32"],
+            None,
+            'schedule[2]: expected an integer, got "x"',
+        ),
+        # a config panel is checked against the domain even when a flag's panel beats it
+        (
+            ["limit", "--seq=x", "--panel=[[0,1]]"],
+            {"panel": [[0, 0.1]]},
+            "panel supports must cover at least 80% of the domain",
         ),
     ],
 )

@@ -12,11 +12,15 @@ import argparse
 import contextlib
 import io
 import json
+import math
 import pathlib
 
 import pytest
 
 from branchlab import algebra, cli, ideals, weaklimit
+from branchlab.expr import DomainInterval
+from branchlab.pairing import default_panel
+from branchlab.sequences import smooth_sequence
 from branchlab.weaklimit import DEFAULT_SCHEDULE
 
 TRIG_DOMAIN = "--domain=0,6.283185307179586"
@@ -156,12 +160,26 @@ def test_delta_square_panel_classification_carries_member_verdicts(flag, members
     assert any(member["verdict"]["kind"] == "diverges" for member in stage["per_test_function"])
 
 
+def _sweep():
+    """The paper's sweep: eight bumps on [-1, 1], indices 1 to 4096, tolerance 1e-4."""
+    domain = DomainInterval(-1.0, 1.0)
+    return domain, default_panel(domain), DEFAULT_SCHEDULE, 1e-4
+
+
 DEMOS = {
-    "nosquare": weaklimit.nosquare_demo,
-    "no-largest-ideal": ideals.no_largest_ideal_demo,
-    "branching": algebra.branching_demo,
-    "delta-square": algebra.delta_square_demo,
+    "nosquare": lambda: weaklimit.nosquare_demo(*_sweep(), None),
+    "no-largest-ideal": lambda: ideals.no_largest_ideal_demo(
+        DomainInterval(0.0, 2.0 * math.pi), 0.05, 200,
+        smooth_sequence("1 + sin(nu*x)"), smooth_sequence("1 + cos(nu*x)"),
+    ),
+    "branching": lambda: algebra.branching_demo(None, "u^2", *_sweep()),
+    "delta-square": lambda: _delta_square(*_sweep()),
 }
+
+
+def _delta_square(domain, panel, _, tol):
+    """The squared delta's sweep runs from index 4 to 4096."""
+    return algebra.delta_square_demo(domain, tuple(2**k for k in range(2, 13)), panel, tol)
 
 
 @pytest.mark.parametrize("name", DEMOS)

@@ -6,7 +6,8 @@ or class, or a public method of a public class, that no other line of
 syntax trees: a reference is a name or an attribute, outside the
 definition's own lines.  Two kinds of definition are kept without one:
 `cli.comparable_bytes`, which the README documents, and the methods that
-`perfbench/tracer.py` wraps by name from class dicts.
+`perfbench/tracer.py` wraps by name from class dicts.  Nor is any default
+dead: some call in `src` leaves each defaulted parameter out.
 """
 
 import ast
@@ -72,3 +73,70 @@ def test_every_public_definition_has_a_reference_in_src():
         )
     ]
     assert not unreferenced, f"no reference in src: {sorted(unreferenced)}"
+
+
+def _defaulted(function, method):
+    """(positional parameter names, names that carry a default) of a definition;
+    a method's first parameter is its receiver, which no call writes."""
+    args = function.args
+    positional = [a.arg for a in args.posonlyargs + args.args][1 if method else 0:]
+    defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
+    defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return positional, defaulted
+
+
+def _left_out(call, positional, defaulted):
+    """The defaulted parameters a call visibly leaves out: past its positional arguments, unless
+    a `*` argument gives every one from its position on, not passed by keyword, and
+    not named by a `**` argument (which may leave out any parameter it does not name)."""
+    given = set()
+    for k, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            given.update(positional[k:])
+            break
+        given.update(positional[k : k + 1])
+    for keyword in call.keywords:
+        if keyword.arg is not None:
+            given.add(keyword.arg)
+        elif isinstance(keyword.value, ast.Dict):
+            given.update(
+                key.value for key in keyword.value.keys if isinstance(key, ast.Constant)
+            )
+    return set(defaulted) - given
+
+
+def test_every_default_is_left_out_by_some_caller():
+    """A default no call in `src` leaves out is a value the program never uses.
+
+    A call is matched to a definition by name, as a bare name or an attribute.
+    """
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")]
+    definitions = []
+    for tree in trees:
+        methods = {
+            id(item)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.FunctionDef)
+        }
+        definitions += [
+            (node.name, *_defaulted(node, id(node) in methods))
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef)
+        ]
+    calls = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    unused = [
+        f"{name}({parameter})"
+        for name, positional, defaulted in definitions
+        for parameter in defaulted
+        if not any(
+            parameter in _left_out(call, positional, defaulted) for call in calls.get(name, ())
+        )
+    ]
+    assert not unused, f"defaults no call in src leaves out: {sorted(unused)}"

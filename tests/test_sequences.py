@@ -13,7 +13,6 @@ from branchlab.sequences import (
     SmoothSequence,
     SpanStatus,
     apply_smooth,
-    diagonal,
     independence_certificate,
     seq_add,
     seq_derive,
@@ -97,7 +96,7 @@ def _pool():
         smooth_sequence("cos(nu*x)"),
         smooth_sequence("1 + sin(nu*x)", {3: "x^2"}),
         smooth_sequence("x^2/(1 + nu)", {1: "1", 5: "tanh(x)"}),
-        diagonal("exp(0.3*x)"),
+        smooth_sequence("exp(0.3*x)"),
         smooth_sequence("nu*x", {2: "0"}),
     ]
 
@@ -122,7 +121,7 @@ def test_ring_axioms_sampled(rng):
 
 def test_scale_and_sub():
     s = smooth_sequence("cos(nu*x)", {2: "x"})
-    scaled = seq_mul(diagonal("3"), s)
+    scaled = seq_mul(smooth_sequence("3"), s)
     assert scaled.term_value(4, 0.5) == pytest.approx(3 * math.cos(2.0))
     assert scaled.term_value(2, 0.5) == pytest.approx(1.5)
     diff = seq_sub(s, s)
@@ -160,15 +159,10 @@ def test_seq_derive_orders():
 
 def test_diagonal_is_a_morphism():
     a, b = "1 + x^2", "cos(x)"
-    prod = seq_mul(diagonal(a), diagonal(b))
-    assert prod.signature() == diagonal(f"({a})*({b})").signature()
-    total = seq_add(diagonal(a), diagonal(b))
-    assert total.signature() == diagonal(f"({a}) + ({b})").signature()
-
-
-def test_diagonal_rejects_nu():
-    with pytest.raises(ValueError):
-        diagonal("nu*x")
+    prod = seq_mul(smooth_sequence(a), smooth_sequence(b))
+    assert prod.signature() == smooth_sequence(f"({a})*({b})").signature()
+    total = seq_add(smooth_sequence(a), smooth_sequence(b))
+    assert total.signature() == smooth_sequence(f"({a}) + ({b})").signature()
 
 
 def test_apply_smooth_square():
@@ -179,7 +173,7 @@ def test_apply_smooth_square():
 
 def test_apply_smooth_constant_image():
     lifted = apply_smooth("exp(u)", smooth_sequence("0"), DOM)
-    assert lifted.signature() == diagonal("1").signature()
+    assert lifted.signature() == smooth_sequence("1").signature()
 
 
 def test_apply_smooth_rejects_unsafe_composition():
@@ -202,7 +196,7 @@ def _evaluation_matrix(basis, xs):
 
 
 def test_independence_certified_for_mixed_span():
-    basis = [smooth_sequence("cos(nu*x)"), smooth_sequence("sin(nu*x)"), diagonal("1")]
+    basis = [smooth_sequence("cos(nu*x)"), smooth_sequence("sin(nu*x)"), smooth_sequence("1")]
     cert = independence_certificate(basis, XS)
     assert cert.status is SpanStatus.TRIVIAL_INTERSECTION
     assert cert.rank == 3
@@ -218,7 +212,7 @@ def test_dependent_span_is_inconclusive():
 
 
 def test_diagonal_pair_independent():
-    cert = independence_certificate([diagonal("1"), diagonal("x")], XS)
+    cert = independence_certificate([smooth_sequence("1"), smooth_sequence("x")], XS)
     assert cert.status is SpanStatus.TRIVIAL_INTERSECTION
     assert cert.rank == 2
 

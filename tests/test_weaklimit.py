@@ -5,10 +5,21 @@ import branchlab.expr as ex
 import branchlab.pairing as pairing
 import branchlab.weaklimit as wl
 from branchlab._report import all_passed
-from branchlab.sequences import apply_smooth, diagonal, seq_mul, smooth_sequence
+from branchlab.sequences import apply_smooth, seq_mul, smooth_sequence
 
 DOM = ex.DomainInterval(-1.0, 1.0)
 PHI = pairing.bump(0.0, 1.0)
+
+
+def classify(s, panel, schedule=wl.DEFAULT_SCHEDULE, tol=wl.DEFAULT_TOL):
+    """classify_membership at the sweep commands' default schedule and tolerance, unless given."""
+    return wl.classify_membership(s, panel, schedule, tol)
+
+
+def nosquare(sequence=None):
+    """The nosquare demo as its command runs it by default, on this base if given."""
+    panel = pairing.default_panel(DOM)
+    return wl.nosquare_demo(DOM, panel, wl.DEFAULT_SCHEDULE, wl.DEFAULT_TOL, sequence)
 
 
 def midpoint(f, lo, hi, n):
@@ -18,21 +29,21 @@ def midpoint(f, lo, hi, n):
 
 
 def test_oscillation_is_weak_null():
-    ((_, verdict),) = wl.classify_membership(smooth_sequence("cos(nu*x)"), (PHI,)).per_test_function
+    ((_, verdict),) = classify(smooth_sequence("cos(nu*x)"), (PHI,)).per_test_function
     assert isinstance(verdict, wl.ConvergesTo)
     assert abs(verdict.value) < 1e-4
 
 
 def test_square_converges_to_half():
     squared = apply_smooth("u^2", smooth_sequence("cos(nu*x)"), DOM)
-    ((_, verdict),) = wl.classify_membership(squared, (PHI,)).per_test_function
+    ((_, verdict),) = classify(squared, (PHI,)).per_test_function
     assert isinstance(verdict, wl.ConvergesTo)
     assert verdict.value == pytest.approx(0.5, abs=1e-3)
 
 
 def test_constant_sequence_limit_matches_oracle():
     phi = pairing.bump(0.3, 0.5)
-    ((_, verdict),) = wl.classify_membership(diagonal("x"), (phi,)).per_test_function
+    ((_, verdict),) = classify(smooth_sequence("x"), (phi,)).per_test_function
     assert isinstance(verdict, wl.ConvergesTo)
     oracle = midpoint(lambda xs: xs * phi.values(xs), -0.2, 0.8, 1 << 19)
     assert verdict.value == pytest.approx(oracle, abs=1e-6)
@@ -40,14 +51,14 @@ def test_constant_sequence_limit_matches_oracle():
 
 def test_concentrating_square_diverges():
     tail = smooth_sequence("nu^2/(4*cosh(nu*x)^4)")
-    ((_, verdict),) = wl.classify_membership(tail, (PHI,)).per_test_function
+    ((_, verdict),) = classify(tail, (PHI,)).per_test_function
     assert isinstance(verdict, wl.Diverges)
     assert verdict.growth_exponent == pytest.approx(1.0, abs=0.1)
     assert verdict.fit_residual < 0.2
 
 
 def test_x_free_oscillator_is_inconclusive():
-    ((_, verdict),) = wl.classify_membership(smooth_sequence("sin(nu)"), (PHI,)).per_test_function
+    ((_, verdict),) = classify(smooth_sequence("sin(nu)"), (PHI,)).per_test_function
     assert isinstance(verdict, wl.Inconclusive)
     assert verdict.reason
 
@@ -63,7 +74,7 @@ def test_x_free_oscillator_is_inconclusive():
 )
 def test_growth_is_tested_before_convergence(tail, tol):
     panel = pairing.default_panel(DOM)
-    verdict = wl.classify_membership(smooth_sequence(tail), panel, tol=tol)
+    verdict = classify(smooth_sequence(tail), panel, tol=tol)
     assert verdict.classification is wl.Classification.DIVERGENT
     for _, member in verdict.per_test_function:
         assert isinstance(member, wl.Diverges)
@@ -86,19 +97,16 @@ def test_slow_creep_still_settles():
 
 
 def test_schedule_validation():
-    s = smooth_sequence("cos(nu*x)")
     with pytest.raises(ValueError):
-        wl.classify_membership(s, (PHI,), (1, 2, 4, 8, 16))
+        wl.validate_schedule((1, 2, 4, 8, 16))
     with pytest.raises(ValueError):
-        wl.classify_membership(s, (PHI,), (1, 2, 4, 4, 8, 16))
+        wl.validate_schedule((1, 2, 4, 4, 8, 16))
     with pytest.raises(ValueError):
-        wl.classify_membership(s, (PHI,), (0, 1, 2, 4, 8, 16))
+        wl.validate_schedule((0, 1, 2, 4, 8, 16))
     # an empty schedule is a short one, never a stand-in for the default
     for empty in ((), []):
         with pytest.raises(ValueError, match="at least 6"):
-            wl.classify_membership(s, (PHI,), empty)
-        with pytest.raises(ValueError, match="at least 6"):
-            wl.classify_membership(s, pairing.default_panel(DOM), empty)
+            wl.validate_schedule(empty)
 
 
 def test_pairing_table_shape():
@@ -122,13 +130,13 @@ def test_pairing_table_shape():
 )
 def test_classification_table(tail, expected):
     panel = pairing.default_panel(DOM)
-    verdict = wl.classify_membership(smooth_sequence(tail), panel)
+    verdict = classify(smooth_sequence(tail), panel)
     assert verdict.classification is expected
 
 
 def test_weak_null_implies_convergent_everywhere():
     panel = pairing.default_panel(DOM)
-    verdict = wl.classify_membership(smooth_sequence("cos(nu*x)"), panel)
+    verdict = classify(smooth_sequence("cos(nu*x)"), panel)
     assert verdict.classification is wl.Classification.WEAK_NULL
     for _, member in verdict.per_test_function:
         assert isinstance(member, wl.ConvergesTo)
@@ -137,8 +145,8 @@ def test_weak_null_implies_convergent_everywhere():
 
 def test_limit_scales_with_the_sequence():
     squared = apply_smooth("u^2", smooth_sequence("cos(nu*x)"), DOM)
-    tripled = seq_mul(diagonal("3"), squared)
-    ((_, verdict),) = wl.classify_membership(tripled, (PHI,)).per_test_function
+    tripled = seq_mul(smooth_sequence("3"), squared)
+    ((_, verdict),) = classify(tripled, (PHI,)).per_test_function
     assert isinstance(verdict, wl.ConvergesTo)
     assert verdict.value == pytest.approx(1.5, abs=3e-3)
 
@@ -147,8 +155,8 @@ def test_refining_the_schedule_preserves_verdicts():
     extended = wl.DEFAULT_SCHEDULE + (8192,)
     for tail in ("cos(nu*x)", "cos(nu*x)^2", "x^2"):
         s = smooth_sequence(tail)
-        ((_, base),) = wl.classify_membership(s, (PHI,)).per_test_function
-        ((_, refined),) = wl.classify_membership(s, (PHI,), extended).per_test_function
+        ((_, base),) = classify(s, (PHI,)).per_test_function
+        ((_, refined),) = classify(s, (PHI,), extended).per_test_function
         assert isinstance(base, wl.ConvergesTo)
         assert isinstance(refined, wl.ConvergesTo)
         assert refined.value == pytest.approx(base.value, abs=1e-3)
@@ -170,7 +178,7 @@ def test_classify_stage_payload():
 
 
 def test_nosquare_demo_default():
-    report = wl.nosquare_demo()
+    report = nosquare()
     assert set(report) == {"parameters", "stages", "conclusion"}
     assert all_passed(report["stages"])
     names = [stage["name"] for stage in report["stages"]]
@@ -183,14 +191,14 @@ def test_nosquare_demo_default():
 
 
 def test_nosquare_demo_with_sine_base():
-    report = wl.nosquare_demo(sequence=smooth_sequence("sin(nu*x)"))
+    report = nosquare(smooth_sequence("sin(nu*x)"))
     assert all_passed(report["stages"])
     assert report["stages"][0]["classification"] == "weak-null"
     assert report["stages"][1]["classification"] == "convergent"
 
 
 def test_nosquare_demo_zero_base_draws_no_conclusion():
-    report = wl.nosquare_demo(sequence=smooth_sequence("0"))
+    report = nosquare(smooth_sequence("0"))
     assert not all_passed(report["stages"])
     assert report["stages"][1]["classification"] == "weak-null"
     assert "no impossibility" in report["conclusion"]
