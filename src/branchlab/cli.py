@@ -41,7 +41,14 @@ from .algebra import (
     gf_equal,
     make_algebra,
 )
-from .expr import DEFAULT_DOMAIN, DomainInterval, SafetyStatus, denominator_safety
+from .expr import (
+    DEFAULT_DOMAIN,
+    DomainInterval,
+    ParseError,
+    SafetyStatus,
+    denominator_safety,
+    parse,
+)
 from .ideals import (
     DEFAULT_CELL_WIDTH,
     DEFAULT_INDEX_CAP,
@@ -89,7 +96,8 @@ def _file_or_literal(value):
 
 def _sequence_from_payload(path, payload):
     """A sequence from an expression string, or from an object with a string
-    `tail`, `exceptions` from index text to strings, and an integer `start`."""
+    `tail`, `exceptions` from index text to strings in x, and an integer
+    `start` of at least 1 that no exception's index precedes."""
     payload = _typed(path, payload, (str, dict), "an expression string or an object")
     if type(payload) is str:
         return smooth_sequence(payload)
@@ -101,12 +109,22 @@ def _sequence_from_payload(path, payload):
     tail = _typed(f"{path}['tail']", payload["tail"], (str,), "an expression string")
     where = f"{path}['exceptions']"
     exceptions = _typed(where, payload.get("exceptions", {}), (dict,), "an object")
+    entries = {}
     for key, entry in exceptions.items():
         if not (key.isdecimal() and str(int(key)) == key):  # the index text to_dict writes
             raise ValueError(f"{where}: expected index keys like \"2\", got {json.dumps(key)}")
-        _typed(f"{where}[{key!r}]", entry, (str,), "an expression string")
+        entry = _typed(f"{where}[{key!r}]", entry, (str,), "an expression string")
+        try:
+            entries[int(key)] = parse(entry, ("x",))
+        except ParseError as err:
+            raise ValueError(f"{where}[{key!r}]: {err}") from None
     start = _typed(f"{path}['start']", payload.get("start", 1), (int,), "an integer")
-    return smooth_sequence(tail, exceptions, start)
+    if start < 1:
+        raise ValueError(f"{path}['start']: expected an integer of at least 1, got {start}")
+    first = min(entries, default=start)
+    if first < start:
+        raise ValueError(f'{where}: expected index keys from the start {start} on, got "{first}"')
+    return smooth_sequence(tail, entries, start)
 
 
 def load_sequence(value, path):
@@ -213,9 +231,9 @@ def _parse_schedule(value):
 # settings
 
 
-def _positive_tolerance(tol):
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError("tolerance must be finite and positive")
+def _finite_positive(name, value):
+    if not (value > 0 and math.isfinite(value)):
+        raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 def _index_cap(nu_max):
@@ -237,18 +255,17 @@ _SWEEP = {"domain": DEFAULT_DOMAIN, "schedule": DEFAULT_SCHEDULE, "tol": DEFAULT
           "panel": None, "nu-max": None}
 _CERTIFICATE = {"cell": DEFAULT_CELL_WIDTH, "nu-max": DEFAULT_INDEX_CAP}
 
-# each setting's flag: how its value is read, the rule a read value must meet
-# (`cell` and `margin` are checked in `ideals`, where they are used), and its
-# help; argparse itself converts an int or float flag, so a bad value is a
-# usage error naming the flag
+# each setting's flag: how its value is read, the rule a read value must meet,
+# and its help; argparse itself converts an int or float flag, so a bad value
+# is a usage error naming the flag
 SETTING_FLAGS = {
     "domain": (_parse_domain, None, 'domain interval "lower,upper"'),
     "schedule": (_parse_schedule, validate_schedule, "explicit comma-separated index schedule"),
-    "tol": (float, _positive_tolerance, "convergence tolerance"),
+    "tol": (float, functools.partial(_finite_positive, "tol"), "convergence tolerance"),
     "panel": (load_panel_spec, None, "panel file or JSON: (center,width,normalized) triples"),
-    "cell": (float, None, "certificate cell width"),
+    "cell": (float, functools.partial(_finite_positive, "cell"), "certificate cell width"),
     "nu-max": (int, _index_cap, "largest index: the certificate cap, or a powers-of-2 schedule"),
-    "margin": (float, None, "unit-search margin"),
+    "margin": (float, functools.partial(_finite_positive, "margin"), "unit-search margin"),
     "x-count": (int, _sample_count, "sample points per index"),
 }
 
@@ -258,12 +275,15 @@ def _read(name, value):
     a JSON number or the text of one, never a bool; an int setting takes no fraction."""
     reader, rule, _ = SETTING_FLAGS[name]
     if reader is float:
-        _typed(name, value, (str, *_NUMBER), "a number")
+        value = _typed(name, value, (str, *_NUMBER), "a number")
+        value = _from_text(name, value, float, "a number")
     elif reader is int:
         if type(value) is float and value.is_integer():
             value = int(value)
-        _typed(name, value, (str, int), "an integer")
-    value = reader(value)
+        value = _typed(name, value, (str, int), "an integer")
+        value = _from_text(name, value, int, "an integer")
+    else:
+        value = reader(value)
     if rule is not None:
         rule(value)
     return value
@@ -314,8 +334,14 @@ def _settings_echo(settings):
 
 def _panel(domain, triples):
     """The panel of (center, width, normalized) triples; each support and the
-    cover are checked against the domain."""
-    return Panel(tuple(bump(*triple, domain) for triple in triples), domain)
+    cover are checked against the domain, and a member's error names it."""
+    members = []
+    for k, triple in enumerate(triples):
+        try:
+            members.append(bump(*triple, domain))
+        except ValueError as err:
+            raise ValueError(f"panel[{k}]: {err}") from None
+    return Panel(tuple(members), domain)
 
 
 # ---------------------------------------------------------------------------

@@ -103,8 +103,7 @@ class ParseError(ValueError):
 
 
 class EvalError(ValueError):
-    """Raised when an expression cannot be evaluated at all: a bad index or an
-    unbound placeholder."""
+    """Raised when an expression cannot be evaluated at all: an unbound placeholder."""
 
 
 class _Interned(type):
@@ -153,32 +152,14 @@ class Expr(metaclass=_Interned):
     def __add__(self, other):
         return _chain(self, "+", other)
 
-    def __radd__(self, other):
-        return _chain(other, "+", self)
-
     def __sub__(self, other):
         return _chain(self, "-", other)
-
-    def __rsub__(self, other):
-        return _chain(other, "-", self)
 
     def __mul__(self, other):
         return _chain(self, "*", other)
 
-    def __rmul__(self, other):
-        return _chain(other, "*", self)
-
-    def __truediv__(self, other):
-        return _chain(self, "/", other)
-
-    def __rtruediv__(self, other):
-        return _chain(other, "/", self)
-
     def __pow__(self, exponent):
         return Pow(self, exponent)
-
-    def __neg__(self):
-        return Neg(self)
 
     def __repr__(self):
         return to_string(self)
@@ -252,17 +233,6 @@ pi = Pi()
 _ZERO = Num(0.0)  # the base of the zero division sentinel
 
 
-def as_expr(value):
-    """Coerce a number to a literal node; pass expressions through."""
-    if isinstance(value, Expr):
-        return value
-    if isinstance(value, bool):
-        raise TypeError("cannot coerce bool to an expression")
-    if isinstance(value, (int, float)):
-        return Num(float(value))
-    raise TypeError(f"cannot coerce {type(value).__name__} to an expression")
-
-
 def _flat(parts):
     """One node from (op, node) parts, the first op "+" or "*"; a first node of its kind splices."""
     op, first = parts[0]
@@ -274,40 +244,11 @@ def _flat(parts):
 
 
 def _chain(left, op, right):
-    return _flat((("+" if op in "+-" else "*", as_expr(left)), (op, as_expr(right))))
-
-
-def variables(e):
-    """Free variable names appearing in e.
-
-    An explicit stack walks a tree of any depth, and a node object shared by
-    several parents, as the derivative rules share them, is walked once.
-    """
-    names = set()
-    seen = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        match node:
-            case Var(name):
-                names.add(name)
-            case Num() | Pi():
-                pass
-            case Neg(a) | Pow(a, _) | Call(_, a):
-                stack.append(a)
-            case Add(parts) | Mul(parts):
-                stack.extend([part for _, part in parts])
-            case _:
-                raise TypeError(f"not an expression node: {node!r}")
-    return frozenset(names)
+    return _flat((("+" if op in "+-" else "*", left), (op, right)))
 
 
 def substitute(e, name, replacement):
     """Replace every occurrence of the variable `name` by `replacement`."""
-    replacement = as_expr(replacement)
     match e:
         case Var(n):
             return replacement if n == name else e
@@ -479,20 +420,12 @@ def _compiled(e):
     return closure
 
 
-def _check_index(nu_value):
-    if not isinstance(nu_value, (int, np.integer)) or isinstance(nu_value, bool):
-        raise EvalError("sequence index must be an integer")
-    if nu_value < 1:
-        raise EvalError("sequence index must be >= 1")
-
-
 def evaluate_on_grid(e, nu_value, xs):
     """Vectorized value of e over an array of x samples.
 
     Non-finite values, poles included, are passed through for the caller to
     inspect.
     """
-    _check_index(nu_value)
     xs = np.asarray(xs, dtype=float)
     with np.errstate(all="ignore"):
         result = _compiled(e)(np.float64(nu_value), xs)
@@ -672,14 +605,10 @@ class _Parser:
         return e
 
 
-def parse(text):
-    """Parse an expression in the variables x and nu."""
-    return _Parser(text, ("x", "nu")).parse()
-
-
-def parse_operation(text):
-    """Parse a one-variable operation body; its placeholder variable is u."""
-    return _Parser(text, ("u",)).parse()
+def parse(text, variable_names=("x", "nu")):
+    """Parse an expression in the given variables: a sequence tail's x and nu by
+    default, an exceptional entry's x, or an operation body's placeholder u."""
+    return _Parser(text, variable_names).parse()
 
 
 # ---------------------------------------------------------------------------
@@ -1085,8 +1014,6 @@ def diff(e, order=1):
     Each distinct subexpression is differentiated once across all orders:
     one memo, keyed by the interned nodes, lives for this call alone.
     """
-    if not isinstance(order, int) or isinstance(order, bool) or order < 0:
-        raise ValueError("derivative order must be a non-negative integer")
     result = simplify(e) if order == 0 else e
     memo = {}
     for _ in range(order):

@@ -69,16 +69,10 @@ VERIFICATION_SAMPLES = 100
 _VERIFICATION_SEED = 20260815
 
 
-def _require_positive(value, what):
-    if not (math.isfinite(value) and value > 0):
-        raise ValueError(f"{what} must be finite and positive, got {value!r}")
-
-
 def _cell_count(domain, cell_width):
     """The certificate's cell count on the domain.  Its first grid has at
     least 8 nodes a cell and one more, so a count whose grid would pass
     MAX_GRID_NODES is refused before anything is sampled."""
-    _require_positive(cell_width, "cell width")
     cells, most = domain.length / cell_width, (MAX_GRID_NODES - 1) // 8
     if cells > most:
         raise ValueError(
@@ -477,8 +471,6 @@ def unit_detection(ideal, domain, margin=DEFAULT_UNIT_MARGIN):
     exact one; the lattice is dense enough that the quadratic sampling error
     stays well below the margin for the index range used.
     """
-    # a margin at or below zero admits combinations that touch zero as units
-    _require_positive(margin, "unit margin")
     xs = domain.interior_grid(UNIT_LATTICE_X_COUNT)
     generators = ideal.generators
     cache = {}

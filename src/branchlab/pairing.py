@@ -84,8 +84,10 @@ class TestFunction(Record):
     def __post_init__(self):
         object.__setattr__(self, "center", float(self.center))
         object.__setattr__(self, "width", float(self.width))
-        if not self.width > 0:
-            raise ValueError("bump width must be positive")
+        lo, hi = self.support
+        # a width that rounds the support to a point leaves nothing to integrate
+        if not lo < hi:
+            raise ValueError(f"bump support [{lo}, {hi}] must have positive length")
 
     @property
     def support(self):
@@ -183,8 +185,6 @@ def _panel_count(width, oscillation_hint):
 
     At least 50 panels, and at least 16 per period of the hint.
     """
-    if not width > 0:
-        raise ValueError("integration interval must have positive length")
     period = 2.0 * math.pi / float(oscillation_hint)
     step = min(width / 50.0, period / 16.0)
     panels = int(math.ceil(width / step))

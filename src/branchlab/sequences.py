@@ -24,30 +24,21 @@ DEFAULT_X_COUNT = 16
 
 
 def _coerce_expr(value):
-    if isinstance(value, str):
-        return ex.parse(value)
-    return ex.as_expr(value)
+    return ex.parse(value) if isinstance(value, str) else value
 
 
 @dataclass(frozen=True, slots=True)
 class SmoothSequence(Record):
-    """Tail expression plus finitely many exceptional entries."""
+    """Tail expression plus finitely many exceptional entries.
+
+    The tail is in x and nu, each entry in x alone at an index from the start
+    on, and the start is at least 1.  Every builder keeps this: cli checks each
+    literal where it reads it, and the operations here build from such parts.
+    """
 
     tail: Expr
     exceptional: tuple = ()
     start_index: int = 1
-
-    def __post_init__(self):
-        names = ex.variables(self.tail)
-        if not names <= {"x", "nu"}:
-            raise ValueError("sequence tails may only use x and nu")
-        if type(self.start_index) is not int or self.start_index < 1:  # bool is no index
-            raise ValueError("start index must be a positive integer")
-        for index, entry in self.exceptional:
-            if not isinstance(index, int) or index < self.start_index:
-                raise ValueError("exceptional indices must be integers >= start index")
-            if not ex.variables(entry) <= {"x"}:
-                raise ValueError("exceptional entries may only use x")
 
     @property
     def exceptional_map(self):
@@ -66,9 +57,7 @@ class SmoothSequence(Record):
         return float(self.term_values(index, [x_value])[0])
 
     def _entry(self, index):
-        """The exceptional entry at a checked index, else the tail."""
-        if not isinstance(index, (int, np.integer)) or isinstance(index, bool):
-            raise ValueError("sequence index must be an integer")
+        """The exceptional entry at an index from the start on, else the tail."""
         if index < self.start_index:
             raise ValueError(
                 f"sequence starts at index {self.start_index}, got {index}"
@@ -104,15 +93,9 @@ class SmoothSequence(Record):
 
 def smooth_sequence(tail, exceptional=None, start_index=1):
     """Build a sequence from expressions or strings; exception keys may be strings."""
-    tail_expr = _coerce_expr(tail)
-    entries = []
-    for index, entry in (exceptional or {}).items():
-        entries.append((int(index), _coerce_expr(entry)))
+    entries = [(int(index), _coerce_expr(entry)) for index, entry in (exceptional or {}).items()]
     entries.sort(key=lambda pair: pair[0])
-    for previous, current in zip(entries, entries[1:]):
-        if previous[0] == current[0]:
-            raise ValueError(f"duplicate exceptional index {current[0]}")
-    return SmoothSequence(tail_expr, tuple(entries), start_index)
+    return SmoothSequence(_coerce_expr(tail), tuple(entries), start_index)
 
 
 def sequence_is_zero(s):
@@ -166,10 +149,7 @@ def apply_smooth(outer, s, domain):
     symbolically.  The composed tail must pass the denominator-safety check on
     the domain.
     """
-    outer = ex.parse_operation(outer)
-    names = ex.variables(outer)
-    if not names <= {"u"}:
-        raise ValueError("operation bodies may only use the placeholder u")
+    outer = ex.parse(outer, ("u",))
     tail = simplify(substitute(outer, "u", s.tail))
     entries = tuple(
         (index, simplify(substitute(outer, "u", entry)))

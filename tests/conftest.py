@@ -50,9 +50,26 @@ def random_expression(rng, depth=3, allow_nu=False):
         # the parser folds a negated literal into the literal itself
         if isinstance(inner, ex.Num):
             return ex.Num(-inner.value)
-        return -inner
+        return ex.Neg(inner)
     fn = rng.choice(("sin", "cos", "tanh"))
     return ex.Call(fn, random_expression(rng, depth - 1, allow_nu))
+
+
+def free_variables(e):
+    """The names of the variables in e, by a walk of its nodes."""
+    match e:
+        case ex.Var(name):
+            return {name}
+        case ex.Neg(a) | ex.Pow(a, _) | ex.Call(_, a):
+            return free_variables(a)
+        case ex.Add(parts) | ex.Mul(parts):
+            return set().union(*(free_variables(part) for _, part in parts))
+    return set()
+
+
+def quotient(numerator, denominator):
+    """numerator / denominator, built as the parser builds a quotient."""
+    return ex._chain(numerator, "/", denominator)
 
 
 def generated_by(*tails):

@@ -678,6 +678,31 @@ def test_boolean_start_index_is_rejected():
             {"panel": [[0, 0.1]]},
             "panel supports must cover at least 80% of the domain",
         ),
+        # the text of a number is read as one, and its error names the key
+        (["limit", "--seq=x"], {"tol": "abc"}, 'tol: expected a number, got "abc"'),
+        (["limit", "--seq=x"], {"nu-max": "1e3"}, 'nu-max: expected an integer, got "1e3"'),
+        # a member whose support rounds to a point is refused where the panel is built
+        (
+            ["limit", "--seq=cos(nu*x)", "--panel=[[0,1],[0.5,1e-300]]"],
+            None,
+            "panel[1]: bump support [0.5, 0.5] must have positive length",
+        ),
+        # a sequence starts at 1 or later, no exception precedes it, and an exception is in x
+        (
+            ["limit", '--seq={"tail":"x","start":0}'],
+            None,
+            "seq['start']: expected an integer of at least 1, got 0",
+        ),
+        (
+            ["gf", "mul", '--lhs={"tail":"x","exceptions":{"1":"x"},"start":2}', "--rhs=1"],
+            None,
+            'lhs[\'exceptions\']: expected index keys from the start 2 on, got "1"',
+        ),
+        (
+            ["demo", "branching", '--reps=[{"tail":"x","exceptions":{"2":"nu*x"}}]'],
+            None,
+            "reps[0]['exceptions']['2']: unknown identifier 'nu' (offset 0)",
+        ),
     ],
 )
 def test_a_malformed_literal_is_one_error_report(tmp_path, argv, config, message):
@@ -918,12 +943,12 @@ def test_commands_leave_the_error_state_alone(argv):
     ],
 )
 def test_certificate_probes_check_the_index_once_per_bracket(monkeypatch, argv, refines):
-    checks = []
-    original_check = expr._check_index
+    grids = []
+    original_grid = expr.evaluate_on_grid
 
-    def counted_check(nu_value):
-        checks.append(nu_value)
-        return original_check(nu_value)
+    def counted_grid(e, nu_value, xs):
+        grids.append(nu_value)
+        return original_grid(e, nu_value, xs)
 
     refined = []
     original_refine = expr.refine_min_abs_lanes
@@ -944,11 +969,12 @@ def test_certificate_probes_check_the_index_once_per_bracket(monkeypatch, argv, 
 
         return counting
 
-    monkeypatch.setattr(expr, "_check_index", counted_check)
+    # each grid evaluation once checked its index, so this counts what the checks did
+    monkeypatch.setattr(expr, "evaluate_on_grid", counted_grid)
     monkeypatch.setattr(expr, "refine_min_abs_lanes", counted_refine)
     monkeypatch.setattr(expr, "_compiled", counted_compiled)
     cli.run(argv)
-    assert len(checks) < 1000
+    assert len(grids) < 1000
     assert len(refined) == refines
     assert len(calls) < 1000
 
@@ -1049,6 +1075,10 @@ def test_help_exits_cleanly_without_a_report(capsys):
         ["limit", "--seq=nu^2", "--tol=nan"],
         # 2e12 cells: the certificate's first grid would have allocated 14.6 TiB
         ["ideal", "check", "--generators=sin(nu*x)", "--domain=-1,1", "--cell=1e-12"],
+        # each is refused where cli reads it, before the generators are sampled
+        ["ideal", "check", "--generators=sin(nu*x)", "--domain=-1,1", "--margin=0"],
+        ["ideal", "check", "--generators=sin(nu*x)", "--domain=-1,1", "--cell=0"],
+        ["ideal", "check", "--generators=sin(nu*x)", "--domain=-1,1", "--cell=nan"],
     ],
 )
 def test_out_of_range_parameters_are_refused(argv):

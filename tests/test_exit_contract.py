@@ -347,6 +347,46 @@ def test_no_literal_raises_out_of_run(drawn):
         assert _without_argv(again[1]) == _without_argv(report)
 
 
+@st.composite
+def broken_sequence_argvs(draw):
+    """An argv whose sequence literal breaks one rule cli checks, with the path its error names:
+    a start below 1, an exception before the start, or an exception that uses nu."""
+    flag = draw(st.sampled_from(("--seq", "--generators", "--reps")))
+    path = "seq" if flag == "--seq" else flag[2:] + "[0]"
+    start = draw(st.integers(1, 3))
+    literal = {"tail": draw(st.sampled_from(("x", "cos(nu*x)"))), "start": start}
+    rule = draw(st.sampled_from(("start", "index", "entry")))
+    if rule == "start":
+        literal["start"] = draw(st.integers(-2, 0))
+        path += "['start']"
+    elif rule == "index":
+        literal["exceptions"] = {str(draw(st.integers(0, start - 1))): "x"}
+        path += "['exceptions']"
+    else:
+        key = str(draw(st.integers(start, 7)))
+        literal["exceptions"] = {key: draw(st.sampled_from(("nu", "nu*x", "x+cos(nu)")))}
+        path += f"['exceptions'][{key!r}]"
+    value = literal if flag == "--seq" else [literal]
+    return LITERAL_ARGVS[flag][0] + [f"{flag}={json.dumps(value)}"], path
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(broken_sequence_argvs())
+def test_a_literal_that_breaks_a_sequence_rule_is_one_report_naming_its_path(drawn):
+    argv, path = drawn
+    code, text = _main(argv)
+    assert code == 1
+    report = json.loads(text)
+    assert text == cli.canonical_json(report)
+    assert report["error"]["type"] == "ValueError"
+    assert report["error"]["message"].startswith(path + ": ")
+
+
 def _run_with_config(argv, config):
     with tempfile.TemporaryDirectory() as scratch:
         if config is not None:

@@ -9,10 +9,11 @@ import pytest
 
 import branchlab.expr as ex
 from branchlab._report import all_passed
+from branchlab import cli
 from branchlab import ideals as idl
 from branchlab.sequences import seq_derive, smooth_sequence
 
-from conftest import generated_by, random_expression, value_at
+from conftest import generated_by, quotient, random_expression, value_at
 
 DOM = ex.DomainInterval(0.0, 2.0 * math.pi)
 
@@ -375,10 +376,10 @@ def test_array_checks_equal_the_pointwise_loops(rng):
     for _ in range(60):
         e = random_expression(rng, depth=2, allow_nu=True)
         if rng.random() < 0.5:
-            e = e / (ex.x - ex.Num(round(rng.uniform(-0.9, 0.9), 1)))
+            e = quotient(e, ex.x - ex.Num(round(rng.uniform(-0.9, 0.9), 1)))
         if rng.random() < 0.2:
             # undefined at every point of index 3
-            e = e / (ex.nu - ex.Num(3.0))
+            e = quotient(e, ex.nu - ex.Num(3.0))
         ideal = generated_by(rng.choice(generators))
         g = ideal.generators[0]
         exceptional = {3: "x/(x-0.5)"} if rng.random() < 0.3 else {}
@@ -531,24 +532,29 @@ def test_no_largest_ideal_demo_degenerate_pair():
     assert "not applicable" in result["conclusion"]
 
 
+def _refused_before_sampling(monkeypatch, name, value):
+    """`ideal check` with the setting at value ends in one error naming it, before
+    the generators are sampled: cli checks `cell` and `margin` where it reads them."""
+
+    def no_sampling(*args, **kwargs):
+        raise AssertionError(f"a generator was sampled before {name} was checked")
+
+    monkeypatch.setattr(cli, "denominator_safety", no_sampling)
+    monkeypatch.setattr(cli, "off_diagonality", no_sampling)
+    argv = ["ideal", "check", "--generators=1+sin(nu*x)", "--domain=-1,1", f"--{name}={value}"]
+    code, report = cli.run(argv)
+    assert code == 1
+    assert report["error"] == {
+        "type": "ValueError",
+        "message": f"{name} must be finite and positive, got {value!r}",
+    }
+
+
 @pytest.mark.parametrize("margin", [-1.0, 0.0, math.nan, math.inf])
-def test_unit_detection_refuses_margin_outside_the_positive_reals(margin):
-    ideal = generated_by("sin(nu*x)")
-    with pytest.raises(ValueError, match="unit margin"):
-        idl.unit_detection(ideal, DOM, margin=margin)
-    with pytest.raises(ValueError, match="unit margin"):
-        idl.off_diagonality(ideal, DOM, margin=margin)
+def test_unit_detection_refuses_margin_outside_the_positive_reals(monkeypatch, margin):
+    _refused_before_sampling(monkeypatch, "margin", margin)
 
 
 @pytest.mark.parametrize("cell_width", [-0.05, 0.0, math.nan, math.inf])
 def test_cell_width_outside_the_positive_reals_is_refused(monkeypatch, cell_width):
-    ideal = generated_by("1 + sin(nu*x)")
-
-    def no_search(*args, **kwargs):
-        raise AssertionError("the unit search ran before the cell width was checked")
-
-    monkeypatch.setattr(idl, "unit_detection", no_search)
-    with pytest.raises(ValueError, match="cell width"):
-        idl.off_diagonality(ideal, DOM, cell_width=cell_width)
-    with pytest.raises(ValueError, match="cell width"):
-        zero_density(ideal, DOM, cell_width=cell_width)
+    _refused_before_sampling(monkeypatch, "cell", cell_width)

