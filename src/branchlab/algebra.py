@@ -1,12 +1,12 @@
 """Quotient-algebra layer: generalized functions modulo a chosen ideal.
 
-An algebra configuration pins down an ideal that passed the off-diagonality
-gate, a domain, and whether entry-wise derivation descends to the quotient.
-A generalized function is a denominator-safe representative sequence read
-in one algebra; equality is membership of the difference, so it inherits
-the three-valued character of membership.  The two demos show the branching
-of products: equal inputs whose squares have different weak limits, and the
-squared delta, an algebra element with no weak limit at all.
+The ideal is the one outside choice that fixes the algebra.  A generalized
+function is a representative sequence whose every entry is denominator-safe
+on the domain; equality is membership of the difference, so it inherits the
+three-valued character of membership, and derivation descends to the
+quotient only when the ideal's derivation closure holds.  The two demos show
+the branching of products: equal inputs whose squares have different weak
+limits, and the squared delta, an algebra element with no weak limit at all.
 """
 
 from __future__ import annotations
@@ -14,17 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._report import Record, all_passed, stage
-from .expr import DomainInterval, SafetyStatus, denominator_safety
-from .ideals import (
-    Closed,
-    EventuallyZero,
-    InIdeal,
-    NotInIdeal,
-    OffDiagonal,
-    derivation_closure,
-    membership,
-    off_diagonality,
-)
+from .expr import SafetyStatus, denominator_safety
+from .ideals import Closed, InIdeal, NotInIdeal, derivation_closure, membership
 from .pairing import bump, pairing_tables
 from .sequences import apply_smooth, seq_derive, smooth_sequence
 from .weaklimit import Classification, Diverges, _verdict_from_table, classify_membership
@@ -38,52 +29,10 @@ class AlgebraError(ValueError):
     """Gate violation: inadmissible ideal or unsupported operation."""
 
 
-class GateInconclusive(AlgebraError):
-    """The off-diagonality gate neither certified nor refuted the ideal."""
-
-
-@dataclass(frozen=True, slots=True)
-class AlgebraConfig(Record):
-    """Validated by make_algebra; construct through it, not directly.
-
-    derivation_capable is only set when the ideal's derivation closure came
-    back Closed, and the ideal must have passed the off-diagonality gate.
-    """
-
-    ideal: object
-    derivation_capable: bool
-    domain: DomainInterval
-
-
-def make_algebra(ideal, domain):
-    """Quotient algebra over an ideal that passes the admissibility gate.
-
-    The ideal must certify off-diagonal (meeting the diagonal constants only
-    in zero); otherwise the quotient would identify distinct smooth
-    functions and the construction is refused; GateInconclusive says the
-    gate could not tell.  Derivation capability is recorded from the closure
-    check, not assumed.
-    """
-    verdict = off_diagonality(ideal, domain)
-    if not verdict.definite:
-        raise GateInconclusive(verdict.reason)
-    if not isinstance(verdict, OffDiagonal):
-        raise AlgebraError(
-            "ideal failed the off-diagonality gate: " + str(verdict.to_dict())
-        )
-    closure = derivation_closure(ideal, domain)
-    return AlgebraConfig(ideal, isinstance(closure, Closed), domain)
-
-
-def eventually_zero_algebra(domain):
-    """The house algebra: decidable equality, derivation-capable."""
-    return AlgebraConfig(EventuallyZero(), True, domain)
-
-
-def gf(representative, algebra):
-    """The representative, once every entry is denominator-safe on the algebra's domain."""
+def gf(representative, domain):
+    """The representative, once every entry is denominator-safe on the domain."""
     for candidate in (representative.tail, *(entry for _, entry in representative.exceptional)):
-        report = denominator_safety(candidate, algebra.domain)
+        report = denominator_safety(candidate, domain)
         if report.status is not SafetyStatus.SAFE:
             raise AlgebraError(
                 "representative is not denominator-safe on the domain: "
@@ -92,13 +41,13 @@ def gf(representative, algebra):
     return representative
 
 
-def gf_derive(f, order, algebra):
-    """Quotient derivation; only defined when the ideal closure held."""
+def gf_derive(f, order, ideal, domain):
+    """Quotient derivation; only defined when the ideal's derivation closure holds."""
     if not isinstance(order, int) or order < 0:
         raise ValueError("derivation order must be a nonnegative integer")
     if order == 0:
         return f
-    if not algebra.derivation_capable:
+    if not isinstance(derivation_closure(ideal, domain), Closed):
         raise AlgebraError(
             "algebra is not derivation-capable: the ideal's closure under "
             "entry-wise derivatives was not established, so derivation does "
@@ -119,12 +68,12 @@ class NotEqual(Record):
     evidence: NotInIdeal
 
 
-def gf_equal(f, g, algebra):
+def gf_equal(f, g, ideal, domain):
     """Equality modulo the ideal, decided by membership of the difference.
 
     An open membership question comes back as it is: membership's Unknown.
     """
-    verdict = membership(f - g, algebra.ideal, algebra.domain)
+    verdict = membership(f - g, ideal, domain)
     if isinstance(verdict, InIdeal):
         return Equal(verdict)
     if isinstance(verdict, NotInIdeal):
@@ -141,20 +90,16 @@ DELTA_REPRESENTATIVE = "nu/(2*cosh(nu*x)^2)"
 # demos
 
 
-def branching_demo(representatives, operation, domain, panel, schedule, tol):
+def branching_demo(representatives, operation, outer, domain, panel, schedule, tol):
     """Distinct distributional outcomes of one operation on equal inputs.
 
     Every representative is first classified as converging weakly to zero,
     so each one stands for the zero distribution.  Applying the operation
     term-wise then produces sequences with different weak limits; which
     limit the quotient algebra selects depends on which representatives the
-    ideal identifies, and no choice is canonical.
+    ideal identifies, and no choice is canonical.  The report echoes the
+    operation's text as given; outer is that text parsed in u.
     """
-    if representatives is None:
-        representatives = (smooth_sequence("cos(nu*x)"), smooth_sequence("0"))
-    if len(representatives) < 2:
-        raise ValueError("branching needs at least two representatives")
-
     stages = []
 
     with stage("classify-representatives", stages) as entry:
@@ -172,7 +117,7 @@ def branching_demo(representatives, operation, domain, panel, schedule, tol):
         limit_vectors = []
         all_definite = True
         for s in representatives:
-            transformed = apply_smooth(operation, s, domain)
+            transformed = apply_smooth(outer, s, domain)
             verdict = classify_membership(transformed, panel, schedule, tol)
             # convergent and weak-null both mean every member converges
             definite = verdict.classification in (

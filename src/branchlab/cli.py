@@ -32,14 +32,12 @@ from . import __version__
 from ._report import all_passed, report_value, stage
 from .algebra import (
     DELTA_SQUARE_SCHEDULE,
-    GateInconclusive,
+    AlgebraError,
     branching_demo,
     delta_square_demo,
-    eventually_zero_algebra,
     gf,
     gf_derive,
     gf_equal,
-    make_algebra,
 )
 from .expr import (
     DEFAULT_DOMAIN,
@@ -54,7 +52,8 @@ from .ideals import (
     DEFAULT_INDEX_CAP,
     DEFAULT_UNIT_MARGIN,
     NO_LARGEST_IDEAL_DOMAIN,
-    NO_LARGEST_IDEAL_GENERATORS,
+    EventuallyZero,
+    OffDiagonal,
     derivation_closure,
     generated_by,
     no_largest_ideal_demo,
@@ -94,13 +93,22 @@ def _file_or_literal(value):
     return value
 
 
+def _parsed(path, text, variable_names):
+    """The text parsed as an expression in the variables; a parse error names where it sits."""
+    try:
+        return parse(text, variable_names)
+    except ParseError as err:
+        err.args = (f"{path}: {err}",)
+        raise
+
+
 def _sequence_from_payload(path, payload):
     """A sequence from an expression string, or from an object with a string
     `tail`, `exceptions` from index text to strings in x, and an integer
     `start` of at least 1 that no exception's index precedes."""
     payload = _typed(path, payload, (str, dict), "an expression string or an object")
     if type(payload) is str:
-        return smooth_sequence(payload)
+        return smooth_sequence(_parsed(path, payload, ("x", "nu")))
     unknown = set(payload) - {"tail", "exceptions", "start"}
     if unknown:
         raise ValueError(f"{path}: unknown sequence literal keys {sorted(unknown)}")
@@ -114,17 +122,14 @@ def _sequence_from_payload(path, payload):
         if not (key.isdecimal() and str(int(key)) == key):  # the index text to_dict writes
             raise ValueError(f"{where}: expected index keys like \"2\", got {json.dumps(key)}")
         entry = _typed(f"{where}[{key!r}]", entry, (str,), "an expression string")
-        try:
-            entries[int(key)] = parse(entry, ("x",))
-        except ParseError as err:
-            raise ValueError(f"{where}[{key!r}]: {err}") from None
+        entries[int(key)] = _parsed(f"{where}[{key!r}]", entry, ("x",))
     start = _typed(f"{path}['start']", payload.get("start", 1), (int,), "an integer")
     if start < 1:
         raise ValueError(f"{path}['start']: expected an integer of at least 1, got {start}")
     first = min(entries, default=start)
     if first < start:
         raise ValueError(f'{where}: expected index keys from the start {start} on, got "{first}"')
-    return smooth_sequence(tail, entries, start)
+    return smooth_sequence(_parsed(f"{path}['tail']", tail, ("x", "nu")), entries, start)
 
 
 def load_sequence(value, path):
@@ -135,15 +140,19 @@ def load_sequence(value, path):
 
 
 def load_sequence_list(value, path):
-    """Comma-separated expressions or file paths, or a JSON array."""
+    """Comma-separated expressions or file paths, or a JSON array; never empty."""
     text = _file_or_literal(value).strip()
     if text.startswith("["):
         items = enumerate(json.loads(text))
-        return [_sequence_from_payload(f"{path}[{k}]", item) for k, item in items]
-    if text.startswith("{"):
-        return [_sequence_from_payload(path, json.loads(text))]
-    items = [item.strip() for item in text.split(",") if item.strip()]
-    return [load_sequence(item, f"{path}[{k}]") for k, item in enumerate(items)]
+        sequences = [_sequence_from_payload(f"{path}[{k}]", item) for k, item in items]
+    elif text.startswith("{"):
+        sequences = [_sequence_from_payload(path, json.loads(text))]
+    else:
+        items = [item.strip() for item in text.split(",") if item.strip()]
+        sequences = [load_sequence(item, f"{path}[{k}]") for k, item in enumerate(items)]
+    if not sequences:
+        raise ValueError(f"{path}: expected at least one sequence, got none")
+    return sequences
 
 
 # a JSON number: a bool is no number, though Python's bool is an int
@@ -606,48 +615,51 @@ def _cmd_span_independence(args):
     return _settings_echo(settings), stages, conclusion
 
 
-def _gf_algebra(args, domain, stages):
-    """The command's algebra; None after an inconclusive gate stage."""
+def _gf_ideal(args, domain, stages):
+    """The ideal the algebra divides by; a generated one must pass the off-diagonality
+    gate, which refuses one that contains a unit.  None after an inconclusive gate."""
     if (args.algebra == "generated") != (args.generators is not None):
         raise ValueError("--algebra generated and --generators go together")
     if args.algebra == "eventually-zero":
-        return eventually_zero_algebra(domain)
+        return EventuallyZero()
     with stage("off-diagonality-gate", stages) as entry:
-        # make_algebra certifies at these fixed values; no setting reaches them
+        # the gate certifies at off_diagonality's defaults; no setting reaches them
         entry["cell_width"], entry["nu_max"] = DEFAULT_CELL_WIDTH, DEFAULT_INDEX_CAP
-        try:
-            generators = load_sequence_list(args.generators, "generators")
-            algebra = make_algebra(generated_by(*generators), domain)
-        except GateInconclusive as err:
-            algebra, entry["reason"] = None, str(err)
-        entry["passed"] = algebra is not None
-    return algebra
+        ideal = generated_by(*load_sequence_list(args.generators, "generators"))
+        verdict = off_diagonality(ideal, domain)
+        if not verdict.definite:
+            entry["reason"] = verdict.reason
+        elif not isinstance(verdict, OffDiagonal):
+            raise AlgebraError("ideal failed the off-diagonality gate: " + str(verdict.to_dict()))
+        entry["passed"] = verdict.definite
+    return ideal if entry["passed"] else None
 
 
 def _cmd_gf(args):
     settings = resolve_settings(args)
+    domain = settings["domain"]
     config_echo = _settings_echo(settings) | {"algebra": args.algebra}
     stages = []
-    algebra = _gf_algebra(args, settings["domain"], stages)
-    if algebra is None:
+    ideal = _gf_ideal(args, domain, stages)
+    if ideal is None:
         return config_echo, stages, "the off-diagonality gate is inconclusive"
     action = args.command.removeprefix("gf ")
     with stage("gf-" + action, stages) as entry:
-        lhs = gf(load_sequence(args.lhs, "lhs"), algebra)
+        lhs = gf(load_sequence(args.lhs, "lhs"), domain)
         entry["lhs"] = lhs.to_dict()
         entry["passed"] = True
         if action == "derive":
             entry["order"] = args.order
-            entry["result"] = gf_derive(lhs, args.order, algebra).to_dict()
+            entry["result"] = gf_derive(lhs, args.order, ideal, domain).to_dict()
             conclusion = f"derivative representative: {entry['result']['tail']}"
         else:
-            rhs = gf(load_sequence(args.rhs, "rhs"), algebra)
+            rhs = gf(load_sequence(args.rhs, "rhs"), domain)
             entry["rhs"] = rhs.to_dict()
             if action == "mul":
                 entry["result"] = (lhs * rhs).to_dict()
                 conclusion = f"product representative: {entry['result']['tail']}"
             else:
-                verdict = gf_equal(lhs, rhs, algebra)
+                verdict = gf_equal(lhs, rhs, ideal, domain)
                 entry["outcome"] = verdict.to_dict()
                 entry["passed"] = verdict.definite
                 conclusion = f"equality modulo the ideal: {verdict.tag}"
@@ -669,25 +681,26 @@ def _sweep(settings):
 
 def _demo_nosquare(args):
     settings = resolve_settings(args)
-    sequence = load_sequence(args.seq, "seq") if args.seq else None
-    return _demo_report(settings, nosquare_demo(*_sweep(settings), sequence))
+    base = load_sequence(args.seq, "seq")
+    return _demo_report(settings, nosquare_demo(*_sweep(settings), base))
 
 
 def _demo_no_largest_ideal(args):
     settings = resolve_settings(args)
-    generators = NO_LARGEST_IDEAL_GENERATORS
-    if args.generators:
-        generators = load_sequence_list(args.generators, "generators")
-        if len(generators) != 2:
-            raise ValueError("this demo takes exactly two generators")
+    generators = load_sequence_list(args.generators, "generators")
+    if len(generators) != 2:
+        raise ValueError("this demo takes exactly two generators")
     domain, cell, nu_max = settings["domain"], settings["cell"], settings["nu-max"]
     return _demo_report(settings, no_largest_ideal_demo(domain, cell, nu_max, *generators))
 
 
 def _demo_branching(args):
     settings = resolve_settings(args)
-    representatives = load_sequence_list(args.reps, "reps") if args.reps is not None else None
-    result = branching_demo(representatives, args.op, *_sweep(settings))
+    representatives = load_sequence_list(args.reps, "reps")
+    if len(representatives) < 2:
+        raise ValueError("branching needs at least two representatives")
+    outer = _parsed("op", args.op, ("u",))
+    result = branching_demo(representatives, args.op, outer, *_sweep(settings))
     return _demo_report(settings, result, op=args.op)
 
 
@@ -741,13 +754,15 @@ COMMANDS = (
     Command("gf equal", "equality modulo the ideal", _cmd_gf, _GF,
             (_operand("--lhs"), _operand("--rhs"), *_GF_ALGEBRA)),
     Command("demo nosquare", "squared null sequence", _demo_nosquare, _SWEEP,
-            (("--seq", {"help": "substitute base sequence"}),)),
+            (("--seq", {"default": "cos(nu*x)", "help": "base sequence (default %(default)s)"}),)),
     Command("demo no-largest-ideal", "improper ideal sum", _demo_no_largest_ideal,
             {"domain": NO_LARGEST_IDEAL_DOMAIN, **_CERTIFICATE},
-            (("--generators", {"help": "two comma-separated generators"}),)),
+            (("--generators", {"default": "1 + sin(nu*x),1 + cos(nu*x)",
+                               "help": "two comma-separated generators (default %(default)s)"}),)),
     Command("demo branching", "representative-dependent limits", _demo_branching, _SWEEP,
-            (("--reps", {"help": "JSON array, comma list, or file"}),
-             ("--op", {"default": "u^2", "help": "outer expression in u"}))),
+            (("--reps", {"default": "cos(nu*x),0",
+                         "help": "JSON array, comma list, or file (default %(default)s)"}),
+             ("--op", {"default": "u^2", "help": "outer expression in u (default %(default)s)"}))),
     Command("demo delta-square", "squared delta pairings", _demo_delta_square,
             _SWEEP | {"schedule": DELTA_SQUARE_SCHEDULE}),
 )

@@ -64,7 +64,6 @@ UNIT_LATTICE_X_COUNT = 8192
 SCAN_NU_LIMIT = 32
 SCAN_GRID = 2048
 NO_LARGEST_IDEAL_DOMAIN = DomainInterval(0.0, 2.0 * math.pi)
-NO_LARGEST_IDEAL_GENERATORS = (smooth_sequence("1 + sin(nu*x)"), smooth_sequence("1 + cos(nu*x)"))
 VERIFICATION_SAMPLES = 100
 _VERIFICATION_SEED = 20260815
 
@@ -96,13 +95,11 @@ class EventuallyZero(Record):
 
 @dataclass(frozen=True, slots=True)
 class FinitelyGenerated(Record):
+    """At least one generator: cli refuses an empty list, and ideal_sum an empty union."""
+
     key = "kind"
     tag = "finitely-generated"
     generators: tuple
-
-    def __post_init__(self):
-        if not self.generators:
-            raise ValueError("a finitely generated ideal needs generators")
 
 
 def generated_by(*generators):

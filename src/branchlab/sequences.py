@@ -145,11 +145,10 @@ def seq_derive(s, order=1):
 def apply_smooth(outer, s, domain):
     """Compose a one-variable operation with every entry of s.
 
-    The operation body is text in the placeholder u; it is substituted
+    The operation is an expression in the placeholder u; it is substituted
     symbolically.  The composed tail must pass the denominator-safety check on
     the domain.
     """
-    outer = ex.parse(outer, ("u",))
     tail = simplify(substitute(outer, "u", s.tail))
     entries = tuple(
         (index, simplify(substitute(outer, "u", entry)))

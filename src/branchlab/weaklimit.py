@@ -24,7 +24,7 @@ import numpy as np
 
 from ._report import Record, Unknown, all_passed, stage
 from .pairing import pairing_tables
-from .sequences import seq_mul, smooth_sequence
+from .sequences import seq_mul
 
 DEFAULT_SCHEDULE = tuple(2 ** k for k in range(13))
 DEFAULT_TOL = 1e-4
@@ -164,7 +164,7 @@ def classify_stage(name, s, panel, schedule, tol):
     return entry, verdict
 
 
-def nosquare_demo(domain, panel, schedule, tol, sequence):
+def nosquare_demo(domain, panel, schedule, tol, base):
     """Why identifying all weak-null sequences with zero breaks multiplication.
 
     The base sequence is weak-null, yet its entry-wise square has weak limit
@@ -172,7 +172,6 @@ def nosquare_demo(domain, panel, schedule, tol, sequence):
     every weak-null sequence to the zero class would force the square's class
     to be both zero and one-half, so no such multiplication exists.
     """
-    base = sequence or smooth_sequence("cos(nu*x)")
     square = seq_mul(base, base)
 
     base_stage, base_verdict = classify_stage("classify-base", base, panel, schedule, tol)

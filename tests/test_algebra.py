@@ -27,71 +27,81 @@ SHAPE_INTEGRAL = 0.4439938161680794
 
 @pytest.fixture(scope="module")
 def house():
-    return alg.eventually_zero_algebra(DOM)
+    """The eventually-zero ideal, which the default algebra divides by."""
+    return idl.EventuallyZero()
 
 
 @pytest.fixture(scope="module")
-def trig_algebra():
-    return alg.make_algebra(idl.generated_by(smooth_sequence("1 + sin(nu*x)")), DOM2PI)
+def trig_ideal():
+    return idl.generated_by(smooth_sequence("1 + sin(nu*x)"))
 
 
-def test_eventually_zero_algebra_defaults(house):
-    assert isinstance(house.ideal, idl.EventuallyZero)
-    assert house.derivation_capable is True
-    assert house.domain == DOM
-    payload = house.to_dict()
-    assert payload["ideal"] == {"kind": "eventually-zero"}
-    assert payload["derivation_capable"] is True
-    assert payload["domain"] == [-1.0, 1.0]
-
-
-def test_make_algebra_records_closure(house, trig_algebra):
+def test_derivation_follows_the_closure(house, trig_ideal):
     # the trig ideal passes the gate by certificate but its closure under
     # derivatives stays open, so derivation must not be offered
-    assert trig_algebra.derivation_capable is False
-    gated = alg.make_algebra(idl.EventuallyZero(), DOM)
-    assert gated.derivation_capable is True
+    assert isinstance(idl.off_diagonality(trig_ideal, DOM2PI), idl.OffDiagonal)
+    assert not isinstance(idl.derivation_closure(trig_ideal, DOM2PI), idl.Closed)
+    assert isinstance(idl.derivation_closure(house, DOM), idl.Closed)
 
 
-def test_make_algebra_refuses_unit_ideal():
-    combined = idl.ideal_sum(
-        idl.generated_by(smooth_sequence("1 + sin(nu*x)")),
-        idl.generated_by(smooth_sequence("1 + cos(nu*x)")),
-    )
-    with pytest.raises(alg.AlgebraError, match="off-diagonality gate"):
-        alg.make_algebra(combined, DOM2PI)
+def test_gf_gate_refuses_unit_ideal():
+    code, report = cli.run([
+        "gf", "mul", "--lhs=x", "--rhs=x", "--algebra=generated",
+        "--generators=1 + sin(nu*x),1 + cos(nu*x)", "--domain=0,6.283185307179586",
+    ])
+    assert code == 1
+    assert report["error"]["type"] == "AlgebraError"
+    assert "off-diagonality gate" in report["error"]["message"]
 
 
-def test_gf_wraps_and_checks_safety(house):
+@pytest.mark.parametrize("action, calls", [("mul", 0), ("equal", 0), ("derive", 1)])
+def test_only_gf_derive_checks_the_derivation_closure(monkeypatch, action, calls):
+    counted = []
+
+    def counting(ideal, domain):
+        counted.append(ideal)
+        return idl.derivation_closure(ideal, domain)
+
+    for module in (alg, cli):
+        monkeypatch.setattr(module, "derivation_closure", counting)
+    operands = ["--lhs=x"] if action == "derive" else ["--lhs=x", "--rhs=x"]
+    cli.run([
+        "gf", action, *operands, "--algebra=generated",
+        "--generators=1+sin(nu*x)", "--domain=0,6.283185307179586",
+    ])
+    assert len(counted) == calls
+
+
+def test_gf_wraps_and_checks_safety():
     s = smooth_sequence("x^2")
-    f = alg.gf(s, house)
+    f = alg.gf(s, DOM)
     assert f is s
     assert f.signature() == "x^2|1"
     assert f.to_dict() == {"tail": "x^2"}
     with pytest.raises(alg.AlgebraError, match="denominator-safe"):
-        alg.gf(smooth_sequence("1/x"), house)
+        alg.gf(smooth_sequence("1/x"), DOM)
 
 
-def test_gf_derive_gates(house, trig_algebra):
-    f = alg.gf(smooth_sequence("x^2"), house)
-    assert alg.gf_derive(f, 0, house) is f
-    assert alg.gf_derive(f, 1, house).signature() == "2*x|1"
+def test_gf_derive_gates(house, trig_ideal):
+    f = alg.gf(smooth_sequence("x^2"), DOM)
+    assert alg.gf_derive(f, 0, house, DOM) is f
+    assert alg.gf_derive(f, 1, house, DOM).signature() == "2*x|1"
     with pytest.raises(ValueError, match="nonnegative"):
-        alg.gf_derive(f, -1, house)
+        alg.gf_derive(f, -1, house, DOM)
     with pytest.raises(ValueError, match="nonnegative"):
-        alg.gf_derive(f, 1.5, house)
+        alg.gf_derive(f, 1.5, house, DOM)
     with pytest.raises(alg.AlgebraError, match="derivation-capable"):
-        alg.gf_derive(alg.gf(smooth_sequence("x"), trig_algebra), 1, trig_algebra)
+        alg.gf_derive(alg.gf(smooth_sequence("x"), DOM2PI), 1, trig_ideal, DOM2PI)
 
 
 def test_embedding_derivation_coherence(house):
     # the delta regularization is the exact symbolic derivative of the step,
     # and its quotient derivative is the step's second derivative
-    delta = alg.gf(smooth_sequence(alg.DELTA_REPRESENTATIVE), house)
+    delta = alg.gf(smooth_sequence(alg.DELTA_REPRESENTATIVE), DOM)
     step = smooth_sequence(STEP)
     assert seq_derive(step).signature() == delta.signature()
     first = seq_derive(seq_derive(step))
-    assert alg.gf_derive(delta, 1, house).signature() == first.signature()
+    assert alg.gf_derive(delta, 1, house, DOM).signature() == first.signature()
 
 
 def test_delta_concentrates_at_probe_height():
@@ -168,54 +178,56 @@ def test_quotient_well_definedness(house, expression_corpus):
         g_tail = safe[rng.randrange(len(safe))]
         entry = safe[rng.randrange(len(safe))]
         index = rng.randint(1, 12)
-        f = alg.gf(smooth_sequence(f_tail), house)
+        f = alg.gf(smooth_sequence(f_tail), DOM)
         perturbed = alg.gf(
-            smooth_sequence(f_tail, {index: f_tail + entry}), house
+            smooth_sequence(f_tail, {index: f_tail + entry}), DOM
         )
-        g = alg.gf(smooth_sequence(g_tail), house)
-        assert isinstance(alg.gf_equal(f, perturbed, house), alg.Equal)
-        assert isinstance(alg.gf_equal(f * g, perturbed * g, house), alg.Equal)
+        g = alg.gf(smooth_sequence(g_tail), DOM)
+        assert isinstance(alg.gf_equal(f, perturbed, house, DOM), alg.Equal)
+        assert isinstance(alg.gf_equal(f * g, perturbed * g, house, DOM), alg.Equal)
         assert isinstance(
             alg.gf_equal(
-                alg.gf_derive(f, 1, house), alg.gf_derive(perturbed, 1, house), house
+                alg.gf_derive(f, 1, house, DOM), alg.gf_derive(perturbed, 1, house, DOM),
+                house, DOM,
             ),
             alg.Equal,
         )
 
 
 def test_gf_equal_decidable_cases(house):
-    f = alg.gf(smooth_sequence("x^2"), house)
-    perturbed = alg.gf(smooth_sequence("x^2", {4: "x^2 + sin(x)"}), house)
-    verdict = alg.gf_equal(f, perturbed, house)
+    f = alg.gf(smooth_sequence("x^2"), DOM)
+    perturbed = alg.gf(smooth_sequence("x^2", {4: "x^2 + sin(x)"}), DOM)
+    verdict = alg.gf_equal(f, perturbed, house, DOM)
     assert isinstance(verdict, alg.Equal)
     assert verdict.to_dict()["verdict"] == "equal"
 
-    ones = alg.gf(smooth_sequence("1"), house)
-    zero = alg.gf(smooth_sequence("0"), house)
-    assert isinstance(alg.gf_equal(ones, zero, house), alg.NotEqual)
-    cos = alg.gf(smooth_sequence("cos(nu*x)"), house)
-    assert isinstance(alg.gf_equal(cos, zero, house), alg.NotEqual)
+    ones = alg.gf(smooth_sequence("1"), DOM)
+    zero = alg.gf(smooth_sequence("0"), DOM)
+    assert isinstance(alg.gf_equal(ones, zero, house, DOM), alg.NotEqual)
+    cos = alg.gf(smooth_sequence("cos(nu*x)"), DOM)
+    assert isinstance(alg.gf_equal(cos, zero, house, DOM), alg.NotEqual)
 
 
-def test_gf_equal_generated_ideal(trig_algebra):
+def test_gf_equal_generated_ideal(trig_ideal):
     def gf(tail):
-        return alg.gf(smooth_sequence(tail), trig_algebra)
+        return alg.gf(smooth_sequence(tail), DOM2PI)
 
-    zero = gf("0")
-    assert isinstance(alg.gf_equal(gf("(1 + sin(nu*x))*x"), zero, trig_algebra), alg.Equal)
-    assert isinstance(alg.gf_equal(gf("1"), zero, trig_algebra), alg.NotEqual)
-    open_case = alg.gf_equal(gf("nu*cos(nu*x)"), zero, trig_algebra)
+    def equal(lhs):
+        return alg.gf_equal(gf(lhs), gf("0"), trig_ideal, DOM2PI)
+
+    assert isinstance(equal("(1 + sin(nu*x))*x"), alg.Equal)
+    assert isinstance(equal("1"), alg.NotEqual)
+    open_case = equal("nu*cos(nu*x)")
     assert isinstance(open_case, Unknown)
     assert "no factorization matched" in open_case.reason
     assert open_case.to_dict()["verdict"] == "unknown"
 
 
-def _branching(reps=None, panel=None, schedule=DEFAULT_SCHEDULE):
+def _branching(reps=("cos(nu*x)", "0"), panel=None, schedule=DEFAULT_SCHEDULE):
     """The branching demo as the command runs it by default, with these changes."""
-    if reps is not None:
-        reps = [smooth_sequence(tail) for tail in reps]
+    reps = [smooth_sequence(tail) for tail in reps]
     panel = panel or default_panel(DOM)
-    return alg.branching_demo(reps, "u^2", DOM, panel, schedule, DEFAULT_TOL)
+    return alg.branching_demo(reps, "u^2", ex.parse("u^2", ("u",)), DOM, panel, schedule, DEFAULT_TOL)
 
 
 def test_branching_demo_default():
@@ -263,8 +275,12 @@ def test_branching_demo_scaled_pair():
 
 
 def test_branching_demo_needs_two_representatives():
-    with pytest.raises(ValueError, match="at least two"):
-        _branching(("cos(nu*x)",))
+    code, report = cli.run(["demo", "branching", "--reps=cos(nu*x)"])
+    assert code == 1
+    assert report["error"] == {
+        "type": "ValueError",
+        "message": "branching needs at least two representatives",
+    }
 
 
 def test_branching_witness_stability():

@@ -703,6 +703,24 @@ def test_boolean_start_index_is_rejected():
             None,
             "reps[0]['exceptions']['2']: unknown identifier 'nu' (offset 0)",
         ),
+        # an empty operand is refused, never read as the demo's default
+        (["demo", "nosquare", "--seq="], None, "seq: unexpected end of input (offset 0)"),
+        (
+            ["demo", "no-largest-ideal", "--generators="],
+            None,
+            "generators: expected at least one sequence, got none",
+        ),
+        # a parse error names the flag and the path of the text
+        (["limit", "--seq=(x"], None, "seq: expected ')' (offset 2)"),
+        (["limit", '--seq={"tail":"(x"}'], None, "seq['tail']: expected ')' (offset 2)"),
+        (["gf", "mul", "--lhs=x", "--rhs=(x"], None, "rhs: expected ')' (offset 2)"),
+        (["demo", "branching", "--reps=x,(x"], None, "reps[1]: expected ')' (offset 2)"),
+        (["demo", "branching", "--op=(u"], None, "op: expected ')' (offset 2)"),
+        (
+            ["demo", "no-largest-ideal", "--generators=1+sin(nu*x),(x"],
+            None,
+            "generators[1]: expected ')' (offset 2)",
+        ),
     ],
 )
 def test_a_malformed_literal_is_one_error_report(tmp_path, argv, config, message):
@@ -712,7 +730,8 @@ def test_a_malformed_literal_is_one_error_report(tmp_path, argv, config, message
         argv = argv + [f"--config={path}"]
     code, report = cli.run(argv)
     assert code == 1
-    assert report["error"]["type"] == "ValueError"
+    # a message that ends in its text offset is the parser's, a ParseError
+    assert report["error"]["type"] == ("ParseError" if "(offset " in message else "ValueError")
     assert message in report["error"]["message"]
 
 

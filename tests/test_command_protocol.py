@@ -18,7 +18,7 @@ import pathlib
 import pytest
 
 from branchlab import algebra, cli, ideals, weaklimit
-from branchlab.expr import DomainInterval
+from branchlab.expr import DomainInterval, parse
 from branchlab.pairing import default_panel
 from branchlab.sequences import smooth_sequence
 from branchlab.weaklimit import DEFAULT_SCHEDULE
@@ -167,12 +167,15 @@ def _sweep():
 
 
 DEMOS = {
-    "nosquare": lambda: weaklimit.nosquare_demo(*_sweep(), None),
+    "nosquare": lambda: weaklimit.nosquare_demo(*_sweep(), smooth_sequence("cos(nu*x)")),
     "no-largest-ideal": lambda: ideals.no_largest_ideal_demo(
         DomainInterval(0.0, 2.0 * math.pi), 0.05, 200,
         smooth_sequence("1 + sin(nu*x)"), smooth_sequence("1 + cos(nu*x)"),
     ),
-    "branching": lambda: algebra.branching_demo(None, "u^2", *_sweep()),
+    "branching": lambda: algebra.branching_demo(
+        [smooth_sequence("cos(nu*x)"), smooth_sequence("0")], "u^2", parse("u^2", ("u",)),
+        *_sweep(),
+    ),
     "delta-square": lambda: _delta_square(*_sweep()),
 }
 

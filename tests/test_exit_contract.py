@@ -349,13 +349,15 @@ def test_no_literal_raises_out_of_run(drawn):
 
 @st.composite
 def broken_sequence_argvs(draw):
-    """An argv whose sequence literal breaks one rule cli checks, with the path its error names:
-    a start below 1, an exception before the start, or an exception that uses nu."""
+    """An argv whose sequence literal breaks one rule cli checks, with the path its error names
+    and the error's type: a start below 1 or an exception before the start (a ValueError), or
+    an exception that uses nu (a ParseError)."""
     flag = draw(st.sampled_from(("--seq", "--generators", "--reps")))
     path = "seq" if flag == "--seq" else flag[2:] + "[0]"
     start = draw(st.integers(1, 3))
     literal = {"tail": draw(st.sampled_from(("x", "cos(nu*x)"))), "start": start}
     rule = draw(st.sampled_from(("start", "index", "entry")))
+    kind = "ParseError" if rule == "entry" else "ValueError"
     if rule == "start":
         literal["start"] = draw(st.integers(-2, 0))
         path += "['start']"
@@ -367,7 +369,7 @@ def broken_sequence_argvs(draw):
         literal["exceptions"] = {key: draw(st.sampled_from(("nu", "nu*x", "x+cos(nu)")))}
         path += f"['exceptions'][{key!r}]"
     value = literal if flag == "--seq" else [literal]
-    return LITERAL_ARGVS[flag][0] + [f"{flag}={json.dumps(value)}"], path
+    return LITERAL_ARGVS[flag][0] + [f"{flag}={json.dumps(value)}"], path, kind
 
 
 @settings(
@@ -378,12 +380,12 @@ def broken_sequence_argvs(draw):
 )
 @given(broken_sequence_argvs())
 def test_a_literal_that_breaks_a_sequence_rule_is_one_report_naming_its_path(drawn):
-    argv, path = drawn
+    argv, path, kind = drawn
     code, text = _main(argv)
     assert code == 1
     report = json.loads(text)
     assert text == cli.canonical_json(report)
-    assert report["error"]["type"] == "ValueError"
+    assert report["error"]["type"] == kind
     assert report["error"]["message"].startswith(path + ": ")
 
 

@@ -32,9 +32,10 @@ def zero_density(ideal, domain, cell_width=idl.DEFAULT_CELL_WIDTH, nu_max=idl.DE
 
 def no_largest_ideal(*generators):
     """The demo at its command's defaults, on these generators if given."""
-    generators = tuple(map(smooth_sequence, generators)) or idl.NO_LARGEST_IDEAL_GENERATORS
+    generators = generators or ("1 + sin(nu*x)", "1 + cos(nu*x)")
     return idl.no_largest_ideal_demo(
-        idl.NO_LARGEST_IDEAL_DOMAIN, idl.DEFAULT_CELL_WIDTH, idl.DEFAULT_INDEX_CAP, *generators
+        idl.NO_LARGEST_IDEAL_DOMAIN, idl.DEFAULT_CELL_WIDTH, idl.DEFAULT_INDEX_CAP,
+        *map(smooth_sequence, generators),
     )
 
 
@@ -79,8 +80,18 @@ def test_generated_by_accepts_mixed_inputs():
 
 
 def test_finitely_generated_validation():
-    with pytest.raises(ValueError, match="needs generators"):
-        idl.FinitelyGenerated(())
+    # an ideal is generated by at least one sequence; cli refuses an empty list with its flag
+    for argv in (
+        ["ideal", "check", "--generators=,", "--domain=-1,1"],
+        ["ideal", "check", "--generators=[]", "--domain=-1,1"],
+        ["gf", "mul", "--lhs=x", "--rhs=x", "--algebra=generated", "--generators=[]"],
+    ):
+        code, report = cli.run(argv)
+        assert code == 1
+        assert report["error"] == {
+            "type": "ValueError",
+            "message": "generators: expected at least one sequence, got none",
+        }
 
 
 def test_ideal_sum_deduplicates_and_drops_zero():

@@ -497,7 +497,7 @@ def test_pair_oscillation_decays():
 
 def test_pair_square_keeps_half_mass():
     phi = pairing.bump(0.0, 1.0)
-    squared = apply_smooth("u^2", smooth_sequence("cos(nu*x)"), DOM)
+    squared = apply_smooth(ex.parse("u^2", ("u",)), smooth_sequence("cos(nu*x)"), DOM)
     assert _pair(squared, 4096, phi)[0] == pytest.approx(0.5, abs=1e-3)
 
 

@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from branchlab import algebra, cli, ideals
+from branchlab import cli, ideals
 from branchlab.expr import DomainInterval
 from branchlab.sequences import smooth_sequence
 
@@ -151,12 +151,7 @@ def test_demo_report_and_csv_bytes_pinned(demo, digest, csv_digest, tmp_path, mo
 def test_library_records_keep_their_dicts():
     """Records the CLI never writes keep their report form too."""
     domain = DomainInterval(-1.0, 1.0)
-    house = algebra.eventually_zero_algebra(domain)
-    assert house.to_dict() == {
-        "ideal": {"kind": "eventually-zero"},
-        "derivation_capable": True,
-        "domain": [-1.0, 1.0],
-    }
+    assert ideals.EventuallyZero().to_dict() == {"kind": "eventually-zero"}
     proof = ideals.off_diagonality(ideals.EventuallyZero(), domain)
     assert proof.to_dict()["certificate"]["kind"] == "structural"
     # the generator's derivative vanishes wherever the generator does

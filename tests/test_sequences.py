@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import branchlab.expr as ex
+from branchlab import cli
 from branchlab.ideals import EventuallyZero, InIdeal, NotInIdeal, membership
 from branchlab.sequences import (
     DEFAULT_X_COUNT,
@@ -151,24 +152,29 @@ def test_diagonal_is_a_morphism():
 
 
 def test_apply_smooth_square():
-    squared = apply_smooth("u^2", smooth_sequence("cos(nu*x)", {2: "x"}), DOM)
+    squared = apply_smooth(ex.parse("u^2", ("u",)), smooth_sequence("cos(nu*x)", {2: "x"}), DOM)
     assert squared.term_value(5, 0.3) == pytest.approx(math.cos(1.5) ** 2)
     assert squared.term(2) == ex.parse("x^2")
 
 
 def test_apply_smooth_constant_image():
-    lifted = apply_smooth("exp(u)", smooth_sequence("0"), DOM)
+    lifted = apply_smooth(ex.parse("exp(u)", ("u",)), smooth_sequence("0"), DOM)
     assert lifted.signature() == smooth_sequence("1").signature()
 
 
 def test_apply_smooth_rejects_unsafe_composition():
     with pytest.raises(ValueError):
-        apply_smooth("1/u", smooth_sequence("x"), DOM)
+        apply_smooth(ex.parse("1/u", ("u",)), smooth_sequence("x"), DOM)
 
 
 def test_apply_smooth_rejects_foreign_variables():
-    with pytest.raises(ValueError):
-        apply_smooth("u + x", smooth_sequence("cos(nu*x)"), DOM)
+    # an operation is read in u alone, and its error names the flag
+    code, report = cli.run(["demo", "branching", "--op=u + x"])
+    assert code == 1
+    assert report["error"] == {
+        "type": "ParseError",
+        "message": "op: unknown identifier 'x' (offset 4)",
+    }
 
 
 XS = DOM.interior_grid(DEFAULT_X_COUNT)

@@ -16,10 +16,10 @@ def classify(s, panel, schedule=wl.DEFAULT_SCHEDULE, tol=wl.DEFAULT_TOL):
     return wl.classify_membership(s, panel, schedule, tol)
 
 
-def nosquare(sequence=None):
+def nosquare(base="cos(nu*x)"):
     """The nosquare demo as its command runs it by default, on this base if given."""
-    panel = pairing.default_panel(DOM)
-    return wl.nosquare_demo(DOM, panel, wl.DEFAULT_SCHEDULE, wl.DEFAULT_TOL, sequence)
+    panel, base = pairing.default_panel(DOM), smooth_sequence(base)
+    return wl.nosquare_demo(DOM, panel, wl.DEFAULT_SCHEDULE, wl.DEFAULT_TOL, base)
 
 
 def midpoint(f, lo, hi, n):
@@ -35,7 +35,7 @@ def test_oscillation_is_weak_null():
 
 
 def test_square_converges_to_half():
-    squared = apply_smooth("u^2", smooth_sequence("cos(nu*x)"), DOM)
+    squared = apply_smooth(ex.parse("u^2", ("u",)), smooth_sequence("cos(nu*x)"), DOM)
     ((_, verdict),) = classify(squared, (PHI,)).per_test_function
     assert isinstance(verdict, wl.ConvergesTo)
     assert verdict.value == pytest.approx(0.5, abs=1e-3)
@@ -144,7 +144,7 @@ def test_weak_null_implies_convergent_everywhere():
 
 
 def test_limit_scales_with_the_sequence():
-    squared = apply_smooth("u^2", smooth_sequence("cos(nu*x)"), DOM)
+    squared = apply_smooth(ex.parse("u^2", ("u",)), smooth_sequence("cos(nu*x)"), DOM)
     tripled = seq_mul(smooth_sequence("3"), squared)
     ((_, verdict),) = classify(tripled, (PHI,)).per_test_function
     assert isinstance(verdict, wl.ConvergesTo)
@@ -191,14 +191,14 @@ def test_nosquare_demo_default():
 
 
 def test_nosquare_demo_with_sine_base():
-    report = nosquare(smooth_sequence("sin(nu*x)"))
+    report = nosquare("sin(nu*x)")
     assert all_passed(report["stages"])
     assert report["stages"][0]["classification"] == "weak-null"
     assert report["stages"][1]["classification"] == "convergent"
 
 
 def test_nosquare_demo_zero_base_draws_no_conclusion():
-    report = nosquare(smooth_sequence("0"))
+    report = nosquare("0")
     assert not all_passed(report["stages"])
     assert report["stages"][1]["classification"] == "weak-null"
     assert "no impossibility" in report["conclusion"]
