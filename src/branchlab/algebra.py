@@ -116,8 +116,11 @@ def branching_demo(representatives, operation, outer, domain, panel, schedule, t
         squared_records = []
         limit_vectors = []
         all_definite = True
-        for s in representatives:
-            transformed = apply_smooth(outer, s, domain)
+        for k, s in enumerate(representatives):
+            try:
+                transformed = apply_smooth(outer, s, domain)
+            except ValueError as err:
+                raise ValueError(f"op on reps[{k}]: {err}") from None
             verdict = classify_membership(transformed, panel, schedule, tol)
             # convergent and weak-null both mean every member converges
             definite = verdict.classification in (

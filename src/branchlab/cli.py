@@ -689,7 +689,7 @@ def _demo_no_largest_ideal(args):
     settings = resolve_settings(args)
     generators = load_sequence_list(args.generators, "generators")
     if len(generators) != 2:
-        raise ValueError("this demo takes exactly two generators")
+        raise ValueError(f"generators: expected exactly two sequences, got {len(generators)}")
     domain, cell, nu_max = settings["domain"], settings["cell"], settings["nu-max"]
     return _demo_report(settings, no_largest_ideal_demo(domain, cell, nu_max, *generators))
 
@@ -698,7 +698,7 @@ def _demo_branching(args):
     settings = resolve_settings(args)
     representatives = load_sequence_list(args.reps, "reps")
     if len(representatives) < 2:
-        raise ValueError("branching needs at least two representatives")
+        raise ValueError(f"reps: expected at least two sequences, got {len(representatives)}")
     outer = _parsed("op", args.op, ("u",))
     result = branching_demo(representatives, args.op, outer, *_sweep(settings))
     return _demo_report(settings, result, op=args.op)

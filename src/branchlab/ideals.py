@@ -29,6 +29,10 @@ c +- c*sin|cos(u) with u linear in x.  A certificate brackets every cell
 first and bisects all its brackets in one lane-wise pass; each root must
 leave the entry below 1e-8, which rules out a sign change across a pole.  A
 near-zero minimum with neither, such as that of 1.000000001 + sin, is no root.
+The witness scan brackets index by index and bisects the brackets of 1, 1,
+2, 4, 8, ... consecutive indices in one pass.  Bisection is lane-wise and
+each lane carries its own index, so a root is the same whichever lanes share
+its pass.
 """
 
 from __future__ import annotations
@@ -360,33 +364,50 @@ class _RootFinder:
 
 
 def _scan_for_witness(s, generators, domain):
-    """Root of the first generator where every generator vanishes but s does not."""
+    """Root of the first generator where every generator vanishes but s does not.
+
+    Each scan index is bracketed on its own and keeps its first 64 brackets;
+    the brackets of a chunk of 1, 1, 2, 4, 8, ... consecutive indices are
+    bisected in one pass.  The chunk's indices are then screened in order,
+    so the hit is the one an index-by-index scan finds, and a hit at the
+    m-th index has bisected the brackets of fewer than 2m indices.
+    """
     xs = domain.interior_grid(SCAN_GRID)
+    start = max(s.start_index, *(g.start_index for g in generators))
     indices = sorted({*range(1, SCAN_NU_LIMIT + 1), *(index for index, _ in s.exceptional)})
+    indices = [index for index in indices if index >= start]
     finder = _RootFinder(generators[0])
-    for index in indices:
-        if index < s.start_index or any(index < g.start_index for g in generators):
-            continue
-        with np.errstate(all="ignore"):
-            ids, lo, hi = (part[:64] for part in finder.brackets(index, xs))
+    done = 0
+    with np.errstate(all="ignore"):
+        while done < len(indices):
+            chunk = indices[done : 2 * done or 1]
+            done += len(chunk)
+            brackets = [[part[:64] for part in finder.brackets(index, xs)] for index in chunk]
+            ids, lo, hi = (np.concatenate(parts) for parts in zip(*brackets))
             if not len(ids):
                 continue
-            points, residuals = finder.roots(ids, np.full(len(ids), index), lo, hi)
-            # lane values screen the roots; the entries' values on the points decide
-            values = _defined(s, index, points)
-            screened = (residuals < VANISH_TOL) & (np.abs(values) > NONVANISH_TOL)
-            points, values = points[screened], values[screened]
-            vanishing = np.array([_defined(g, index, points) for g in generators])
-            hits = np.flatnonzero((np.abs(vanishing) < VANISH_TOL).all(axis=0))
-        if len(hits):
-            k = hits[0]
-            return MembershipWitness(
-                index,
-                points[k].item(),
-                values[k].item(),
-                tuple(vanishing[:, k].tolist()),
-                note="all generators vanish to tolerance at this point",
-            )
+            counts = [len(part) for part, _, _ in brackets]
+            roots, residuals = finder.roots(ids, np.repeat(chunk, counts), lo, hi)
+            ends = np.cumsum(counts)
+            for index, first, end in zip(chunk, ends - counts, ends):
+                if first == end:
+                    continue
+                # lane values screen the roots; the entries' values on the points decide
+                points = roots[first:end]
+                values = _defined(s, index, points)
+                screened = (residuals[first:end] < VANISH_TOL) & (np.abs(values) > NONVANISH_TOL)
+                points, values = points[screened], values[screened]
+                vanishing = np.array([_defined(g, index, points) for g in generators])
+                hits = np.flatnonzero((np.abs(vanishing) < VANISH_TOL).all(axis=0))
+                if len(hits):
+                    k = hits[0]
+                    return MembershipWitness(
+                        index,
+                        points[k].item(),
+                        values[k].item(),
+                        tuple(vanishing[:, k].tolist()),
+                        note="all generators vanish to tolerance at this point",
+                    )
     return None
 
 
@@ -547,6 +568,7 @@ def zero_density_certificate(ideal, domain, cell_width, nu_max):
     cell_ids, cell_nus = np.zeros((2, cell_count), int)
     cell_lo, cell_hi = np.zeros((2, cell_count))
 
+    xs = np.empty(0)
     with np.errstate(all="ignore"):
         for index in range(max(1, generator.start_index), nu_max + 1):
             open_cells = cell_nus == 0
@@ -554,7 +576,10 @@ def zero_density_certificate(ideal, domain, cell_width, nu_max):
                 break
             step = min(actual_width / 8.0, 2.0 * math.pi / (8.0 * index))
             count = int(math.ceil(domain.length / step)) + 1
-            ids, lo, hi = finder.brackets(index, np.linspace(domain.lower, domain.upper, count))
+            # the step never grows with the index, so each grid size is built once
+            if len(xs) != count:
+                xs = np.linspace(domain.lower, domain.upper, count)
+            ids, lo, hi = finder.brackets(index, xs)
             # a bracket is a candidate for the cell holding lo and for the one
             # holding hi, which differ for a root on an edge; np.unique keeps
             # each open cell's first candidate

@@ -39,7 +39,7 @@ from ._report import Record
 
 # most nodes one closure call of pairing_tables sees, unless one grid is longer
 BLOCK_NODES = 8192
-# most nodes of one member's grid; a longer one is refused before its index is sampled
+# most nodes of one member's grid; a longer one is refused before any index is sampled
 MAX_GRID_NODES = 1 << 22
 
 
@@ -233,8 +233,9 @@ def pairing_tables(s, members, schedule):
     Returns one [(index, value, estimate), ...] table per member, in schedule
     order; see the module docstring for the blocks they are computed on.  A
     non-finite sample raises IntegrationError naming the first index of the
-    schedule that has one and, at that index, the first member that does;
-    so does a grid longer than MAX_GRID_NODES, before its index is sampled.
+    schedule that has one and, at that index, the first member that does.
+    A grid longer than MAX_GRID_NODES raises it the same way, naming its
+    index and member, before any index is sampled.
     """
     members = tuple(members)
     lower = np.array([phi.support[0] for phi in members])
@@ -244,22 +245,26 @@ def pairing_tables(s, members, schedule):
     scales = np.array([phi._scale() for phi in members])[:, None]
     # equal widths can differ in the last bit of upper - lower, the float a count reads
     lengths = (upper - lower).tolist()
+    # every index's members grouped by panel count, every grid checked before any sampling
+    plan = []
+    for index in schedule:
+        counts = {length: _panel_count(length, index) for length in dict.fromkeys(lengths)}
+        groups = {}
+        for k, length in enumerate(lengths):
+            if 2 * counts[length] + 1 > MAX_GRID_NODES:
+                phi = members[k]
+                raise IntegrationError(
+                    f"the grid at index {index}, against the test function centered at "
+                    f"{phi.center} with width {phi.width}, would have "
+                    f"{2 * counts[length] + 1} nodes, more than {MAX_GRID_NODES}"
+                )
+            groups.setdefault(counts[length], []).append(k)
+        plan.append((index, groups))
     tables = [[] for _ in members]
     size = 0  # nodes of each buffer; no chunk is longer than max(BLOCK_NODES, count)
     # a non-finite entry times the bump's zeros is nan, and a sum may overflow
     with np.errstate(all="ignore"):
-        for index in schedule:
-            counts = {length: _panel_count(length, index) for length in dict.fromkeys(lengths)}
-            groups = {}
-            for k, length in enumerate(lengths):
-                if 2 * counts[length] + 1 > MAX_GRID_NODES:
-                    phi = members[k]
-                    raise IntegrationError(
-                        f"the grid at index {index}, against the test function centered at "
-                        f"{phi.center} with width {phi.width}, would have "
-                        f"{2 * counts[length] + 1} nodes, more than {MAX_GRID_NODES}"
-                    )
-                groups.setdefault(counts[length], []).append(k)
+        for index, groups in plan:
             failed = []
             for panels, rows in groups.items():
                 count = 2 * panels + 1

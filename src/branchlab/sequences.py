@@ -157,7 +157,8 @@ def apply_smooth(outer, s, domain):
     report = ex.denominator_safety(tail, domain)
     if report.status is not ex.SafetyStatus.SAFE:
         raise ValueError(
-            f"composition is not denominator-safe on the domain: {report.status.value}"
+            f"composition is not denominator-safe on the domain: {report.status.value} "
+            f"(witness_nu {report.witness_nu}, witness_x {report.witness_x})"
         )
     return SmoothSequence(tail, entries, s.start_index)
 

@@ -279,7 +279,7 @@ def test_branching_demo_needs_two_representatives():
     assert code == 1
     assert report["error"] == {
         "type": "ValueError",
-        "message": "branching needs at least two representatives",
+        "message": "reps: expected at least two sequences, got 1",
     }
 
 

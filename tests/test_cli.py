@@ -516,6 +516,32 @@ def test_a_grid_too_long_to_sample_is_an_error_report():
     assert f"more than {pairing.MAX_GRID_NODES}" in message
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["limit", "--seq=cos(nu*x)", "--nu-max=1000000000"],
+        ["classify", "--seq=cos(nu*x)", "--nu-max=1000000000"],
+        ["demo", "nosquare", "--nu-max=1000000000"],
+    ],
+)
+def test_a_schedule_reaching_a_grid_too_long_is_refused_before_sampling(argv):
+    # index 2097152 of the schedule needs a grid over MAX_GRID_NODES; sampling
+    # the 21 indices before it took over a second
+    elapsed = []
+    for _ in range(2):  # the faster of two runs, against a busy machine
+        started = time.perf_counter()
+        completed = subprocess.run(
+            [sys.executable, "-m", "branchlab.cli", *argv],
+            capture_output=True, text=True, timeout=120,
+        )
+        elapsed.append(time.perf_counter() - started)
+    assert completed.returncode == 1
+    error = json.loads(completed.stdout)["error"]
+    assert error["type"] == "IntegrationError"
+    assert error["message"].startswith("the grid at index 2097152, against the test function ")
+    assert min(elapsed) < 0.5
+
+
 def test_span_independence_at_its_x_count_bound_stays_small():
     # 8 indices x 524288 points is MAX_GRID_NODES, the largest sample the bound lets through
     argv = ["span", "independence", "--first=sin(x)", "--second=cos(x)", "--x-count=524288"]
@@ -720,6 +746,20 @@ def test_boolean_start_index_is_rejected():
             ["demo", "no-largest-ideal", "--generators=1+sin(nu*x),(x"],
             None,
             "generators[1]: expected ')' (offset 2)",
+        ),
+        # a wrong operand count names its flag, and an unsafe composition the
+        # representative and where its denominator vanishes
+        (
+            ["demo", "no-largest-ideal", "--generators=x"],
+            None,
+            "generators: expected exactly two sequences, got 1",
+        ),
+        (["demo", "branching", "--reps=x"], None, "reps: expected at least two sequences, got 1"),
+        (
+            ["demo", "branching", "--op=1/u"],
+            None,
+            "op on reps[0]: composition is not denominator-safe on the domain: unsafe "
+            "(witness_nu 2, witness_x ",
         ),
     ],
 )

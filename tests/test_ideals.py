@@ -366,6 +366,8 @@ def _pointwise_witness(s, generators, domain):
     xs = domain.interior_grid(idl.SCAN_GRID)
     finder = idl._RootFinder(generators[0])
     for index in sorted({*range(1, idl.SCAN_NU_LIMIT + 1), *(i for i, _ in s.exceptional)}):
+        if index < s.start_index or any(index < g.start_index for g in generators):
+            continue
         with np.errstate(all="ignore"):
             ids, lo, hi = (part[:64] for part in finder.brackets(index, xs))
             if not len(ids):
@@ -409,6 +411,77 @@ def test_array_checks_equal_the_pointwise_loops(rng):
             assert (witness.nu, witness.x, witness.sequence_value, witness.generator_values) == expected
         found.add(witness is not None)
     assert verified == found == {False, True}
+
+
+def _roots_passes(monkeypatch):
+    """The lane indices of every _RootFinder.roots call, one list per call."""
+    passes = []
+    original = idl._RootFinder.roots
+
+    def recorded(self, ids, nus, lo, hi):
+        passes.append(nus.tolist())
+        return original(self, ids, nus, lo, hi)
+
+    monkeypatch.setattr(idl._RootFinder, "roots", recorded)
+    return passes
+
+
+def test_a_scan_that_finds_nothing_bisects_its_32_indices_in_six_passes(monkeypatch):
+    passes = _roots_passes(monkeypatch)
+    verdict = idl.derivation_closure(generated_by("cos(nu*x+0.3)^2"), ex.DomainInterval(-1.0, 2.0))
+    assert "no vanishing-point witness found" in verdict.reason
+    chunks = ((1, 2), (2, 3), (3, 5), (5, 9), (9, 17), (17, 33))
+    assert [sorted(set(nus)) for nus in passes] == [list(range(*chunk)) for chunk in chunks]
+
+
+@pytest.mark.parametrize("generator", ["x", "sin(nu*x)"])
+@pytest.mark.parametrize("hit", [2, 3, 5, 9, 17])
+def test_a_hit_on_a_chunk_boundary_is_the_pointwise_hit(generator, hit, monkeypatch):
+    # zero entries before the hit index leave nothing to witness there; the
+    # hit opens the chunk of indices hit .. 2 * hit - 2
+    s = smooth_sequence("2 + x", {index: "0" for index in range(1, hit)})
+    ideal = generated_by(generator)
+    domain = ex.DomainInterval(-1.0, 1.0)
+    passes = _roots_passes(monkeypatch)
+    witness = idl._scan_for_witness(s, ideal.generators, domain)
+    assert witness.nu == hit == passes[-1][0]
+    assert sum(len(set(nus)) for nus in passes) == 2 * hit - 2
+    expected = _pointwise_witness(s, ideal.generators, domain)
+    assert (witness.nu, witness.x, witness.sequence_value, witness.generator_values) == expected
+
+
+@pytest.mark.parametrize(
+    "s, nu",
+    [
+        # an exceptional index above the scan limit is scanned after it
+        (smooth_sequence("0", {40: "2 + x"}), 40),
+        (smooth_sequence("2 + x", start_index=3), 3),
+    ],
+)
+def test_exceptions_above_the_limit_and_late_starts_scan_as_pointwise(s, nu):
+    ideal, domain = generated_by("sin(nu*x)"), ex.DomainInterval(-1.0, 1.0)
+    witness = idl._scan_for_witness(s, ideal.generators, domain)
+    expected = _pointwise_witness(s, ideal.generators, domain)
+    assert (witness.nu, witness.x, witness.sequence_value, witness.generator_values) == expected
+    assert witness.nu == nu
+
+
+def test_zero_density_builds_each_grid_size_once(monkeypatch):
+    sizes = []
+    original = np.linspace
+
+    def recorded(lower, upper, count):
+        sizes.append(count)
+        return original(lower, upper, count)
+
+    monkeypatch.setattr(idl.np, "linspace", recorded)
+    # |x*sin(nu*x)| < 0.3 near 0 leaves a cell open, so every index 1 .. 200 is
+    # bracketed; the step is the cell's up to index 125 and shrinks after it
+    domain = ex.DomainInterval(-1.0, 1.0)
+    assert zero_density(generated_by("x*sin(nu*x) - 0.3"), domain, 0.05, 200) is None
+    steps = [min(0.05 / 8.0, 2.0 * math.pi / (8.0 * index)) for index in range(1, 201)]
+    assert sizes == sorted({math.ceil(2.0 / step) + 1 for step in steps})
+    assert len(sizes) == 76
 
 
 @pytest.mark.parametrize(
