@@ -21,7 +21,6 @@ from .sequences import apply_smooth, seq_derive, smooth_sequence
 from .weaklimit import Classification, Diverges, _verdict_from_table, classify_membership
 
 SEPARATION_FACTOR = 100.0
-DELTA_SQUARE_SCHEDULE = tuple(2**k for k in range(2, 13))
 DELTA_SQUARE_BAND = 0.05
 
 

@@ -14,12 +14,18 @@ those fields so byte comparison across runs is meaningful.  canonical_json
 writes a report with its own encoder, in exactly the bytes
 json.dumps(sort_keys=True, indent=2) writes, with non-finite floats as the
 strings "nan", "inf" and "-inf".
+
+A command loads only the layers it runs.  This module imports `_report`,
+`expr`, `pairing`, `sequences` and `weaklimit` at its top; `ideals` and
+`algebra` are imported inside the handlers that call them, and `csv` inside
+write_csv, so `limit`, `classify`, `span independence` and `demo nosquare`
+never load them.  The settings those layers read have their defaults in
+COMMANDS, so building the parser loads neither.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import math
@@ -30,49 +36,15 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from ._report import all_passed, report_value, stage
-from .algebra import (
-    DELTA_SQUARE_SCHEDULE,
-    AlgebraError,
-    branching_demo,
-    delta_square_demo,
-    gf,
-    gf_derive,
-    gf_equal,
-)
 from .expr import (
-    DEFAULT_DOMAIN,
-    DomainInterval,
-    ParseError,
-    SafetyStatus,
-    denominator_safety,
-    parse,
+    DEFAULT_DOMAIN, DomainInterval, ParseError, SafetyStatus, denominator_safety, parse
 )
-from .ideals import (
-    DEFAULT_CELL_WIDTH,
-    DEFAULT_INDEX_CAP,
-    DEFAULT_UNIT_MARGIN,
-    NO_LARGEST_IDEAL_DOMAIN,
-    EventuallyZero,
-    OffDiagonal,
-    derivation_closure,
-    generated_by,
-    no_largest_ideal_demo,
-    off_diagonality,
-)
-from .pairing import MAX_GRID_NODES, Panel, bump, default_panel
+from .pairing import MAX_GRID_NODES, WORK_BUDGET, Panel, bump, default_panel
 from .sequences import (
-    DEFAULT_X_COUNT,
-    SAMPLE_NUS,
-    SpanStatus,
-    independence_certificate,
-    smooth_sequence,
+    DEFAULT_X_COUNT, SAMPLE_NUS, SpanStatus, independence_certificate, smooth_sequence
 )
 from .weaklimit import (
-    DEFAULT_SCHEDULE,
-    DEFAULT_TOL,
-    Classification,
-    classify_stage,
-    nosquare_demo,
+    DEFAULT_SCHEDULE, DEFAULT_TOL, Classification, classify_stage, nosquare_demo,
     validate_schedule,
 )
 
@@ -262,7 +234,7 @@ def _sample_count(x_count):
 _REQUIRED = object()  # a setting with no default: a flag or the config file must give it
 _SWEEP = {"domain": DEFAULT_DOMAIN, "schedule": DEFAULT_SCHEDULE, "tol": DEFAULT_TOL,
           "panel": None, "nu-max": None}
-_CERTIFICATE = {"cell": DEFAULT_CELL_WIDTH, "nu-max": DEFAULT_INDEX_CAP}
+_CERTIFICATE = {"cell": 0.05, "nu-max": 200}
 
 # each setting's flag: how its value is read, the rule a read value must meet,
 # and its help; argparse itself converts an int or float flag, so a bad value
@@ -505,6 +477,8 @@ def emit_csv(report):
 
 
 def write_csv(report, path):
+    import csv
+
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerows(emit_csv(report))
@@ -555,6 +529,8 @@ def _cmd_classify(args):
 
 
 def _cmd_ideal_check(args):
+    from .ideals import derivation_closure, generated_by, off_diagonality
+
     settings = resolve_settings(args)
     domain = settings["domain"]
     generators = load_sequence_list(args.generators, "generators")
@@ -574,13 +550,8 @@ def _cmd_ideal_check(args):
         entry["passed"] = all_safe
 
     with stage("off-diagonality", stages) as entry:
-        verdict = off_diagonality(
-            ideal,
-            domain,
-            cell_width=settings["cell"],
-            nu_max=settings["nu-max"],
-            margin=settings["margin"],
-        )
+        verdict = off_diagonality(ideal, domain, settings["cell"], settings["nu-max"],
+                                  settings["margin"])
         entry["outcome"] = verdict.to_dict()
         entry["passed"] = verdict.definite
 
@@ -598,6 +569,13 @@ def _cmd_span_independence(args):
     settings = resolve_settings(args)
     first = [load_sequence(item, f"first[{k}]") for k, item in enumerate(args.first)]
     second = [load_sequence(item, f"second[{k}]") for k, item in enumerate(args.second)]
+    samples = (len(first) + len(second)) * settings["x-count"] * len(SAMPLE_NUS)
+    if samples > WORK_BUDGET:
+        raise ValueError(
+            f"{len(first) + len(second)} sequences x {settings['x-count']} points x "
+            f"{len(SAMPLE_NUS)} indices is {samples} samples, more than the work budget "
+            f"of {WORK_BUDGET}"
+        )
     xs = settings["domain"].interior_grid(settings["x-count"])
     stages = []
     with stage("independence", stages) as entry:
@@ -618,15 +596,19 @@ def _cmd_span_independence(args):
 def _gf_ideal(args, domain, stages):
     """The ideal the algebra divides by; a generated one must pass the off-diagonality
     gate, which refuses one that contains a unit.  None after an inconclusive gate."""
+    from .algebra import AlgebraError
+    from .ideals import EventuallyZero, OffDiagonal, generated_by, off_diagonality
+
     if (args.algebra == "generated") != (args.generators is not None):
         raise ValueError("--algebra generated and --generators go together")
     if args.algebra == "eventually-zero":
         return EventuallyZero()
     with stage("off-diagonality-gate", stages) as entry:
-        # the gate certifies at off_diagonality's defaults; no setting reaches them
-        entry["cell_width"], entry["nu_max"] = DEFAULT_CELL_WIDTH, DEFAULT_INDEX_CAP
+        # the gate certifies at `ideal check`'s defaults; no setting of gf reaches them
+        check = COMMAND_SETTINGS["ideal check"]
+        entry["cell_width"], entry["nu_max"] = check["cell"], check["nu-max"]
         ideal = generated_by(*load_sequence_list(args.generators, "generators"))
-        verdict = off_diagonality(ideal, domain)
+        verdict = off_diagonality(ideal, domain, check["cell"], check["nu-max"], check["margin"])
         if not verdict.definite:
             entry["reason"] = verdict.reason
         elif not isinstance(verdict, OffDiagonal):
@@ -636,6 +618,8 @@ def _gf_ideal(args, domain, stages):
 
 
 def _cmd_gf(args):
+    from .algebra import gf, gf_derive, gf_equal
+
     settings = resolve_settings(args)
     domain = settings["domain"]
     config_echo = _settings_echo(settings) | {"algebra": args.algebra}
@@ -686,15 +670,22 @@ def _demo_nosquare(args):
 
 
 def _demo_no_largest_ideal(args):
+    from .ideals import no_largest_ideal_demo
+
     settings = resolve_settings(args)
     generators = load_sequence_list(args.generators, "generators")
     if len(generators) != 2:
         raise ValueError(f"generators: expected exactly two sequences, got {len(generators)}")
+    # the unit search runs at `ideal check`'s margin, which no setting of the demo reaches
     domain, cell, nu_max = settings["domain"], settings["cell"], settings["nu-max"]
-    return _demo_report(settings, no_largest_ideal_demo(domain, cell, nu_max, *generators))
+    margin = COMMAND_SETTINGS["ideal check"]["margin"]
+    result = no_largest_ideal_demo(domain, cell, nu_max, margin, *generators)
+    return _demo_report(settings, result)
 
 
 def _demo_branching(args):
+    from .algebra import branching_demo
+
     settings = resolve_settings(args)
     representatives = load_sequence_list(args.reps, "reps")
     if len(representatives) < 2:
@@ -705,6 +696,8 @@ def _demo_branching(args):
 
 
 def _demo_delta_square(args):
+    from .algebra import delta_square_demo
+
     settings = resolve_settings(args)
     domain, panel, schedule, tol = _sweep(settings)
     return _demo_report(settings, delta_square_demo(domain, schedule, panel, tol))
@@ -742,7 +735,7 @@ COMMANDS = (
     Command("limit", "weak limit per panel member", _cmd_limit, _SWEEP, (_operand("--seq"),)),
     Command("classify", "weak-convergence class", _cmd_classify, _SWEEP, (_operand("--seq"),)),
     Command("ideal check", "off-diagonality and closure", _cmd_ideal_check,
-            {"domain": _REQUIRED, **_CERTIFICATE, "margin": DEFAULT_UNIT_MARGIN},
+            {"domain": _REQUIRED, **_CERTIFICATE, "margin": 0.1},
             (_operand("--generators", help="comma-separated expressions or files"),)),
     Command("span independence", "trivial-intersection certificate", _cmd_span_independence,
             {"domain": DEFAULT_DOMAIN, "x-count": DEFAULT_X_COUNT},
@@ -756,7 +749,7 @@ COMMANDS = (
     Command("demo nosquare", "squared null sequence", _demo_nosquare, _SWEEP,
             (("--seq", {"default": "cos(nu*x)", "help": "base sequence (default %(default)s)"}),)),
     Command("demo no-largest-ideal", "improper ideal sum", _demo_no_largest_ideal,
-            {"domain": NO_LARGEST_IDEAL_DOMAIN, **_CERTIFICATE},
+            {"domain": DomainInterval(0.0, 2.0 * math.pi), **_CERTIFICATE},
             (("--generators", {"default": "1 + sin(nu*x),1 + cos(nu*x)",
                                "help": "two comma-separated generators (default %(default)s)"}),)),
     Command("demo branching", "representative-dependent limits", _demo_branching, _SWEEP,
@@ -764,7 +757,7 @@ COMMANDS = (
                          "help": "JSON array, comma list, or file (default %(default)s)"}),
              ("--op", {"default": "u^2", "help": "outer expression in u (default %(default)s)"}))),
     Command("demo delta-square", "squared delta pairings", _demo_delta_square,
-            _SWEEP | {"schedule": DELTA_SQUARE_SCHEDULE}),
+            _SWEEP | {"schedule": tuple(2**k for k in range(2, 13))}),
 )
 COMMAND_SETTINGS = {command.words: command.settings for command in COMMANDS}
 _GROUP_HELP = {"ideal": "ideal admissibility checks", "span": "finite-span diagnostics",

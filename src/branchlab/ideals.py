@@ -58,16 +58,12 @@ from .sequences import (
 VANISH_TOL = 1e-10
 NONVANISH_TOL = 1e-6
 FACTORIZATION_TOL = 1e-10
-DEFAULT_UNIT_MARGIN = 0.1
-DEFAULT_CELL_WIDTH = 0.05
-DEFAULT_INDEX_CAP = 200
 ROOT_RESIDUAL_TOL = 1e-8
 UNIT_COEFFICIENT_BOUND = 3
 UNIT_LATTICE_NUS = (1, 2, 3, 4, 6, 8, 12, 16)
 UNIT_LATTICE_X_COUNT = 8192
 SCAN_NU_LIMIT = 32
 SCAN_GRID = 2048
-NO_LARGEST_IDEAL_DOMAIN = DomainInterval(0.0, 2.0 * math.pi)
 VERIFICATION_SAMPLES = 100
 _VERIFICATION_SEED = 20260815
 
@@ -481,7 +477,7 @@ def _candidate_combinations(generator_count, bound):
         yield ((c1, i), (c2, j))
 
 
-def unit_detection(ideal, domain, margin=DEFAULT_UNIT_MARGIN):
+def unit_detection(ideal, domain, margin):
     """Search small integer combinations of generators for a positive floor.
 
     Returns a witness whose sampled infimum over the (nu, x) lattice is at
@@ -630,13 +626,7 @@ class OffDiagInconclusive(Unknown):
     tag = "inconclusive"
 
 
-def off_diagonality(
-    ideal,
-    domain,
-    cell_width=DEFAULT_CELL_WIDTH,
-    nu_max=DEFAULT_INDEX_CAP,
-    margin=DEFAULT_UNIT_MARGIN,
-):
+def off_diagonality(ideal, domain, cell_width, nu_max, margin):
     """Does the ideal meet the diagonal constant sequences only in zero?
 
     Contains-unit and off-diagonal are mutually exclusive outcomes: a
@@ -712,7 +702,7 @@ def derivation_closure(ideal, domain):
 # demo
 
 
-def no_largest_ideal_demo(domain, cell_width, nu_max, first_generator, second_generator):
+def no_largest_ideal_demo(domain, cell_width, nu_max, margin, first_generator, second_generator):
     """Two separately admissible ideals whose sum is improper.
 
     Each principal ideal gets a zero-density certificate, so each one meets
@@ -731,7 +721,7 @@ def no_largest_ideal_demo(domain, cell_width, nu_max, first_generator, second_ge
         ("off-diagonality-second", second),
     ):
         with stage(name, stages) as entry:
-            verdict = off_diagonality(ideal, domain, cell_width, nu_max)
+            verdict = off_diagonality(ideal, domain, cell_width, nu_max, margin)
             payload = verdict.to_dict()
             if isinstance(verdict, OffDiagonal) and isinstance(
                 verdict.certificate, ZeroDensityCertificate
@@ -753,7 +743,7 @@ def no_largest_ideal_demo(domain, cell_width, nu_max, first_generator, second_ge
             entry["passed"] = False
 
     with stage("unit-witness", stages) as entry:
-        unit = unit_detection(combined, domain)
+        unit = unit_detection(combined, domain, margin)
         entry["outcome"] = unit.to_dict() if unit else {"witness": None}
         entry["passed"] = unit is not None
 

@@ -41,10 +41,13 @@ from ._report import Record
 BLOCK_NODES = 8192
 # most nodes of one member's grid; a longer one is refused before any index is sampled
 MAX_GRID_NODES = 1 << 22
+# most nodes a sweep's grids hold over its whole schedule and panel, and most samples
+# span independence takes; a larger product is refused before anything is sampled
+WORK_BUDGET = 2 * MAX_GRID_NODES
 
 
 class IntegrationError(ValueError):
-    """Raised when an integrand produces non-finite samples or needs too long a grid."""
+    """Raised when an integrand produces non-finite samples or needs too many grid nodes."""
 
 
 def _bump(u, scale):
@@ -235,7 +238,8 @@ def pairing_tables(s, members, schedule):
     non-finite sample raises IntegrationError naming the first index of the
     schedule that has one and, at that index, the first member that does.
     A grid longer than MAX_GRID_NODES raises it the same way, naming its
-    index and member, before any index is sampled.
+    index and member, and grids over WORK_BUDGET nodes in all raise it naming
+    the total, before any index is sampled.
     """
     members = tuple(members)
     lower = np.array([phi.support[0] for phi in members])
@@ -246,20 +250,27 @@ def pairing_tables(s, members, schedule):
     # equal widths can differ in the last bit of upper - lower, the float a count reads
     lengths = (upper - lower).tolist()
     # every index's members grouped by panel count, every grid checked before any sampling
-    plan = []
+    plan, total = [], 0
     for index in schedule:
         counts = {length: _panel_count(length, index) for length in dict.fromkeys(lengths)}
         groups = {}
         for k, length in enumerate(lengths):
-            if 2 * counts[length] + 1 > MAX_GRID_NODES:
+            nodes = 2 * counts[length] + 1
+            if nodes > MAX_GRID_NODES:
                 phi = members[k]
                 raise IntegrationError(
                     f"the grid at index {index}, against the test function centered at "
                     f"{phi.center} with width {phi.width}, would have "
-                    f"{2 * counts[length] + 1} nodes, more than {MAX_GRID_NODES}"
+                    f"{nodes} nodes, more than {MAX_GRID_NODES}"
                 )
+            total += nodes
             groups.setdefault(counts[length], []).append(k)
         plan.append((index, groups))
+    if total > WORK_BUDGET:
+        raise IntegrationError(
+            f"the grids of {len(plan)} indices against {len(members)} test functions would "
+            f"have {total} nodes, more than the work budget of {WORK_BUDGET}"
+        )
     tables = [[] for _ in members]
     size = 0  # nodes of each buffer; no chunk is longer than max(BLOCK_NODES, count)
     # a non-finite entry times the bump's zeros is nan, and a sum may overflow

@@ -1,15 +1,79 @@
+import json
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+from branchlab import cli
 from branchlab import expr as ex
 from branchlab import ideals
 from branchlab._numutil import _GOLDEN, BISECT_ITERATIONS, GOLDEN_ITERATIONS
 from branchlab.sequences import smooth_sequence
 
 CORPUS_SEED = 977112
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
+
+# the certificate settings `ideal check` declares by default, as off_diagonality takes them
+_CHECK = cli.COMMAND_SETTINGS["ideal check"]
+CERTIFICATE = {
+    "cell_width": _CHECK["cell"], "nu_max": _CHECK["nu-max"], "margin": _CHECK["margin"],
+}
+
+
+# ---------------------------------------------------------------------------
+# fresh interpreters
+
+# runs each argv through cli.main, as the `branchlab` command does, and keeps
+# what it wrote and the modules loaded once it returned
+_FRESH_CHILD = """\
+import contextlib, io, json, sys
+argvs, address_space = json.loads(sys.argv[1]), json.loads(sys.argv[2])
+if address_space is not None:
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+from branchlab import cli
+results = []
+for argv in argvs:
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(argv)
+    results.append((code, out.getvalue(), sorted(sys.modules)))
+print(json.dumps(results))
+"""
+
+
+class Fresh(NamedTuple):
+    """One argv's exit code, its report as main printed it (None for --help and
+    --version), and the names in sys.modules once it returned."""
+
+    code: int
+    report: dict
+    modules: frozenset
+
+
+def run_fresh(*argvs, env=None, address_space=None, timeout=120):
+    """Run the argvs in turn in one child `python` with `src` on its path.
+
+    `env` adds to this process's environment, and `address_space` caps the
+    child's, in bytes, by RLIMIT_AS set in the child alone.  Returns one Fresh
+    per argv.
+    """
+    env = dict(os.environ, **(env or {}))
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    completed = subprocess.run(
+        [sys.executable, "-c", _FRESH_CHILD, json.dumps(argvs), json.dumps(address_space)],
+        capture_output=True, text=True, timeout=timeout, env=env,
+    )
+    assert completed.returncode == 0, completed.stderr
+    return [
+        Fresh(code, json.loads(text) if text.startswith("{") else None, frozenset(modules))
+        for code, text, modules in json.loads(completed.stdout)
+    ]
 
 
 def random_expression(rng, depth=3, allow_nu=False):

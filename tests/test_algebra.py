@@ -16,6 +16,8 @@ from branchlab.pairing import Panel, bump, default_panel, pairing_tables
 from branchlab.sequences import seq_derive, smooth_sequence
 from branchlab.weaklimit import DEFAULT_SCHEDULE, DEFAULT_TOL, classify_membership
 
+from conftest import CERTIFICATE
+
 DOM = ex.DomainInterval(-1.0, 1.0)
 DOM2PI = ex.DomainInterval(0.0, 2.0 * math.pi)
 # the steep step whose derivative the delta representative is
@@ -39,7 +41,7 @@ def trig_ideal():
 def test_derivation_follows_the_closure(house, trig_ideal):
     # the trig ideal passes the gate by certificate but its closure under
     # derivatives stays open, so derivation must not be offered
-    assert isinstance(idl.off_diagonality(trig_ideal, DOM2PI), idl.OffDiagonal)
+    assert isinstance(idl.off_diagonality(trig_ideal, DOM2PI, **CERTIFICATE), idl.OffDiagonal)
     assert not isinstance(idl.derivation_closure(trig_ideal, DOM2PI), idl.Closed)
     assert isinstance(idl.derivation_closure(house, DOM), idl.Closed)
 
@@ -56,13 +58,14 @@ def test_gf_gate_refuses_unit_ideal():
 
 @pytest.mark.parametrize("action, calls", [("mul", 0), ("equal", 0), ("derive", 1)])
 def test_only_gf_derive_checks_the_derivation_closure(monkeypatch, action, calls):
-    counted = []
+    counted, closure = [], idl.derivation_closure
 
     def counting(ideal, domain):
         counted.append(ideal)
-        return idl.derivation_closure(ideal, domain)
+        return closure(ideal, domain)
 
-    for module in (alg, cli):
+    # cli reads the name from ideals when its handler runs
+    for module in (alg, idl):
         monkeypatch.setattr(module, "derivation_closure", counting)
     operands = ["--lhs=x"] if action == "derive" else ["--lhs=x", "--rhs=x"]
     cli.run([
@@ -293,7 +296,8 @@ def test_branching_witness_stability():
 
 def test_delta_square_demo_structure():
     started = time.perf_counter()
-    result = alg.delta_square_demo(DOM, alg.DELTA_SQUARE_SCHEDULE, default_panel(DOM), DEFAULT_TOL)
+    schedule = cli.COMMAND_SETTINGS["demo delta-square"]["schedule"]
+    result = alg.delta_square_demo(DOM, schedule, default_panel(DOM), DEFAULT_TOL)
     assert time.perf_counter() - started < 20.0
 
     assert set(result) == {"parameters", "stages", "conclusion"}

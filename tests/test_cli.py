@@ -2,9 +2,6 @@
 
 import json
 import math
-import os
-import subprocess
-import sys
 import time
 import tracemalloc
 import warnings
@@ -14,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from branchlab import algebra, cli, expr, pairing, weaklimit
+from branchlab import algebra, cli, expr, ideals, pairing, weaklimit
+
+from conftest import run_fresh
 
 TRIG_DOMAIN = "0,6.283185307179586"
 
@@ -322,14 +321,8 @@ def test_gf_mul_reports_representative():
 
 
 def test_main_writes_report_to_stdout():
-    completed = subprocess.run(
-        [sys.executable, "-m", "branchlab.cli", "classify", "--seq", "cos(nu*x)"],
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert completed.returncode == 0
-    payload = json.loads(completed.stdout)
+    [(code, payload, _)] = run_fresh(["classify", "--seq", "cos(nu*x)"])
+    assert code == 0
     assert payload["schema"] == "branch-lab/1"
     assert payload["conclusion"] == "classification: weak-null"
 
@@ -346,25 +339,12 @@ HASH_SEED_ARGVS = [
 
 
 def test_report_bytes_do_not_depend_on_the_hash_seed():
-    script = (
-        "import hashlib, json, sys\n"
-        "from branchlab import cli\n"
-        "for argv in json.loads(sys.argv[1]):\n"
-        "    code, report = cli.run(argv)\n"
-        "    print(code, hashlib.sha256(cli.comparable_bytes(report)).hexdigest())\n"
-    )
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    outputs = []
-    for seed in ("1", "7"):
-        env = dict(os.environ, PYTHONHASHSEED=seed)
-        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-        completed = subprocess.run(
-            [sys.executable, "-c", script, json.dumps(HASH_SEED_ARGVS)],
-            capture_output=True, text=True, timeout=300, env=env,
-        )
-        assert completed.returncode == 0, completed.stderr
-        outputs.append(completed.stdout)
-    assert len(outputs[0].splitlines()) == len(HASH_SEED_ARGVS)
+    outputs = [
+        [(r.code, cli.comparable_bytes(r.report)) for r in run_fresh(
+            *HASH_SEED_ARGVS, env={"PYTHONHASHSEED": seed}, timeout=300)]
+        for seed in ("1", "7")
+    ]
+    assert len(outputs[0]) == len(HASH_SEED_ARGVS)
     assert outputs[0] == outputs[1]
 
 
@@ -530,16 +510,58 @@ def test_a_schedule_reaching_a_grid_too_long_is_refused_before_sampling(argv):
     elapsed = []
     for _ in range(2):  # the faster of two runs, against a busy machine
         started = time.perf_counter()
-        completed = subprocess.run(
-            [sys.executable, "-m", "branchlab.cli", *argv],
-            capture_output=True, text=True, timeout=120,
-        )
+        [(code, report, _)] = run_fresh(argv)
         elapsed.append(time.perf_counter() - started)
-    assert completed.returncode == 1
-    error = json.loads(completed.stdout)["error"]
+    assert code == 1
+    error = report["error"]
     assert error["type"] == "IntegrationError"
     assert error["message"].startswith("the grid at index 2097152, against the test function ")
     assert min(elapsed) < 0.5
+
+
+def test_work_beyond_the_budget_is_refused_before_sampling():
+    # 40 sequences at the largest x-count took 15.7 s and 2.66 GB; 20,000 indices, 103 s
+    spans = [f"--first=sin({k}*x)" for k in range(1, 21)]
+    spans += [f"--second=cos({k}*x)" for k in range(1, 21)]
+    schedule = ",".join(map(str, range(1, 20001)))
+    started = time.perf_counter()
+    span, sweep = run_fresh(
+        ["span", "independence", *spans, "--x-count=524288"],
+        ["limit", "--seq=cos(nu*x)", f"--schedule={schedule}"],
+        address_space=768 << 20, timeout=60,
+    )
+    assert time.perf_counter() - started < 5.0
+    assert (span.code, sweep.code) == (1, 1)
+    budget = f"more than the work budget of {pairing.WORK_BUDGET}"
+    assert span.report["error"] == {
+        "type": "ValueError",
+        "message": f"40 sequences x 524288 points x 8 indices is 167772160 samples, {budget}",
+    }
+    assert sweep.report["error"]["type"] == "IntegrationError"
+    message = sweep.report["error"]["message"]
+    assert message.startswith("the grids of 20000 indices against 8 test functions would have ")
+    assert message.endswith(budget)
+
+
+# commands that never run ideals or algebra, each in a fresh interpreter
+LIGHT_COMMANDS = [
+    ["limit", "--seq=cos(nu*x)"],
+    ["classify", "--seq=cos(nu*x)"],
+    ["span", "independence", "--first=sin(nu*x)", "--second=cos(nu*x)"],
+    ["demo", "nosquare"],
+]
+
+
+@pytest.mark.parametrize("argv", LIGHT_COMMANDS, ids=" ".join)
+def test_a_command_loads_only_the_layers_it_runs(argv, tmp_path):
+    heavy = {"branchlab.ideals", "branchlab.algebra"}
+    plain, with_csv, gf = run_fresh(
+        argv, [*argv, f"--csv={tmp_path / 'rows.csv'}"], ["gf", "mul", "--lhs=x", "--rhs=x"]
+    )
+    assert (plain.code, with_csv.code, gf.code) == (0, 0, 0)
+    assert not (heavy | {"csv"}) & plain.modules
+    assert "csv" in with_csv.modules and not heavy & with_csv.modules
+    assert heavy <= gf.modules
 
 
 def test_span_independence_at_its_x_count_bound_stays_small():
@@ -1107,7 +1129,7 @@ def test_running_out_of_memory_is_one_error_report(monkeypatch):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 14.6 TiB")
 
-    monkeypatch.setattr(cli, "off_diagonality", exhausted)
+    monkeypatch.setattr(ideals, "off_diagonality", exhausted)
     code, report = cli.run(["ideal", "check", "--generators=sin(nu*x)", "--domain=-1,1"])
     assert code == 1
     assert report["error"] == {"type": "MemoryError", "message": "Unable to allocate 14.6 TiB"}

@@ -169,7 +169,7 @@ def _sweep():
 DEMOS = {
     "nosquare": lambda: weaklimit.nosquare_demo(*_sweep(), smooth_sequence("cos(nu*x)")),
     "no-largest-ideal": lambda: ideals.no_largest_ideal_demo(
-        DomainInterval(0.0, 2.0 * math.pi), 0.05, 200,
+        DomainInterval(0.0, 2.0 * math.pi), 0.05, 200, 0.1,
         smooth_sequence("1 + sin(nu*x)"), smooth_sequence("1 + cos(nu*x)"),
     ),
     "branching": lambda: algebra.branching_demo(

@@ -13,7 +13,7 @@ from branchlab import cli
 from branchlab import ideals as idl
 from branchlab.sequences import seq_derive, smooth_sequence
 
-from conftest import generated_by, quotient, random_expression, value_at
+from conftest import CERTIFICATE, generated_by, quotient, random_expression, value_at
 
 DOM = ex.DomainInterval(0.0, 2.0 * math.pi)
 
@@ -25,16 +25,28 @@ UNIT_BOUND = 0.5857864961087899
 WITNESS_X = 1.5 * math.pi
 
 
-def zero_density(ideal, domain, cell_width=idl.DEFAULT_CELL_WIDTH, nu_max=idl.DEFAULT_INDEX_CAP):
+def zero_density(ideal, domain, cell_width=CERTIFICATE["cell_width"],
+                 nu_max=CERTIFICATE["nu_max"]):
     """The certificate at the command line's default resolution, unless given."""
     return idl.zero_density_certificate(ideal, domain, cell_width, nu_max)
+
+
+def off_diagonality(ideal, domain, **settings):
+    """The verdict at `ideal check`'s default settings, unless given."""
+    return idl.off_diagonality(ideal, domain, **(CERTIFICATE | settings))
+
+
+def unit_detection(ideal, domain):
+    """The unit search at `ideal check`'s default margin."""
+    return idl.unit_detection(ideal, domain, CERTIFICATE["margin"])
 
 
 def no_largest_ideal(*generators):
     """The demo at its command's defaults, on these generators if given."""
     generators = generators or ("1 + sin(nu*x)", "1 + cos(nu*x)")
+    defaults = cli.COMMAND_SETTINGS["demo no-largest-ideal"]
     return idl.no_largest_ideal_demo(
-        idl.NO_LARGEST_IDEAL_DOMAIN, idl.DEFAULT_CELL_WIDTH, idl.DEFAULT_INDEX_CAP,
+        defaults["domain"], defaults["cell"], defaults["nu-max"], CERTIFICATE["margin"],
         *map(smooth_sequence, generators),
     )
 
@@ -204,7 +216,7 @@ def test_eventually_zero_membership_evidence():
 def test_unit_detection_finds_bounded_combination():
     first, second = ideal_pair()
     combined = idl.ideal_sum(first, second)
-    unit = idl.unit_detection(combined, DOM)
+    unit = unit_detection(combined, DOM)
     assert unit is not None
     assert unit.combination == ((1, 0), (1, 1))
     assert unit.lower_bound == pytest.approx(UNIT_BOUND, abs=1e-12)
@@ -220,7 +232,7 @@ def test_unit_detection_finds_bounded_combination():
 
 
 def test_unit_detection_constant_generator():
-    unit = idl.unit_detection(generated_by("1"), DOM)
+    unit = unit_detection(generated_by("1"), DOM)
     assert unit is not None
     assert unit.combination == ((1, 0),)
     assert unit.lower_bound == 1.0
@@ -229,7 +241,7 @@ def test_unit_detection_constant_generator():
 
 def test_unit_detection_none_for_oscillating_generator():
     first, _ = ideal_pair()
-    assert idl.unit_detection(first, DOM) is None
+    assert unit_detection(first, DOM) is None
 
 
 # ---------------------------------------------------------------------------
@@ -512,7 +524,7 @@ def test_zero_density_gives_up_when_indices_run_out():
 
 def test_off_diagonality_certificate_branch():
     first, _ = ideal_pair()
-    verdict = idl.off_diagonality(first, DOM)
+    verdict = off_diagonality(first, DOM)
     assert isinstance(verdict, idl.OffDiagonal)
     assert isinstance(verdict.certificate, idl.ZeroDensityCertificate)
     assert verdict.to_dict()["verdict"] == "off-diagonal"
@@ -521,13 +533,13 @@ def test_off_diagonality_certificate_branch():
 def test_off_diagonality_unit_branch():
     first, second = ideal_pair()
     combined = idl.ideal_sum(first, second)
-    verdict = idl.off_diagonality(combined, DOM)
+    verdict = off_diagonality(combined, DOM)
     assert isinstance(verdict, idl.ContainsUnit)
     assert verdict.lower_bound == pytest.approx(UNIT_BOUND, abs=1e-12)
 
 
 def test_off_diagonality_structural_branch():
-    verdict = idl.off_diagonality(idl.EventuallyZero(), DOM)
+    verdict = off_diagonality(idl.EventuallyZero(), DOM)
     assert isinstance(verdict, idl.OffDiagonal)
     payload = verdict.to_dict()["certificate"]
     assert payload["kind"] == "structural"
@@ -536,12 +548,12 @@ def test_off_diagonality_structural_branch():
 
 def test_off_diagonality_inconclusive_reasons():
     multi = generated_by("sin(nu*x)", "x")
-    verdict = idl.off_diagonality(multi, DOM)
+    verdict = off_diagonality(multi, DOM)
     assert isinstance(verdict, idl.OffDiagInconclusive)
     assert "single generators" in verdict.reason
 
     first, _ = ideal_pair()
-    starved = idl.off_diagonality(first, DOM, nu_max=1)
+    starved = off_diagonality(first, DOM, nu_max=1)
     assert isinstance(starved, idl.OffDiagInconclusive)
     assert "uncovered cells" in starved.reason
 
@@ -624,7 +636,7 @@ def _refused_before_sampling(monkeypatch, name, value):
         raise AssertionError(f"a generator was sampled before {name} was checked")
 
     monkeypatch.setattr(cli, "denominator_safety", no_sampling)
-    monkeypatch.setattr(cli, "off_diagonality", no_sampling)
+    monkeypatch.setattr(idl, "off_diagonality", no_sampling)
     argv = ["ideal", "check", "--generators=1+sin(nu*x)", "--domain=-1,1", f"--{name}={value}"]
     code, report = cli.run(argv)
     assert code == 1
