@@ -14,10 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ._report import Record, all_passed, stage
-from .expr import SafetyStatus, denominator_safety
+from .expr import SafetyStatus
 from .ideals import Closed, InIdeal, NotInIdeal, derivation_closure, membership
 from .pairing import bump, pairing_tables
-from .sequences import apply_smooth, seq_derive, smooth_sequence
+from .sequences import admission, apply_smooth, seq_derive, smooth_sequence
 from .weaklimit import Classification, Diverges, _verdict_from_table, classify_membership
 
 SEPARATION_FACTOR = 100.0
@@ -29,14 +29,11 @@ class AlgebraError(ValueError):
 
 
 def gf(representative, domain):
-    """The representative, once every entry is denominator-safe on the domain."""
-    for candidate in (representative.tail, *(entry for _, entry in representative.exceptional)):
-        report = denominator_safety(candidate, domain)
-        if report.status is not SafetyStatus.SAFE:
-            raise AlgebraError(
-                "representative is not denominator-safe on the domain: "
-                + str(report.to_dict())
-            )
+    """The representative, once it is admitted on the domain."""
+    report = admission(representative, domain)
+    if report.status is not SafetyStatus.SAFE:
+        unsafe = f"representative is not denominator-safe on the domain: {report.to_dict()}"
+        raise AlgebraError(unsafe)
     return representative
 
 

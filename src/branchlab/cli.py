@@ -36,12 +36,11 @@ from typing import Callable, NamedTuple
 
 from . import __version__
 from ._report import all_passed, report_value, stage
-from .expr import (
-    DEFAULT_DOMAIN, DomainInterval, ParseError, SafetyStatus, denominator_safety, parse
-)
-from .pairing import MAX_GRID_NODES, WORK_BUDGET, Panel, bump, default_panel
+from .expr import DEFAULT_DOMAIN, DomainInterval, ParseError, SafetyStatus, parse
+from .pairing import MAX_GRID_NODES, WORK_BUDGET, Panel, bump, default_panel, plan_grids
 from .sequences import (
-    DEFAULT_X_COUNT, SAMPLE_NUS, SpanStatus, independence_certificate, smooth_sequence
+    DEFAULT_X_COUNT, SAMPLE_NUS, SpanStatus, admission, independence_certificate,
+    smooth_sequence,
 )
 from .weaklimit import (
     DEFAULT_SCHEDULE, DEFAULT_TOL, Classification, classify_stage, nosquare_demo,
@@ -182,9 +181,12 @@ def load_panel_spec(value):
     triples = []
     for k, entry in enumerate(payload):
         if isinstance(entry, dict):
+            unknown = set(entry) - {"center", "width", "normalized"}
+            if unknown:
+                raise ValueError(f"panel[{k}]: unknown panel member keys {sorted(unknown)}")
             missing = [key for key in ("center", "width") if key not in entry]
             if missing:
-                raise ValueError(f"panel member needs a {missing[0]!r} key")
+                raise ValueError(f"panel[{k}]: panel member needs a {missing[0]!r} key")
             entry = (entry["center"], entry["width"], entry.get("normalized", True))
         entry = _typed(f"panel[{k}]", entry, (list, tuple), "an array or an object")
         if not 2 <= len(entry) <= 3:
@@ -538,16 +540,12 @@ def _cmd_ideal_check(args):
     stages = []
 
     with stage("generator-safety", stages) as entry:
-        safety_records = []
-        all_safe = True
-        for g in generators:
-            record = denominator_safety(g.tail, domain)
-            safety_records.append(
-                {"generator": g.to_dict(), "safety": record.to_dict()}
-            )
-            all_safe = all_safe and record.status is SafetyStatus.SAFE
-        entry["records"] = safety_records
-        entry["passed"] = all_safe
+        records = [admission(g, domain) for g in generators]
+        entry["records"] = [
+            {"generator": g.to_dict(), "safety": record.to_dict()}
+            for g, record in zip(generators, records)
+        ]
+        entry["passed"] = all(record.status is SafetyStatus.SAFE for record in records)
 
     with stage("off-diagonality", stages) as entry:
         verdict = off_diagonality(ideal, domain, settings["cell"], settings["nu-max"],
@@ -691,7 +689,15 @@ def _demo_branching(args):
     if len(representatives) < 2:
         raise ValueError(f"reps: expected at least two sequences, got {len(representatives)}")
     outer = _parsed("op", args.op, ("u",))
-    result = branching_demo(representatives, args.op, outer, *_sweep(settings))
+    domain, panel, schedule, tol = _sweep(settings)
+    # each representative takes two pairing passes: itself, and its image under the op
+    passes, (_, nodes) = 2 * len(representatives), plan_grids(panel.members, schedule)
+    if passes * nodes > WORK_BUDGET:
+        raise ValueError(
+            f"reps: {len(representatives)} sequences take {passes} pairing passes of {nodes} grid "
+            f"nodes each, {passes * nodes} in all, more than the work budget of {WORK_BUDGET}"
+        )
+    result = branching_demo(representatives, args.op, outer, domain, panel, schedule, tol)
     return _demo_report(settings, result, op=args.op)
 
 

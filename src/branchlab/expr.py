@@ -52,8 +52,9 @@ compiler.  The source is built only from node types, parameter names,
 temporaries, ``nu``, ``x`` and the four operators; no text a user wrote
 enters it, so ``exec`` runs nothing a user chose.
 
-``denominator_safety`` calls a denominator's function once on the block of
-every sampled index (a column) by every grid point (a row), then refines
+``denominator_safety`` takes the indices it samples from its one caller,
+``sequences.admission``, and calls a denominator's function once on the
+block of those indices (a column) by every grid point (a row), then refines
 all rows' argmin brackets together with ``_numutil.refine_min_abs_lanes``
 through ``_on_lanes``; certificate roots are bisected the same way.  An
 x-free power of the index, such as ``(nu-1.738)^3``, is an array power on
@@ -901,37 +902,6 @@ def simplify(e):
     return _from_terms(_terms(e))
 
 
-def sum_terms(e):
-    """Normal-form additive decomposition of e.
-
-    Returns (coefficient, monomial) pairs, where a monomial is a sorted tuple
-    of (base, exponent) factors.  Multi-term sums appearing as factors stay
-    atomic bases, mirroring simplify.
-    """
-    return tuple((c, mono) for mono, c in _ordered_terms(_terms(e)))
-
-
-def from_sum_terms(pairs):
-    """Rebuild an expression from (coefficient, monomial) pairs."""
-    terms = {}
-    for c, mono in pairs:
-        terms[mono] = terms.get(mono, 0.0) + c
-    return _from_terms(terms)
-
-
-def atomic_factor(e):
-    """Split e as (lead, base) with base in the shape factor bases take.
-
-    Multi-term sums are rescaled so the leading term has coefficient one,
-    matching how they appear as atomic bases inside monomials; everything
-    else returns lead 1 and the normal form unchanged.
-    """
-    terms = _terms(e)
-    if len(terms) <= 1:
-        return 1.0, _from_terms(terms)
-    return _atomic_sum(terms)
-
-
 def is_zero(e):
     """True when the normal form of e is the literal 0."""
     return simplify(e) == Num(0.0)
@@ -1070,8 +1040,9 @@ def denominators(e):
     return found
 
 
-def denominator_safety(e, domain):
-    """Sample every denominator of e over a (nu, x) lattice on the domain.
+def denominator_safety(e, domain, nus):
+    """Sample every denominator of e over the lattice of the indices nus (a float
+    column, in the order they are checked) by a grid of the domain.
 
     Each distinct denominator is evaluated once on the whole lattice, one
     row per index, in the order of first occurrence; ``denominator_count``
@@ -1088,7 +1059,6 @@ def denominator_safety(e, domain):
     if not dens:
         return verdict(SafetyStatus.SAFE)
     xs = domain.interior_grid(SAFETY_X_SAMPLES)
-    nus = np.arange(1.0, SAFETY_NU_SAMPLES + 1.0)
     for den in dict.fromkeys(dens):
         closure = _compiled(den)
         with np.errstate(all="ignore"):
@@ -1106,7 +1076,7 @@ def denominator_safety(e, domain):
         failed = ~np.isfinite(best_abs) | (best_abs < SAFETY_MARGIN)
         if failed.any():
             row = int(np.argmax(failed))
-            index, point = row + 1, float(best_x[row])
+            index, point = int(nus[row]), float(best_x[row])
             if not math.isfinite(best_abs[row]):
                 return verdict(SafetyStatus.INCONCLUSIVE, witness_nu=index, witness_x=point)
             # the witness is probed as one grid point, x a 1-element array
@@ -1116,6 +1086,6 @@ def denominator_safety(e, domain):
                 SafetyStatus.UNSAFE, witness_nu=index, witness_x=point, witness_value=value
             )
         if rows < len(nus):
-            bad = xs[np.argmax(~np.isfinite(block[rows]))]
-            return verdict(SafetyStatus.INCONCLUSIVE, witness_nu=rows + 1, witness_x=float(bad))
+            bad = float(xs[np.argmax(~np.isfinite(block[rows]))])
+            return verdict(SafetyStatus.INCONCLUSIVE, witness_nu=int(nus[rows]), witness_x=bad)
     return verdict(SafetyStatus.SAFE)

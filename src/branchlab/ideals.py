@@ -46,8 +46,8 @@ import numpy as np
 from . import expr as ex
 from ._numutil import bisect_lanes
 from ._report import Record, Unknown, all_passed, stage
-from .expr import DomainInterval, Num, from_sum_terms, simplify, sum_terms, to_string
-from .pairing import MAX_GRID_NODES
+from .expr import DomainInterval, Num, simplify, to_string
+from .pairing import MAX_GRID_NODES, WORK_BUDGET
 from .sequences import (
     SmoothSequence,
     seq_derive,
@@ -68,17 +68,29 @@ VERIFICATION_SAMPLES = 100
 _VERIFICATION_SEED = 20260815
 
 
-def _cell_count(domain, cell_width):
-    """The certificate's cell count on the domain.  Its first grid has at
-    least 8 nodes a cell and one more, so a count whose grid would pass
-    MAX_GRID_NODES is refused before anything is sampled."""
+def _scan_plan(domain, cell_width, nu_max):
+    """The certificate's cell count on the domain and its grid size at each
+    index from 1 to nu_max.  Its first grid has at least 8 nodes a cell and one
+    more, so a count whose grid would pass MAX_GRID_NODES is refused before
+    anything is sampled, and so are grids over WORK_BUDGET nodes in all."""
     cells, most = domain.length / cell_width, (MAX_GRID_NODES - 1) // 8
     if cells > most:
         raise ValueError(
             f"cell width must be finite and positive and leave at most {most} cells "
             f"on the domain, got {cell_width!r} ({cells:.6g} cells)"
         )
-    return max(1, math.ceil(cells))
+    cell_count = max(1, math.ceil(cells))
+    # every grid has at least 9 nodes, so the indices past WORK_BUDGET // 9 need not be summed
+    indices = np.arange(1, min(nu_max, WORK_BUDGET // 9 + 1) + 1)
+    step = np.minimum(domain.length / cell_count / 8.0, 2.0 * math.pi / (8.0 * indices))
+    sizes = np.ceil(domain.length / step).astype(int) + 1
+    total, bound = int(sizes.sum()), "at least " if len(indices) < nu_max else ""
+    if total > WORK_BUDGET:
+        raise ValueError(
+            f"the zero-density grids at cell {cell_width!r} over the indices 1 to nu-max {nu_max} "
+            f"would have {bound}{total} nodes, more than the work budget of {WORK_BUDGET}"
+        )
+    return cell_count, sizes
 
 
 # ---------------------------------------------------------------------------
@@ -161,45 +173,33 @@ class NotInIdeal(Record):
 
 
 def _divide_term(coefficient, mono, gen_terms):
-    """Divide one canonical term by a generator tail; None when it fails.
+    """Divide one term of a term map by a generator tail's map; None when it fails.
 
     Single-term generators divide factor by factor; multi-term generators
     must appear as an atomic sum base.  Division never introduces a
     denominator the original term did not already carry.
     """
-    if len(gen_terms) == 1:
-        gen_coefficient, gen_mono = gen_terms[0]
-        factors = dict(mono)
-        for base, gexp in gen_mono:
-            have = factors.get(base, 0)
-            new = have - gexp
-            if new < 0 and have >= 0:
-                return None
-            if new == 0:
-                factors.pop(base, None)
-            else:
-                factors[base] = new
-        return (coefficient / gen_coefficient, ex._monomial(factors))
-    lead, base = ex.atomic_factor(from_sum_terms(gen_terms))
+    lead, gen_mono = ex._as_single_term(gen_terms)
     factors = dict(mono)
-    have = factors.get(base, 0)
-    if have < 1:
-        return None
-    if have == 1:
-        factors.pop(base)
-    else:
-        factors[base] = have - 1
-    return (coefficient / lead, ex._monomial(factors))
+    for base, gexp in gen_mono:
+        have = factors.get(base, 0)
+        new = have - gexp
+        if new < 0 and (have >= 0 or len(gen_terms) > 1):
+            return None
+        if new == 0:
+            factors.pop(base, None)
+        else:
+            factors[base] = new
+    return coefficient / lead, ex._monomial(factors)
 
 
 def _proportional(remainder, gen_terms):
-    """Scalar lambda with remainder == lambda * gen_terms, else None."""
+    """Scalar lambda with remainder == lambda * gen_terms, both term maps, else None."""
     if len(remainder) != len(gen_terms):
         return None
-    remainder_map = {mono: c for c, mono in remainder}
     scale = None
-    for gc, gmono in gen_terms:
-        c = remainder_map.get(gmono)
+    for gmono, gc in ex._ordered_terms(gen_terms):
+        c = remainder.get(gmono)
         if c is None:
             return None
         ratio = c / gc
@@ -212,35 +212,29 @@ def _proportional(remainder, gen_terms):
 
 def _match_factorization(s, ideal):
     """Structural factorization of the tail over the generators, or None."""
-    s_terms = sum_terms(s.tail)
-    gen_decompositions = []
-    for g in ideal.generators:
-        decomposition = sum_terms(g.tail)
-        if not decomposition:
-            return None
-        gen_decompositions.append(decomposition)
-    assigned = [[] for _ in ideal.generators]
-    remainder = []
-    for c, mono in s_terms:
-        for gi, gd in enumerate(gen_decompositions):
-            quotient = _divide_term(c, mono, gd)
+    gen_maps = [ex._terms(g.tail) for g in ideal.generators]
+    if not all(gen_maps):
+        return None
+    assigned = [{} for _ in gen_maps]  # per generator, the cofactor's term map
+    remainder = {}
+    for mono, c in ex._terms(s.tail).items():
+        for quotients, gen_terms in zip(assigned, gen_maps):
+            quotient = _divide_term(c, mono, gen_terms)
             if quotient is not None:
-                assigned[gi].append(quotient)
+                qc, qmono = quotient
+                quotients[qmono] = quotients.get(qmono, 0.0) + qc
                 break
         else:
-            remainder.append((c, mono))
+            remainder[mono] = c
     if remainder:
-        for gi, gd in enumerate(gen_decompositions):
-            scale = _proportional(remainder, gd)
+        for quotients, gen_terms in zip(assigned, gen_maps):
+            scale = _proportional(remainder, gen_terms)
             if scale is not None:
-                assigned[gi].append((scale, ()))
-                remainder = []
+                quotients[()] = quotients.get((), 0.0) + scale
                 break
-    if remainder:
-        return None
-    cofactors = []
-    for terms in assigned:
-        cofactors.append(SmoothSequence(from_sum_terms(terms)))
+        else:
+            return None
+    cofactors = [SmoothSequence(ex._from_terms(terms)) for terms in assigned]
     return tuple(zip(ideal.generators, cofactors))
 
 
@@ -294,11 +288,11 @@ def _root_factors(e):
 def _touching(factor):
     """Compiled (u, du/dx) and the phase when factor is c +- c*sin|cos(u) with u
     linear in x, else None; such a factor vanishes where u = phase + 2*pi*m."""
-    terms = {mono: c for c, mono in sum_terms(factor)}
-    constant = terms.pop((), None)
-    if constant is None or len(terms) != 1:
+    terms = ex._terms(factor)
+    constant = terms.get(())
+    if constant is None or len(terms) != 2:
         return None
-    ((mono, c),) = terms.items()
+    ((mono, c),) = [(mono, c) for mono, c in terms.items() if mono]
     match mono:
         case ((ex.Call("sin" | "cos" as fn, u), 1),) if abs(c) == abs(constant):
             if ex.is_zero(ex.diff(du := ex.diff(u))):
@@ -555,7 +549,7 @@ def zero_density_certificate(ideal, domain, cell_width, nu_max):
     root, so its zeros are at least cell-width dense; the certificate is the
     finite form of that argument at this resolution.
     """
-    cell_count = _cell_count(domain, cell_width)
+    cell_count, sizes = _scan_plan(domain, cell_width, nu_max)
     generator = ideal.generators[0]
     actual_width = domain.length / cell_count
     edges = domain.lower + actual_width * np.arange(cell_count + 1)
@@ -570,11 +564,9 @@ def zero_density_certificate(ideal, domain, cell_width, nu_max):
             open_cells = cell_nus == 0
             if not open_cells.any():
                 break
-            step = min(actual_width / 8.0, 2.0 * math.pi / (8.0 * index))
-            count = int(math.ceil(domain.length / step)) + 1
             # the step never grows with the index, so each grid size is built once
-            if len(xs) != count:
-                xs = np.linspace(domain.lower, domain.upper, count)
+            if len(xs) != sizes[index - 1]:
+                xs = np.linspace(domain.lower, domain.upper, sizes[index - 1])
             ids, lo, hi = finder.brackets(index, xs)
             # a bracket is a candidate for the cell holding lo and for the one
             # holding hi, which differ for a root on an edge; np.unique keeps
@@ -633,7 +625,7 @@ def off_diagonality(ideal, domain, cell_width, nu_max, margin):
     generator combination bounded away from zero has no roots to certify,
     and certified dense roots cap any combination's infimum at zero.
     """
-    _cell_count(domain, cell_width)
+    _scan_plan(domain, cell_width, nu_max)
     if isinstance(ideal, EventuallyZero):
         return OffDiagonal(
             StructuralProof(

@@ -230,26 +230,12 @@ def _two_grid_rule(ys, width, panels, weights, out):
     return fine, np.abs(fine - coarse)
 
 
-def pairing_tables(s, members, schedule):
-    """Pairing values and quadrature estimates of s against each test function.
-
-    Returns one [(index, value, estimate), ...] table per member, in schedule
-    order; see the module docstring for the blocks they are computed on.  A
-    non-finite sample raises IntegrationError naming the first index of the
-    schedule that has one and, at that index, the first member that does.
-    A grid longer than MAX_GRID_NODES raises it the same way, naming its
-    index and member, and grids over WORK_BUDGET nodes in all raise it naming
-    the total, before any index is sampled.
-    """
-    members = tuple(members)
-    lower = np.array([phi.support[0] for phi in members])
-    upper = np.array([phi.support[1] for phi in members])
-    centers = np.array([phi.center for phi in members])[:, None]
-    widths = np.array([phi.width for phi in members])[:, None]
-    scales = np.array([phi._scale() for phi in members])[:, None]
+def plan_grids(members, schedule):
+    """Each index's members grouped by Simpson panel count, as (index, {count: member
+    positions}) pairs in schedule order, and the nodes of all their grids.  A grid
+    longer than MAX_GRID_NODES raises IntegrationError naming its index and member."""
     # equal widths can differ in the last bit of upper - lower, the float a count reads
-    lengths = (upper - lower).tolist()
-    # every index's members grouped by panel count, every grid checked before any sampling
+    lengths = [phi.support[1] - phi.support[0] for phi in members]
     plan, total = [], 0
     for index in schedule:
         counts = {length: _panel_count(length, index) for length in dict.fromkeys(lengths)}
@@ -266,6 +252,26 @@ def pairing_tables(s, members, schedule):
             total += nodes
             groups.setdefault(counts[length], []).append(k)
         plan.append((index, groups))
+    return plan, total
+
+
+def pairing_tables(s, members, schedule):
+    """Pairing values and quadrature estimates of s against each test function.
+
+    Returns one [(index, value, estimate), ...] table per member, in schedule
+    order; see the module docstring for the blocks they are computed on.  A
+    non-finite sample raises IntegrationError naming the first index of the
+    schedule that has one and, at that index, the first member that does.
+    Before any index is sampled, plan_grids checks every grid, and grids over
+    WORK_BUDGET nodes in all raise it naming the total.
+    """
+    members = tuple(members)
+    lower = np.array([phi.support[0] for phi in members])
+    upper = np.array([phi.support[1] for phi in members])
+    centers = np.array([phi.center for phi in members])[:, None]
+    widths = np.array([phi.width for phi in members])[:, None]
+    scales = np.array([phi._scale() for phi in members])[:, None]
+    plan, total = plan_grids(members, schedule)
     if total > WORK_BUDGET:
         raise IntegrationError(
             f"the grids of {len(plan)} indices against {len(members)} test functions would "

@@ -5,11 +5,17 @@ finite table of exceptional entries (expressions in x only).  Arithmetic,
 term-wise differentiation and composition with a one-variable operation all
 act entry by entry, so the tail and each exceptional entry are
 transformed independently and renormalized.
+
+A sequence is admitted on a domain (``admission``) when every entry it has
+is denominator-safe there: the tail at the first 64 indices it serves, from
+the start on and past the exceptional indices, and each exception at its own
+index.  ``ideal check`` records each generator's admission, ``gf`` refuses an
+operand that is not admitted, and ``apply_smooth`` a composition.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -142,25 +148,43 @@ def seq_derive(s, order=1):
     return SmoothSequence(tail, entries, s.start_index)
 
 
+def admission(s, domain):
+    """The DenominatorSafety record of s on the domain; s is admitted when it is safe.
+
+    The tail is sampled at the first SAFETY_NU_SAMPLES indices it serves: from
+    the start on, past the exceptional indices.  Each exceptional entry is
+    sampled at its own index, as one lattice row.  The first entry that is not
+    safe decides, the tail first and then the exceptions by index; a safe
+    record counts the denominators of every entry.
+    """
+    exceptions, first, samples = s.exceptional_map, s.start_index, ex.SAFETY_NU_SAMPLES
+    served = [n for n in range(first, first + samples + len(exceptions)) if n not in exceptions]
+    rows = [(s.tail, served[:samples])]
+    rows += [(entry, [index]) for index, entry in s.exceptional]
+    total = 0
+    for entry, nus in rows:
+        report = ex.denominator_safety(entry, domain, np.array(nus, dtype=float))
+        if report.status is not ex.SafetyStatus.SAFE:
+            return report
+        total += report.denominator_count
+    return replace(report, denominator_count=total)
+
+
 def apply_smooth(outer, s, domain):
     """Compose a one-variable operation with every entry of s.
 
     The operation is an expression in the placeholder u; it is substituted
-    symbolically.  The composed tail must pass the denominator-safety check on
-    the domain.
+    symbolically.  The composed sequence must be admitted on the domain.
     """
-    tail = simplify(substitute(outer, "u", s.tail))
-    entries = tuple(
-        (index, simplify(substitute(outer, "u", entry)))
-        for index, entry in s.exceptional
-    )
-    report = ex.denominator_safety(tail, domain)
+    entries = tuple((index, simplify(substitute(outer, "u", e))) for index, e in s.exceptional)
+    composed = SmoothSequence(simplify(substitute(outer, "u", s.tail)), entries, s.start_index)
+    report = admission(composed, domain)
     if report.status is not ex.SafetyStatus.SAFE:
         raise ValueError(
             f"composition is not denominator-safe on the domain: {report.status.value} "
             f"(witness_nu {report.witness_nu}, witness_x {report.witness_x})"
         )
-    return SmoothSequence(tail, entries, s.start_index)
+    return composed
 
 
 # ---------------------------------------------------------------------------

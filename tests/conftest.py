@@ -17,6 +17,9 @@ from branchlab._numutil import _GOLDEN, BISECT_ITERATIONS, GOLDEN_ITERATIONS
 from branchlab.sequences import smooth_sequence
 
 CORPUS_SEED = 977112
+# the indices sequences.admission samples the tail of a sequence at when it
+# starts at 1 and has no exceptions, as denominator_safety takes them
+SAFETY_LATTICE = np.arange(1.0, ex.SAFETY_NU_SAMPLES + 1.0)
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 # the certificate settings `ideal check` declares by default, as off_diagonality takes them

@@ -17,7 +17,7 @@ from branchlab import algebra as alg
 from branchlab import cli
 from branchlab import ideals as idl
 from branchlab.pairing import bump, pairing_tables
-from branchlab.sequences import seq_derive, smooth_sequence
+from branchlab.sequences import admission, seq_derive, smooth_sequence
 
 from conftest import generated_by, value_at
 
@@ -296,7 +296,7 @@ def test_calculus_and_quotient_properties(expression_corpus):
     safe = [
         e
         for e in expression_corpus
-        if ex.denominator_safety(e, DOM).status is ex.SafetyStatus.SAFE
+        if admission(smooth_sequence(e), DOM).status is ex.SafetyStatus.SAFE
     ]
     quotient_trials = 0
     quotient_ok = True

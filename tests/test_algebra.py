@@ -13,7 +13,7 @@ from branchlab import algebra as alg
 from branchlab import cli
 from branchlab import ideals as idl
 from branchlab.pairing import Panel, bump, default_panel, pairing_tables
-from branchlab.sequences import seq_derive, smooth_sequence
+from branchlab.sequences import admission, seq_derive, smooth_sequence
 from branchlab.weaklimit import DEFAULT_SCHEDULE, DEFAULT_TOL, classify_membership
 
 from conftest import CERTIFICATE
@@ -173,7 +173,7 @@ def test_quotient_well_definedness(house, expression_corpus):
     safe = [
         e
         for e in expression_corpus
-        if ex.denominator_safety(e, DOM).status is ex.SafetyStatus.SAFE
+        if admission(smooth_sequence(e), DOM).status is ex.SafetyStatus.SAFE
     ]
     rng = random.Random(411)
     for _ in range(100):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from branchlab import algebra, cli, expr, ideals, pairing, weaklimit
 
-from conftest import run_fresh
+from conftest import SAFETY_LATTICE, run_fresh
 
 TRIG_DOMAIN = "0,6.283185307179586"
 
@@ -543,6 +543,64 @@ def test_work_beyond_the_budget_is_refused_before_sampling():
     assert message.endswith(budget)
 
 
+def test_a_whole_command_is_counted_against_the_budget():
+    # the zero-density grids grow with the index: 40,000 indices took 9.5 s;
+    # 10 representatives at 131,072 indices took 2.1 s in 20 passes, each under the budget
+    reps = ",".join(["cos(nu*x)", "0"] * 5)
+    started = time.perf_counter()
+    scan, branching = run_fresh(
+        ["ideal", "check", "--generators=x", "--domain=-1,1", "--nu-max=40000"],
+        ["demo", "branching", f"--reps={reps}", "--nu-max=131072"],
+        address_space=768 << 20, timeout=60,
+    )
+    assert time.perf_counter() - started < 5.0
+    assert (scan.code, branching.code) == (1, 1)
+    budget = f"more than the work budget of {pairing.WORK_BUDGET}"
+    assert scan.report["error"] == {
+        "type": "ValueError",
+        "message": "the zero-density grids at cell 0.05 over the indices 1 to nu-max 40000 "
+        f"would have 2037314086 nodes, {budget}",
+    }
+    assert branching.report["error"] == {
+        "type": "ValueError",
+        "message": "reps: 10 sequences take 20 pairing passes of 4750896 grid nodes each, "
+        f"95017920 in all, {budget}",
+    }
+
+
+def test_the_default_certificates_fit_the_budget():
+    # no-largest-ideal's default scan plans 224,001 nodes
+    _, sizes = ideals._scan_plan(cli.COMMAND_SETTINGS["demo no-largest-ideal"]["domain"], 0.05, 200)
+    assert sizes.sum() == 224001
+    code, _ = cli.run(["ideal", "check", "--generators=x", "--domain=-1,1", "--nu-max=2500"])
+    assert code == 2
+
+
+@pytest.mark.parametrize(
+    "generators, witness_nu",
+    [
+        # an exception is sampled at its own index, and the tail from its start on
+        ('[{"tail":"sin(nu*x)","exceptions":{"2":"1/x"}}]', 2),
+        ('[{"tail":"x/(nu-2)","start":3}]', None),
+    ],
+)
+def test_ideal_check_admits_each_generator_where_its_entries_serve(generators, witness_nu):
+    _, report = cli.run(["ideal", "check", f"--generators={generators}", "--domain=-1,1"])
+    (record,) = report["stages"][0]["records"]
+    assert record["safety"]["status"] == ("safe" if witness_nu is None else "unsafe")
+    assert record["safety"]["witness_nu"] == witness_nu
+    assert report["stages"][0]["passed"] is (witness_nu is None)
+
+
+def test_gf_admits_an_operand_where_its_entries_serve():
+    code, _ = cli.run(["gf", "mul", '--lhs={"tail":"x/(nu-2)","start":3}', "--rhs=1"])
+    assert code == 0
+    code, report = cli.run(["gf", "mul", '--lhs={"tail":"x","exceptions":{"2":"1/x"}}', "--rhs=1"])
+    assert code == 1
+    assert report["error"]["type"] == "AlgebraError"
+    assert "'denominator_count': 1, 'witness_nu': 2," in report["error"]["message"]
+
+
 # commands that never run ideals or algebra, each in a fresh interpreter
 LIGHT_COMMANDS = [
     ["limit", "--seq=cos(nu*x)"],
@@ -782,6 +840,27 @@ def test_boolean_start_index_is_rejected():
             None,
             "op on reps[0]: composition is not denominator-safe on the domain: unsafe "
             "(witness_nu 2, witness_x ",
+        ),
+        # a composed exception is admitted at its own index: 1/(1 + (x - 1)) at index 2
+        (
+            [
+                "demo", "branching", '--reps=[{"tail":"cos(nu*x)/2","exceptions":{"2":"x-1"}},"0"]',
+                "--op=1/(1+u)",
+            ],
+            None,
+            "op on reps[0]: composition is not denominator-safe on the domain: unsafe "
+            "(witness_nu 2, witness_x ",
+        ),
+        # a panel member is read like a sequence literal: no unknown key, and its path
+        (
+            ["limit", "--seq=cos(nu*x)", '--panel=[{"center":0,"width":0.9,"normalised":false}]'],
+            None,
+            "panel[0]: unknown panel member keys ['normalised']",
+        ),
+        (
+            ["limit", "--seq=cos(nu*x)", '--panel=[[-0.5,0.5],{"width":0.5}]'],
+            None,
+            "panel[1]: panel member needs a 'center' key",
         ),
     ],
 )
@@ -1100,7 +1179,9 @@ def test_a_repeated_denominator_is_checked_once(monkeypatch):
     assert code == 0
     # 500 occurrences of one denominator: one (index x point) lattice
     assert lattices == [expr.Num(2.0)]
-    safety = expr.denominator_safety(expr.parse("x" + "/2" * 500), expr.DEFAULT_DOMAIN)
+    safety = expr.denominator_safety(
+        expr.parse("x" + "/2" * 500), expr.DEFAULT_DOMAIN, SAFETY_LATTICE
+    )
     assert safety.denominator_count == 500
 
 

@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 import branchlab.expr as ex
 
-from conftest import free_variables, quotient, random_expression, refine_min_abs, value_at
+from conftest import (
+    SAFETY_LATTICE, free_variables, quotient, random_expression, refine_min_abs, value_at
+)
 
 # (text, index, point): expressions with a pole at that index and point
 POLES = [
@@ -384,29 +386,29 @@ def test_denominators_collects_quotients():
 
 def test_denominator_safety_safe():
     dom = ex.DomainInterval(-1.0, 1.0)
-    report = ex.denominator_safety(ex.parse("1/(2+sin(nu*x))"), dom)
+    report = ex.denominator_safety(ex.parse("1/(2+sin(nu*x))"), dom, SAFETY_LATTICE)
     assert report.status is ex.SafetyStatus.SAFE
     assert report.denominator_count == 1
     assert report.witness_x is None
 
-    clean = ex.denominator_safety(ex.parse("x^2 + cos(nu*x)"), dom)
+    clean = ex.denominator_safety(ex.parse("x^2 + cos(nu*x)"), dom, SAFETY_LATTICE)
     assert clean.status is ex.SafetyStatus.SAFE
     assert clean.denominator_count == 0
 
 
 def test_denominator_safety_unsafe_with_witness():
     dom = ex.DomainInterval(-1.0, 1.0)
-    report = ex.denominator_safety(ex.parse("1/x"), dom)
+    report = ex.denominator_safety(ex.parse("1/x"), dom, SAFETY_LATTICE)
     assert report.status is ex.SafetyStatus.UNSAFE
     assert abs(report.witness_x) < 1e-6
     assert abs(report.witness_value) < 1e-6
 
     wobbly = ex.denominator_safety(
-        ex.parse("1/(1+sin(nu*x))"), ex.DomainInterval(0.0, 2 * math.pi)
+        ex.parse("1/(1+sin(nu*x))"), ex.DomainInterval(0.0, 2 * math.pi), SAFETY_LATTICE
     )
     assert wobbly.status is ex.SafetyStatus.UNSAFE
 
-    x_free = ex.denominator_safety(ex.parse("1/(nu-3)"), dom)
+    x_free = ex.denominator_safety(ex.parse("1/(nu-3)"), dom, SAFETY_LATTICE)
     assert x_free.status is ex.SafetyStatus.UNSAFE
     assert x_free.witness_nu == 3
     assert type(x_free.witness_value) is float and x_free.witness_value == 0.0
@@ -414,7 +416,7 @@ def test_denominator_safety_unsafe_with_witness():
 
 def test_denominator_safety_overflow_is_inconclusive():
     dom = ex.DomainInterval(-1.0, 1.0)
-    report = ex.denominator_safety(ex.parse("1/exp(800*x^2)"), dom)
+    report = ex.denominator_safety(ex.parse("1/exp(800*x^2)"), dom, SAFETY_LATTICE)
     assert report.status is ex.SafetyStatus.INCONCLUSIVE
 
 
@@ -455,7 +457,7 @@ def test_denominator_safety_matches_the_per_index_search(rng):
     cases += [ex.parse("1/(nu-3)"), ex.parse("1/exp(800*x^2)"), ex.parse("1/(2+sin(nu*x))")]
     statuses = set()
     for e in cases:
-        report = ex.denominator_safety(e, dom)
+        report = ex.denominator_safety(e, dom, SAFETY_LATTICE)
         assert report == _per_index_safety(e, dom), ex.to_string(e)
         statuses.add(report.status)
     assert statuses == set(ex.SafetyStatus)
@@ -465,13 +467,13 @@ def test_denominator_safety_reports_the_first_failing_index():
     dom = ex.DomainInterval(-1.0, 1.0)
     # touches zero at index 5 and is infinite at index 9: index 5 is unsafe
     unsafe_first = ex.parse("1/((x^2 + (nu-5)^2)/(nu-9))")
-    report = ex.denominator_safety(unsafe_first, dom)
+    report = ex.denominator_safety(unsafe_first, dom, SAFETY_LATTICE)
     assert report.status is ex.SafetyStatus.UNSAFE and report.witness_nu == 5
     assert report == _per_index_safety(unsafe_first, dom)
     # the other way round the row of index 5 is not finite, before any
     # unsafe index, and the grid point that failed is the witness
     blind_first = ex.parse("1/((x^2 + (nu-9)^2)/(nu-5))")
-    report = ex.denominator_safety(blind_first, dom)
+    report = ex.denominator_safety(blind_first, dom, SAFETY_LATTICE)
     assert report.status is ex.SafetyStatus.INCONCLUSIVE and report.witness_nu == 5
     assert report.witness_x == float(dom.interior_grid(ex.SAFETY_X_SAMPLES)[0])
     assert report == _per_index_safety(blind_first, dom)
@@ -488,8 +490,8 @@ def _normal_forms(e):
     return (
         ex.simplify(e),
         *(ex.diff(e, k) for k in (1, 2, 3)),
-        ex.sum_terms(e),
-        ex.atomic_factor(e),
+        ex._terms(e),
+        ex._atomic_sum(ex._terms(e)),
         ex.to_string(e),
     )
 

@@ -635,7 +635,7 @@ def _refused_before_sampling(monkeypatch, name, value):
     def no_sampling(*args, **kwargs):
         raise AssertionError(f"a generator was sampled before {name} was checked")
 
-    monkeypatch.setattr(cli, "denominator_safety", no_sampling)
+    monkeypatch.setattr(cli, "admission", no_sampling)
     monkeypatch.setattr(idl, "off_diagonality", no_sampling)
     argv = ["ideal", "check", "--generators=1+sin(nu*x)", "--domain=-1,1", f"--{name}={value}"]
     code, report = cli.run(argv)
@@ -654,3 +654,22 @@ def test_unit_detection_refuses_margin_outside_the_positive_reals(monkeypatch, m
 @pytest.mark.parametrize("cell_width", [-0.05, 0.0, math.nan, math.inf])
 def test_cell_width_outside_the_positive_reals_is_refused(monkeypatch, cell_width):
     _refused_before_sampling(monkeypatch, "cell", cell_width)
+
+
+@pytest.mark.parametrize(
+    "lower, upper, cell_width, nu_max",
+    [
+        (-1.0, 1.0, 0.05, 2500), (0.0, 2.0 * math.pi, 0.05, 200), (0.0, 1e-3, 1.0, 300),
+        (-3.0, 7.0, 0.7, 64),
+    ],
+)
+def test_the_scan_plan_has_the_grid_size_of_each_index(lower, upper, cell_width, nu_max):
+    """The planned sizes, one array over the indices, against the per-index rule."""
+    domain = ex.DomainInterval(lower, upper)
+    cell_count, sizes = idl._scan_plan(domain, cell_width, nu_max)
+    width = domain.length / cell_count
+    expected = [
+        int(math.ceil(domain.length / min(width / 8.0, 2.0 * math.pi / (8.0 * index)))) + 1
+        for index in range(1, nu_max + 1)
+    ]
+    assert sizes.tolist() == expected

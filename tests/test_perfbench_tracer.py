@@ -49,3 +49,49 @@ def test_traced_commands_exit_as_untraced_ones(tracer_module):
     totals = tracer.totals()
     assert totals["ideals.membership"][0] > 0
     assert totals["pairing.pairing_tables"][0] > 0
+
+
+# per-layer metrics whose function the tracer finds nowhere in the package, so
+# they read 0 on every run; a change that blinds one more fails here
+BLIND_METRICS = {
+    "expr.evaluate.calls",
+    "expr.evaluate.self_s",
+    "pairing.pair_with_estimate.calls",
+    "pairing.integrate.nodes",
+    "pairing.integrate.self_s",
+    "weaklimit.weak_limit.self_s",
+    "numutil.refine_min_abs.calls",
+    "numutil.refine_min_abs.self_s",
+    "numutil.refine_min_abs.incl_share",
+}
+
+
+def _functions_read(metrics, name):
+    """The layer.function names a per-layer metric reads; none for a layer
+    total, a counter of its own or the tracer's own figures."""
+    if name == "expr.symbolic.self_share":
+        return metrics.SYMBOLIC
+    if name == "algebra.demo.self_s":
+        return metrics.DEMOS
+    layer, *function = name.split(".")[:-1]
+    return () if layer == "trace" or not function else (f"{layer}.{function[0]}",)
+
+
+def test_no_more_per_layer_metrics_are_blind(tracer_module):
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import metrics
+    finally:
+        sys.path.remove(str(PERFBENCH))
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        wrapped = set(tracer.names)
+    finally:
+        tracer.uninstall()
+    blind = set()
+    for name, _, _, _ in metrics.PER_LAYER:
+        functions = _functions_read(metrics, name)
+        if functions and not wrapped.intersection(functions):
+            blind.add(name)
+    assert blind == BLIND_METRICS

@@ -13,6 +13,7 @@ from branchlab.sequences import (
     SAMPLE_NUS,
     SmoothSequence,
     SpanStatus,
+    admission,
     apply_smooth,
     independence_certificate,
     seq_add,
@@ -23,7 +24,7 @@ from branchlab.sequences import (
     smooth_sequence,
 )
 
-from conftest import free_variables, gauss_rank
+from conftest import SAFETY_LATTICE, free_variables, gauss_rank
 
 DOM = ex.DomainInterval(-1.0, 1.0)
 
@@ -165,6 +166,49 @@ def test_apply_smooth_constant_image():
 def test_apply_smooth_rejects_unsafe_composition():
     with pytest.raises(ValueError):
         apply_smooth(ex.parse("1/u", ("u",)), smooth_sequence("x"), DOM)
+
+
+def test_admission_of_a_plain_tail_is_its_denominator_safety():
+    for text in ("1/(2+sin(nu*x))", "1/x", "1/(nu-3)", "x^2"):
+        tail = ex.parse(text)
+        report = admission(smooth_sequence(tail), DOM)
+        assert report == ex.denominator_safety(tail, DOM, SAFETY_LATTICE)
+
+
+def test_admission_samples_the_tail_only_at_the_indices_it_serves(monkeypatch):
+    # the tail's pole at index 2 lies before the start, or under an exception
+    late = admission(smooth_sequence("x/(nu-2)", start_index=3), DOM)
+    assert late.status is ex.SafetyStatus.SAFE
+    covered = admission(smooth_sequence("x/(nu-2)", {2: "x"}), DOM)
+    assert covered.status is ex.SafetyStatus.SAFE
+    # the tail's first 64 indices from the start, past the exception: 3..66 without 5
+    tail_nus = []
+    original = ex.denominator_safety
+
+    def recording(e, domain, nus):
+        tail_nus.append(nus.tolist())
+        return original(e, domain, nus)
+
+    monkeypatch.setattr(ex, "denominator_safety", recording)
+    admission(smooth_sequence("1/(2+x)", {5: "1/(3+x)"}, start_index=3), DOM)
+    assert tail_nus == [[n for n in range(3, 68) if n != 5], [5.0]]
+
+
+def test_admission_checks_each_exception_at_its_own_index():
+    report = admission(smooth_sequence("1/(3+x)", {2: "1/(4+x)", 7: "1/x"}), DOM)
+    assert report.status is ex.SafetyStatus.UNSAFE and report.witness_nu == 7
+    # the tail decides before any exception; a safe record counts every entry's denominators
+    tail_first = admission(smooth_sequence("1/(nu-9)", {2: "1/x"}), DOM)
+    assert tail_first.witness_nu == 9
+    safe = admission(smooth_sequence("1/(3+x)", {2: "1/(4+x)/(5+x)"}), DOM)
+    assert safe.status is ex.SafetyStatus.SAFE and safe.denominator_count == 3
+
+
+def test_apply_smooth_admits_the_composed_exceptions():
+    # cos(nu*x)/2 stays above -1, its entry x - 1 at index 2 does not
+    rep = smooth_sequence("cos(nu*x)/2", {2: "x-1"})
+    with pytest.raises(ValueError, match="witness_nu 2,"):
+        apply_smooth(ex.parse("1/(1+u)", ("u",)), rep, DOM)
 
 
 def test_apply_smooth_rejects_foreign_variables():
