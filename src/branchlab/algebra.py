@@ -12,6 +12,7 @@ limits, and the squared delta, an algebra element with no weak limit at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from ._report import Record, all_passed, stage
 from .expr import SafetyStatus
@@ -80,13 +81,15 @@ def gf_equal(f, g, ideal, domain):
 # the derivative of the steep step (1 + tanh(nu*x))/2, so derivation coherence
 # holds by construction
 DELTA_REPRESENTATIVE = "nu/(2*cosh(nu*x)^2)"
+# the test function demo delta-square pairs the squared delta against
+DELTA_PROBE = bump(0.0, 1.0, normalized=True)
 
 
 # ---------------------------------------------------------------------------
 # demos
 
 
-def branching_demo(representatives, operation, outer, domain, panel, schedule, tol):
+def branching_demo(representatives, operation, outer, domain, grids, tol):
     """Distinct distributional outcomes of one operation on equal inputs.
 
     Every representative is first classified as converging weakly to zero,
@@ -99,7 +102,7 @@ def branching_demo(representatives, operation, outer, domain, panel, schedule, t
     stages = []
 
     with stage("classify-representatives", stages) as entry:
-        verdicts = [classify_membership(s, panel, schedule, tol) for s in representatives]
+        verdicts = [classify_membership(s, grids, tol) for s in representatives]
         entry["records"] = [
             {"sequence": s.to_dict(), **verdict.to_dict()}
             for s, verdict in zip(representatives, verdicts)
@@ -109,58 +112,35 @@ def branching_demo(representatives, operation, outer, domain, panel, schedule, t
 
     with stage("apply-operation", stages) as entry:
         entry["operation"] = operation
-        squared_records = []
-        limit_vectors = []
-        all_definite = True
+        entry["records"], limits = [], []
+        # convergent and weak-null both mean every member has a ConvergesTo
+        converging = (Classification.CONVERGENT, Classification.WEAK_NULL)
         for k, s in enumerate(representatives):
             try:
                 transformed = apply_smooth(outer, s, domain)
             except ValueError as err:
                 raise ValueError(f"op on reps[{k}]: {err}") from None
-            verdict = classify_membership(transformed, panel, schedule, tol)
-            # convergent and weak-null both mean every member converges
-            definite = verdict.classification in (
-                Classification.CONVERGENT,
-                Classification.WEAK_NULL,
-            )
-            all_definite = all_definite and definite
-            limits = [v for _, v in verdict.per_test_function]
-            limit_vectors.append(
-                ([v.value for v in limits], [v.uncertainty for v in limits])
-                if definite
-                else (None, None)
-            )
-            squared_records.append({"sequence": transformed.to_dict(), **verdict.to_dict()})
-        entry["records"] = squared_records
+            verdict = classify_membership(transformed, grids, tol)
+            entry["records"].append({"sequence": transformed.to_dict(), **verdict.to_dict()})
+            definite = verdict.classification in converging
+            limits.append([v for _, v in verdict.per_test_function] if definite else None)
+        all_definite = None not in limits
         entry["passed"] = all_definite
 
     with stage("separation", stages) as entry:
-        separations = []
-        witness_found = False
-        for i in range(len(representatives)):
-            for j in range(i + 1, len(representatives)):
-                vi, ui = limit_vectors[i]
-                vj, uj = limit_vectors[j]
-                if vi is None or vj is None:
-                    separations.append(
-                        {"pair": [i, j], "separation": None, "ratio": None}
-                    )
-                    continue
-                gap = max(abs(a - b) for a, b in zip(vi, vj))
-                uncertainty = max(a + b for a, b in zip(ui, uj))
-                ratio = gap / max(uncertainty, 1e-15)
-                separated = ratio >= SEPARATION_FACTOR
-                witness_found = witness_found or separated
-                separations.append(
-                    {
-                        "pair": [i, j],
-                        "separation": gap,
-                        "combined_uncertainty": uncertainty,
-                        "ratio": ratio,
-                        "separated": separated,
-                    }
-                )
-        entry["records"] = separations
+        entry["records"] = []
+        for i, j in combinations(range(len(representatives)), 2):
+            if limits[i] is None or limits[j] is None:
+                entry["records"].append({"pair": [i, j], "separation": None, "ratio": None})
+                continue
+            gap = max(abs(a.value - b.value) for a, b in zip(limits[i], limits[j]))
+            uncertainty = max(a.uncertainty + b.uncertainty for a, b in zip(limits[i], limits[j]))
+            ratio = gap / max(uncertainty, 1e-15)
+            entry["records"].append({
+                "pair": [i, j], "separation": gap, "combined_uncertainty": uncertainty,
+                "ratio": ratio, "separated": ratio >= SEPARATION_FACTOR,
+            })
+        witness_found = any(record.get("separated") for record in entry["records"])
         entry["passed"] = witness_found
 
     if all_passed(stages):
@@ -185,25 +165,25 @@ def branching_demo(representatives, operation, outer, domain, panel, schedule, t
             "domain": domain.to_dict(),
             "operation": operation,
             "representatives": [s.to_dict() for s in representatives],
-            "panel": [phi.to_dict() for phi in panel],
+            "panel": [phi.to_dict() for phi in grids.members],
         },
         "stages": stages,
         "conclusion": conclusion,
     }
 
 
-def delta_square_demo(domain, schedule, panel, tol):
+def delta_square_demo(domain, grids, tol, probe_grids):
     """The squared delta: a healthy algebra element with no weak limit.
 
-    Pairings of the squared representative against the normalized bump on
-    [-1, 1] grow linearly in the index, matching the closed-form first-order
-    prediction index * probe(0) / 3 within DELTA_SQUARE_BAND, so the result
-    cannot be identified with any distribution; the algebra still holds it as
-    an ordinary element.  The panel is classified too: it diverges wherever a
-    member covers the origin.  A domain that does not contain the probe's
-    support is refused before any pairing.
+    Pairings of the squared representative against the probe, the one member
+    of probe_grids, grow linearly in the index, matching the closed-form
+    first-order prediction index * probe(0) / 3 within DELTA_SQUARE_BAND, so
+    the result cannot be identified with any distribution; the algebra still
+    holds it as an ordinary element.  The panel of grids is classified too: it
+    diverges wherever a member covers the origin.  A domain that does not
+    contain the probe's support is refused before any pairing.
     """
-    probe = bump(0.0, 1.0, normalized=True)
+    (probe,) = probe_grids.members
     lo, hi = probe.support
     if lo < domain.lower or hi > domain.upper:
         raise ValueError(
@@ -216,7 +196,7 @@ def delta_square_demo(domain, schedule, panel, tol):
     stages = []
 
     with stage("pairing-table", stages) as entry:
-        table = pairing_tables(rep, (probe,), schedule)[0]
+        table = pairing_tables(rep, probe_grids)[0]
         probe_height = probe.value(0.0)
         rows = []
         within_band = True
@@ -247,7 +227,7 @@ def delta_square_demo(domain, schedule, panel, tol):
         )
 
     with stage("panel-classification", stages) as entry:
-        classified = classify_membership(rep, panel, schedule, tol)
+        classified = classify_membership(rep, grids, tol)
         entry.update(classified.to_dict())
         entry["passed"] = classified.classification is Classification.DIVERGENT
 
@@ -265,7 +245,7 @@ def delta_square_demo(domain, schedule, panel, tol):
         "parameters": {
             "domain": domain.to_dict(),
             "probe": probe.to_dict(),
-            "schedule": list(schedule),
+            "schedule": list(grids.schedule),
         },
         "stages": stages,
         "conclusion": conclusion,

@@ -497,8 +497,8 @@ def _classified(args, name):
     """The config echo, stage and verdict of classifying --seq over the panel."""
     settings = resolve_settings(args)
     sequence = load_sequence(args.seq, "seq")
-    _, panel, schedule, tol = _sweep(settings)
-    entry, verdict = classify_stage(name, sequence, panel, schedule, tol)
+    _, grids, tol = _sweep(settings, [("seq", sequence)], 1)
+    entry, verdict = classify_stage(name, sequence, grids, tol)
     return _settings_echo(settings) | {"seq": sequence.to_dict()}, entry, verdict
 
 
@@ -536,7 +536,9 @@ def _cmd_ideal_check(args):
     settings = resolve_settings(args)
     domain = settings["domain"]
     generators = load_sequence_list(args.generators, "generators")
+    _check_plan([_scan_row(1, domain, settings["cell"], settings["nu-max"])])
     ideal = generated_by(*generators)
+    config_echo = _settings_echo(settings) | {"generators": [g.to_dict() for g in generators]}
     stages = []
 
     with stage("generator-safety", stages) as entry:
@@ -546,6 +548,11 @@ def _cmd_ideal_check(args):
             for g, record in zip(generators, records)
         ]
         entry["passed"] = all(record.status is SafetyStatus.SAFE for record in records)
+    if not entry["passed"]:  # no later stage speaks of an ideal that holds a non-element
+        k = next(k for k, record in enumerate(records) if record.status is not SafetyStatus.SAFE)
+        tail, status = generators[k].to_dict()["tail"], records[k].status.value
+        conclusion = f"generators[{k}] ({tail}) is not admitted on the domain: {status}"
+        return config_echo, stages, conclusion + "; the ideal is not checked"
 
     with stage("off-diagonality", stages) as entry:
         verdict = off_diagonality(ideal, domain, settings["cell"], settings["nu-max"],
@@ -559,7 +566,6 @@ def _cmd_ideal_check(args):
         entry["passed"] = closure.definite
 
     conclusion = f"off-diagonality: {verdict.tag}; derivation closure: {closure.tag}"
-    config_echo = _settings_echo(settings) | {"generators": [g.to_dict() for g in generators]}
     return config_echo, stages, conclusion
 
 
@@ -567,13 +573,9 @@ def _cmd_span_independence(args):
     settings = resolve_settings(args)
     first = [load_sequence(item, f"first[{k}]") for k, item in enumerate(args.first)]
     second = [load_sequence(item, f"second[{k}]") for k, item in enumerate(args.second)]
-    samples = (len(first) + len(second)) * settings["x-count"] * len(SAMPLE_NUS)
-    if samples > WORK_BUDGET:
-        raise ValueError(
-            f"{len(first) + len(second)} sequences x {settings['x-count']} points x "
-            f"{len(SAMPLE_NUS)} indices is {samples} samples, more than the work budget "
-            f"of {WORK_BUDGET}"
-        )
+    count, x_count = len(first) + len(second), settings["x-count"]
+    _check_plan([(f"{count} sequences x {x_count} points x {len(SAMPLE_NUS)} indices",
+                  count * x_count * len(SAMPLE_NUS))])
     xs = settings["domain"].interior_grid(settings["x-count"])
     stages = []
     with stage("independence", stages) as entry:
@@ -591,40 +593,36 @@ def _cmd_span_independence(args):
     return _settings_echo(settings), stages, conclusion
 
 
-def _gf_ideal(args, domain, stages):
-    """The ideal the algebra divides by; a generated one must pass the off-diagonality
-    gate, which refuses one that contains a unit.  None after an inconclusive gate."""
-    from .algebra import AlgebraError
-    from .ideals import EventuallyZero, OffDiagonal, generated_by, off_diagonality
-
-    if (args.algebra == "generated") != (args.generators is not None):
-        raise ValueError("--algebra generated and --generators go together")
-    if args.algebra == "eventually-zero":
-        return EventuallyZero()
-    with stage("off-diagonality-gate", stages) as entry:
-        # the gate certifies at `ideal check`'s defaults; no setting of gf reaches them
-        check = COMMAND_SETTINGS["ideal check"]
-        entry["cell_width"], entry["nu_max"] = check["cell"], check["nu-max"]
-        ideal = generated_by(*load_sequence_list(args.generators, "generators"))
-        verdict = off_diagonality(ideal, domain, check["cell"], check["nu-max"], check["margin"])
-        if not verdict.definite:
-            entry["reason"] = verdict.reason
-        elif not isinstance(verdict, OffDiagonal):
-            raise AlgebraError("ideal failed the off-diagonality gate: " + str(verdict.to_dict()))
-        entry["passed"] = verdict.definite
-    return ideal if entry["passed"] else None
-
-
 def _cmd_gf(args):
-    from .algebra import gf, gf_derive, gf_equal
+    """A generated ideal must pass the off-diagonality gate, which refuses one that
+    contains a unit; an inconclusive gate ends the command before its operation."""
+    from .algebra import AlgebraError, gf, gf_derive, gf_equal
+    from .ideals import EventuallyZero, OffDiagonal, generated_by, off_diagonality
 
     settings = resolve_settings(args)
     domain = settings["domain"]
+    if (args.algebra == "generated") != (args.generators is not None):
+        raise ValueError("--algebra generated and --generators go together")
+    # the gate certifies at `ideal check`'s defaults; no setting of gf reaches them
+    cell, nu_max, margin = map(COMMAND_SETTINGS["ideal check"].get, ("cell", "nu-max", "margin"))
+    ideal, rows = EventuallyZero(), []
+    if args.generators is not None:
+        ideal = generated_by(*load_sequence_list(args.generators, "generators"))
+        rows = [_scan_row(1, domain, cell, nu_max)]
+    _check_plan(rows)
     config_echo = _settings_echo(settings) | {"algebra": args.algebra}
     stages = []
-    ideal = _gf_ideal(args, domain, stages)
-    if ideal is None:
-        return config_echo, stages, "the off-diagonality gate is inconclusive"
+    if rows:
+        with stage("off-diagonality-gate", stages) as entry:
+            entry["cell_width"], entry["nu_max"] = cell, nu_max
+            verdict = off_diagonality(ideal, domain, cell, nu_max, margin)
+            if not verdict.definite:
+                entry["reason"] = verdict.reason
+            elif not isinstance(verdict, OffDiagonal):
+                raise AlgebraError(f"ideal failed the off-diagonality gate: {verdict.to_dict()}")
+            entry["passed"] = verdict.definite
+        if not entry["passed"]:
+            return config_echo, stages, "the off-diagonality gate is inconclusive"
     action = args.command.removeprefix("gf ")
     with stage("gf-" + action, stages) as entry:
         lhs = gf(load_sequence(args.lhs, "lhs"), domain)
@@ -654,17 +652,48 @@ def _demo_report(settings, result, **echo):
     return config_echo, result["stages"], result["conclusion"]
 
 
-def _sweep(settings):
-    """A sweep's domain, panel, schedule and tolerance, the order the demos take them in."""
-    domain, triples = settings["domain"], settings["panel"]
+def _sweep(settings, operands, passes, probe=None):
+    """A sweep's domain, grids (its panel's GridPlan) and tolerance, the order the demos
+    take them in, then the probe's GridPlan if it has a probe.  Its plan is `passes`
+    pairing passes over the panel and one over the probe; each operand, a (path,
+    sequence) pair, must start by the schedule's first index."""
+    domain, triples, schedule = settings["domain"], settings["panel"], settings["schedule"]
     panel = default_panel(domain) if triples is None else _panel(domain, triples)
-    return domain, panel, settings["schedule"], settings["tol"]
+    probes = [] if probe is None else [plan_grids((probe,), schedule)]  # paired first
+    grids = plan_grids(panel.members, schedule)
+    _check_plan([(f"{passes} pairing pass{'es' * (passes > 1)} x {grids.nodes} grid nodes",
+                  passes * grids.nodes)]
+                + [(f"1 probe pass x {plan.nodes} grid nodes", plan.nodes) for plan in probes])
+    for path, s in operands:
+        if s.start_index > schedule[0]:
+            raise ValueError(f"schedule: expected indices from the start {s.start_index} "
+                             f"of {path} on, got {schedule[0]}")
+    return domain, grids, settings["tol"], *probes
+
+
+def _scan_row(scans, domain, cell, nu_max):
+    """The plan row of a command's zero-density scans over the indices 1 to nu_max."""
+    from .ideals import _scan_plan
+
+    sizes = _scan_plan(domain, cell, nu_max)[1]
+    nodes, more = int(sizes.sum()), " or more" if len(sizes) < nu_max else ""
+    return f"{scans} zero-density scan{'s' * (scans > 1)} x {nodes} grid nodes{more}", scans * nodes
+
+
+def _check_plan(rows):
+    """Refuse, before anything is sampled, a command whose plan, its rows of (what, units
+    of work), holds more than WORK_BUDGET units in all.  Each command checks one plan."""
+    total = sum(units for _, units in rows)
+    if total > WORK_BUDGET:
+        largest = max(rows, key=lambda row: row[1])[0]
+        raise ValueError(f"{largest} is the largest row of a work plan of {total} units, "
+                         f"more than the work budget of {WORK_BUDGET}")
 
 
 def _demo_nosquare(args):
     settings = resolve_settings(args)
     base = load_sequence(args.seq, "seq")
-    return _demo_report(settings, nosquare_demo(*_sweep(settings), base))
+    return _demo_report(settings, nosquare_demo(*_sweep(settings, [("seq", base)], 2), base))
 
 
 def _demo_no_largest_ideal(args):
@@ -677,6 +706,7 @@ def _demo_no_largest_ideal(args):
     # the unit search runs at `ideal check`'s margin, which no setting of the demo reaches
     domain, cell, nu_max = settings["domain"], settings["cell"], settings["nu-max"]
     margin = COMMAND_SETTINGS["ideal check"]["margin"]
+    _check_plan([_scan_row(2, domain, cell, nu_max)])
     result = no_largest_ideal_demo(domain, cell, nu_max, margin, *generators)
     return _demo_report(settings, result)
 
@@ -689,24 +719,18 @@ def _demo_branching(args):
     if len(representatives) < 2:
         raise ValueError(f"reps: expected at least two sequences, got {len(representatives)}")
     outer = _parsed("op", args.op, ("u",))
-    domain, panel, schedule, tol = _sweep(settings)
+    operands = [(f"reps[{k}]", s) for k, s in enumerate(representatives)]
     # each representative takes two pairing passes: itself, and its image under the op
-    passes, (_, nodes) = 2 * len(representatives), plan_grids(panel.members, schedule)
-    if passes * nodes > WORK_BUDGET:
-        raise ValueError(
-            f"reps: {len(representatives)} sequences take {passes} pairing passes of {nodes} grid "
-            f"nodes each, {passes * nodes} in all, more than the work budget of {WORK_BUDGET}"
-        )
-    result = branching_demo(representatives, args.op, outer, domain, panel, schedule, tol)
+    sweep = _sweep(settings, operands, 2 * len(representatives))
+    result = branching_demo(representatives, args.op, outer, *sweep)
     return _demo_report(settings, result, op=args.op)
 
 
 def _demo_delta_square(args):
-    from .algebra import delta_square_demo
+    from .algebra import DELTA_PROBE, delta_square_demo
 
     settings = resolve_settings(args)
-    domain, panel, schedule, tol = _sweep(settings)
-    return _demo_report(settings, delta_square_demo(domain, schedule, panel, tol))
+    return _demo_report(settings, delta_square_demo(*_sweep(settings, [], 1, DELTA_PROBE)))
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,17 @@ points per period of the index).  Every pairing returns an error estimate
 from comparing the rule against itself at half the step.
 
 Pairings have one entry point, `pairing_tables`, which pairs a sequence with
-every member of a panel at every index of a schedule.  At each index the
-panel members whose supports need the same number of Simpson panels (all
-of them, when the widths are equal) share one (member x node) block of
-grids, and the sequence entry is evaluated on the whole block in one
-closure call.  The index stays a scalar: an integer power of an array of
-indices can differ in the last bit from the same power of each index alone.
-A block holds at most BLOCK_NODES nodes, unless one grid alone is longer,
-and no grid may hold more than MAX_GRID_NODES, so memory stays bounded
-however wide the panel and however large the index.  Each call computes its
-blocks in two buffers it allocates once, and grows only for a longer grid:
+every member of a panel at every index of a schedule, over the GridPlan that
+`plan_grids` made of them once for every sequence paired there.  At each index
+the panel members whose supports need the same number of Simpson panels (all
+of them, when the widths are equal) share one (member x node) block of grids,
+and the sequence entry is evaluated on the whole block in one closure call.
+The index stays a scalar: an integer power of an array of indices can differ
+in the last bit from the same power of each index alone.  A block holds at
+most BLOCK_NODES nodes, unless one grid alone is longer, and no grid may hold
+more than MAX_GRID_NODES, so memory stays bounded however wide the panel and
+however large the index.  Each call computes its blocks in two buffers it
+allocates once, and grows only for a longer grid:
 the grid goes into one, the bump and then the integrand into the other, one
 `out=` ufunc at a time, and the weighted samples of each Simpson rule back
 into the first.  A finite sum has finite samples, so only a row whose sum is
@@ -32,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +43,7 @@ from ._report import Record
 BLOCK_NODES = 8192
 # most nodes of one member's grid; a longer one is refused before any index is sampled
 MAX_GRID_NODES = 1 << 22
-# most nodes a sweep's grids hold over its whole schedule and panel, and most samples
-# span independence takes; a larger product is refused before anything is sampled
+# most units of work one command may plan: grid nodes, scan nodes and samples together
 WORK_BUDGET = 2 * MAX_GRID_NODES
 
 
@@ -230,10 +231,20 @@ def _two_grid_rule(ys, width, panels, weights, out):
     return fine, np.abs(fine - coarse)
 
 
+class GridPlan(NamedTuple):
+    """A schedule planned against test functions: at each index, its members grouped
+    by Simpson panel count as {count: member positions}; and the nodes of all grids."""
+
+    members: tuple
+    schedule: tuple
+    groups: tuple
+    nodes: int
+
+
 def plan_grids(members, schedule):
-    """Each index's members grouped by Simpson panel count, as (index, {count: member
-    positions}) pairs in schedule order, and the nodes of all their grids.  A grid
-    longer than MAX_GRID_NODES raises IntegrationError naming its index and member."""
+    """The GridPlan of the members over the schedule.  A grid longer than MAX_GRID_NODES
+    raises IntegrationError naming its index and member."""
+    members = tuple(members)
     # equal widths can differ in the last bit of upper - lower, the float a count reads
     lengths = [phi.support[1] - phi.support[0] for phi in members]
     plan, total = [], 0
@@ -251,37 +262,30 @@ def plan_grids(members, schedule):
                 )
             total += nodes
             groups.setdefault(counts[length], []).append(k)
-        plan.append((index, groups))
-    return plan, total
+        plan.append(groups)
+    return GridPlan(members, tuple(schedule), tuple(plan), total)
 
 
-def pairing_tables(s, members, schedule):
-    """Pairing values and quadrature estimates of s against each test function.
+def pairing_tables(s, grids):
+    """Pairing values and quadrature estimates of s against each test function of the
+    GridPlan, at each index of its schedule.
 
     Returns one [(index, value, estimate), ...] table per member, in schedule
     order; see the module docstring for the blocks they are computed on.  A
     non-finite sample raises IntegrationError naming the first index of the
     schedule that has one and, at that index, the first member that does.
-    Before any index is sampled, plan_grids checks every grid, and grids over
-    WORK_BUDGET nodes in all raise it naming the total.
     """
-    members = tuple(members)
+    members = grids.members
     lower = np.array([phi.support[0] for phi in members])
     upper = np.array([phi.support[1] for phi in members])
     centers = np.array([phi.center for phi in members])[:, None]
     widths = np.array([phi.width for phi in members])[:, None]
     scales = np.array([phi._scale() for phi in members])[:, None]
-    plan, total = plan_grids(members, schedule)
-    if total > WORK_BUDGET:
-        raise IntegrationError(
-            f"the grids of {len(plan)} indices against {len(members)} test functions would "
-            f"have {total} nodes, more than the work budget of {WORK_BUDGET}"
-        )
     tables = [[] for _ in members]
     size = 0  # nodes of each buffer; no chunk is longer than max(BLOCK_NODES, count)
     # a non-finite entry times the bump's zeros is nan, and a sum may overflow
     with np.errstate(all="ignore"):
-        for index, groups in plan:
+        for index, groups in zip(grids.schedule, grids.groups):
             failed = []
             for panels, rows in groups.items():
                 count = 2 * panels + 1

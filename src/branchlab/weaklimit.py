@@ -118,16 +118,16 @@ class FunctionalVerdict(Record):
         }
 
 
-def classify_membership(s, panel, schedule, tol):
-    """Classify a sequence by its limit behaviour across a whole panel.
+def classify_membership(s, grids, tol):
+    """Classify a sequence by its limit behaviour across the GridPlan's panel and schedule.
 
     weak-null additionally requires every limit to sit within its
     uncertainty (floored by the tolerance) of zero; weak-null therefore
     implies convergent by construction.
     """
-    tables = tuple(pairing_tables(s, panel, schedule))
+    tables = tuple(pairing_tables(s, grids))
     verdicts = tuple(
-        (phi, _verdict_from_table(table, tol)) for phi, table in zip(panel, tables)
+        (phi, _verdict_from_table(table, tol)) for phi, table in zip(grids.members, tables)
     )
     kinds = [type(v) for _, v in verdicts]
     if any(k is Diverges for k in kinds):
@@ -144,10 +144,10 @@ def classify_membership(s, panel, schedule, tol):
     return FunctionalVerdict(verdicts, classification, tables)
 
 
-def classify_stage(name, s, panel, schedule, tol):
+def classify_stage(name, s, grids, tol):
     """Report stage for classify_membership, with the pairing rows it used."""
     with stage(name) as entry:
-        verdict = classify_membership(s, panel, schedule, tol)
+        verdict = classify_membership(s, grids, tol)
         entry["sequence"] = s.to_dict()
         entry.update(verdict.to_dict())
         entry["pairings"] = [
@@ -164,7 +164,7 @@ def classify_stage(name, s, panel, schedule, tol):
     return entry, verdict
 
 
-def nosquare_demo(domain, panel, schedule, tol, base):
+def nosquare_demo(domain, grids, tol, base):
     """Why identifying all weak-null sequences with zero breaks multiplication.
 
     The base sequence is weak-null, yet its entry-wise square has weak limit
@@ -174,11 +174,9 @@ def nosquare_demo(domain, panel, schedule, tol, base):
     """
     square = seq_mul(base, base)
 
-    base_stage, base_verdict = classify_stage("classify-base", base, panel, schedule, tol)
+    base_stage, base_verdict = classify_stage("classify-base", base, grids, tol)
     base_stage["passed"] = base_verdict.classification is Classification.WEAK_NULL
-    square_stage, square_verdict = classify_stage(
-        "classify-square", square, panel, schedule, tol
-    )
+    square_stage, square_verdict = classify_stage("classify-square", square, grids, tol)
     square_stage["passed"] = square_verdict.classification is Classification.CONVERGENT
     stages = [base_stage, square_stage]
 
@@ -215,9 +213,10 @@ def nosquare_demo(domain, panel, schedule, tol, base):
     return {
         "parameters": {
             "domain": domain.to_dict(),
-            "schedule": list(schedule),
+            "schedule": list(grids.schedule),
             "tol": tol,
-            "panel": panel.to_dict(),
+            "panel": {"members": [phi.to_dict() for phi in grids.members],
+                      "domain": domain.to_dict()},
         },
         "stages": stages,
         "conclusion": conclusion,

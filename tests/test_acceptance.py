@@ -16,7 +16,7 @@ import branchlab.expr as ex
 from branchlab import algebra as alg
 from branchlab import cli
 from branchlab import ideals as idl
-from branchlab.pairing import bump, pairing_tables
+from branchlab.pairing import bump, pairing_tables, plan_grids
 from branchlab.sequences import admission, seq_derive, smooth_sequence
 
 from conftest import generated_by, value_at
@@ -166,7 +166,7 @@ def test_impulse_embedding_is_coherent():
     delta = smooth_sequence(alg.DELTA_REPRESENTATIVE)
     step = smooth_sequence("(1 + tanh(nu*x))/2")
     phi = bump(0.0, 0.8, normalized=True, domain=DOM)
-    (((_, value, _),),) = pairing_tables(delta, (phi,), (1024,))
+    (((_, value, _),),) = pairing_tables(delta, plan_grids((phi,), (1024,)))
     # normalized bump height at its center, from the frozen profile integral
     expected = math.exp(-1.0) / (0.8 * SHAPE_INTEGRAL)
     gap = abs(value - expected)

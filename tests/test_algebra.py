@@ -12,7 +12,7 @@ from branchlab._report import Unknown, all_passed
 from branchlab import algebra as alg
 from branchlab import cli
 from branchlab import ideals as idl
-from branchlab.pairing import Panel, bump, default_panel, pairing_tables
+from branchlab.pairing import Panel, bump, default_panel, pairing_tables, plan_grids
 from branchlab.sequences import admission, seq_derive, smooth_sequence
 from branchlab.weaklimit import DEFAULT_SCHEDULE, DEFAULT_TOL, classify_membership
 
@@ -110,7 +110,7 @@ def test_embedding_derivation_coherence(house):
 def test_delta_concentrates_at_probe_height():
     delta = smooth_sequence(alg.DELTA_REPRESENTATIVE)
     phi = bump(0.0, 0.8, normalized=True, domain=DOM)
-    (((_, value, _),),) = pairing_tables(delta, (phi,), (1024,))
+    (((_, value, _),),) = pairing_tables(delta, plan_grids((phi,), (1024,)))
     assert value == pytest.approx(phi.value(0.0), abs=1e-3)
 
 
@@ -119,7 +119,7 @@ def test_heaviside_weak_limit_right_mass():
     for center, width in ((0.0, 0.8), (0.3, 0.5)):
         phi = bump(center, width, normalized=True, domain=DOM)
         ((_, verdict),) = classify_membership(
-            step, (phi,), DEFAULT_SCHEDULE, DEFAULT_TOL
+            step, plan_grids((phi,), DEFAULT_SCHEDULE), DEFAULT_TOL
         ).per_test_function
         payload = verdict.to_dict()
         assert payload["kind"] == "converges-to"
@@ -230,7 +230,8 @@ def _branching(reps=("cos(nu*x)", "0"), panel=None, schedule=DEFAULT_SCHEDULE):
     """The branching demo as the command runs it by default, with these changes."""
     reps = [smooth_sequence(tail) for tail in reps]
     panel = panel or default_panel(DOM)
-    return alg.branching_demo(reps, "u^2", ex.parse("u^2", ("u",)), DOM, panel, schedule, DEFAULT_TOL)
+    grids = plan_grids(panel.members, schedule)
+    return alg.branching_demo(reps, "u^2", ex.parse("u^2", ("u",)), DOM, grids, DEFAULT_TOL)
 
 
 def test_branching_demo_default():
@@ -297,7 +298,8 @@ def test_branching_witness_stability():
 def test_delta_square_demo_structure():
     started = time.perf_counter()
     schedule = cli.COMMAND_SETTINGS["demo delta-square"]["schedule"]
-    result = alg.delta_square_demo(DOM, schedule, default_panel(DOM), DEFAULT_TOL)
+    grids, probe_grids = plan_grids(default_panel(DOM), schedule), plan_grids((alg.DELTA_PROBE,), schedule)
+    result = alg.delta_square_demo(DOM, grids, DEFAULT_TOL, probe_grids)
     assert time.perf_counter() - started < 20.0
 
     assert set(result) == {"parameters", "stages", "conclusion"}

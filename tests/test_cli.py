@@ -535,12 +535,14 @@ def test_work_beyond_the_budget_is_refused_before_sampling():
     budget = f"more than the work budget of {pairing.WORK_BUDGET}"
     assert span.report["error"] == {
         "type": "ValueError",
-        "message": f"40 sequences x 524288 points x 8 indices is 167772160 samples, {budget}",
+        "message": "40 sequences x 524288 points x 8 indices is the largest row of a work plan "
+        f"of 167772160 units, {budget}",
     }
-    assert sweep.report["error"]["type"] == "IntegrationError"
-    message = sweep.report["error"]["message"]
-    assert message.startswith("the grids of 20000 indices against 8 test functions would have ")
-    assert message.endswith(budget)
+    assert sweep.report["error"] == {
+        "type": "ValueError",
+        "message": "1 pairing pass x 3622336768 grid nodes is the largest row of a work plan "
+        f"of 3622336768 units, {budget}",
+    }
 
 
 def test_a_whole_command_is_counted_against_the_budget():
@@ -558,14 +560,77 @@ def test_a_whole_command_is_counted_against_the_budget():
     budget = f"more than the work budget of {pairing.WORK_BUDGET}"
     assert scan.report["error"] == {
         "type": "ValueError",
-        "message": "the zero-density grids at cell 0.05 over the indices 1 to nu-max 40000 "
-        f"would have 2037314086 nodes, {budget}",
+        "message": "1 zero-density scan x 2037314086 grid nodes is the largest row of a work "
+        f"plan of 2037314086 units, {budget}",
     }
     assert branching.report["error"] == {
         "type": "ValueError",
-        "message": "reps: 10 sequences take 20 pairing passes of 4750896 grid nodes each, "
-        f"95017920 in all, {budget}",
+        "message": "20 pairing passes x 4750896 grid nodes is the largest row of a work plan "
+        f"of 95017920 units, {budget}",
     }
+
+
+@pytest.mark.parametrize(
+    "argv, plan",
+    [
+        # each pass fits the budget alone; the two passes took 0.3 s
+        (["demo", "nosquare", "--nu-max=131072"],
+         "2 pairing passes x 4750896 grid nodes is the largest row of a work plan of 9501792"),
+        # the probe pass, 3,057,126 nodes, was not counted; the command ran for 0.55 s
+        (["demo", "delta-square", "--schedule=4,8,16,32,64,300000"],
+         "1 pairing pass x 5436944 grid nodes is the largest row of a work plan of 8494070"),
+        # the second scan is counted too, though the first one may stop early
+        (["demo", "no-largest-ideal", "--nu-max=1016"],
+         "2 zero-density scans x 4197138 grid nodes is the largest row of a work plan of 8394276"),
+    ],
+    ids=["nosquare", "delta-square", "no-largest-ideal"],
+)
+def test_every_pass_of_a_command_is_counted_against_the_budget(monkeypatch, argv, plan):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("an entry was sampled before the plan was checked")
+
+    monkeypatch.setattr(expr, "evaluate_on_grid", no_sampling)
+    started = time.perf_counter()
+    code, report = cli.run(argv)
+    assert time.perf_counter() - started < 0.5
+    assert code == 1
+    assert report["error"] == {
+        "type": "ValueError",
+        "message": f"{plan} units, more than the work budget of {pairing.WORK_BUDGET}",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, path, start",
+    [
+        (["limit", '--seq={"tail":"cos(nu*x)","start":5}'], "seq", 5),
+        (["classify", '--seq={"tail":"cos(nu*x)","start":2}'], "seq", 2),
+        (["demo", "nosquare", '--seq={"tail":"cos(nu*x)","start":3}'], "seq", 3),
+        (["demo", "branching", '--reps=[{"tail":"cos(nu*x)"},{"tail":"0","start":2}]'], "reps[1]", 2),
+    ],
+)
+def test_a_sweep_operand_that_starts_after_the_schedule_is_refused(argv, path, start):
+    # "sequence starts at index 5, got 1" named no flag
+    code, report = cli.run(argv)
+    assert code == 1
+    assert report["error"] == {
+        "type": "ValueError",
+        "message": f"schedule: expected indices from the start {start} of {path} on, got 1",
+    }
+    # a schedule from the start on is swept
+    code, _ = cli.run(argv + [f"--schedule={','.join(str(start << k) for k in range(8))}"])
+    assert code != 1
+
+
+@pytest.mark.parametrize("generators, k", [("1/x", 0), ("x^2+1,1/x", 1)])
+def test_ideal_check_stops_at_a_generator_it_does_not_admit(generators, k):
+    # 1/x alone went on to "derivation closure: closed" about a non-element
+    code, report = cli.run(["ideal", "check", f"--generators={generators}", "--domain=-1,1"])
+    assert code == 2
+    assert [entry["name"] for entry in report["stages"]] == ["generator-safety"]
+    assert report["conclusion"] == (
+        f"generators[{k}] (1/x) is not admitted on the domain: unsafe; the ideal is not checked"
+    )
 
 
 def test_the_default_certificates_fit_the_budget():
@@ -936,15 +1001,39 @@ def _record_pairings(monkeypatch):
             record["calls"].append((time.perf_counter(), xs.shape))
             return self.s.term_values(index, xs)
 
-    def recorded(s, members, schedule):
-        members, schedule = tuple(members), tuple(schedule)
-        record["pairings"] += len(members) * len(schedule)
-        return original(Recorded(s), members, schedule)
+    def recorded(s, grids):
+        record["pairings"] += len(grids.members) * len(grids.schedule)
+        return original(Recorded(s), grids)
 
     for module in (pairing, weaklimit, algebra):
         if getattr(module, "pairing_tables", None) is original:
             monkeypatch.setattr(module, "pairing_tables", recorded)
     return record
+
+
+@pytest.mark.parametrize(
+    "argv, plans",
+    [
+        (["limit", "--seq=cos(nu*x)"], 1),
+        (["demo", "nosquare"], 1),
+        (["demo", "branching"], 1),
+        # the panel and the probe
+        (["demo", "delta-square"], 2),
+    ],
+)
+def test_a_sweep_plans_each_panel_once(monkeypatch, argv, plans):
+    calls = []
+    original = pairing.plan_grids
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (pairing, cli):
+        monkeypatch.setattr(module, "plan_grids", counted)
+    code, _ = cli.run(argv)
+    assert code == 0
+    assert len(calls) == plans
 
 
 PAIRING_PINS = [

@@ -19,7 +19,7 @@ import pytest
 
 from branchlab import algebra, cli, ideals, weaklimit
 from branchlab.expr import DomainInterval, parse
-from branchlab.pairing import default_panel
+from branchlab.pairing import default_panel, plan_grids
 from branchlab.sequences import smooth_sequence
 from branchlab.weaklimit import DEFAULT_SCHEDULE
 
@@ -160,10 +160,10 @@ def test_delta_square_panel_classification_carries_member_verdicts(flag, members
     assert any(member["verdict"]["kind"] == "diverges" for member in stage["per_test_function"])
 
 
-def _sweep():
+def _sweep(schedule=DEFAULT_SCHEDULE):
     """The paper's sweep: eight bumps on [-1, 1], indices 1 to 4096, tolerance 1e-4."""
     domain = DomainInterval(-1.0, 1.0)
-    return domain, default_panel(domain), DEFAULT_SCHEDULE, 1e-4
+    return domain, plan_grids(default_panel(domain), schedule), 1e-4
 
 
 DEMOS = {
@@ -176,13 +176,14 @@ DEMOS = {
         [smooth_sequence("cos(nu*x)"), smooth_sequence("0")], "u^2", parse("u^2", ("u",)),
         *_sweep(),
     ),
-    "delta-square": lambda: _delta_square(*_sweep()),
+    "delta-square": lambda: _delta_square(tuple(2**k for k in range(2, 13))),
 }
 
 
-def _delta_square(domain, panel, _, tol):
+def _delta_square(schedule):
     """The squared delta's sweep runs from index 4 to 4096."""
-    return algebra.delta_square_demo(domain, tuple(2**k for k in range(2, 13)), panel, tol)
+    probe_grids = plan_grids((algebra.DELTA_PROBE,), schedule)
+    return algebra.delta_square_demo(*_sweep(schedule), probe_grids)
 
 
 @pytest.mark.parametrize("name", DEMOS)
@@ -237,6 +238,22 @@ def _main(argv):
     with contextlib.redirect_stdout(out):
         code = cli.main(argv)
     return code, out.getvalue()
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=" ".join)
+def test_every_command_checks_one_plan(monkeypatch, argv):
+    """Each command passes its whole plan through the budget check once."""
+    plans = []
+    original = cli._check_plan
+
+    def counted(rows):
+        plans.append(rows)
+        return original(rows)
+
+    monkeypatch.setattr(cli, "_check_plan", counted)
+    code, _ = cli.run(argv)
+    assert code in (0, 2)
+    assert len(plans) == 1
 
 
 @pytest.mark.parametrize("argv", EVERY_COMMAND, ids=" ".join)

@@ -140,3 +140,28 @@ def test_every_default_is_left_out_by_some_caller():
         )
     ]
     assert not unused, f"defaults no call in src leaves out: {sorted(unused)}"
+
+
+def test_one_function_checks_the_work_budget():
+    """`cli._check_plan` is the one function that compares anything with WORK_BUDGET.
+    Besides its definition, the budget is read only there and in `ideals._scan_plan`,
+    which caps how many indices it sums at WORK_BUDGET // 9 + 1 and refuses nothing."""
+    readers, comparers = set(), set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        functions = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+        def enclosing(node):
+            spans = [f for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+            return f"{path.stem}.{max(spans, key=lambda f: f.lineno).name}" if spans else None
+
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id == "WORK_BUDGET":
+                if isinstance(node.ctx, ast.Load):
+                    readers.add(enclosing(node))
+            elif isinstance(node, ast.Compare):
+                names = {getattr(n, "id", None) for n in ast.walk(node)}
+                if "WORK_BUDGET" in names:
+                    comparers.add(enclosing(node))
+    assert comparers == {"cli._check_plan"}
+    assert readers == {"cli._check_plan", "ideals._scan_plan"}

@@ -100,13 +100,6 @@ def test_a_singular_basis_certifies_nothing(argv):
 
 
 @known_defect(14, "only gf checks that an operand is smooth on the domain")
-def test_a_singular_generator_has_no_closed_closure():
-    code, report = cli.run(["ideal", "check", "--generators=1/x", "--domain=-1,1"])
-    assert code != 1
-    assert _stage(report, "derivation-closure")["outcome"]["verdict"] != "closed"
-
-
-@known_defect(14, "only gf checks that an operand is smooth on the domain")
 def test_a_singular_entry_is_refused_before_quadrature():
     code, report = cli.run(["limit", "--seq=1/(nu-1)"])
     assert code != 1 or report["error"]["type"] != "IntegrationError"

@@ -147,7 +147,7 @@ def test_bump_values_and_support():
 
 def _pair(s, index, phi):
     """Pairing value and estimate of entry `index` with phi: a one-member, one-index table."""
-    ((_, value, estimate),) = pairing.pairing_tables(s, (phi,), (index,))[0]
+    ((_, value, estimate),) = pairing.pairing_tables(s, pairing.plan_grids((phi,), (index,)))[0]
     return value, estimate
 
 
@@ -371,17 +371,18 @@ def test_pairing_tables_match_each_pairing_alone(rng, monkeypatch):
     # non-finite in the one-row blocks longer than BLOCK_NODES only
     sequences.append(smooth_sequence("1/(nu-4096)"))
     outcomes = set()
+    grids = pairing.plan_grids(members, schedule)
     for s in sequences:
         expected = _nan_as_text(_reference_tables(s, members, schedule))
         blocks.clear()
         monkeypatch.setattr(SmoothSequence, "term_values", recorded)
         if isinstance(expected, str):
             with pytest.raises(pairing.IntegrationError) as caught:
-                pairing.pairing_tables(s, members, schedule)
+                pairing.pairing_tables(s, grids)
             assert str(caught.value) == expected
         else:
             # bit for bit, so == and not approx
-            assert _nan_as_text(pairing.pairing_tables(s, members, schedule)) == expected
+            assert _nan_as_text(pairing.pairing_tables(s, grids)) == expected
         monkeypatch.undo()
         if isinstance(expected, str):
             outcomes.add(expected)
@@ -423,7 +424,7 @@ def test_pairing_tables_count_panels_once_per_support_length(domain, lengths, mo
 
     monkeypatch.setattr(pairing, "_panel_count", counted)
     # bit for bit, so == and not approx
-    assert pairing.pairing_tables(s, panel.members, DEFAULT_SCHEDULE) == expected
+    assert pairing.pairing_tables(s, pairing.plan_grids(panel.members, DEFAULT_SCHEDULE)) == expected
     assert len(calls) == len(set(calls)) == lengths * len(DEFAULT_SCHEDULE)
 
 
@@ -432,7 +433,7 @@ def test_pairing_tables_refuse_an_index_before_the_start():
     with pytest.raises(ValueError) as reference:
         _reference_tables(s, _mixed_members(), (4, 8))
     with pytest.raises(ValueError) as caught:
-        pairing.pairing_tables(s, _mixed_members(), (4, 8))
+        pairing.pairing_tables(s, pairing.plan_grids(_mixed_members(), (4, 8)))
     assert str(caught.value) == str(reference.value) == "sequence starts at index 5, got 4"
 
 
@@ -443,10 +444,11 @@ def test_pairing_tables_refuse_a_grid_longer_than_the_cap(monkeypatch):
     length = widest.support[1] - widest.support[0]
     monkeypatch.setattr(pairing, "MAX_GRID_NODES", 2 * pairing._panel_count(length, 256) + 1)
     # a grid at the cap is sampled
-    assert [len(table) for table in pairing.pairing_tables(s, members, (1, 256))] == [2] * 14
+    tables = pairing.pairing_tables(s, pairing.plan_grids(members, (1, 256)))
+    assert [len(table) for table in tables] == [2] * 14
     grids = _recorded_grids(monkeypatch)
     with pytest.raises(pairing.IntegrationError) as caught:
-        pairing.pairing_tables(s, members, (1, 257))
+        pairing.pairing_tables(s, pairing.plan_grids(members, (1, 257)))
     message = str(caught.value)
     assert message.startswith(
         f"the grid at index 257, against the test function centered at {widest.center} "
@@ -460,7 +462,7 @@ def test_pairing_tables_refuse_a_grid_longer_than_the_cap(monkeypatch):
 def test_an_overflowing_pairing_is_inf_and_nan_without_a_warning():
     # finite samples whose Simpson sums overflow; a RuntimeWarning would fail the test
     s = smooth_sequence("1e307")
-    tables = pairing.pairing_tables(s, (pairing.bump(0.0, 1.0),), (1, 2, 1024))
+    tables = pairing.pairing_tables(s, pairing.plan_grids((pairing.bump(0.0, 1.0),), (1, 2, 1024)))
     assert _nan_as_text(tables) == [[(index, math.inf, "nan") for index in (1, 2, 1024)]]
 
 
@@ -470,10 +472,11 @@ def test_pairing_tables_peak_memory_is_a_few_blocks():
     # at index 4096 each member's grid, 9273 nodes, is a block of its own
     length = max(phi.support[1] - phi.support[0] for phi in panel)
     block_bytes = 8 * (2 * pairing._panel_count(length, 4096) + 1)
-    pairing.pairing_tables(s, panel.members, (4096,))  # compiles the entry outside the trace
+    grids = pairing.plan_grids(panel.members, (4096,))
+    pairing.pairing_tables(s, grids)  # compiles the entry outside the trace
     tracemalloc.start()
     try:
-        pairing.pairing_tables(s, panel.members, (4096,))
+        pairing.pairing_tables(s, grids)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

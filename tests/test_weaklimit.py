@@ -13,13 +13,14 @@ PHI = pairing.bump(0.0, 1.0)
 
 def classify(s, panel, schedule=wl.DEFAULT_SCHEDULE, tol=wl.DEFAULT_TOL):
     """classify_membership at the sweep commands' default schedule and tolerance, unless given."""
-    return wl.classify_membership(s, panel, schedule, tol)
+    return wl.classify_membership(s, pairing.plan_grids(panel, schedule), tol)
 
 
 def nosquare(base="cos(nu*x)"):
     """The nosquare demo as its command runs it by default, on this base if given."""
     panel, base = pairing.default_panel(DOM), smooth_sequence(base)
-    return wl.nosquare_demo(DOM, panel, wl.DEFAULT_SCHEDULE, wl.DEFAULT_TOL, base)
+    grids = pairing.plan_grids(panel.members, wl.DEFAULT_SCHEDULE)
+    return wl.nosquare_demo(DOM, grids, wl.DEFAULT_TOL, base)
 
 
 def midpoint(f, lo, hi, n):
@@ -111,7 +112,8 @@ def test_schedule_validation():
 
 def test_pairing_table_shape():
     schedule = (1, 2, 4, 8, 16, 32)
-    (table,) = pairing.pairing_tables(smooth_sequence("cos(nu*x)"), (PHI,), schedule)
+    grids = pairing.plan_grids((PHI,), schedule)
+    (table,) = pairing.pairing_tables(smooth_sequence("cos(nu*x)"), grids)
     assert [row[0] for row in table] == list(schedule)
     for _, value, estimate in table:
         assert np.isfinite(value)
@@ -166,7 +168,7 @@ def test_classify_stage_payload():
     panel = pairing.Panel((pairing.bump(-0.5, 0.5), pairing.bump(0.5, 0.5)), DOM)
     schedule = (1, 2, 4, 8, 16, 32)
     stage, verdict = wl.classify_stage(
-        "demo-stage", smooth_sequence("cos(nu*x)"), panel, schedule, 1e-4
+        "demo-stage", smooth_sequence("cos(nu*x)"), pairing.plan_grids(panel, schedule), 1e-4
     )
     assert stage["name"] == "demo-stage"
     assert stage["sequence"] == {"tail": "cos(nu*x)"}
