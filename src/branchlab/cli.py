@@ -536,7 +536,9 @@ def _cmd_ideal_check(args):
     settings = resolve_settings(args)
     domain = settings["domain"]
     generators = load_sequence_list(args.generators, "generators")
-    _check_plan([_scan_row(1, domain, settings["cell"], settings["nu-max"])])
+    # off-diagonality scans for zero density only on an ideal of one generator
+    single = len(generators) == 1
+    _check_plan([_scan_row(1, domain, settings["cell"], settings["nu-max"])] if single else [])
     ideal = generated_by(*generators)
     config_echo = _settings_echo(settings) | {"generators": [g.to_dict() for g in generators]}
     stages = []
@@ -608,11 +610,11 @@ def _cmd_gf(args):
     ideal, rows = EventuallyZero(), []
     if args.generators is not None:
         ideal = generated_by(*load_sequence_list(args.generators, "generators"))
-        rows = [_scan_row(1, domain, cell, nu_max)]
+        rows = [_scan_row(1, domain, cell, nu_max)] if len(ideal.generators) == 1 else []
     _check_plan(rows)
     config_echo = _settings_echo(settings) | {"algebra": args.algebra}
     stages = []
-    if rows:
+    if args.generators is not None:
         with stage("off-diagonality-gate", stages) as entry:
             entry["cell_width"], entry["nu_max"] = cell, nu_max
             verdict = off_diagonality(ideal, domain, cell, nu_max, margin)

@@ -28,7 +28,8 @@ term map and its compiled function once computed, and every holder of the
 structure shares them, however it was built.  Term maps are read-only, as
 every later caller is handed the stored one.  ``diff`` passes one memo,
 keyed by node, down through ``_d`` for all orders, so each distinct
-subexpression is differentiated once per call; the memo dies with the call.
+subexpression is differentiated once per call; ``_d`` folds term maps and
+builds no chain node.  The memo dies with the call.
 
 Every value comes from one generated function ``f(nu, x)`` per expression,
 compiled once and kept on its root node, with x an array:
@@ -912,82 +913,76 @@ def is_zero(e):
 
 
 def _d(e, memo):
-    """Derivative of e; memo maps each node this diff call differentiated to its result.
+    """Term map of e's derivative; memo maps each node this diff call differentiated to it.
 
-    Nodes are interned, so an equal subtree is the same object and the
-    identity lookup finds it however the rules rebuilt it.
+    Each rule folds its parts' maps as ``_terms`` folds the node the rule
+    stands for, and builds only the atoms a map holds.  Nodes are interned,
+    so an equal subtree is one object, found however the rules rebuilt it.
     """
     derivative = memo.get(e)
     if derivative is not None:
         return derivative
     match e:
         case Num() | Pi() | Pow(_, 0):
-            derivative = Num(0.0)
+            derivative = {}
         case Var(name):
-            derivative = Num(1.0) if name == "x" else Num(0.0)
+            derivative = {(): 1.0} if name == "x" else {}
         case Neg(a):
-            derivative = Neg(_d(a, memo))
-        case Add(parts):
-            derivatives = []
-            for op, node in parts:
-                derivatives.append((op, _d(node, memo)))
-            derivative = _flat(derivatives)
-        case Mul(((_, prefix), *rest)):
-            # the binary product and quotient rules folded over the prefixes; each
-            # node built holds its term map, so none is folded again from its start
-            dprefix = _d(prefix, memo)
+            derivative = _scale_terms(_d(a, memo), -1.0)
+        case Add(((_, first), *rest)):
+            derivative = _d(first, memo)
+            for op, node in rest:
+                derivative = _step_terms(derivative, op, _d(node, memo))
+        case Mul(((_, first), *rest)):
+            # the binary product and quotient rules folded over the prefixes
+            prefix, derivative = _terms(first), _d(first, memo)
             for k, (op, node) in enumerate(rest):
                 if k:
-                    prefix = _seeded(prefix, *rest[k - 1])
-                lead = _seeded(prefix, "*", _d(node, memo))
-                dprefix = _seeded(dprefix, "*", node)
+                    prefix = _step_terms(prefix, rest[k - 1][0], _terms(rest[k - 1][1]))
+                lead = _step_terms(prefix, "*", _d(node, memo))
+                derivative = _step_terms(derivative, "*", _terms(node))
                 if op == "*":
-                    dprefix = _seeded(dprefix, "+", lead)
+                    derivative = _step_terms(derivative, "+", lead)
                 else:
-                    dprefix = _seeded(_seeded(dprefix, "-", lead), "/", node**2)
-            derivative = dprefix
+                    derivative = _step_terms(_step_terms(derivative, "-", lead), "/", _terms(node**2))
         case Pow(b, k):
-            derivative = Num(float(k)) * Pow(b, k - 1) * _d(b, memo)
+            derivative = _step_terms({(): float(k)}, "*", _terms(Pow(b, k - 1)))
+            derivative = _step_terms(derivative, "*", _d(b, memo))
         case Call(fn, a):
-            da = _d(a, memo)
             if fn == "sin":
-                outer = Call("cos", a)
+                outer = _terms(Call("cos", a))
             elif fn == "cos":
-                outer = Neg(Call("sin", a))
+                outer = _scale_terms(_terms(Call("sin", a)), -1.0)
             elif fn == "exp":
-                outer = Call("exp", a)
+                outer = _terms(e)
             elif fn == "tanh":
-                outer = Pow(Call("cosh", a), -2)
+                outer = _terms(Pow(Call("cosh", a), -2))
             else:  # cosh; sinh is not in the vocabulary
-                outer = Call("tanh", a) * Call("cosh", a)
-            derivative = outer * da
+                outer = _step_terms(_terms(Call("tanh", a)), "*", _terms(e))
+            derivative = _step_terms(outer, "*", _d(a, memo))
         case _:
             raise TypeError(f"not an expression node: {e!r}")
     memo[e] = derivative
     return derivative
 
 
-def _seeded(left, op, right):
-    """left op right, holding the term map one fold step makes from left's.
-
-    An interned node that already holds its map keeps it: the fold made it.
-    """
-    node = _chain(left, op, right)
-    if getattr(node, "_term_map", None) is None:
-        object.__setattr__(node, "_term_map", _step_terms(_terms(left), op, _terms(right)))
-    return node
-
-
 def diff(e, order=1):
     """Symbolic derivative with respect to x, simplified at each order.
 
     Each distinct subexpression is differentiated once across all orders:
-    one memo, keyed by the interned nodes, lives for this call alone.
+    one memo, keyed by the interned nodes, lives for this call alone.  An
+    order that repeats an earlier one's result, as 0, exp(x) and sin(x) do,
+    starts a cycle that the remaining orders are read off.
     """
     result = simplify(e) if order == 0 else e
+    seen = {result: 0}  # each order's result to its order
     memo = {}
-    for _ in range(order):
-        result = simplify(_d(result, memo))
+    for n in range(1, order + 1):
+        result = _from_terms(_d(result, memo))
+        if result in seen:
+            start = seen[result]
+            return list(seen)[start + (order - start) % (n - start)]
+        seen[result] = n
     return result
 
 

@@ -601,6 +601,27 @@ def test_every_pass_of_a_command_is_counted_against_the_budget(monkeypatch, argv
 
 
 @pytest.mark.parametrize(
+    "argv, conclusion",
+    [
+        (["ideal", "check", "--generators=sin(nu*x),cos(nu*x)", "--domain=0,1000"],
+         "off-diagonality: inconclusive; derivation closure: closed"),
+        (["gf", "mul", "--lhs=x", "--rhs=x", "--algebra=generated",
+          "--generators=sin(nu*x),cos(nu*x)", "--domain=0,1000"],
+         "the off-diagonality gate is inconclusive"),
+    ],
+    ids=["ideal-check", "gf-gate"],
+)
+def test_only_a_single_generator_plans_a_zero_density_scan(argv, conclusion):
+    # a scan of 35,565,591 grid nodes was planned, and refused, for these ideals,
+    # though off-diagonality scans only an ideal of one generator
+    code, report = cli.run(argv)
+    assert (code, report["conclusion"]) == (2, conclusion)
+    code, report = cli.run(["ideal", "check", "--generators=sin(nu*x)", "--domain=0,1000"])
+    assert code == 1
+    assert report["error"]["message"].startswith("1 zero-density scan x 35565591 grid nodes ")
+
+
+@pytest.mark.parametrize(
     "argv, path, start",
     [
         (["limit", '--seq={"tail":"cos(nu*x)","start":5}'], "seq", 5),

@@ -201,8 +201,16 @@ def test_diff_matches_central_difference(expression_corpus, rng):
             assert abs(fd - sym) <= tol
 
 
+def _seeded(left, op, right):
+    """left op right, holding the term map one fold step makes from left's and right's."""
+    node = ex._chain(left, op, right)
+    if getattr(node, "_term_map", None) is None:
+        object.__setattr__(node, "_term_map", ex._step_terms(ex._terms(left), op, ex._terms(right)))
+    return node
+
+
 def _reference_d(e):
-    """The derivative rules without a memo: every occurrence is differentiated again."""
+    """The derivative rules on nodes, without a memo: every occurrence is differentiated again."""
     match e:
         case ex.Num() | ex.Pi():
             return ex.Num(0.0)
@@ -216,13 +224,13 @@ def _reference_d(e):
             dprefix = _reference_d(prefix)
             for k, (op, node) in enumerate(rest):
                 if k:
-                    prefix = ex._seeded(prefix, *rest[k - 1])
-                lead = ex._seeded(prefix, "*", _reference_d(node))
-                dprefix = ex._seeded(dprefix, "*", node)
+                    prefix = _seeded(prefix, *rest[k - 1])
+                lead = _seeded(prefix, "*", _reference_d(node))
+                dprefix = _seeded(dprefix, "*", node)
                 if op == "*":
-                    dprefix = ex._seeded(dprefix, "+", lead)
+                    dprefix = _seeded(dprefix, "+", lead)
                 else:
-                    dprefix = ex._seeded(ex._seeded(dprefix, "-", lead), "/", node**2)
+                    dprefix = _seeded(_seeded(dprefix, "-", lead), "/", node**2)
             return dprefix
         case ex.Pow(b, k):
             if k == 0:
@@ -854,12 +862,78 @@ def test_the_table_keeps_no_tree_alive():
     assert all(entry() is not None for entry in ex._NODES.values())
 
 
-def test_seeded_keeps_the_map_an_interned_node_holds():
-    left, right = ex.parse("cos(2*x)*x"), ex.parse("sin(x)")
-    node = left * right
-    terms = ex._terms(node)
-    assert ex._seeded(left, "*", right) is node
-    assert node._term_map is terms
+def _fold(parts):
+    """A chain's map from its parts' maps, folded with the rule of one binary node."""
+    (_, first), *rest = parts
+    terms = ex._terms(first)
+    for op, node in rest:
+        terms = ex._step_terms(terms, op, ex._terms(node))
+    return terms
+
+
+def test_a_chain_holds_the_fold_of_its_parts_maps(rng):
+    # the derivative rules fold maps and never build the chains they stand for
+    a, b, c = ex.parse("cos(2*x)*x"), ex.parse("sin(x) - nu"), ex.parse("1/(1 + x^2)")
+    spliced, nested = a * b * c, (a + b) * c
+    assert spliced.factors == (*a.factors, ("*", b), ("*", c))
+    assert ex._terms(spliced) == ex._step_terms(ex._terms(a * b), "*", ex._terms(c))
+    assert ex._terms(spliced) == _fold(spliced.factors)
+    assert nested.factors == (("*", a + b), ("*", c))
+    assert ex._terms(nested) == ex._step_terms(ex._terms(a + b), "*", ex._terms(c))
+    # a chain interned earlier keeps the map it holds, and that map is the fold
+    early = ex.parse("cos(2*x)*x*sin(x)")
+    held = ex._terms(early)
+    assert a * ex.Call("sin", ex.x) is early and early._term_map is held
+    assert held == ex._step_terms(ex._terms(a), "*", ex._terms(ex.Call("sin", ex.x)))
+    for e in [random_expression(rng, depth=3, allow_nu=True) for _ in range(200)]:
+        for node in _nodes(e):
+            if isinstance(node, (ex.Add, ex.Mul)):
+                parts = node.terms if isinstance(node, ex.Add) else node.factors
+                # the prefix chain's own map, stepped by the last part
+                last_op, last = parts[-1]
+                assert ex._terms(node) == ex._step_terms(
+                    ex._terms(ex._flat(parts[:-1])), last_op, ex._terms(last)
+                ) == _fold(parts)
+
+
+def _count_calls(monkeypatch, name):
+    """Patch ex.<name> to add one entry to the returned list per call."""
+    calls, original = [], getattr(ex, name)
+
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(ex, name, counted)
+    return calls
+
+
+def test_diff_builds_no_chain_node(monkeypatch):
+    repeats = ex.parse(REPEATS)
+    product = ex.parse("*".join(f"cos({k}*x)" for k in range(1, 61)))
+    calls = _count_calls(monkeypatch, "_chain")
+    ex.diff(repeats, 3)
+    ex.diff(product, 2)
+    assert calls == []
+
+
+def test_diff_reads_the_last_orders_off_a_cycle(monkeypatch):
+    square, sine = ex.parse("x^2"), ex.parse("sin(x)")
+    calls = _count_calls(monkeypatch, "_from_terms")
+    # 2*x, 2, 0, and 0 again: the fourth order repeats the third
+    assert ex.diff(square, 10**5) == ex.Num(0.0)
+    assert len(calls) == 4
+    del calls[:]
+    assert ex.diff(sine, 10**5 + 1) == ex.parse("cos(x)")
+    # cos(x), -sin(x), -cos(x) and sin(x) again, and at most one simplify of
+    # the argument x per call the rules meet
+    assert len(calls) <= 8
+    # and every order is the node iterating diff gives, whether or not it cycles
+    for text in ("x^2", "sin(x)", "exp(x)", "exp(-x)*cos(x)", "x^3/(1 + x)"):
+        e = iterated = ex.parse(text)
+        for order in range(1, 10):
+            iterated = ex.diff(iterated)
+            assert ex.diff(e, order) is iterated
 
 
 def _census(e):
