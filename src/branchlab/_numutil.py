@@ -2,7 +2,7 @@
 
 ``f`` maps an array of points, one per lane, to the lanes' values, so each
 step costs one call of ``f`` for all lanes, and a lane freezes when its own
-search would have returned.  ``bisect_lanes`` gives certificate roots and
+search would have returned.  ``bisect_lanes`` gives the roots of
 membership witnesses; ``refine_min_abs_lanes`` refines the sampled indices of
 a denominator.  Every comparison, update and stopping rule is the scalar
 search's applied elementwise, so a lane returns bit for bit what the scalar

@@ -246,8 +246,8 @@ SETTING_FLAGS = {
     "schedule": (_parse_schedule, validate_schedule, "explicit comma-separated index schedule"),
     "tol": (float, functools.partial(_finite_positive, "tol"), "convergence tolerance"),
     "panel": (load_panel_spec, None, "panel file or JSON: (center,width,normalized) triples"),
-    "cell": (float, functools.partial(_finite_positive, "cell"), "certificate cell width"),
-    "nu-max": (int, _index_cap, "largest index: the certificate cap, or a powers-of-2 schedule"),
+    "cell": (float, functools.partial(_finite_positive, "cell"), "width of a certificate cell"),
+    "nu-max": (int, _index_cap, "largest index: certificate index cap, or a powers-of-2 schedule"),
     "margin": (float, functools.partial(_finite_positive, "margin"), "unit-search margin"),
     "x-count": (int, _sample_count, "sample points per index"),
 }
@@ -536,9 +536,7 @@ def _cmd_ideal_check(args):
     settings = resolve_settings(args)
     domain = settings["domain"]
     generators = load_sequence_list(args.generators, "generators")
-    # off-diagonality scans for zero density only on an ideal of one generator
-    single = len(generators) == 1
-    _check_plan([_scan_row(1, domain, settings["cell"], settings["nu-max"])] if single else [])
+    _check_plan([])
     ideal = generated_by(*generators)
     config_echo = _settings_echo(settings) | {"generators": [g.to_dict() for g in generators]}
     stages = []
@@ -607,14 +605,11 @@ def _cmd_gf(args):
         raise ValueError("--algebra generated and --generators go together")
     # the gate certifies at `ideal check`'s defaults; no setting of gf reaches them
     cell, nu_max, margin = map(COMMAND_SETTINGS["ideal check"].get, ("cell", "nu-max", "margin"))
-    ideal, rows = EventuallyZero(), []
+    _check_plan([])
+    config_echo = _settings_echo(settings) | {"algebra": args.algebra}
+    stages, ideal = [], EventuallyZero()
     if args.generators is not None:
         ideal = generated_by(*load_sequence_list(args.generators, "generators"))
-        rows = [_scan_row(1, domain, cell, nu_max)] if len(ideal.generators) == 1 else []
-    _check_plan(rows)
-    config_echo = _settings_echo(settings) | {"algebra": args.algebra}
-    stages = []
-    if args.generators is not None:
         with stage("off-diagonality-gate", stages) as entry:
             entry["cell_width"], entry["nu_max"] = cell, nu_max
             verdict = off_diagonality(ideal, domain, cell, nu_max, margin)
@@ -673,15 +668,6 @@ def _sweep(settings, operands, passes, probe=None):
     return domain, grids, settings["tol"], *probes
 
 
-def _scan_row(scans, domain, cell, nu_max):
-    """The plan row of a command's zero-density scans over the indices 1 to nu_max."""
-    from .ideals import _scan_plan
-
-    sizes = _scan_plan(domain, cell, nu_max)[1]
-    nodes, more = int(sizes.sum()), " or more" if len(sizes) < nu_max else ""
-    return f"{scans} zero-density scan{'s' * (scans > 1)} x {nodes} grid nodes{more}", scans * nodes
-
-
 def _check_plan(rows):
     """Refuse, before anything is sampled, a command whose plan, its rows of (what, units
     of work), holds more than WORK_BUDGET units in all.  Each command checks one plan."""
@@ -706,10 +692,10 @@ def _demo_no_largest_ideal(args):
     if len(generators) != 2:
         raise ValueError(f"generators: expected exactly two sequences, got {len(generators)}")
     # the unit search runs at `ideal check`'s margin, which no setting of the demo reaches
-    domain, cell, nu_max = settings["domain"], settings["cell"], settings["nu-max"]
     margin = COMMAND_SETTINGS["ideal check"]["margin"]
-    _check_plan([_scan_row(2, domain, cell, nu_max)])
-    result = no_largest_ideal_demo(domain, cell, nu_max, margin, *generators)
+    _check_plan([])
+    result = no_largest_ideal_demo(settings["domain"], settings["cell"], settings["nu-max"],
+                                   margin, *generators)
     return _demo_report(settings, result)
 
 

@@ -57,7 +57,7 @@ enters it, so ``exec`` runs nothing a user chose.
 ``sequences.admission``, and calls a denominator's function once on the
 block of those indices (a column) by every grid point (a row), then refines
 all rows' argmin brackets together with ``_numutil.refine_min_abs_lanes``
-through ``_on_lanes``; certificate roots are bisected the same way.  An
+through ``_on_lanes``; membership witness roots are bisected the same way.  An
 x-free power of the index, such as ``(nu-1.738)^3``, is an array power on
 lanes and a scalar power on a grid, and may differ in the last bit.
 """
@@ -686,7 +686,9 @@ def to_string(e):
 # A term map sends a monomial, a tuple of (base, exponent) pairs ordered by
 # printed base, to its real coefficient.  Bases are canonical sub-expressions;
 # multi-term sums appearing as factors stay atomic, so products are never
-# distributed.
+# distributed.  No coefficient is nan: a sum, product or quotient that would
+# make one raises this error.
+_COEFFICIENT_OVERFLOW = "coefficient overflow: inf - inf, 0*inf or inf/inf makes a NaN coefficient"
 
 
 def _order(factor):
@@ -719,6 +721,8 @@ def _merge_terms(left, right):
         total = out.get(mono, 0.0) + c
         if total == 0.0:
             out.pop(mono, None)
+        elif total != total:
+            raise ValueError(_COEFFICIENT_OVERFLOW)
         else:
             out[mono] = total
     return out
@@ -733,6 +737,8 @@ def _atomic_sum(terms):
     lead = ordered[0][1] if ordered else 1.0
     if lead == 1.0:
         return 1.0, _from_terms(terms)
+    if math.isinf(lead):  # the lead term would be inf / inf
+        raise ValueError(_COEFFICIENT_OVERFLOW)
     # true division: lead/lead is exactly 1.0, reciprocal products are not
     return lead, _from_terms({mono: c / lead for mono, c in terms.items()})
 
@@ -755,6 +761,8 @@ def _combine_factors(coefficient, left, right):
     """
     if coefficient == 0.0:
         return {}
+    if coefficient != coefficient:
+        raise ValueError(_COEFFICIENT_OVERFLOW)
     factors = list(left)
     for base, exponent in right:
         # distinct nodes print apart, so a base's place holds it if any does

@@ -13,26 +13,22 @@ finite and none of its denominators is zero there (``expr._defined_values``).
 A factorization with an undefined sample is not verified, and a witness is
 never a point where an entry is undefined.
 
-The off-diagonality question for an ideal -- does it meet the diagonal
-constant sequences only in zero -- is answered positively by a zero-density
-certificate (a root of some entry of the generator in every cell of the
-domain, so a constant trapped in the ideal must vanish on a grid of the
-certificate's resolution) and negatively by a unit witness (a small integer
-combination of generators bounded away from zero, which makes the ideal
-improper).  The two successful outcomes are mutually exclusive.
+Off-diagonality -- does the ideal meet the diagonal constant sequences only
+in zero -- is refuted by a unit witness (a small integer combination of
+generators bounded away from zero) and proved from the form of a single
+generator: a root factor c + c'*sin|cos(alpha(nu)*x + beta) of its tail,
+numbers |c| <= |c'|, alpha a polynomial in nu of degree at least 1, has
+zeros at most 2*pi/|alpha(nu)| apart, so the zeros of all entries are dense
+and a constant in the ideal vanishes.  Closed-form roots at one index in
+every cell witness the proof; any other ideal is inconclusive.
 
-Certificates and witnesses share one root finder.  At index nu a root is an
-exact zero on a grid, or a sign change between adjacent grid points, of a
-root factor (a * part of a product, never a / part; the base of a positive
-power; the operand of a negation), or a closed-form root of a factor
-c +- c*sin|cos(u) with u linear in x.  A certificate brackets every cell
-first and bisects all its brackets in one lane-wise pass; each root must
-leave the entry below 1e-8, which rules out a sign change across a pole.  A
-near-zero minimum with neither, such as that of 1.000000001 + sin, is no root.
-The witness scan brackets index by index and bisects the brackets of 1, 1,
-2, 4, 8, ... consecutive indices in one pass.  Bisection is lane-wise and
-each lane carries its own index, so a root is the same whichever lanes share
-its pass.
+Membership witnesses are roots at index nu: an exact zero on a grid or a
+sign change between adjacent grid points of a root factor (a * part of a
+product, never a / part; the base of a positive power; the operand of a
+negation), or a closed-form root of c +- c*sin|cos(u) with u linear in x;
+the near-zero minimum of 1.000000001 + sin is no root.  The brackets of 1,
+1, 2, 4, 8, ... consecutive indices are bisected in one lane-wise pass,
+each lane at its own index, so a root does not depend on its pass.
 """
 
 from __future__ import annotations
@@ -40,6 +36,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -47,7 +44,7 @@ from . import expr as ex
 from ._numutil import bisect_lanes
 from ._report import Record, Unknown, all_passed, stage
 from .expr import DomainInterval, Num, simplify, to_string
-from .pairing import MAX_GRID_NODES, WORK_BUDGET
+from .pairing import MAX_GRID_NODES
 from .sequences import (
     SmoothSequence,
     seq_derive,
@@ -68,23 +65,15 @@ VERIFICATION_SAMPLES = 100
 _VERIFICATION_SEED = 20260815
 
 
-def _scan_plan(domain, cell_width, nu_max):
-    """The certificate's cell count on the domain and its grid size at each
-    index from 1 to nu_max, or to WORK_BUDGET // 9 + 1 if that is smaller.  Its
-    first grid has at least 8 nodes a cell and one more, so a count whose grid
-    would pass MAX_GRID_NODES is refused before anything is sampled."""
+def _cell_count(domain, cell_width):
+    """The certificate's cell count on the domain, refused above (MAX_GRID_NODES - 1) // 8."""
     cells, most = domain.length / cell_width, (MAX_GRID_NODES - 1) // 8
     if cells > most:
         raise ValueError(
             f"cell width must be finite and positive and leave at most {most} cells "
             f"on the domain, got {cell_width!r} ({cells:.6g} cells)"
         )
-    cell_count = max(1, math.ceil(cells))
-    # every grid has at least 9 nodes, so the indices past WORK_BUDGET // 9 need not be summed
-    indices = np.arange(1, min(nu_max, WORK_BUDGET // 9 + 1) + 1)
-    step = np.minimum(domain.length / cell_count / 8.0, 2.0 * math.pi / (8.0 * indices))
-    sizes = np.ceil(domain.length / step).astype(int) + 1
-    return cell_count, sizes
+    return max(1, math.ceil(cells))
 
 
 # ---------------------------------------------------------------------------
@@ -279,20 +268,58 @@ def _root_factors(e):
     return [e]
 
 
-def _touching(factor):
-    """Compiled (u, du/dx) and the phase when factor is c +- c*sin|cos(u) with u
-    linear in x, else None; such a factor vanishes where u = phase + 2*pi*m."""
+def _nu_polynomial(e):
+    """(|coefficient of nu^d|, sum of the other |coefficients|) of e as a polynomial
+    in nu of degree d >= 1 with finite coefficients, pi read as its value, or None."""
+    magnitudes = {}
+    for mono, c in ex._terms(e).items():
+        powers = dict(mono)
+        k, c = powers.pop(ex.nu, 0), c * ex._power(math.pi, powers.pop(ex.pi, 0))
+        if powers or k < 0 or not math.isfinite(c):
+            return None
+        magnitudes[k] = abs(c)
+    degree = max(magnitudes, default=0)
+    return None if degree < 1 else (magnitudes.pop(degree), sum(magnitudes.values()))
+
+
+class _Wave(NamedTuple):
+    """A root factor c + c'*sin|cos(u), numbers |c| <= |c'| != 0, u linear in x with alpha =
+    du/dx; u and alpha compiled.  Its roots are where u is a phase (one if |c| = |c'|, else
+    two) plus 2*pi*m, at most pi + 2*asin(ratio) apart in u.  growth is _nu_polynomial(alpha):
+    for nu >= 1, |alpha(nu)| >= lead*nu - rest, so the zeros of all entries are dense."""
+
+    factor: ex.Expr
+    ratio: float  # |c/c'|
+    alpha: ex.Expr
+    u: Callable
+    du: Callable
+    phases: tuple
+    growth: tuple | None
+
+    def first_roots(self, index, edges):
+        """At index, per interval between consecutive edges, the x where u first reaches
+        a root at or above its smaller end; a zero or non-finite slope leaves no finite x."""
+        slope, offset = self.du(np.float64(index), 0.0), self.u(np.float64(index), 0.0)
+        ends = slope * edges + offset
+        low = np.minimum(ends[:-1], ends[1:])
+        first = [phase + math.tau * np.ceil((low - phase) / math.tau) for phase in self.phases]
+        return (np.min(first, axis=0) - offset) / slope
+
+
+def _wave(factor):
+    """The factor as a _Wave, or None."""
     terms = ex._terms(factor)
-    constant = terms.get(())
-    if constant is None or len(terms) != 2:
-        return None
-    ((mono, c),) = [(mono, c) for mono, c in terms.items() if mono]
-    match mono:
-        case ((ex.Call("sin" | "cos" as fn, u), 1),) if abs(c) == abs(constant):
-            if ex.is_zero(ex.diff(du := ex.diff(u))):
-                level = -constant / c  # where sin|cos(u) = +-1
-                phase = (level if fn == "sin" else 1.0 - level) * 0.5 * math.pi
-                return ex._compiled(u), ex._compiled(du), phase
+    constant = terms.get((), 0.0)
+    # besides the constant, one term: c' times the first power of sin|cos(u)
+    match [(mono, c) for mono, c in terms.items() if mono]:
+        case [(((ex.Call("sin" | "cos" as fn, u), 1),), c)] if abs(constant) <= abs(c) < math.inf:
+            if ex.is_zero(ex.diff(alpha := ex.diff(u))):
+                level = -constant / c  # the value sin|cos(u) takes at a root
+                first = math.asin(level) if fn == "sin" else math.acos(level)
+                second = math.pi - first if fn == "sin" else -first
+                phases = (first,) if abs(level) == 1.0 else (first, second)
+                compiled = ex._compiled(u), ex._compiled(alpha)
+                return _Wave(factor, abs(level), alpha, *compiled, phases, _nu_polynomial(alpha))
     return None
 
 
@@ -303,7 +330,7 @@ class _RootFinder:
 
     def __init__(self, sequence):
         self.sequence = sequence
-        self.plans = {}  # id(entry) -> [(factor id, closed form or None)]
+        self.plans = {}  # id(entry) -> [(factor id, touching _Wave or None)]
         self.pairs = []  # factor id -> (factor, entry)
 
     def _plan(self, index):
@@ -312,7 +339,8 @@ class _RootFinder:
         if plan is None:
             plan = self.plans[id(entry)] = []
             for factor in dict.fromkeys(_root_factors(entry)):
-                plan.append((len(self.pairs), _touching(factor)))
+                wave = _wave(factor)
+                plan.append((len(self.pairs), wave if wave and len(wave.phases) == 1 else None))
                 self.pairs.append((factor, entry))
         return plan
 
@@ -327,13 +355,8 @@ class _RootFinder:
                 k = np.flatnonzero(zero | np.append(values[:-1] * values[1:] < 0.0, False))
                 lo, hi = xs[k], xs[np.where(zero[k], k, k + 1)]
             else:
-                # each grid interval takes the first root above its smaller u
-                # if it lies inside; a zero or non-finite slope leaves none
-                u, du, phase = form
-                slope, offset = du(np.float64(index), 0.0), u(np.float64(index), 0.0)
-                ends = slope * xs + offset
-                low = np.minimum(ends[:-1], ends[1:])
-                roots = (phase + math.tau * np.ceil((low - phase) / math.tau) - offset) / slope
+                # each grid interval takes its first root if it lies inside
+                roots = form.first_roots(index, xs)
                 lo = hi = roots[(xs[:-1] <= roots) & (roots < xs[1:])]
             parts.append((np.full(len(lo), fid), lo, hi))
         ids, lo, hi = (np.concatenate(arrays) for arrays in zip(*parts))
@@ -527,6 +550,9 @@ class ZeroDensityCertificate(Record):
     domain: DomainInterval
     cell_width: float
     nu_max: int
+    factor: str  # the tail's root factor c + c'*sin|cos(u) with dense zeros
+    ratio: float  # |c/c'|
+    alpha: str  # du/dx, a polynomial in nu
     cells: tuple
 
     def to_dict(self):
@@ -537,50 +563,35 @@ class ZeroDensityCertificate(Record):
 
 
 def zero_density_certificate(ideal, domain, cell_width, nu_max):
-    """Root of the single generator's entries in every cell of the domain, or None.
+    """Roots of the single generator at one index in every cell of the domain, or None.
 
-    A constant sequence lying in the ideal must vanish at every certified
-    root, so its zeros are at least cell-width dense; the certificate is the
-    finite form of that argument at this resolution.
+    The structural proof is a root factor of the tail that is a _Wave with
+    growth.  The cells witness it at the first served index nu* past the bound
+    from which |alpha| * width passes the widest gap in u, each at its first
+    root, with the entry below ROOT_RESIDUAL_TOL there.  None when the tail has no such
+    factor, nu* passes nu_max or a root misses the tolerance.
     """
-    cell_count, sizes = _scan_plan(domain, cell_width, nu_max)
-    generator = ideal.generators[0]
-    actual_width = domain.length / cell_count
-    edges = domain.lower + actual_width * np.arange(cell_count + 1)
-    finder = _RootFinder(generator)
-    # the bracket each cell took: its factor, its index (0 for none) and its ends
-    cell_ids, cell_nus = np.zeros((2, cell_count), int)
-    cell_lo, cell_hi = np.zeros((2, cell_count))
-
-    xs = np.empty(0)
-    with np.errstate(all="ignore"):
-        for index in range(max(1, generator.start_index), nu_max + 1):
-            open_cells = cell_nus == 0
-            if not open_cells.any():
-                break
-            # the step never grows with the index, so each grid size is built once
-            if len(xs) != sizes[index - 1]:
-                xs = np.linspace(domain.lower, domain.upper, sizes[index - 1])
-            ids, lo, hi = finder.brackets(index, xs)
-            # a bracket is a candidate for the cell holding lo and for the one
-            # holding hi, which differ for a root on an edge; np.unique keeps
-            # each open cell's first candidate
-            pick = np.concatenate((np.arange(len(lo)), np.arange(len(lo))))
-            cell = np.concatenate((np.searchsorted(edges, lo, "right"), np.searchsorted(edges, hi)))
-            cell = np.minimum(np.maximum(cell - 1, 0), cell_count - 1)
-            inside = (edges[cell] <= lo[pick]) & (hi[pick] <= edges[cell + 1]) & open_cells[cell]
-            cells, first = np.unique(cell[inside], return_index=True)
-            chosen = pick[np.flatnonzero(inside)[first]]
-            cell_ids[cells], cell_nus[cells] = ids[chosen], index
-            cell_lo[cells], cell_hi[cells] = lo[chosen], hi[chosen]
-        if not cell_nus.all():
-            return None
-        roots, residuals = finder.roots(cell_ids, cell_nus, cell_lo, cell_hi)
-    if not (residuals < ROOT_RESIDUAL_TOL).all():
+    cell_count, generator = _cell_count(domain, cell_width), ideal.generators[0]
+    waves = map(_wave, dict.fromkeys(_root_factors(generator.tail)))
+    wave = next((wave for wave in waves if wave is not None and wave.growth), None)
+    if wave is None:
         return None
-    bounds = edges[:-1].tolist(), edges[1:].tolist(), cell_nus.tolist()
+    (lead, rest), width = wave.growth, domain.length / cell_count
+    bound = (rest + (math.pi + 2.0 * math.asin(wave.ratio)) / width) / lead
+    exceptions = {index for index, _ in generator.exceptional}
+    first = max(generator.start_index, math.ceil(min(bound, nu_max + 1)))
+    nu = min(set(range(first, first + len(exceptions) + 1)) - exceptions)
+    edges = domain.lower + width * np.arange(cell_count + 1)
+    with np.errstate(all="ignore"):
+        # a root that rounding put past its cell's edge is moved back onto it
+        roots = np.clip(wave.first_roots(nu, edges), edges[:-1], edges[1:])
+        residuals = np.abs(ex._defined_values(generator.tail, nu, roots))
+    if nu > nu_max or not (residuals < ROOT_RESIDUAL_TOL).all():
+        return None
+    bounds = edges[:-1].tolist(), edges[1:].tolist(), [nu] * cell_count
     cells = tuple(map(CertificateCell, *bounds, roots.tolist(), residuals.tolist()))
-    return ZeroDensityCertificate(domain, actual_width, nu_max, cells)
+    return ZeroDensityCertificate(domain, width, nu_max, to_string(wave.factor), wave.ratio,
+                                  to_string(wave.alpha), cells)
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +646,9 @@ def off_diagonality(ideal, domain, cell_width, nu_max, margin):
         if certificate is not None:
             return OffDiagonal(certificate)
         return OffDiagInconclusive(
-            "no unit found and the zero-density search left uncovered cells"
+            "no unit found and no root factor of the generator is c + c'*sin|cos(alpha*x "
+            "+ beta) with numbers |c| <= |c'| and alpha a polynomial in nu of degree at "
+            "least 1 whose closed-form roots fill every cell at an index up to nu-max"
         )
     return OffDiagInconclusive(
         "no unit found; zero-density certification only covers single generators"
@@ -690,32 +703,22 @@ def derivation_closure(ideal, domain):
 def no_largest_ideal_demo(domain, cell_width, nu_max, margin, first_generator, second_generator):
     """Two separately admissible ideals whose sum is improper.
 
-    Each principal ideal gets a zero-density certificate, so each one meets
-    the diagonal constants only in zero.  Their sum, however, contains a
-    combination of the generators bounded away from zero -- a unit -- so no
-    admissible ideal can contain both, and no largest admissible ideal
-    exists.
+    Each principal ideal gets a structural proof with its zero-density
+    certificate, so each one meets the diagonal constants only in zero.
+    Their sum, however, contains a combination of the generators bounded
+    away from zero -- a unit -- so no admissible ideal can contain both, and
+    no largest admissible ideal exists.
     """
-    first = generated_by(first_generator)
-    second = generated_by(second_generator)
-
+    first, second = generated_by(first_generator), generated_by(second_generator)
     stages = []
-
-    for name, ideal in (
-        ("off-diagonality-first", first),
-        ("off-diagonality-second", second),
-    ):
+    for name, ideal in (("off-diagonality-first", first), ("off-diagonality-second", second)):
         with stage(name, stages) as entry:
             verdict = off_diagonality(ideal, domain, cell_width, nu_max, margin)
-            payload = verdict.to_dict()
-            if isinstance(verdict, OffDiagonal) and isinstance(
-                verdict.certificate, ZeroDensityCertificate
-            ):
-                cells = payload["certificate"]["cells"]
-                payload["certificate"]["cells"] = cells[:4] + (["..."] if len(cells) > 4 else [])
-            entry["ideal"] = ideal.to_dict()
-            entry["outcome"] = payload
+            entry["ideal"], entry["outcome"] = ideal.to_dict(), verdict.to_dict()
             entry["passed"] = isinstance(verdict, OffDiagonal)
+            if entry["passed"]:
+                cells = entry["outcome"]["certificate"]["cells"]
+                cells[4:] = ["..."] if len(cells) > 4 else []
 
     with stage("ideal-sum", stages) as entry:
         try:

@@ -27,6 +27,12 @@ _CHECK = cli.COMMAND_SETTINGS["ideal check"]
 CERTIFICATE = {
     "cell_width": _CHECK["cell"], "nu_max": _CHECK["nu-max"], "margin": _CHECK["margin"],
 }
+# the reason of a single generator that off_diagonality neither proves nor refutes
+NO_DENSE_ZEROS = (
+    "no unit found and no root factor of the generator is c + c'*sin|cos(alpha*x + beta) "
+    "with numbers |c| <= |c'| and alpha a polynomial in nu of degree at least 1 whose "
+    "closed-form roots fill every cell at an index up to nu-max"
+)
 
 
 # ---------------------------------------------------------------------------

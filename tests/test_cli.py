@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from branchlab import algebra, cli, expr, ideals, pairing, weaklimit
 
-from conftest import SAFETY_LATTICE, run_fresh
+from conftest import NO_DENSE_ZEROS, SAFETY_LATTICE, run_fresh
 
 TRIG_DOMAIN = "0,6.283185307179586"
 
@@ -81,7 +81,7 @@ def test_an_inconclusive_algebra_gate_is_a_stage_that_does_not_pass():
     (gate,) = report["stages"]
     assert gate["name"] == "off-diagonality-gate" and gate["passed"] is False
     assert (gate["cell_width"], gate["nu_max"]) == (0.05, 200)
-    assert gate["reason"] == "no unit found and the zero-density search left uncovered cells"
+    assert gate["reason"] == NO_DENSE_ZEROS
     # an ideal that contains a unit is refused
     code, report = cli.run(argv + ["--generators=2+sin(nu*x)"])
     assert code == 1
@@ -385,7 +385,7 @@ def test_integration_error_names_its_index_and_member(argv, index, member):
 @pytest.mark.parametrize(
     "argv, error_type, cause",
     [
-        # an infinite coefficient times zero has no value to print
+        # an infinite coefficient times zero has no value
         (["gf", "mul", "--lhs=1e999*x", "--rhs=x-x"], "ValueError", "NaN"),
         (["limit", "--seq=" + "(" * 300 + "x" + ")" * 300], "ParseError", "nesting"),
     ],
@@ -546,23 +546,16 @@ def test_work_beyond_the_budget_is_refused_before_sampling():
 
 
 def test_a_whole_command_is_counted_against_the_budget():
-    # the zero-density grids grow with the index: 40,000 indices took 9.5 s;
     # 10 representatives at 131,072 indices took 2.1 s in 20 passes, each under the budget
     reps = ",".join(["cos(nu*x)", "0"] * 5)
     started = time.perf_counter()
-    scan, branching = run_fresh(
-        ["ideal", "check", "--generators=x", "--domain=-1,1", "--nu-max=40000"],
+    (branching,) = run_fresh(
         ["demo", "branching", f"--reps={reps}", "--nu-max=131072"],
         address_space=768 << 20, timeout=60,
     )
     assert time.perf_counter() - started < 5.0
-    assert (scan.code, branching.code) == (1, 1)
+    assert branching.code == 1
     budget = f"more than the work budget of {pairing.WORK_BUDGET}"
-    assert scan.report["error"] == {
-        "type": "ValueError",
-        "message": "1 zero-density scan x 2037314086 grid nodes is the largest row of a work "
-        f"plan of 2037314086 units, {budget}",
-    }
     assert branching.report["error"] == {
         "type": "ValueError",
         "message": "20 pairing passes x 4750896 grid nodes is the largest row of a work plan "
@@ -579,11 +572,8 @@ def test_a_whole_command_is_counted_against_the_budget():
         # the probe pass, 3,057,126 nodes, was not counted; the command ran for 0.55 s
         (["demo", "delta-square", "--schedule=4,8,16,32,64,300000"],
          "1 pairing pass x 5436944 grid nodes is the largest row of a work plan of 8494070"),
-        # the second scan is counted too, though the first one may stop early
-        (["demo", "no-largest-ideal", "--nu-max=1016"],
-         "2 zero-density scans x 4197138 grid nodes is the largest row of a work plan of 8394276"),
     ],
-    ids=["nosquare", "delta-square", "no-largest-ideal"],
+    ids=["nosquare", "delta-square"],
 )
 def test_every_pass_of_a_command_is_counted_against_the_budget(monkeypatch, argv, plan):
     def no_sampling(*args, **kwargs):
@@ -611,14 +601,17 @@ def test_every_pass_of_a_command_is_counted_against_the_budget(monkeypatch, argv
     ],
     ids=["ideal-check", "gf-gate"],
 )
-def test_only_a_single_generator_plans_a_zero_density_scan(argv, conclusion):
-    # a scan of 35,565,591 grid nodes was planned, and refused, for these ideals,
-    # though off-diagonality scans only an ideal of one generator
+def test_an_ideal_on_a_wide_domain_ends_in_a_verdict(argv, conclusion):
+    # a scan of 35,565,591 grid nodes was planned, and refused, for these ideals, and
+    # for sin(nu*x) alone; its certificate now takes 20,000 cells at one index
     code, report = cli.run(argv)
     assert (code, report["conclusion"]) == (2, conclusion)
     code, report = cli.run(["ideal", "check", "--generators=sin(nu*x)", "--domain=0,1000"])
-    assert code == 1
-    assert report["error"]["message"].startswith("1 zero-density scan x 35565591 grid nodes ")
+    assert code == 0
+    assert report["conclusion"] == "off-diagonality: off-diagonal; derivation closure: not-closed"
+    certificate = report["stages"][1]["outcome"]["certificate"]
+    assert certificate["cell_count"] == 20000
+    assert {cell["nu"] for cell in certificate["cells"]} == {63}
 
 
 @pytest.mark.parametrize(
@@ -654,12 +647,64 @@ def test_ideal_check_stops_at_a_generator_it_does_not_admit(generators, k):
     )
 
 
-def test_the_default_certificates_fit_the_budget():
-    # no-largest-ideal's default scan plans 224,001 nodes
-    _, sizes = ideals._scan_plan(cli.COMMAND_SETTINGS["demo no-largest-ideal"]["domain"], 0.05, 200)
-    assert sizes.sum() == 224001
+def test_the_default_certificates_fit_the_budget(monkeypatch):
+    # no-largest-ideal's default scans planned 2 x 224,001 nodes; its certificates
+    # now sample one index each on the cell edges, and plan no rows
+    plans = []
+    monkeypatch.setattr(cli, "_check_plan", plans.append)
+    code, _ = cli.run(["demo", "no-largest-ideal"])
+    assert (code, plans) == (0, [[]])
     code, _ = cli.run(["ideal", "check", "--generators=x", "--domain=-1,1", "--nu-max=2500"])
     assert code == 2
+
+
+def test_a_huge_index_cap_ends_in_a_verdict():
+    # the scan's plan refused this in exit 1; the certificate samples index 63 alone
+    argv = ["ideal", "check", "--generators=sin(nu*x)", "--domain=-1,1", "--nu-max=1000000000"]
+    started = time.perf_counter()
+    code, report = cli.run(argv)
+    assert time.perf_counter() - started < 1.0
+    assert code == 0
+    assert report["conclusion"] == "off-diagonality: off-diagonal; derivation closure: not-closed"
+    assert {cell["nu"] for cell in report["stages"][1]["outcome"]["certificate"]["cells"]} == {63}
+
+
+@pytest.mark.parametrize("shift", ["nu/100", "nu/300", "nu/1000"])
+def test_a_generator_whose_zeros_end_is_not_off_diagonal(shift):
+    # from index 101 (301, 1001) on, sin(nu*x) + nu/100 has no zero, so the zeros of
+    # all entries are finite and the ideal is not off-diagonal; its certificate's
+    # cells took roots at indices up to 200 and the command exited 0
+    argv = ["ideal", "check", f"--generators=sin(nu*x)+{shift}", "--domain=-1,1"]
+    code, report = cli.run(argv)
+    assert code == 2
+    assert report["conclusion"] == "off-diagonality: inconclusive; derivation closure: not-closed"
+    assert report["stages"][1]["outcome"] == {"verdict": "inconclusive", "reason": NO_DENSE_ZEROS}
+    gate = ["gf", "mul", "--lhs=x", "--rhs=x", "--algebra=generated"]
+    code, report = cli.run(gate + [f"--generators=sin(nu*x)+{shift}"])
+    assert (code, report["conclusion"]) == (2, "the off-diagonality gate is inconclusive")
+    assert [stage["name"] for stage in report["stages"]] == ["off-diagonality-gate"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # from order 2050 or so the coefficients of exp(-x)*sin(x) pass 1e308, and
+        # inf - inf left a nan in the term map, met in printing as "cannot convert
+        # float NaN to integer"
+        ["gf", "derive", "--lhs=exp(-x)*sin(x)", "--order=4100"],
+        # 0 * inf, the same way
+        ["gf", "mul", "--lhs=0*x", "--rhs=1e999*x"],
+        # inf / inf, where the sum 1e999 + x is scaled to lead with 1
+        ["gf", "mul", "--lhs=(1e999+x)*sin(x)", "--rhs=1"],
+    ],
+)
+def test_a_coefficient_overflow_is_named(argv):
+    code, report = cli.run(argv)
+    assert code == 1
+    assert report["error"] == {
+        "type": "ValueError",
+        "message": "coefficient overflow: inf - inf, 0*inf or inf/inf makes a NaN coefficient",
+    }
 
 
 @pytest.mark.parametrize(

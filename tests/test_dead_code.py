@@ -144,8 +144,7 @@ def test_every_default_is_left_out_by_some_caller():
 
 def test_one_function_checks_the_work_budget():
     """`cli._check_plan` is the one function that compares anything with WORK_BUDGET.
-    Besides its definition, the budget is read only there and in `ideals._scan_plan`,
-    which caps how many indices it sums at WORK_BUDGET // 9 + 1 and refuses nothing."""
+    Besides its definition, the budget is read only there."""
     readers, comparers = set(), set()
     for path in SRC.glob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -164,4 +163,4 @@ def test_one_function_checks_the_work_budget():
                 if "WORK_BUDGET" in names:
                     comparers.add(enclosing(node))
     assert comparers == {"cli._check_plan"}
-    assert readers == {"cli._check_plan", "ideals._scan_plan"}
+    assert readers == {"cli._check_plan"}

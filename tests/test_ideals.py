@@ -3,9 +3,12 @@
 import math
 import random
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import branchlab.expr as ex
 from branchlab._report import all_passed
@@ -13,7 +16,9 @@ from branchlab import cli
 from branchlab import ideals as idl
 from branchlab.sequences import seq_derive, smooth_sequence
 
-from conftest import CERTIFICATE, generated_by, quotient, random_expression, value_at
+from conftest import (
+    CERTIFICATE, NO_DENSE_ZEROS, generated_by, quotient, random_expression, value_at,
+)
 
 DOM = ex.DomainInterval(0.0, 2.0 * math.pi)
 
@@ -328,17 +333,20 @@ def test_a_sign_change_across_a_pole_is_no_root():
 
 
 def test_one_bisection_pass_serves_several_factors_and_entries():
-    # index 1 is the exceptional entry x - 0.3, later indices x*sin(nu*x):
-    # the cells' lanes bisect three factors of two entries in one pass
+    # index 1 is the exceptional entry x - 0.3, later indices x*sin(nu*x): the
+    # witness scan's finder bisects three factors of two entries in one pass
     generator = smooth_sequence("x*sin(nu*x)", {1: "x - 0.3"})
-    cert = zero_density(
-        idl.generated_by(generator), ex.DomainInterval(-1.0, 1.0), cell_width=0.25
-    )
-    assert {cell.nu for cell in cert.cells} >= {1, 2}
-    for cell in cert.cells:
-        assert cell.lower <= cell.root <= cell.upper
-        assert abs(generator.term_value(cell.nu, cell.root)) < 1e-12
-    assert [cell.root for cell in cert.cells if cell.nu == 1] == [pytest.approx(0.3, abs=1e-15)]
+    finder = idl._RootFinder(generator)
+    xs = np.linspace(-1.0, 1.0, 41)
+    with np.errstate(all="ignore"):
+        brackets = [finder.brackets(index, xs) for index in (1, 2)]
+        ids, lo, hi = (np.concatenate(parts) for parts in zip(*brackets))
+        nus = np.repeat([1, 2], [len(part) for part, _, _ in brackets])
+        points, residuals = finder.roots(ids, nus, lo, hi)
+    assert set(ids.tolist()) == {0, 1, 2}
+    for nu, point, residual in zip(nus.tolist(), points.tolist(), residuals.tolist()):
+        assert abs(generator.term_value(nu, point)) < 1e-12 and residual < 1e-12
+    assert points[nus == 1].tolist() == [pytest.approx(0.3, abs=1e-15)]
 
 
 def test_the_generator_x_vanishes_at_zero():
@@ -478,22 +486,20 @@ def test_exceptions_above_the_limit_and_late_starts_scan_as_pointwise(s, nu):
     assert witness.nu == nu
 
 
-def test_zero_density_builds_each_grid_size_once(monkeypatch):
-    sizes = []
-    original = np.linspace
-
-    def recorded(lower, upper, count):
-        sizes.append(count)
-        return original(lower, upper, count)
-
-    monkeypatch.setattr(idl.np, "linspace", recorded)
-    # |x*sin(nu*x)| < 0.3 near 0 leaves a cell open, so every index 1 .. 200 is
-    # bracketed; the step is the cell's up to index 125 and shrinks after it
-    domain = ex.DomainInterval(-1.0, 1.0)
-    assert zero_density(generated_by("x*sin(nu*x) - 0.3"), domain, 0.05, 200) is None
-    steps = [min(0.05 / 8.0, 2.0 * math.pi / (8.0 * index)) for index in range(1, 201)]
-    assert sizes == sorted({math.ceil(2.0 / step) + 1 for step in steps})
-    assert len(sizes) == 76
+def test_zero_density_builds_no_array_over_the_indices():
+    # alpha = nu/10^6 spaces the zeros of sin(nu*x/10^6) at most the cell width
+    # apart from index ceil(pi/0.05 * 10^6) on; an array over the indices up to
+    # it, or up to nu-max, would hold hundreds of megabytes
+    tracemalloc.start()
+    try:
+        cert = zero_density(generated_by("sin(0.000001*nu*x)"), ex.DomainInterval(-1.0, 1.0),
+                            nu_max=10**9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert {cell.nu for cell in cert.cells} == {math.ceil(math.pi / 0.05 / 1e-6)}
+    assert max(cell.residual for cell in cert.cells) < idl.ROOT_RESIDUAL_TOL
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize(
@@ -516,6 +522,105 @@ def test_zero_density_gives_up_when_indices_run_out():
     # nu = 1 alone roots only the cell around 3*pi/2
     first, _ = ideal_pair()
     assert zero_density(first, DOM, nu_max=1) is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    fn=st.sampled_from(["sin", "cos"]),
+    ratio=st.floats(0.0, 1.0),
+    amplitude=st.floats(0.25, 4.0) | st.floats(-4.0, -0.25),
+    sign=st.sampled_from([-1.0, 1.0]),
+    k=st.integers(1, 5),
+    phase=st.floats(-3.0, 3.0),
+    lower=st.floats(-2.0, 1.0),
+    length=st.floats(0.5, 3.0),
+    cell_width=st.floats(0.01, 0.5),
+    spare=st.integers(0, 40),
+)
+def test_closed_form_cells_hold_their_roots(fn, ratio, amplitude, sign, k, phase, lower, length,
+                                             cell_width, spare):
+    """c + c'*sin|cos(k*nu*x + b) with |c| <= |c'|, at an index cap with k*nu_max*width >= 2*pi."""
+    c = sign * ratio * abs(amplitude)
+    tail = ex.Num(c) + ex.Num(amplitude) * ex.Call(fn, ex.Num(k) * ex.nu * ex.x + ex.Num(phase))
+    domain = ex.DomainInterval(lower, lower + length)
+    width = domain.length / math.ceil(domain.length / cell_width)
+    nu_max = math.ceil(2.0 * math.pi / (k * width)) + spare
+    cert = zero_density(generated_by(tail), domain, cell_width=cell_width, nu_max=nu_max)
+    assert cert is not None
+    (nu,) = {cell.nu for cell in cert.cells}
+    assert nu <= nu_max
+    assert cert.cells[0].lower == domain.lower
+    assert cert.cells[-1].upper == pytest.approx(domain.upper, abs=1e-12)
+    f = math.sin if fn == "sin" else math.cos
+    for before, after in zip(cert.cells, cert.cells[1:]):
+        assert after.lower == before.upper
+    for cell in cert.cells:
+        assert cell.lower <= cell.root <= cell.upper
+        assert abs(c + amplitude * f(k * nu * cell.root + phase)) <= idl.ROOT_RESIDUAL_TOL
+
+
+@pytest.mark.parametrize(
+    "tail",
+    [
+        "sin(nu*x)+nu/100",  # c is no number; no entry has a zero from index 101 on
+        "sin(nu*x^2)",  # u is not linear in x
+        "sin(3*x)",  # alpha = 3 does not grow with the index
+        "sin(100*x)",  # nor does alpha = 100, though its zeros, pi/100 apart, fill the cells
+        "x*(0.5+sin(x/nu))",  # alpha = 1/nu is no polynomial in nu, and its zeros spread out
+    ],
+)
+def test_a_generator_without_the_dense_form_gets_no_certificate(tail):
+    ideal, domain = generated_by(tail), ex.DomainInterval(-1.0, 1.0)
+    assert zero_density(ideal, domain, nu_max=10**6) is None
+    verdict = off_diagonality(ideal, domain, nu_max=10**6)
+    assert verdict.to_dict() == {"verdict": "inconclusive", "reason": NO_DENSE_ZEROS}
+
+
+def test_a_factor_with_the_larger_constant_gets_no_certificate():
+    # 1.5 + sin(nu*x) has no zero: the ideal holds a unit, and no certificate
+    ideal, domain = generated_by("1.5+sin(nu*x)"), ex.DomainInterval(-1.0, 1.0)
+    assert zero_density(ideal, domain, nu_max=10**6) is None
+    assert isinstance(off_diagonality(ideal, domain), idl.ContainsUnit)
+
+
+@pytest.mark.parametrize("tail, nu", [("sin(nu*x)/(nu-63)", None), ("sin(nu*x)/(nu-64)", 63)])
+def test_a_root_where_the_entry_is_undefined_certifies_nothing(tail, nu):
+    # the zeros of sin(nu*x) fit cells of 0.05 on [-1, 1] from index 63 on
+    cert = zero_density(generated_by(tail), ex.DomainInterval(-1.0, 1.0))
+    assert (cert and {cell.nu for cell in cert.cells}) == (nu and {nu})
+
+
+@pytest.mark.parametrize(
+    "exceptions, start, nu",
+    [({}, 1, 63), ({63: "1", 64: "x"}, 1, 65), ({70: "1"}, 66, 66), ({}, 200, 200)],
+)
+def test_the_certificate_index_is_served_by_the_tail(exceptions, start, nu):
+    # on [-1, 1] the zeros of sin(nu*x), pi/nu apart, fit cells of 0.05 from index 63 on;
+    # the index skips the exceptions and starts no earlier than the sequence
+    ideal = idl.generated_by(smooth_sequence("sin(nu*x)", exceptions, start))
+    cert = zero_density(ideal, ex.DomainInterval(-1.0, 1.0))
+    assert {cell.nu for cell in cert.cells} == {nu}
+    assert zero_density(ideal, ex.DomainInterval(-1.0, 1.0), nu_max=nu - 1) is None
+
+
+@pytest.mark.parametrize(
+    "tail, factor, ratio, alpha, nu",
+    [
+        # the widest gap between the zeros of 0.5 - cos(u) is pi + 2*asin(0.5) =
+        # 4*pi/3, which 3*nu*0.05 passes from nu = 28 on
+        ("x*(0.5-cos(3*nu*x+1))^2", "0.5 - cos(3*nu*x + 1)", 0.5, "3*nu", 28),
+        # pi is read as its value: pi*nu*0.05 passes 2*pi from nu = 40 on
+        ("1+sin(pi*nu*x)", "1 + sin(pi*nu*x)", 1.0, "nu*pi", 40),
+        # |alpha(nu)| >= nu^2 - 30, which passes pi/0.05 from nu = 93 on
+        ("sin(nu^2*x-30*x)", "sin(nu^2*x - 30*x)", 0.0, "-30 + nu^2", 93),
+    ],
+)
+def test_the_certificate_names_its_factor_ratio_and_alpha(tail, factor, ratio, alpha, nu):
+    cert = zero_density(generated_by(tail), ex.DomainInterval(-1.0, 1.0))
+    payload = cert.to_dict()
+    assert (payload["factor"], payload["ratio"], payload["alpha"]) == (factor, ratio, alpha)
+    assert payload["cell_count"] == 40 and payload["nu_max"] == 200
+    assert {cell["nu"] for cell in payload["cells"]} == {nu}
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +660,7 @@ def test_off_diagonality_inconclusive_reasons():
     first, _ = ideal_pair()
     starved = off_diagonality(first, DOM, nu_max=1)
     assert isinstance(starved, idl.OffDiagInconclusive)
-    assert "uncovered cells" in starved.reason
+    assert starved.reason == NO_DENSE_ZEROS
 
 
 # ---------------------------------------------------------------------------
@@ -656,20 +761,3 @@ def test_cell_width_outside_the_positive_reals_is_refused(monkeypatch, cell_widt
     _refused_before_sampling(monkeypatch, "cell", cell_width)
 
 
-@pytest.mark.parametrize(
-    "lower, upper, cell_width, nu_max",
-    [
-        (-1.0, 1.0, 0.05, 2500), (0.0, 2.0 * math.pi, 0.05, 200), (0.0, 1e-3, 1.0, 300),
-        (-3.0, 7.0, 0.7, 64),
-    ],
-)
-def test_the_scan_plan_has_the_grid_size_of_each_index(lower, upper, cell_width, nu_max):
-    """The planned sizes, one array over the indices, against the per-index rule."""
-    domain = ex.DomainInterval(lower, upper)
-    cell_count, sizes = idl._scan_plan(domain, cell_width, nu_max)
-    width = domain.length / cell_count
-    expected = [
-        int(math.ceil(domain.length / min(width / 8.0, 2.0 * math.pi / (8.0 * index)))) + 1
-        for index in range(1, nu_max + 1)
-    ]
-    assert sizes.tolist() == expected

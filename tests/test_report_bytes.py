@@ -30,16 +30,17 @@ PINNED_REPORTS = [
         2,
         "e73356737e13831aeac8f4769e6bff904027aa357b71978b3ecd9975d5b57e90",
     ),
-    (  # closure unknown; re-recorded when touching roots became closed-form roots
+    (  # closure unknown; re-recorded when the certificate took its cells in closed
+        # form at one index and gained its factor, ratio and alpha
         ["ideal", "check", "--generators=1+sin(nu*x)", "--domain=-1,1"],
         2,
-        "9881903d76c45e84c9406609d0b30167fa61934f27e93d7c84549803dd1a7728",
+        "b3a006693dcbc76a0af77e82fee1aa820e6a4fc6477f415b5a474efc3e48bf47",
     ),
-    (  # not-closed, with a membership witness; re-recorded when certificate
-        # roots were bisected lane-wise, which moved three roots in the last bits
+    (  # not-closed, with a membership witness; re-recorded when the certificate took
+        # its cells in closed form at one index; the witness did not move
         ["ideal", "check", "--generators=sin(nu*x)", "--domain=-1,1"],
         0,
-        "e0a30cfca13bb829d4462bfbc8a8b0caa4c278303db67b3b59ce42cb3d695f04",
+        "e0c8fcab57eb82052bb18821e6d5bb004c46209495bfa54bbdb20d21e6077fe1",
     ),
     (  # off-diagonality inconclusive, closure closed
         ["ideal", "check", "--generators=sin(nu*x),cos(nu*x)", "--domain=-1,1"],
@@ -109,9 +110,10 @@ PINNED_DEMOS = [
         "482a2ef8cdf5fc17a6fe0aa4572be145fd1cf4563560ac47d6134d5bf89b4729",
         "f51a32dc0d0425a9c2fd2a8cbea68337dec074e90c255594be3ca0d10b994013",
     ),
-    (  # re-recorded when touching roots became closed-form roots; the CSV did not move
+    (  # re-recorded when the certificates took their cells in closed form at one
+        # index; the CSV did not move
         "no-largest-ideal",
-        "eeaa248ad211222ceada8c4aa0b44ddf6700ece16d09c247dc86b58fc8ae4125",
+        "717d28c89e717747c226271006f7036d2eb6d467ba13d8bbb25ac6e2fdb3932c",
         "f8b3149b47f410eb10af15d4048c2e0bd94c88e3d8bcd7d570a15f4fa5aaa2d8",
     ),
     (  # re-recorded when its records became FunctionalVerdict records; the CSV did not move
