@@ -4,9 +4,10 @@
 step costs one call of ``f`` for all lanes, and a lane freezes when its own
 search would have returned.  ``bisect_lanes`` gives the roots of
 membership witnesses; ``refine_min_abs_lanes`` refines the sampled indices of
-a denominator.  Every comparison, update and stopping rule is the scalar
-search's applied elementwise, so a lane returns bit for bit what the scalar
-search returns on its bracket when f's lane values equal the scalar f's.
+a denominator that no interval enclosure proved away from zero.  Every
+comparison, update and stopping rule is the scalar search's applied
+elementwise, so a lane returns bit for bit what the scalar search returns on
+its bracket when f's lane values equal the scalar f's.
 """
 
 from __future__ import annotations

@@ -576,6 +576,12 @@ def _cmd_span_independence(args):
     count, x_count = len(first) + len(second), settings["x-count"]
     _check_plan([(f"{count} sequences x {x_count} points x {len(SAMPLE_NUS)} indices",
                   count * x_count * len(SAMPLE_NUS))])
+    operands = [(f"first[{k}]", s) for k, s in enumerate(first)]
+    operands += [(f"second[{k}]", s) for k, s in enumerate(second)]
+    for path, s in operands:  # refused as gf refuses an operand
+        record = admission(s, settings["domain"])
+        if record.status is not SafetyStatus.SAFE:
+            raise ValueError(f"{path} is not denominator-safe on the domain: {record.to_dict()}")
     xs = settings["domain"].interior_grid(settings["x-count"])
     stages = []
     with stage("independence", stages) as entry:

@@ -53,13 +53,18 @@ compiler.  The source is built only from node types, parameter names,
 temporaries, ``nu``, ``x`` and the four operators; no text a user wrote
 enters it, so ``exec`` runs nothing a user chose.
 
-``denominator_safety`` takes the indices it samples from its one caller,
-``sequences.admission``, and calls a denominator's function once on the
-block of those indices (a column) by every grid point (a row), then refines
-all rows' argmin brackets together with ``_numutil.refine_min_abs_lanes``
-through ``_on_lanes``; membership witness roots are bisected the same way.  An
-x-free power of the index, such as ``(nu-1.738)^3``, is an array power on
-lanes and a scalar power on a grid, and may differ in the last bit.
+``_enclose`` is the one interval evaluator: it folds the tree as ``f``
+does, with each operation's bounds widened outward, so the bounds hold every
+value ``f`` computes for nu and x in a box.  ``denominator_safety`` takes
+the indices it samples from its one caller, ``sequences.admission``, and
+first encloses each distinct denominator over the box of those indices and
+the grid's hull; one that the enclosure keeps away from zero is not
+sampled.  Any other it calls once on the block of those indices (a column)
+by every grid point (a row), then refines all rows' argmin brackets
+together with ``_numutil.refine_min_abs_lanes`` through ``_on_lanes``;
+membership witness roots are bisected the same way.  An x-free power of the
+index, such as ``(nu-1.738)^3``, is an array power on lanes and a scalar
+power on a grid, and may differ in the last bit.
 """
 
 from __future__ import annotations
@@ -465,6 +470,97 @@ def _on_lanes(exprs, ids, nus):
         return out
 
     return f
+
+
+# Each bound of an enclosure moves outward by this share of its size plus
+# _SLACK_ABS, far more than the few ulps by which a numpy operation or a libm
+# function errs, so it holds every value the compiled function computes.
+_SLACK_REL = 2.0**-40
+_SLACK_ABS = 2.0**-1000
+
+
+def _widen(lo, hi):
+    """[lo, hi] moved outward; a bound that is not finite is no proof."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise OverflowError("an enclosure bound is not finite")
+    return lo - (abs(lo) * _SLACK_REL + _SLACK_ABS), hi + (abs(hi) * _SLACK_REL + _SLACK_ABS)
+
+
+def _hull(*values):
+    return _widen(min(values), max(values))
+
+
+def _pow_bounds(lo, hi, k):
+    """[lo, hi] ** k for an integer k; a negative k needs a base away from 0."""
+    if k == 0:
+        return 1.0, 1.0
+    if k < 0:
+        return _step_bounds((1.0, 1.0), "/", _pow_bounds(lo, hi, -k))
+    if k % 2 == 0 and lo < 0.0 < hi:
+        return _widen(0.0, max(lo**k, hi**k))
+    return _hull(lo**k, hi**k)
+
+
+def _step_bounds(left, op, right):
+    """Bounds of `a op b` from those of a and b, one flat node's step."""
+    (a, b), (c, d) = left, right
+    if op == "+":
+        return _widen(a + c, b + d)
+    if op == "-":
+        return _widen(a - d, b - c)
+    if op == "/":
+        if c <= 0.0 <= d:
+            raise OverflowError("a division by an interval holding 0")
+        return _hull(a / c, a / d, b / c, b / d)
+    return _hull(a * c, a * d, b * c, b * d)
+
+
+def _bounds(e, box):
+    match e:
+        case Num(v):
+            return _widen(v, v)  # so every bound below is finite
+        case Pi():
+            return math.pi, math.pi
+        case Var("x"):
+            return box[2], box[3]
+        case Var("nu"):
+            return box[0], box[1]
+        case Neg(a):
+            lo, hi = _bounds(a, box)
+            return -hi, -lo
+        case Add(((_, first), *rest)) | Mul(((_, first), *rest)):
+            bounds = _bounds(first, box)
+            for op, node in rest:
+                bounds = _step_bounds(bounds, op, _bounds(node, box))
+            return bounds
+        case Pow(b, k):
+            return _pow_bounds(*_bounds(b, box), k)
+        case Call(fn, a):
+            lo, hi = _bounds(a, box)
+            if fn in ("sin", "cos"):
+                return _widen(-1.0, 1.0)
+            if fn == "cosh":
+                if lo <= 0.0 <= hi:
+                    return _widen(1.0, math.cosh(max(-lo, hi)))
+                return _hull(math.cosh(lo), math.cosh(hi))
+            return _widen(_MATH_FUNCTIONS[fn](lo), _MATH_FUNCTIONS[fn](hi))  # exp, tanh
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _enclose(e, box):
+    """(lo, hi) holding every value the compiled f(nu, x) of e takes for nu and x
+    in the box (nu_lo, nu_hi, x_lo, x_hi), on a grid or on lanes.
+
+    Each flat node folds left to right, as f does, and every operation's
+    bounds are widened outward (``_widen``).  sin and cos give [-1, 1], exp
+    and tanh are monotone, cosh is least at 0, and integer powers follow
+    their sign and parity.  A division by an interval that holds 0, a bound
+    that is not finite and an overflow give (-inf, inf): no proof.
+    """
+    try:
+        return _bounds(e, box)
+    except OverflowError:
+        return -math.inf, math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -1044,25 +1140,33 @@ def denominators(e):
 
 
 def denominator_safety(e, domain, nus):
-    """Sample every denominator of e over the lattice of the indices nus (a float
+    """Check every denominator of e over the lattice of the indices nus (a float
     column, in the order they are checked) by a grid of the domain.
 
-    Each distinct denominator is evaluated once on the whole lattice, one
-    row per index, in the order of first occurrence; ``denominator_count``
-    counts every occurrence.  Every row's argmin is refined by bisection or
-    golden-section search before comparing against the margin, all rows in
-    one lane-wise pass; a lattice alone cannot land within 1e-6 of a root.
-    The verdict is the first index, in order, whose row is not finite, whose
-    refined value is not finite, or whose refined value is below the margin.
-    Safe is a certificate at this lattice resolution, not a proof for all
-    indices.
+    Each distinct denominator, in the order of first occurrence, is proved
+    first: an enclosure over the box from the least to the greatest index
+    and from the first to the last grid point that is finite and lies above
+    the margin, or below its negative, holds every value sampling would
+    compute, so sampling would pass it, and it is skipped.  Any other is
+    evaluated once on the whole lattice, one row per index;
+    ``denominator_count`` counts every occurrence.  Every row's argmin is
+    refined by bisection or golden-section search before comparing against
+    the margin, all rows in one lane-wise pass; a lattice alone cannot land
+    within 1e-6 of a root.  The verdict is the first index, in order, whose
+    row is not finite, whose refined value is not finite, or whose refined
+    value is below the margin.  Safe is a certificate at these indices, not
+    a proof for all indices.
     """
     dens = denominators(e)
     verdict = partial(DenominatorSafety, margin=SAFETY_MARGIN, denominator_count=len(dens))
     if not dens:
         return verdict(SafetyStatus.SAFE)
     xs = domain.interior_grid(SAFETY_X_SAMPLES)
+    box = (float(nus.min()), float(nus.max()), float(xs[0]), float(xs[-1]))
     for den in dict.fromkeys(dens):
+        lo, hi = _enclose(den, box)
+        if lo > SAFETY_MARGIN or hi < -SAFETY_MARGIN:
+            continue  # finite and away from zero: sampling would pass it
         closure = _compiled(den)
         with np.errstate(all="ignore"):
             block = np.broadcast_to(closure(nus[:, None], xs), (len(nus), len(xs)))

@@ -62,6 +62,8 @@ UNIT_LATTICE_X_COUNT = 8192
 SCAN_NU_LIMIT = 32
 SCAN_GRID = 2048
 VERIFICATION_SAMPLES = 100
+# the highest degree in nu to which a power of a sum is expanded
+_EXPANDED_DEGREE = 64
 _VERIFICATION_SEED = 20260815
 
 
@@ -268,16 +270,49 @@ def _root_factors(e):
     return [e]
 
 
+def _nu_coefficients(e):
+    """{degree: coefficient} of e as a polynomial in nu, pi read as its value and a
+    sum that carries a positive power expanded up to degree _EXPANDED_DEGREE, or None."""
+    coefficients = {}
+    for mono, c in ex._terms(e).items():
+        product = {0: c}
+        for base, k in mono:
+            if base is ex.pi:
+                factor = {0: ex._power(math.pi, k)}
+            elif base is ex.nu and k > 0:
+                factor = {k: 1.0}
+            elif isinstance(base, ex.Add) and k > 0:
+                inner = _nu_coefficients(base)
+                if inner is None or k * max(inner) > _EXPANDED_DEGREE:
+                    return None
+                factor = {0: 1.0}
+                for _ in range(k):
+                    factor = _times(factor, inner)
+            else:
+                return None
+            product = _times(product, factor)
+        for k, c in product.items():
+            coefficients[k] = coefficients.get(k, 0.0) + c
+    return coefficients
+
+
+def _times(p, q):
+    """The product of two polynomials given as {degree: coefficient}."""
+    out = {}
+    for i, a in p.items():
+        for j, b in q.items():
+            out[i + j] = out.get(i + j, 0.0) + a * b
+    return out
+
+
 def _nu_polynomial(e):
     """(|coefficient of nu^d|, sum of the other |coefficients|) of e as a polynomial
-    in nu of degree d >= 1 with finite coefficients, pi read as its value, or None."""
-    magnitudes = {}
-    for mono, c in ex._terms(e).items():
-        powers = dict(mono)
-        k, c = powers.pop(ex.nu, 0), c * ex._power(math.pi, powers.pop(ex.pi, 0))
-        if powers or k < 0 or not math.isfinite(c):
-            return None
-        magnitudes[k] = abs(c)
+    in nu of degree d >= 1 with finite coefficients (``_nu_coefficients``), or None.
+    A coefficient that cancels to 0 does not count toward the degree."""
+    coefficients = _nu_coefficients(e)
+    if coefficients is None or not all(map(math.isfinite, coefficients.values())):
+        return None
+    magnitudes = {k: abs(c) for k, c in coefficients.items() if c != 0.0}
     degree = max(magnitudes, default=0)
     return None if degree < 1 else (magnitudes.pop(degree), sum(magnitudes.values()))
 

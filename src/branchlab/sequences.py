@@ -9,8 +9,10 @@ transformed independently and renormalized.
 A sequence is admitted on a domain (``admission``) when every entry it has
 is denominator-safe there: the tail at the first 64 indices it serves, from
 the start on and past the exceptional indices, and each exception at its own
-index.  ``ideal check`` records each generator's admission, ``gf`` refuses an
-operand that is not admitted, and ``apply_smooth`` a composition.
+index.  Each denominator is proved by an interval enclosure first and sampled
+only when that fails, with the verdicts of sampling alone.  ``ideal check``
+records each generator's admission, ``gf`` and ``span independence`` refuse
+an operand that is not admitted, and ``apply_smooth`` a composition.
 """
 
 from __future__ import annotations

@@ -16,6 +16,10 @@ from branchlab import algebra, cli, expr, ideals, pairing, weaklimit
 from conftest import NO_DENSE_ZEROS, SAFETY_LATTICE, run_fresh
 
 TRIG_DOMAIN = "0,6.283185307179586"
+# a denominator that admission must sample: its least value on [-2, 2] is 0.75,
+# but the interval sum 1 - x + x^2 there spans [-1, 7] and proves nothing
+SAMPLED, SAMPLED_DOMAIN = "1-x+x^2", "--domain=-2,2"
+SAMPLED_QUOTIENTS = (f"--lhs=nu/({SAMPLED})", f"--rhs=nu/({SAMPLED})", SAMPLED_DOMAIN)
 
 
 @pytest.mark.parametrize(
@@ -647,6 +651,24 @@ def test_ideal_check_stops_at_a_generator_it_does_not_admit(generators, k):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, path",
+    [
+        (["span", "independence", "--first=1/x", "--second=1"], "first[0]"),
+        (["span", "independence", "--first=tanh(1/x)", "--second=1", "--x-count=17"], "first[0]"),
+        (["span", "independence", "--first=x", "--second=1", "--second=1/(nu-3)"], "second[1]"),
+    ],
+)
+def test_span_independence_refuses_an_operand_it_does_not_admit(argv, path):
+    # 1/x and tanh(1/x) once gave full rank and "the two spans intersect only in zero"
+    code, report = cli.run(argv)
+    assert code == 1
+    assert report["error"]["type"] == "ValueError"
+    assert report["error"]["message"].startswith(
+        f"{path} is not denominator-safe on the domain: {{'status': 'unsafe'"
+    )
+
+
 def test_the_default_certificates_fit_the_budget(monkeypatch):
     # no-largest-ideal's default scans planned 2 x 224,001 nodes; its certificates
     # now sample one index each on the cell edges, and plan no rows
@@ -667,6 +689,20 @@ def test_a_huge_index_cap_ends_in_a_verdict():
     assert code == 0
     assert report["conclusion"] == "off-diagonality: off-diagonal; derivation closure: not-closed"
     assert {cell["nu"] for cell in report["stages"][1]["outcome"]["certificate"]["cells"]} == {63}
+
+
+@pytest.mark.parametrize(
+    "generator, nu",
+    [("sin((nu^2-30)*x)", 93), ("sin((nu+1)^2*x)", 66)],
+)
+def test_alpha_is_read_as_a_polynomial_however_its_sums_are_grouped(generator, nu):
+    # the normal form keeps (nu^2-30) and (nu+1)^2 as scaled sums, which the proof
+    # once read as no polynomial in nu and left inconclusive (exit 2), unlike the
+    # same alpha written out, sin(nu^2*x-30*x)
+    code, report = cli.run(["ideal", "check", f"--generators={generator}", "--domain=-1,1"])
+    assert code == 0
+    assert report["conclusion"] == "off-diagonality: off-diagonal; derivation closure: not-closed"
+    assert {cell["nu"] for cell in report["stages"][1]["outcome"]["certificate"]["cells"]} == {nu}
 
 
 @pytest.mark.parametrize("shift", ["nu/100", "nu/300", "nu/1000"])
@@ -1253,8 +1289,9 @@ def test_commands_leave_the_error_state_alone(argv):
         (["ideal", "check", "--generators=1+sin(nu*x)", "--domain=-1,1"], 0),
         (["demo", "no-largest-ideal"], 0),
         # denominator safety refines all indices of a denominator lane-wise,
-        # one pass per distinct denominator of each operand
-        (["gf", "mul", "--lhs=nu/(2*cosh(nu*x)^2)", "--rhs=nu/(2*cosh(nu*x)^2)"], 2),
+        # one pass per distinct denominator of each operand that the
+        # enclosure does not prove safe
+        (["gf", "mul", *SAMPLED_QUOTIENTS], 2),
     ],
 )
 def test_certificate_probes_check_the_index_once_per_bracket(monkeypatch, argv, refines):
@@ -1308,11 +1345,38 @@ def test_denominator_safety_evaluates_a_denominator_once_per_refinement_step(mon
         return counting
 
     monkeypatch.setattr(expr, "_compiled", counted)
-    code, _ = cli.run(["gf", "mul", "--lhs=nu/(2*cosh(nu*x)^2)", "--rhs=nu/(2*cosh(nu*x)^2)"])
+    code, _ = cli.run(["gf", "mul", *SAMPLED_QUOTIENTS])
     assert code == 0
     # two denominators, each one (index x point) lattice and one lane-wise
     # refinement; a grid row and a scalar search per index take 8,960 calls
     assert 0 < len(calls) <= 200
+
+
+def test_a_denominator_the_enclosure_proves_is_not_sampled(monkeypatch):
+    lattices, refined = [], []
+    original_compiled, original_refine = expr._compiled, expr.refine_min_abs_lanes
+
+    def counted_compiled(e):
+        closure = original_compiled(e)
+
+        def counting(nu, x):
+            if np.ndim(nu) == 2:
+                lattices.append(e)
+            return closure(nu, x)
+
+        return counting
+
+    def counted_refine(*args):
+        refined.append(args[1:])
+        return original_refine(*args)
+
+    monkeypatch.setattr(expr, "_compiled", counted_compiled)
+    monkeypatch.setattr(expr, "refine_min_abs_lanes", counted_refine)
+    impulse = "nu/(2*cosh(nu*x)^2)"
+    code, _ = cli.run(["gf", "mul", f"--lhs={impulse}", f"--rhs={impulse}"])
+    assert code == 0
+    # 2*cosh(nu*x)^2 >= 2 on the whole box of indices and points
+    assert lattices == [] and refined == []
 
 
 def test_a_repeated_denominator_is_checked_once(monkeypatch):
@@ -1330,10 +1394,10 @@ def test_a_repeated_denominator_is_checked_once(monkeypatch):
         return counting
 
     monkeypatch.setattr(expr, "_compiled", counted)
-    code, _ = cli.run(["gf", "mul", "--lhs=x" + "/2" * 500, "--rhs=1"])
+    code, _ = cli.run(["gf", "mul", "--lhs=x" + f"/({SAMPLED})" * 500, "--rhs=1", SAMPLED_DOMAIN])
     assert code == 0
     # 500 occurrences of one denominator: one (index x point) lattice
-    assert lattices == [expr.Num(2.0)]
+    assert lattices == [expr.parse(SAMPLED)]
     safety = expr.denominator_safety(
         expr.parse("x" + "/2" * 500), expr.DEFAULT_DOMAIN, SAFETY_LATTICE
     )

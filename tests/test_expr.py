@@ -428,6 +428,83 @@ def test_denominator_safety_overflow_is_inconclusive():
     assert report.status is ex.SafetyStatus.INCONCLUSIVE
 
 
+def _enclosed_values(e, box, rng):
+    """e's compiled values at dense lattice points of the box and at lane points in it."""
+    nu_lo, nu_hi, x_lo, x_hi = box
+    nus = np.arange(nu_lo, nu_hi + 1.0)
+    xs = np.linspace(x_lo, x_hi, 257)
+    with np.errstate(all="ignore"):
+        lattice = np.broadcast_to(ex._compiled(e)(nus[:, None], xs), (len(nus), len(xs)))
+        lanes = 64
+        lane_nus = np.array([float(rng.randint(int(nu_lo), int(nu_hi))) for _ in range(lanes)])
+        points = np.array([x_lo, x_hi] + [rng.uniform(x_lo, x_hi) for _ in range(lanes - 2)])
+        on_lanes = ex._on_lanes((e,), np.zeros(lanes, int), lane_nus)(points)
+    return np.concatenate([lattice.ravel(), on_lanes])
+
+
+def _random_box(rng):
+    nu_lo = rng.randint(1, 64)
+    nu_hi = nu_lo if rng.random() < 0.3 else rng.randint(nu_lo, 64)
+    x_lo = round(rng.uniform(-math.pi, math.pi), 3)
+    x_hi = x_lo if rng.random() < 0.3 else round(rng.uniform(x_lo, math.pi), 3)
+    return float(nu_lo), float(nu_hi), x_lo, x_hi
+
+
+def test_every_finite_enclosure_holds_the_compiled_values(rng):
+    proved = 0
+    for _ in range(150):
+        a = random_expression(rng, depth=3, allow_nu=True)
+        b = random_expression(rng, depth=2, allow_nu=True)
+        for e in (a, quotient(a, b), ex.Pow(b, -rng.choice((1, 2, 3)))):
+            box = _random_box(rng)
+            lo, hi = ex._enclose(e, box)
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                continue
+            proved += 1
+            values = _enclosed_values(e, box, rng)
+            assert np.all((lo <= values) & (values <= hi)), (ex.to_string(e), box)
+    assert proved > 200
+
+
+@pytest.mark.parametrize(
+    "text, box",
+    [
+        ("cosh(nu*x)^2", (1.0, 64.0, -1.0, 1.0)),
+        ("2+cos(nu*x)", (1.0, 64.0, -1.0, 1.0)),
+        ("2+tanh(x)", (1.0, 64.0, -3.0, 3.0)),
+        ("(nu-1.738)^3", (2.0, 64.0, -1.0, 1.0)),
+        ("(nu-1.738)^3", (1.0, 1.0, -1.0, 1.0)),
+    ],
+)
+def test_an_enclosure_away_from_zero_proves_a_denominator(rng, text, box):
+    e = ex.parse(text)
+    lo, hi = ex._enclose(e, box)
+    assert lo > ex.SAFETY_MARGIN or hi < -ex.SAFETY_MARGIN
+    values = _enclosed_values(e, box, rng)
+    assert np.all((lo <= values) & (values <= hi))
+
+
+@pytest.mark.parametrize(
+    "text, box",
+    [
+        ("1/cosh(800*x)", (1.0, 64.0, -1.0, 1.0)),  # cosh(800) overflows
+        ("x", (1.0, 64.0, -1.0, 1.0)),
+        ("1-x+x^2", (1.0, 64.0, -2.0, 2.0)),  # spans [-1, 7], least value 0.75
+        ("(nu-1.738)^3", (1.0, 64.0, -1.0, 1.0)),  # no integer index is a root
+    ],
+)
+def test_an_enclosure_near_zero_proves_nothing(text, box):
+    lo, hi = ex._enclose(ex.parse(text), box)
+    assert not (lo > ex.SAFETY_MARGIN or hi < -ex.SAFETY_MARGIN)
+
+
+def test_denominators_the_enclosure_cannot_prove_are_still_sampled():
+    # the two quotients of the named non-proofs that sampling finds safe
+    for text, domain in (("1/(1-x+x^2)", (-2.0, 2.0)), ("1/(nu-1.738)^3", (-1.0, 1.0))):
+        report = ex.denominator_safety(ex.parse(text), ex.DomainInterval(*domain), SAFETY_LATTICE)
+        assert report.status is ex.SafetyStatus.SAFE
+
+
 def _per_index_safety(e, domain):
     """denominator_safety as one grid row and one scalar refinement per index."""
     dens = ex.denominators(e)

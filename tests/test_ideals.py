@@ -613,6 +613,12 @@ def test_the_certificate_index_is_served_by_the_tail(exceptions, start, nu):
         ("1+sin(pi*nu*x)", "1 + sin(pi*nu*x)", 1.0, "nu*pi", 40),
         # |alpha(nu)| >= nu^2 - 30, which passes pi/0.05 from nu = 93 on
         ("sin(nu^2*x-30*x)", "sin(nu^2*x - 30*x)", 0.0, "-30 + nu^2", 93),
+        # a sum that carries a positive power is expanded: the same bound as above
+        ("sin((nu^2-30)*x)", "sin((nu^2 - 30)*x)", 0.0, "-30*(1 - 0.03333333333333333*nu^2)", 93),
+        # |(1+nu)^2| >= nu^2 - 3 passes pi/0.05 from nu = 66 on
+        ("sin((nu+1)^2*x)", "sin((nu + 1)^2*x)", 0.0, "(1 + nu)^2", 66),
+        # nu^2 cancels, so alpha = 2*nu + 1 has degree 1 and passes pi/0.05 from nu = 32 on
+        ("sin(((nu+1)^2-nu^2)*x)", "sin(((nu + 1)^2 - nu^2)*x)", 0.0, "(1 + nu)^2 - nu^2", 32),
     ],
 )
 def test_the_certificate_names_its_factor_ratio_and_alpha(tail, factor, ratio, alpha, nu):

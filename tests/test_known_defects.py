@@ -86,20 +86,7 @@ def test_an_identity_is_never_not_equal(lhs, rhs):
     assert _stage(report, "gf-equal")["outcome"]["verdict"] != "not-equal"
 
 
-@known_defect(14, "only gf checks that an operand is smooth on the domain")
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["span", "independence", "--first=1/x", "--second=1"],
-        ["span", "independence", "--first=tanh(1/x)", "--second=1", "--x-count=17"],
-    ],
-)
-def test_a_singular_basis_certifies_nothing(argv):
-    code, _ = cli.run(argv)
-    assert code != 0
-
-
-@known_defect(14, "only gf checks that an operand is smooth on the domain")
+@known_defect(14, "limit and classify do not admit their operand")
 def test_a_singular_entry_is_refused_before_quadrature():
     code, report = cli.run(["limit", "--seq=1/(nu-1)"])
     assert code != 1 or report["error"]["type"] != "IntegrationError"
