@@ -26,9 +26,11 @@ Membership witnesses are roots at index nu: an exact zero on a grid or a
 sign change between adjacent grid points of a root factor (a * part of a
 product, never a / part; the base of a positive power; the operand of a
 negation), or a closed-form root of c +- c*sin|cos(u) with u linear in x;
-the near-zero minimum of 1.000000001 + sin is no root.  The brackets of 1,
-1, 2, 4, 8, ... consecutive indices are bisected in one lane-wise pass,
-each lane at its own index, so a root does not depend on its pass.
+the near-zero minimum of 1.000000001 + sin is no root, and a factor whose
+enclosure over the scanned indices and the grid's span keeps one sign, as
+2 + sin(nu*x) does, is not sampled.  The brackets of 1, 1, 2, 4, 8, ...
+consecutive indices are bisected in one lane-wise pass, each lane at its
+own index, so a root does not depend on its pass.
 """
 
 from __future__ import annotations
@@ -361,10 +363,16 @@ def _wave(factor):
 class _RootFinder:
     """Root brackets of one sequence's entries, index by index, on a grid of x,
     and their roots with |entry| there (see the module docstring).  Run it
-    under an error state that ignores everything."""
+    under an error state that ignores everything.
 
-    def __init__(self, sequence):
+    box is (nu_lo, nu_hi, x_lo, x_hi), holding every index and grid point
+    it is asked about.  A root factor whose enclosure over the box
+    (``expr._enclose``) lies above 0 or below 0 is proved to have no zero and
+    no sign change on any such grid, so it is not sampled."""
+
+    def __init__(self, sequence, box):
         self.sequence = sequence
+        self.box = box
         self.plans = {}  # id(entry) -> [(factor id, touching _Wave or None)]
         self.pairs = []  # factor id -> (factor, entry)
 
@@ -374,6 +382,9 @@ class _RootFinder:
         if plan is None:
             plan = self.plans[id(entry)] = []
             for factor in dict.fromkeys(_root_factors(entry)):
+                lo, hi = ex._enclose(factor, self.box)
+                if lo > 0.0 or hi < 0.0:
+                    continue  # of one sign on the box: no bracket to find
                 wave = _wave(factor)
                 plan.append((len(self.pairs), wave if wave and len(wave.phases) == 1 else None))
                 self.pairs.append((factor, entry))
@@ -382,7 +393,7 @@ class _RootFinder:
     def brackets(self, index, xs):
         """(factor ids, lo, hi) of the root brackets at index, ordered by lo;
         a closed-form root or an exact zero is the bracket [root, root]."""
-        parts = []
+        parts = [(np.zeros(0, int), xs[:0], xs[:0])]  # empty arrays once no factor is left
         for fid, form in self._plan(index):
             if form is None:
                 values = ex.evaluate_on_grid(self.pairs[fid][0], index, xs)
@@ -412,13 +423,20 @@ def _scan_for_witness(s, generators, domain):
     the brackets of a chunk of 1, 1, 2, 4, 8, ... consecutive indices are
     bisected in one pass.  The chunk's indices are then screened in order,
     so the hit is the one an index-by-index scan finds, and a hit at the
-    m-th index has bisected the brackets of fewer than 2m indices.
+    m-th index has bisected the brackets of fewer than 2m indices.  The
+    finder's box runs from the first to the last scanned index and from the
+    first to the last grid point, so a root factor its enclosure proves
+    nonzero there is never sampled, and a chunk left without brackets is
+    not bisected.
     """
     xs = domain.interior_grid(SCAN_GRID)
     start = max(s.start_index, *(g.start_index for g in generators))
     indices = sorted({*range(1, SCAN_NU_LIMIT + 1), *(index for index, _ in s.exceptional)})
     indices = [index for index in indices if index >= start]
-    finder = _RootFinder(generators[0])
+    if not indices:
+        return None
+    box = (float(indices[0]), float(indices[-1]), float(xs[0]), float(xs[-1]))
+    finder = _RootFinder(generators[0], box)
     done = 0
     with np.errstate(all="ignore"):
         while done < len(indices):

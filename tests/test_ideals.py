@@ -299,8 +299,8 @@ def test_closed_form_roots_lie_in_their_cells(form, k, b):
         assert abs(value_at(tail, cell.nu, cell.root)) <= 1e-12
     # at each index every closed-form root lies on the grid's span and is a
     # root there; u = k*nu*x + b runs over k*nu*3/(2*pi) periods
-    finder = idl._RootFinder(generator.generators[0])
     xs = np.linspace(domain.lower, domain.upper, 4000)
+    finder = idl._RootFinder(generator.generators[0], (1.0, 40.0, xs[0], xs[-1]))
     for nu in (1, 7, 40):
         with np.errstate(all="ignore"):
             _, lo, hi = finder.brackets(nu, xs)
@@ -319,7 +319,7 @@ def test_near_touching_generators_have_no_closed_form_root():
 def test_a_sign_change_across_a_pole_is_no_root():
     # 1 - 1/(x + 0.3) changes sign at its pole -0.3 and vanishes at 0.7
     ideal = generated_by("1 - 1/(x + 0.3)")
-    finder = idl._RootFinder(ideal.generators[0])
+    finder = idl._RootFinder(ideal.generators[0], (1.0, 1.0, -1.0, 1.0))
     with np.errstate(all="ignore"):
         ids, lo, hi = finder.brackets(1, np.linspace(-1.0, 1.0, 41))
         points, residuals = finder.roots(ids, np.ones(len(ids), int), lo, hi)
@@ -336,7 +336,7 @@ def test_one_bisection_pass_serves_several_factors_and_entries():
     # index 1 is the exceptional entry x - 0.3, later indices x*sin(nu*x): the
     # witness scan's finder bisects three factors of two entries in one pass
     generator = smooth_sequence("x*sin(nu*x)", {1: "x - 0.3"})
-    finder = idl._RootFinder(generator)
+    finder = idl._RootFinder(generator, (1.0, 2.0, -1.0, 1.0))
     xs = np.linspace(-1.0, 1.0, 41)
     with np.errstate(all="ignore"):
         brackets = [finder.brackets(index, xs) for index in (1, 2)]
@@ -382,12 +382,15 @@ def _pointwise_verification(s, factorization, domain):
 
 
 def _pointwise_witness(s, generators, domain):
-    """The witness scan checking one screened root at a time."""
+    """The witness scan checking one screened root at a time, sampling every root
+    factor: over an unbounded box no factor's enclosure is proved."""
     xs = domain.interior_grid(idl.SCAN_GRID)
-    finder = idl._RootFinder(generators[0])
+    finder = idl._RootFinder(generators[0], (-math.inf, math.inf, -math.inf, math.inf))
     for index in sorted({*range(1, idl.SCAN_NU_LIMIT + 1), *(i for i, _ in s.exceptional)}):
         if index < s.start_index or any(index < g.start_index for g in generators):
             continue
+        factors = dict.fromkeys(idl._root_factors(generators[0]._entry(index)))
+        assert len(finder._plan(index)) == len(factors)
         with np.errstate(all="ignore"):
             ids, lo, hi = (part[:64] for part in finder.brackets(index, xs))
             if not len(ids):
@@ -404,7 +407,11 @@ def _pointwise_witness(s, generators, domain):
 
 def test_array_checks_equal_the_pointwise_loops(rng):
     domain = ex.DomainInterval(-1.0, 1.0)
-    generators = ("sin(nu*x)", "x", "1+sin(nu*x)", "x^2-0.25", "sin(3*nu*x+0.5)", "tanh(nu*x)")
+    generators = (
+        "sin(nu*x)", "x", "1+sin(nu*x)", "x^2-0.25", "sin(3*nu*x+0.5)", "tanh(nu*x)",
+        # rootless: the scan's enclosure proves each one nonzero and samples none
+        "2+sin(nu*x)", "-1.72+cos(nu*x+2.84)", "x+2", "cosh(x)",
+    )
     verified, found = set(), set()
     for _ in range(60):
         e = random_expression(rng, depth=2, allow_nu=True)
@@ -433,6 +440,47 @@ def test_array_checks_equal_the_pointwise_loops(rng):
     assert verified == found == {False, True}
 
 
+def _scan_box(domain):
+    xs = domain.interior_grid(idl.SCAN_GRID)
+    return xs, (1.0, float(idl.SCAN_NU_LIMIT), float(xs[0]), float(xs[-1]))
+
+
+def test_a_factor_the_scan_drops_has_no_bracket_on_its_grid(rng):
+    # sampled with its compiled closure at every scan index, a dropped factor
+    # has no exact zero and no sign change on the grid
+    dropped = 0
+    for _ in range(400):
+        e = random_expression(rng, depth=3, allow_nu=True)
+        lower = round(rng.uniform(-3.0, 2.0), 2)
+        xs, box = _scan_box(ex.DomainInterval(lower, lower + round(rng.uniform(0.2, 3.0), 2)))
+        s = smooth_sequence(e)
+        finder = idl._RootFinder(s, box)
+        kept = {finder.pairs[fid][0] for fid, _ in finder._plan(1)}
+        for factor in dict.fromkeys(idl._root_factors(s._entry(1))):
+            if factor in kept:
+                continue
+            dropped += 1
+            for index in range(1, idl.SCAN_NU_LIMIT + 1):
+                values = ex.evaluate_on_grid(factor, index, xs)
+                assert np.all(values != 0.0) and np.all(values[:-1] * values[1:] > 0.0), (
+                    ex.to_string(factor), index,
+                )
+    assert dropped > 100
+
+
+def test_a_factor_that_vanishes_on_the_grid_is_never_dropped():
+    # exp(b*nu) - c with c the compiled exp(b) is 0 at index 1 on the whole grid;
+    # where numpy's exp and the enclosure's math.exp differ in the last bit,
+    # only the widening of each bound keeps the factor
+    xs, box = _scan_box(ex.DomainInterval(-1.0, 1.0))
+    for b in np.linspace(0.01, 3.0, 300).tolist():
+        growth = ex.Call("exp", ex.Num(b) * ex.nu)
+        s = smooth_sequence(growth - ex.Num(float(ex.evaluate_on_grid(growth, 1, xs)[0])))
+        assert not ex.evaluate_on_grid(s._entry(1), 1, xs).any()
+        finder = idl._RootFinder(s, box)
+        assert len(finder._plan(1)) == 1, b
+
+
 def _roots_passes(monkeypatch):
     """The lane indices of every _RootFinder.roots call, one list per call."""
     passes = []
@@ -452,6 +500,40 @@ def test_a_scan_that_finds_nothing_bisects_its_32_indices_in_six_passes(monkeypa
     assert "no vanishing-point witness found" in verdict.reason
     chunks = ((1, 2), (2, 3), (3, 5), (5, 9), (9, 17), (17, 33))
     assert [sorted(set(nus)) for nus in passes] == [list(range(*chunk)) for chunk in chunks]
+
+
+def _scan_grid_factors(monkeypatch):
+    """Every factor evaluated on the witness scan's grid, one entry per call."""
+    sampled = []
+    original = ex.evaluate_on_grid
+
+    def recorded(e, nu_value, xs):
+        if len(xs) == idl.SCAN_GRID:
+            sampled.append(ex.to_string(e))
+        return original(e, nu_value, xs)
+
+    monkeypatch.setattr(ex, "evaluate_on_grid", recorded)
+    return sampled
+
+
+@pytest.mark.parametrize(
+    "generator, domain, sampled, bisected",
+    [
+        # below -0.72 everywhere: no grid, no pass
+        ("-1.72+cos(nu*x+2.84)", (-0.25, 2.75), set(), False),
+        # its enclosure touches 0; its roots are in closed form, not on the grid
+        ("1+sin(nu*x)", (-1.0, 1.0), set(), True),
+        # x is positive on the domain; only the sin factor is sampled
+        ("x*sin(3*nu*x)", (0.39, 3.39), {"sin(3*nu*x)"}, True),
+    ],
+)
+def test_the_scan_samples_no_factor_its_enclosure_proves_nonzero(
+    generator, domain, sampled, bisected, monkeypatch
+):
+    passes, grids = _roots_passes(monkeypatch), _scan_grid_factors(monkeypatch)
+    idl.derivation_closure(generated_by(generator), ex.DomainInterval(*domain))
+    assert set(grids) == sampled
+    assert bool(passes) == bisected
 
 
 @pytest.mark.parametrize("generator", ["x", "sin(nu*x)"])

@@ -78,12 +78,65 @@ def test_an_overflowing_sequence_ends_in_a_verdict():
         ("sin(pi*nu)*x", "0"),
         ("0.1*x+0.2*x", "0.3*x"),
         ("x/49*49", "x"),
+        # 2e10*pi is a multiple of 2*pi; the witness 8.0e-6 is its rounding
+        ("sin(x+20000000000*pi)", "sin(x)"),
     ],
 )
 def test_an_identity_is_never_not_equal(lhs, rhs):
     code, report = cli.run(["gf", "equal", f"--lhs={lhs}", f"--rhs={rhs}"])
     assert code != 1
     assert _stage(report, "gf-equal")["outcome"]["verdict"] != "not-equal"
+
+
+def _members(argv):
+    code, report = cli.run(argv)
+    return code, [member["verdict"] for member in report["stages"][0]["per_test_function"]]
+
+
+@known_defect(16, "a definite verdict is read from a schedule that ends before the index scale")
+@pytest.mark.parametrize(
+    "seq, kind, limit",
+    [
+        ("exp(-nu/1e9)", "converges-to", "0"),
+        ("x*exp(-nu/1e9)", "converges-to", "0"),
+        ("nu/(1+nu^2/1e8)", "converges-to", "0"),
+        ("x*nu/(nu+1e7)", "converges-to", "x"),
+        ("1+cos(nu/1e6)", None, None),  # no limit: anything but converges-to
+        ("exp(nu/1e9)*x", "diverges", None),
+    ],
+)
+def test_a_weak_limit_past_the_schedule_is_not_confidently_wrong(seq, kind, limit):
+    code, verdicts = _members(["limit", f"--seq={seq}"])
+    if kind is None:
+        right = all(verdict["kind"] != "converges-to" for verdict in verdicts)
+    else:
+        right = all(verdict["kind"] == kind for verdict in verdicts)
+    if limit is not None:
+        # the pairings of the limit itself, member by member
+        _, expected = _members(["limit", f"--seq={limit}"])
+        right = right and all(
+            abs(verdict["value"] - pairing["value"]) < 1e-3
+            for verdict, pairing in zip(verdicts, expected)
+        )
+    assert code != 0 or right
+
+
+@known_defect(21, "full rank is read from singular values above the rounding of the samples")
+@pytest.mark.parametrize("u", ["x", "nu*x"])
+def test_equal_functions_are_no_trivial_intersection(u):
+    # sin(u + 2e10*pi) equals sin(u); 3e-5 is the rounding of 2e10*pi
+    code, report = cli.run(
+        ["span", "independence", f"--first=sin({u}+20000000000*pi)", f"--second=sin({u})"]
+    )
+    assert code != 0 or _stage(report, "independence")["certificate"]["status"] != (
+        "trivial-intersection"
+    )
+
+
+@known_defect(15, "the certificate's cells are counted though the form proves the verdict")
+def test_a_long_domain_is_proved_off_diagonal():
+    code, _ = cli.run(["ideal", "check", "--generators=sin(nu*x)", "--domain=0,30000"])
+    assert code != 1
 
 
 @known_defect(14, "limit and classify do not admit their operand")

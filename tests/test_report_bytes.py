@@ -42,6 +42,25 @@ PINNED_REPORTS = [
         0,
         "e0c8fcab57eb82052bb18821e6d5bb004c46209495bfa54bbdb20d21e6077fe1",
     ),
+    (  # contains-unit, closure unknown; the witness scan's enclosure keeps the
+        # generator below -0.72, so no index is sampled; recorded before the scan
+        # took that proof
+        [
+            "ideal", "check", "--generators=-1.72+cos(1*nu*x+2.84)", "--domain=-0.25,2.75",
+            "--cell=0.05", "--nu-max=200",
+        ],
+        2,
+        "a210934bbf94f769795101b6597dd210216b590e17fa93aeb6cc01faf3588eb5",
+    ),
+    (  # not-closed; x is positive on the domain, so the witness scan samples the
+        # sin factor only; recorded before the scan took that proof
+        [
+            "ideal", "check", "--generators=x*sin(3*nu*x)", "--domain=0.39,3.39",
+            "--cell=0.2", "--nu-max=50",
+        ],
+        0,
+        "cdb16131f01f628dcafff1392bef40a0ce324bfaf1b4b503fb79e2768dd1f67c",
+    ),
     (  # off-diagonality inconclusive, closure closed
         ["ideal", "check", "--generators=sin(nu*x),cos(nu*x)", "--domain=-1,1"],
         2,
